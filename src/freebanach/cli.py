@@ -1,9 +1,11 @@
 """Command-line entry points and bit-exact table export.
 
 Subcommands: build, dist, norm, verify, oracle, bench.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage, config, or evaluation
-errors.  Exported documents are deterministic byte-for-byte for a fixed
-config: values are integer pairs, never decimals, and field order is fixed.
+success, 1 on verification failure, 2 on usage, config, evaluation, or
+construction errors (a relaxation or molecule program that cannot finish
+within the config).  Exported documents are deterministic byte-for-byte
+for a fixed config: values are integer pairs, never decimals, and field
+order is fixed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import time
 from fractions import Fraction
 
 from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
+from .lp import InfeasibleLP
+from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
 from .stages import BudgetExceededError, Config, ConfigError, Stage, Universe
 from .terms import (
@@ -356,7 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ExprSyntaxError, ScalarDomainError, OutOfUniverseError,
-            AlgebraError, BudgetExceededError, OSError) as exc:
+            AlgebraError, BudgetExceededError, OSError, RelaxError, InfeasibleLP) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

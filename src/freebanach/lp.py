@@ -3,19 +3,40 @@
 The norm extension repeatedly minimizes  sum_j |beta_j| * cost_j  subject to
 sum_j beta_j * molecule_j = target,  over real beta.  Optima of rational
 data are rational and attained at basic solutions, so everything here is
-exact ``Fraction`` arithmetic; no floating point touches any stored value.
+exact; no floating point touches any stored value.
 
-``MoleculeLP`` is a revised two-phase simplex with Bland's rule; the basis
-is dual feasible independently of the right-hand side, so re-solving for a
-new target warm-starts with a handful of dual-simplex pivots (usually
-none).  ``basic_solution_oracle`` independently enumerates all candidate
-supports and is the cross-check required of the LP route.
+``MoleculeLP`` row-reduces the constraints once in ``Fraction``, scales the
+reduced system and the costs to integers by their common denominators, and
+from then on pivots in integers only (integer-preserving elimination:
+Edmonds 1967, Bareiss 1968).  For the current basis B it keeps
+d = |det B| > 0 and N = d * B^-1, which is +-adj B, plus the reduced costs
+scaled as R = d * cbar.  A pivot on row r, entering column a_e with
+col = N a_e and pivot entry p = col_r, sets
+
+    N_i  <-  (|p| N_i - sgn(p) col_i N_r) / d     for i != r,
+    N_r  <-  sgn(p) N_r,        d  <-  |p|,
+
+and R likewise against the pivot row N_r A.  The new d is |det B'| and the
+new N is +-adj B', a matrix of minors of the integer system, so each
+division is exact; a remainder means the invariant broke and raises
+``InexactDivision``.  Every denominator is d > 0 (times positive scales),
+so signs and ratios are compared by integer cross-multiplication and
+Fractions are built only for the returned value, solution and dual.
+
+A two-phase simplex with Bland's rule, pivoting the same way, finds the
+first basis; it is dual feasible whatever the right-hand side, so each
+further target warm-starts with dual-simplex pivots (the desk tower makes
+7112 over 3280 solves, ``pivots``).
+``basic_solution_oracle`` independently enumerates all candidate supports
+and is the cross-check required of the LP route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -25,12 +46,19 @@ class InfeasibleLP(ValueError):
     """Target vector outside the span of the elementary differences."""
 
 
-def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gaussian elimination; returns (reduced rows, pivot column indices)."""
+class InexactDivision(ArithmeticError):
+    """An integer-preserving pivot left a remainder: the d/N invariant broke."""
+
+
+def _row_reduce(matrix: list[list[Fraction]], ncols: Optional[int] = None):
+    """Gauss-Jordan elimination over the first ``ncols`` columns (all by
+    default); returns (all rows, pivot column indices).  Rows past the
+    pivots vanish on the eliminated columns."""
     rows = [row[:] for row in matrix]
     pivots: list[int] = []
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
+    width = len(rows[0]) if rows else 0
+    for c in range(width if ncols is None else ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -45,7 +73,29 @@ def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return rows, pivots
+
+
+def _exact_update(p: int, row: list[int], f: int, prow: Sequence[int], d: int) -> list[int]:
+    """(p * row - f * prow) / d entrywise; the quotient must be exact."""
+    out = []
+    for a, b in zip(row, prow):
+        q, rem = divmod(p * a - f * b, d)
+        if rem:
+            raise InexactDivision(f"pivot update left remainder {rem} modulo {d}")
+        out.append(q)
+    return out
+
+
+def _pivot(rows: list[list[int]], d: int, col: list[int], r: int) -> tuple[list[list[int]], int]:
+    """Integer-preserving pivot of d * B^-1 rows on row r, where col is the
+    entering column through those rows; returns the new rows and d > 0."""
+    p, prow = col[r], rows[r]
+    s = 1 if p > 0 else -1
+    return [
+        [s * x for x in prow] if i == r else _exact_update(abs(p), row, s * f, prow, d)
+        for i, (row, f) in enumerate(zip(rows, col))
+    ], abs(p)
 
 
 class MoleculeLP:
@@ -54,6 +104,7 @@ class MoleculeLP:
     Columns are the signed molecules (+m_j and -m_j, each at cost c_j >= 0).
     The constraint matrix is row-reduced once so the working system has full
     row rank; targets inconsistent with the dropped rows are infeasible.
+    ``pivots`` counts the dual-simplex pivots over all solves.
     """
 
     def __init__(self, molecules: Sequence[Vec], costs: Sequence[Fraction]):
@@ -69,92 +120,74 @@ class MoleculeLP:
         # to full row rank, remembering the operator E so each target can be
         # mapped into the reduced system and checked for consistency.
         d, J = self.dim, len(self.molecules)
-        work = [
-            [self.molecules[j][i] for j in range(J)]
-            + [Fraction(1 if i == k else 0) for k in range(d)]
-            for i in range(d)
-        ]
-        rank = 0
-        for c in range(J):
-            pivot = next((i for i in range(rank, d) if work[i][c] != 0), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = Fraction(1) / work[rank][c]
-            work[rank] = [x * inv for x in work[rank]]
-            for i in range(d):
-                if i != rank and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-            rank += 1
-            if rank == d:
-                break
-        self._op = [row[J:] for row in work]  # d x d elimination operator
-        self.m = rank
-        reduced = [row[:J] for row in work[:rank]]  # rank x J, full row rank
+        work = [list(row) + [Fraction(int(i == k)) for k in range(d)]
+                for i, row in enumerate(zip(*self.molecules))]
+        work, pivots = _row_reduce(work, J)
+        self.m = len(pivots)
         self.ncols = 2 * J
-        self.A = [reduced[i] + [-x for x in reduced[i]] for i in range(rank)]
-        self.c = self.costs + self.costs
+        # one common scale makes the reduced rows and E integer; scaling all
+        # rows alike leaves every pivot choice, and phase one's, unchanged
+        scale = lcm(*(x.denominator for row in work for x in row))
+        self._op = [[int(x * scale) for x in row[J:]] for row in work]
+        cols = [tuple(int(work[i][j] * scale) for i in range(self.m)) for j in range(J)]
+        self._cols = cols + [tuple(-x for x in col) for col in cols]  # signed columns
+        self._cost_den = lcm(*(c.denominator for c in self.costs))
+        self._cost = [int(c * self._cost_den) for c in self.costs] * 2  # scaled c
+        self.pivots = 0
         self._basis: Optional[list[int]] = None
-        self._binv: Optional[list[list[Fraction]]] = None
-        self._cbar: Optional[list[Fraction]] = None
+        # N = d * B^-1, d = |det B| and R = d * reduced costs, set by phase one
+        self._adj, self._det, self._red = [], 1, []
 
-    def _reduce_vec(self, v: Vec) -> list[Fraction]:
-        """Right-hand side of the reduced system; raises if v leaves the span."""
-        image = [sum(self._op[i][k] * v[k] for k in range(self.dim)) for i in range(self.dim)]
-        for i in range(self.m, self.dim):
-            if image[i] != 0:
-                raise InfeasibleLP("target outside molecule span")
-        return image[: self.m]
+    def _reduce_vec(self, v: Vec) -> tuple[list[int], int]:
+        """Integer right-hand side of the scaled reduced system and the
+        target's common denominator; raises if v leaves the span."""
+        v = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in v))
+        vi = [x.numerator * (den // x.denominator) for x in v]
+        image = [sum(map(mul, row, vi)) for row in self._op]
+        if any(image[self.m :]):
+            raise InfeasibleLP("target outside molecule span")
+        return image[: self.m], den
 
     # -- simplex core ----------------------------------------------------
 
-    def _column(self, j: int) -> list[Fraction]:
-        return [self.A[i][j] for i in range(self.m)]
-
-    def _phase_one(self, rhs: list[Fraction]) -> None:
-        """Dense two-phase start; establishes a dual-feasible optimal basis."""
+    def _phase_one(self, rhs: list[int]) -> None:
+        """Dense two-phase start on the integer tableau d * B^-1 [A | I | rhs]
+        (rows sign-fixed so rhs >= 0); establishes a dual-feasible optimal
+        basis, whose N is read off the artificial block."""
         m, n = self.m, self.ncols
-        # artificial tableau: rows = constraints (sign-fixed), art columns last
-        T = [[Fraction(0)] * (n + m + 1) for _ in range(m)]
-        for i in range(m):
-            sign = -1 if rhs[i] < 0 else 1
-            for j in range(n):
-                T[i][j] = sign * self.A[i][j]
-            T[i][n + i] = Fraction(1)
-            T[i][-1] = sign * rhs[i]
+        cols = self._cols
+        signs = [-1 if b < 0 else 1 for b in rhs]
+        T = [
+            [s * col[i] for col in cols] + [int(i == k) for k in range(m)] + [s * rhs[i]]
+            for i, s in enumerate(signs)
+        ]
+        det = 1
         basis = [n + i for i in range(m)]
 
-        def run(cost: list[Fraction], limit: int) -> None:
+        def pivot(r: int, e: int) -> None:
+            nonlocal T, det
+            T, det = _pivot(T, det, [row[e] for row in T], r)
+            basis[r] = e
+
+        def run(cost: list[int], limit: int) -> None:
             while True:
-                y = [cost[basis[i]] for i in range(m)]
-                entering = None
-                for j in range(limit):
-                    if j in basis:
-                        continue
-                    red = cost[j] - sum(y[i] * T[i][j] for i in range(m))
-                    if red < 0:
-                        entering = j
-                        break  # Bland: first improving column
+                # Bland: first improving column, d * red_j < 0
+                entering = next((j for j in range(limit) if j not in basis and det * cost[j]
+                                 < sum(cost[basis[i]] * T[i][j] for i in range(m))), None)
                 if entering is None:
                     return
-                ratios = [
-                    (T[i][-1] / T[i][entering], basis[i], i)
-                    for i in range(m)
-                    if T[i][entering] > 0
-                ]
-                if not ratios:
-                    raise InfeasibleLP("unbounded phase; molecule costs degenerate")
-                _, _, r = min(ratios, key=lambda t: (t[0], t[1]))
-                piv = T[r][entering]
-                T[r] = [x / piv for x in T[r]]
+                r = None  # least ratio rhs_i / t_i over t_i > 0, then least basis index
                 for i in range(m):
-                    if i != r and T[i][entering] != 0:
-                        f = T[i][entering]
-                        T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-                basis[r] = entering
+                    t = T[i][entering]
+                    if t > 0 and (r is None or (T[i][-1] * T[r][entering], basis[i])
+                                  < (T[r][-1] * t, basis[r])):
+                        r = i
+                if r is None:
+                    raise InfeasibleLP("unbounded phase; molecule costs degenerate")
+                pivot(r, entering)
 
-        art_cost = [Fraction(0)] * n + [Fraction(1)] * m
+        art_cost = [0] * n + [1] * m
         run(art_cost, n + m)
         if sum(T[i][-1] * art_cost[basis[i]] for i in range(m)) != 0:
             raise InfeasibleLP("phase one optimum positive")
@@ -164,38 +197,20 @@ class MoleculeLP:
                 pivot_col = next((j for j in range(n) if T[i][j] != 0 and j not in basis), None)
                 if pivot_col is None:
                     raise InfeasibleLP("redundant row survived row reduction")
-                piv = T[i][pivot_col]
-                T[i] = [x / piv for x in T[i]]
-                for k in range(m):
-                    if k != i and T[k][pivot_col] != 0:
-                        f = T[k][pivot_col]
-                        T[k] = [a - f * b for a, b in zip(T[k], T[i])]
-                basis[i] = pivot_col
-        run(self.c + [Fraction(0)] * m, n)
+                pivot(i, pivot_col)
+        run(self._cost + [0] * m, n)
         if any(b >= n for b in basis):
             raise InfeasibleLP("artificial column stuck in basis")
-        self._set_basis(basis)
+        # the artificial block is d * (diag(signs) B)^-1
+        self._basis, self._det = basis, det
+        self._adj = [[T[i][n + k] * signs[k] for k in range(m)] for i in range(m)]
+        u = self._dual_row()
+        self._red = [det * cj - sum(map(mul, u, col)) for cj, col in zip(self._cost, cols)]
 
-    def _set_basis(self, basis: list[int]) -> None:
-        m = self.m
-        B = [[self.A[i][j] for j in basis] for i in range(m)]
-        # invert by elimination on [B | I]
-        aug = [B[i][:] + [Fraction(int(i == k)) for k in range(m)] for i in range(m)]
-        for col in range(m):
-            pivot = next(i for i in range(col, m) if aug[i][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(m):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        self._basis = basis
-        self._binv = [row[m:] for row in aug]
-        y = [sum(self.c[basis[i]] * self._binv[i][k] for i in range(m)) for k in range(m)]
-        self._cbar = [
-            self.c[j] - sum(y[i] * self.A[i][j] for i in range(m)) for j in range(self.ncols)
-        ]
+    def _dual_row(self) -> list[int]:
+        """c_B N, the dual of the scaled reduced system times d."""
+        c, basis, N = self._cost, self._basis, self._adj
+        return [sum(c[basis[i]] * N[i][k] for i in range(self.m)) for k in range(self.m)]
 
     def solve(self, target: Vec) -> Fraction:
         return self.solve_full(target)[0]
@@ -207,73 +222,58 @@ class MoleculeLP:
         j and <y, target> = value, so it witnesses optimality by weak
         duality without trusting the pivoting path.  Warm-starts from the
         previous basis (dual feasibility is independent of the target)."""
-        rhs = self._reduce_vec(target)
+        rhs, den = self._reduce_vec(target)
         if self._basis is None:
             self._phase_one(rhs)
-        m = self.m
-        basis, binv, cbar = self._basis, self._binv, self._cbar
+        m, J = self.m, self.ncols // 2
+        basis = self._basis
         guard = 0
         while True:
             guard += 1
             if guard > 10_000:
                 raise InfeasibleLP("dual simplex failed to terminate")
-            xb = [sum(binv[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-            row_leave = None
-            for i in range(m):
-                if xb[i] < 0:
-                    if row_leave is None or basis[i] < basis[row_leave]:
-                        row_leave = i
-            if row_leave is None:
-                value = sum(self.c[basis[i]] * xb[i] for i in range(m))
-                nmol = len(self.molecules)
-                beta: dict[int, Fraction] = {}
-                for i in range(m):
-                    if xb[i] == 0:
-                        continue
-                    j = basis[i]
-                    mol = j if j < nmol else j - nmol
-                    sgn = 1 if j < nmol else -1
-                    beta[mol] = beta.get(mol, Fraction(0)) + sgn * xb[i]
-                y_red = [
-                    sum(self.c[basis[i]] * binv[i][k] for i in range(m))
-                    for k in range(m)
-                ]
-                # lift the dual into original coordinates through the
-                # elimination operator
-                y = [
-                    sum(y_red[i] * self._op[i][k] for i in range(m))
-                    for k in range(self.dim)
-                ]
-                return value, beta, tuple(y)
-            # pivot row over all columns
-            arow = [
-                sum(binv[row_leave][k] * self.A[k][j] for k in range(m))
-                for j in range(self.ncols)
-            ]
-            best = None
-            for j in range(self.ncols):
-                if j in basis or arow[j] >= 0:
+            N, det, R = self._adj, self._det, self._red
+            xb = [sum(map(mul, row, rhs)) for row in N]  # x_B * d * den
+            negative = [i for i in range(m) if xb[i] < 0]
+            if not negative:
+                break
+            row_leave = min(negative, key=basis.__getitem__)
+            # pivot row over all columns (the second half negates the first)
+            half = [sum(map(mul, N[row_leave], col)) for col in self._cols[:J]]
+            arow = half + [-a for a in half]
+            in_basis = set(basis)
+            enter = None
+            for j, a in enumerate(arow):
+                if a >= 0 or j in in_basis:
                     continue
-                ratio = cbar[j] / (-arow[j])
-                if best is None or ratio < best[0] or (ratio == best[0] and j < best[1]):
-                    best = (ratio, j)
-            if best is None:
+                # ratio R_j / -a_j below the best so far; ties keep the lower j
+                if enter is None or R[j] * -arow[enter] < R[enter] * -a:
+                    enter = j
+            if enter is None:
                 raise InfeasibleLP("dual unbounded: target infeasible")
-            _, enter = best
-            col = [sum(binv[i][k] * self.A[k][enter] for k in range(m)) for i in range(m)]
-            piv = col[row_leave]
-            binv[row_leave] = [x / piv for x in binv[row_leave]]
-            for i in range(m):
-                if i != row_leave and col[i] != 0:
-                    f = col[i]
-                    binv[i] = [a - f * b for a, b in zip(binv[i], binv[row_leave])]
-            theta = cbar[enter] / (-arow[enter])
-            for j in range(self.ncols):
-                if arow[j] != 0:
-                    cbar[j] += theta * arow[j]
+            # p = arow[enter] < 0, so sgn(p) = -1 in the R update
+            p = arow[enter]
+            self._red = _exact_update(-p, R, -R[enter], arow, det)
+            col = [sum(map(mul, row, self._cols[enter])) for row in N]
+            self._adj, self._det = _pivot(N, det, col, row_leave)
             basis[row_leave] = enter
-            # keep caches exact after the rank-one update
-            self._cbar = cbar
+            self.pivots += 1
+
+        scale = det * den
+        cost_b = [self._cost[j] for j in basis]
+        value = Fraction(sum(map(mul, cost_b, xb)), scale * self._cost_den)
+        beta: dict[int, Fraction] = {}
+        for x, j in zip(xb, basis):
+            if x:
+                mol, sgn = (j, 1) if j < J else (j - J, -1)
+                beta[mol] = beta.get(mol, Fraction(0)) + sgn * Fraction(x, scale)
+        # lift the dual into original coordinates through the operator E
+        u = self._dual_row()
+        y = tuple(
+            Fraction(sum(u[i] * self._op[i][k] for i in range(m)), det * self._cost_den)
+            for k in range(self.dim)
+        )
+        return value, beta, y
 
 
 def verify_certificate(

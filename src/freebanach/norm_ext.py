@@ -226,6 +226,7 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
         system.seed(lattice.cell_of_vec(v), g)
     stage.gamma = gamma
     stage.notes["gamma_lp_calls"] = lp_solved
+    stage.notes["gamma_lp_pivots"] = lp.pivots
 
     # molecule bounds on in-lattice difference cells (rule (a))
     for d, cost in molecules.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lp import MoleculeLP, basic_solution_oracle, verify_certificate
+from .lp import InfeasibleLP, MoleculeLP, basic_solution_oracle, verify_certificate
 from .relax import ConstraintSystem, Equality, UpperCombo, brute_force_oracle, relax_fixpoint
 from .stages import Config, Universe
 from .terms import UNIT_ID
@@ -98,7 +98,7 @@ def check_lp_oracle(count: int = 40, seed: int = 1):
             want = basic_solution_oracle(molecules, costs, target)
             try:
                 got = lp.solve(target)
-            except Exception:
+            except InfeasibleLP:
                 got = None
             if got != want:
                 mismatches += 1

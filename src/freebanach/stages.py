@@ -18,7 +18,6 @@ import configparser
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from typing import Optional
 
 from .scalars import Dyadic, full_scalar_set
 from .terms import UNIT_ID, GenTerm, TermStore
@@ -232,12 +231,6 @@ class Universe:
             return Fraction(0)
         return stage.table[(a, b) if a <= b else (b, a)]
 
-    def first_stage_of(self, eid: int) -> Optional[int]:
-        for st in self.stages:
-            if eid in st.member_set:
-                return st.index
-        return None
-
     # -- construction -----------------------------------------------------
 
     def build(self) -> "Universe":
@@ -359,22 +352,3 @@ class Universe:
             basis=basis,
             scalar_set=tuple(ordered),
         )
-
-
-def build_stage_word(universe: Universe, n: int) -> Stage:
-    """Spec-level entry: enumerate and attach the metric table for stage n."""
-    from . import metric_ext
-
-    stage = universe._enumerate_word_stage(n)
-    stage.table = metric_ext.rho_extend(universe, stage, universe.stages[n - 1], universe.cfg)
-    stage.sealed = True
-    return stage
-
-
-def build_stage_vector(universe: Universe, n: int) -> Stage:
-    from . import norm_ext
-
-    stage = universe._enumerate_vector_stage(n)
-    stage.table = norm_ext.norm_extend(universe, stage, universe.stages[n - 1], universe.cfg)
-    stage.sealed = True
-    return stage

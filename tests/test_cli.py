@@ -130,4 +130,16 @@ def test_console_entrypoint():
 
 def test_bench_runs(capsys):
     assert run_cli("bench", "--preset", "exact-x2") == EXIT_OK
-    assert "build all stages" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "build all stages" in out
+    assert "stage 2 gamma_lp_pivots" in out
+
+
+def test_construction_error_exit(tmp_path, capsys):
+    """A norm lattice over the cell budget is a config error (exit 2), not
+    a traceback with the verification-failure code."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = desk\nlattice_cell_budget = 1000\n")
+    assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cell budget" in err
