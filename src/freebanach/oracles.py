@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lp import InfeasibleLP, MoleculeLP, basic_solution_oracle, verify_certificate
+from .lp import InfeasibleLP, MoleculeLP, basic_solution_oracle, certifies_target, dual_feasible
 from .relax import ConstraintSystem, Equality, UpperCombo, brute_force_oracle, relax_fixpoint
 from .stages import Config, Universe
 from .terms import UNIT_ID
@@ -138,35 +138,39 @@ def check_rho_oracle(cfg: Config | None = None):
     )
 
 
+def certificate_mismatches(universe, n: int, members) -> int:
+    """How many of the given members of vector stage n lack an exact
+    primal/dual certificate that their table value is the molecule
+    program's optimum.  Each distinct dual is checked for feasibility once."""
+    from .norm_ext import member_vector, molecule_table, _dedupe_sign
+
+    stage = universe.stage(n)
+    basis_pos = {b: i for i, b in enumerate(stage.basis)}
+    dim = len(stage.basis)
+    canon = _dedupe_sign(molecule_table(universe, universe.stage(n - 1), basis_pos, dim))
+    mols, costs = list(canon.keys()), list(canon.values())
+    lp = MoleculeLP(mols, costs)
+    feasible: dict = {}
+    bad = 0
+    for m in members:
+        v = member_vector(universe, m, basis_pos, dim)
+        value, beta, dual = lp.solve_full(v)
+        if dual not in feasible:
+            feasible[dual] = dual_feasible(mols, costs, dual)
+        if not (feasible[dual] and certifies_target(mols, costs, v, value, beta, dual)
+                and stage.table[m] == value):
+            bad += 1
+    return bad
+
+
 def check_stage4_certificates(cfg: Config | None = None, sample: int = 400, seed: int = 2):
     """Sampled fourth-stage members: the table value is optimal for the
     molecule program, witnessed by an exact primal/dual certificate pair."""
-    from .norm_ext import member_vector, molecule_table, _dedupe_sign
-
     universe = Universe(cfg or Config.desk(stage_count=4)).build()
-    s4 = universe.stage(4)
-    prev = universe.stage(3)
-    basis_pos = {b: i for i, b in enumerate(s4.basis)}
-    dim = len(s4.basis)
-    canon = _dedupe_sign(molecule_table(universe, prev, basis_pos, dim))
-    mols, costs = list(canon.keys()), list(canon.values())
-    lp = MoleculeLP(mols, costs)
     rng = random.Random(seed)
-    members = [m for m in s4.members if m != UNIT_ID]
+    members = [m for m in universe.stage(4).members if m != UNIT_ID]
     chosen = rng.sample(members, min(sample, len(members)))
-    bad = 0
-    for m in chosen:
-        v = member_vector(universe, m, basis_pos, dim)
-        value, beta, dual = lp.solve_full(v)
-        if not verify_certificate(mols, costs, v, value, beta, dual):
-            bad += 1
-            continue
-        table_v = s4.table[m]
-        if m in prev.member_set:
-            if table_v < value:
-                bad += 1
-        elif table_v != value:
-            bad += 1
+    bad = certificate_mismatches(universe, 4, chosen)
     return f"stage-4 norm vs LP certificates on {len(chosen)} members", bad == 0
 
 

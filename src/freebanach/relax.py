@@ -15,8 +15,11 @@ Three realizations share those semantics:
 * ``PairComposition``     -- the word-pair composition family
                              D(P.Q) <= D(P) + D(Q) used by the metric
                              extension, vectorized over scaled integers;
-* ``LatticeSystem``       -- coefficient-lattice step/homogeneity families
-                             used by the norm extension, same scaling.
+* ``LatticeSystem``       -- coefficient-lattice step/homogeneity families,
+                             same scaling.  The build no longer calls it:
+                             the norm is the molecule gauge gamma, and a
+                             stage with an inverse-convex instance is
+                             refused (see ``norm_ext``).
 
 The bulk families are evaluated against the previous round's snapshot in a
 fixed order, so results are independent of rule order and bit-identical

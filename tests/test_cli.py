@@ -136,10 +136,10 @@ def test_bench_runs(capsys):
 
 
 def test_construction_error_exit(tmp_path, capsys):
-    """A norm lattice over the cell budget is a config error (exit 2), not
-    a traceback with the verification-failure code."""
+    """A rank-0 closure over the pair-cell budget is a config error
+    (exit 2), not a traceback with the verification-failure code."""
     path = tmp_path / "conf.ini"
-    path.write_text("[build]\npreset = desk\nlattice_cell_budget = 1000\n")
+    path.write_text("[build]\npreset = desk\npair_cell_budget = 10\n")
     assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "cell budget" in err
+    assert err.startswith("error:") and "pair_cell_budget" in err

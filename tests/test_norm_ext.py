@@ -1,23 +1,29 @@
 """Norm extension: construction-exact second stage, gamma clauses, stage-4 checks."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from freebanach import UNIT_ID
-from freebanach.lp import MoleculeLP, basic_solution_oracle, verify_certificate
+from freebanach import UNIT_ID, Config, Universe, norm_ext
+from freebanach.lp import MoleculeLP, basic_solution_oracle
 from freebanach.metric_ext import _vector_diff_id
 from freebanach.norm_ext import (
+    NormExtensionError,
     OutOfStageError,
     check_extension_norm,
     gamma_base,
     gamma_new,
+    inverse_convex_instances,
+    norm_extend,
     member_vector,
     molecule_table,
     norm_decomposition_oracle,
     _dedupe_sign,
 )
+from freebanach.oracles import certificate_mismatches
 from freebanach.scalars import Dyadic
 
 
@@ -85,8 +91,6 @@ def test_gamma_new_inverse_convex_recursion(rank_universe):
     positive-rank clause, on a synthetic fourth-stage basis over the built
     rank-bearing third stage.  The shared fixture is cloned so its store is
     untouched."""
-    import copy
-
     from freebanach.stages import Stage
 
     u = copy.copy(rank_universe)
@@ -153,23 +157,20 @@ def test_stage2_unit_decomposition_oracle(exact_universe):
 def test_stage4_certificates_all(desk_universe):
     """Every fourth-stage member's table value is backed by an exact
     primal/dual certificate of the molecule program."""
-    u = desk_universe
-    s4, s3 = u.stage(4), u.stage(3)
-    basis_pos = {b: i for i, b in enumerate(s4.basis)}
-    dim = len(s4.basis)
-    canon = _dedupe_sign(molecule_table(u, s3, basis_pos, dim))
-    mols, costs = list(canon.keys()), list(canon.values())
-    lp = MoleculeLP(mols, costs)
-    for m in s4.members:
-        if m == UNIT_ID:
-            continue
-        v = member_vector(u, m, basis_pos, dim)
-        value, beta, dual = lp.solve_full(v)
-        assert verify_certificate(mols, costs, v, value, beta, dual)
-        if m in s3.member_set:
-            assert s4.table[m] >= value
-        else:
-            assert s4.table[m] == value
+    members = [m for m in desk_universe.stage(4).members if m != UNIT_ID]
+    assert certificate_mismatches(desk_universe, 4, members) == 0
+
+
+def test_certificate_mismatch_detected(exact_universe):
+    """A table entry off the program's optimum fails its certificate."""
+    u = copy.copy(exact_universe)
+    s2 = u.stage(2)
+    members = [m for m in s2.members if m != UNIT_ID]
+    assert certificate_mismatches(u, 2, members) == 0
+    table = dict(s2.table)
+    table[members[0]] += 1
+    u.stages = u.stages[:2] + [s2.clone_with_table(table)]
+    assert certificate_mismatches(u, 2, members) == 1
 
 
 def test_stage4_random_decomposition_upper_bounds(desk_universe):
@@ -213,10 +214,71 @@ def test_homogeneity_negation(desk_universe):
 
 
 def test_gamma_lp_pivot_counts(exact_universe, rank_universe, desk_universe):
-    """Dual-simplex pivots of the gamma programs are deterministic."""
+    """Dual-simplex pivots of the gamma programs, and the programs solved
+    (one per +- class of nonzero members), are deterministic."""
     def pivots(u):
         return sum(s.notes.get("gamma_lp_pivots", 0) for s in u.stages)
 
     assert pivots(exact_universe) == 14
     assert pivots(rank_universe) == 6
     assert pivots(desk_universe) == 7112
+
+    def lp_calls(u):
+        return [s.notes["gamma_lp_calls"] for s in u.stages if "gamma_lp_calls" in s.notes]
+
+    assert lp_calls(exact_universe) == [40]
+    assert lp_calls(rank_universe) == [12]
+    assert lp_calls(desk_universe) == [4, 3280]
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
+def test_norm_is_gamma_without_instances(preset, request):
+    """No norm stage of a preset has an inverse-convex instance, and each
+    norm table is gamma (the gauge argument in the norm_ext docstring)."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    norm_stages = [s for s in u.stages if s.kind == "vector" and s.index > 0]
+    assert norm_stages
+    for s in norm_stages:
+        assert inverse_convex_instances(u, s) == []
+        assert s.table == s.gamma
+        assert s.notes["lattice_cells"] == s.notes["inverse_convex_instances"] == 0
+
+
+def test_inverse_convex_instance_refused(rank_universe):
+    """Rank stage 2 with g^-1 added, g = (1/2)x + (1/2)x^-1 (a stage-3 word),
+    has an inverse-convex instance, since it holds x and x^-1; norm_extend
+    refuses it before any program is solved."""
+    u = rank_universe
+    store = u.store
+    x = u.x_id
+    xi = store.lookup(store.group_inv(x))
+    g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
+    gi = store.lookup(store.group_inv(g))
+    assert gi in u.stage(3).member_set
+    s2 = u.stage(2)
+    stage = dataclasses.replace(
+        s2, members=s2.members + (gi,), member_set=s2.member_set | {gi}, notes={}
+    )
+    [(y, terms)] = inverse_convex_instances(u, stage)
+    assert y == gi and sorted(terms) == sorted([(F(1, 2), x), (F(1, 2), xi)])
+    with pytest.raises(NormExtensionError, match="inverse-convex"):
+        norm_extend(u, stage, u.stage(1), u.cfg)
+
+
+def test_prev_member_gauge_mismatch_raises(monkeypatch):
+    """A molecule cheaper than a prev member's own metric value would make
+    the norm undercut the metric it extends; the build refuses it.  Halving
+    the cost of e - x alone leaves x's own molecule x - e at 1 while the
+    program reaches x at 1/2."""
+    real = norm_ext.molecule_table
+
+    def lowered(universe, prev, basis_pos, dim):
+        table = real(universe, prev, basis_pos, dim)
+        v = member_vector(universe, universe.x_id, basis_pos, dim)
+        neg = tuple(-a for a in v)
+        table[neg] = table[neg] / 2
+        return table
+
+    monkeypatch.setattr(norm_ext, "molecule_table", lowered)
+    with pytest.raises(NormExtensionError, match="prev member"):
+        Universe(Config.exact_x2()).build()
