@@ -234,9 +234,7 @@ def cmd_dist(args) -> int:
             print(f"{fraction_str(universe.rho(stage, a, b))} (stage {stage.index})")
             return EXIT_OK
         if stage.kind == "vector" and a in stage.member_set and b in stage.member_set:
-            from .metric_ext import _vector_diff_id
-
-            diff = _vector_diff_id(universe, a, b)
+            diff = universe.store.combine_id(a, b)
             if diff is not None and diff in stage.member_set:
                 print(f"{fraction_str(stage.table[diff])} (stage {stage.index})")
                 return EXIT_OK

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .relax import (
     ConstraintSystem,
     Equality,
@@ -32,71 +30,11 @@ from .relax import (
     UpperCombo,
     relax_fixpoint,
 )
-from .terms import UNIT_ID
-
-Letters = tuple[tuple[int, int], ...]
+from .terms import UNIT_ID, Letters, WordSpace, reduce_concat
 
 
 class MetricExtensionError(RelaxError):
     pass
-
-
-def _reduce_concat(a: Letters, b: Letters) -> Letters:
-    """Reduced product of two already-irreducible words."""
-    la, lb = list(a), list(b)
-    while la and lb and la[-1][0] == lb[0][0] and la[-1][1] == -lb[0][1]:
-        la.pop()
-        lb.pop(0)
-    return tuple(la) + tuple(lb)
-
-
-class WordSpace:
-    """Ambient irreducible words over a fixed signed-letter alphabet, with a
-    dense reduced-product table for the composition engine."""
-
-    def __init__(self, alphabet: list[tuple[int, int]], max_len: int):
-        self.alphabet = list(alphabet)
-        self.max_len = max_len
-        self.words: list[Letters] = [()]
-        self.index: dict[Letters, int] = {(): 0}
-        frontier: list[Letters] = [()]
-        for _ in range(max_len):
-            nxt: list[Letters] = []
-            for w in frontier:
-                for letter in self.alphabet:
-                    if w and w[-1][0] == letter[0] and w[-1][1] == -letter[1]:
-                        continue
-                    grown = w + (letter,)
-                    if grown not in self.index:
-                        self.index[grown] = len(self.words)
-                        self.words.append(grown)
-                        nxt.append(grown)
-            frontier = nxt
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def idx(self, w: Letters) -> Optional[int]:
-        return self.index.get(w)
-
-    def product_table(self) -> np.ndarray:
-        n = len(self.words)
-        prod = np.full((n, n), -1, dtype=np.int32)
-        for i, u in enumerate(self.words):
-            for j, v in enumerate(self.words):
-                p = _reduce_concat(u, v)
-                if len(p) <= self.max_len:
-                    k = self.index.get(p)
-                    if k is not None:
-                        prod[i, j] = k
-        return prod
-
-    def inverse_map(self) -> np.ndarray:
-        out = np.empty(len(self.words), dtype=np.int32)
-        for i, w in enumerate(self.words):
-            inv = tuple((b, -s) for b, s in reversed(w))
-            out[i] = self.index[inv]
-        return out
 
 
 @dataclass
@@ -121,28 +59,19 @@ class DeltaTable:
             self.values[k] = value
 
 
-def _vector_diff_id(universe, a: int, b: int) -> Optional[int]:
-    """Id of the vector difference a - b, if that element is interned."""
-    store = universe.store
-    acc: dict[int, object] = {}
-    for eid, sign in ((a, 1), (b, -1)):
-        for basis_id, coeff in store.coeffs_of(eid):
-            c = coeff if sign > 0 else -coeff
-            cur = acc.get(basis_id)
-            nxt = c if cur is None else cur + c
-            if nxt:
-                acc[basis_id] = nxt
-            elif cur is not None:
-                del acc[basis_id]
-    return store.lookup(store.combo_from_map(acc))
-
-
 def _norm_of_diff(universe, prev, a: int, b: int) -> Optional[Fraction]:
     """prev-stage norm of a - b when the difference lies in prev, else None."""
-    diff = _vector_diff_id(universe, a, b)
+    diff = universe.store.combine_id(a, b)
     if diff is None or diff not in prev.member_set:
         return None
     return prev.table[diff]
+
+
+def _ambient_space(store, members, stage, cfg) -> WordSpace:
+    """The words of length <= ambient_expansion * word_cap over the signed
+    letters that occur in the given members' words (first-occurrence order)."""
+    alphabet = dict.fromkeys(letter for m in members for letter in store.word_of(m))
+    return WordSpace(list(alphabet), cfg.ambient_expansion * stage.word_cap)
 
 
 def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
@@ -154,16 +83,7 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     set (length <= ambient_expansion * word_cap).
     """
     store = universe.store
-    # alphabet: signed letters that occur in prev-stage members' words
-    alphabet: list[tuple[int, int]] = []
-    seen = set()
-    for m in prev.members:
-        for letter in store.word_of(m):
-            if letter not in seen:
-                seen.add(letter)
-                alphabet.append(letter)
-    amb_len = cfg.ambient_expansion * stage.word_cap
-    space = WordSpace(alphabet, amb_len)
+    space = _ambient_space(store, prev.members, stage, cfg)
     if len(space) ** 2 > cfg.pair_cell_budget:
         raise MetricExtensionError(
             f"rank-0 closure space {len(space)}^2 exceeds pair_cell_budget"
@@ -315,18 +235,16 @@ def delta_general(universe, stage, prev, cfg, rank0: DeltaTable) -> DeltaTable:
     return table
 
 
-def delta_rank0(universe, x: int, y: int, stage, prev, cfg) -> Fraction:
-    """Spec operation: the rank-0 factorization minimum for one pair."""
-    store = universe.store
-    if store.rank(x) != 0 or store.rank(y) != 0:
-        raise MetricExtensionError("delta_rank0 requires both ranks zero")
-    closure = delta_rank0_closure(universe, stage, prev, cfg)
-    v = closure.get(x, y)
-    if v is None:
-        raise MetricExtensionError(
-            f"no factorization of pair ({x}, {y}) within the configured caps"
-        )
-    return v
+def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
+    """delta, lowered by rule (a) to the previous norm of a - b on every
+    pair of previous-stage elements whose difference lies there."""
+    delta = delta_general(universe, stage, prev, cfg, delta_rank0_closure(universe, stage, prev, cfg))
+    for i, a in enumerate(prev.members):
+        for b in prev.members[i + 1 :]:
+            v = _norm_of_diff(universe, prev, a, b)
+            if v is not None:
+                delta.put_min(a, b, v)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +317,16 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     if stage.index == 1:
         return _base_case_table(universe, stage)
 
-    rank0 = delta_rank0_closure(universe, stage, prev, cfg)
-    delta = delta_general(universe, stage, prev, cfg, rank0)
-
-    # rule (a) bounds overlay
-    for i, a in enumerate(prev.members):
-        for b in prev.members[i + 1 :]:
-            v = _norm_of_diff(universe, prev, a, b)
-            if v is not None:
-                delta.put_min(a, b, v)
-
+    delta = delta_bounds(universe, stage, prev, cfg)
     members = stage.members
-    alphabet: list[tuple[int, int]] = []
-    seen = set()
-    for m in members:
-        for letter in store.word_of(m):
-            if letter not in seen:
-                seen.add(letter)
-                alphabet.append(letter)
-    amb_len = cfg.ambient_expansion * stage.word_cap
-    space = WordSpace(alphabet, amb_len)
-
-    if len(space) ** 2 <= cfg.pair_cell_budget:
+    space = _ambient_space(store, members, stage, cfg)
+    ambient = len(space) ** 2 <= cfg.pair_cell_budget
+    if ambient:
         table, sweeps = _rho_ambient(universe, stage, delta, space)
     else:
         table, sweeps = _rho_members_only(universe, stage, delta)
     stage.notes["rho_sweeps"] = sweeps
-    stage.notes["rho_mode"] = "ambient" if len(space) ** 2 <= cfg.pair_cell_budget else "members"
+    stage.notes["rho_mode"] = "ambient" if ambient else "members"
 
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
@@ -582,13 +483,7 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
 
     store = universe.store
     if delta is None:
-        rank0 = delta_rank0_closure(universe, stage, prev, cfg)
-        delta = delta_general(universe, stage, prev, cfg, rank0)
-        for i, a in enumerate(prev.members):
-            for b in prev.members[i + 1 :]:
-                v = _norm_of_diff(universe, prev, a, b)
-                if v is not None:
-                    delta.put_min(a, b, v)
+        delta = delta_bounds(universe, stage, prev, cfg)
     amb_len = cfg.ambient_expansion * stage.word_cap
     steps = []
     for a in stage.members:
@@ -609,10 +504,10 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
         settled.add(node)
         u, v = node
         for wa, wb, cost in steps:
-            nu = _reduce_concat(u, wa)
+            nu = reduce_concat(u, wa)
             if len(nu) > amb_len:
                 continue
-            nv = _reduce_concat(v, wb)
+            nv = reduce_concat(v, wb)
             if len(nv) > amb_len:
                 continue
             nd = d + cost

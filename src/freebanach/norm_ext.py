@@ -1,10 +1,14 @@
 """Extending the metric on an odd stage to a norm on the next vector stage.
 
-The auxiliary function gamma assigns prev-stage distances to differences of
-prev-stage elements, solves an exact weighted-l1 molecule program for the
-genuinely new elements, and recurses convexly through formal inverses of
-combinations.  The norm is the greatest function below gamma closed under
-subadditivity-with-homogeneity and the inverse-convex inequality.
+In the construction, the auxiliary function gamma assigns prev-stage
+distances to differences of prev-stage elements, solves an exact
+weighted-l1 molecule program for the genuinely new elements, and recurses
+convexly through formal inverses of combinations; the norm is the greatest
+function below gamma closed under subadditivity-with-homogeneity and the
+inverse-convex inequality.  Here gamma is computed once per stage, by
+``norm_extend``, as the molecule gauge below; the convex recursion is never
+needed, because a stage where it would apply is refused (see the end of
+this docstring).
 
 Molecules are the differences a - b of prev-stage pairs, each costing the
 least rho(a, b) that realizes it.  Their gauge
@@ -49,7 +53,6 @@ buildable configuration anything.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .lp import MoleculeLP
 from .relax import RelaxError
@@ -59,10 +62,6 @@ Vec = tuple[Fraction, ...]
 
 
 class NormExtensionError(RelaxError):
-    pass
-
-
-class OutOfStageError(ValueError):
     pass
 
 
@@ -89,50 +88,6 @@ def molecule_table(universe, prev, basis_pos: dict[int, int], dim: int) -> dict[
             if cur is None or cost < cur:
                 out[d] = cost
     return out
-
-
-def gamma_base(universe, x: int, y: int, prev) -> Fraction:
-    """gamma(x - y) = rho(x, y) for prev-stage x, y; minimal over the pairs
-    realizing the same difference only when called through the table."""
-    if x not in prev.member_set or y not in prev.member_set:
-        raise OutOfStageError("gamma_base arguments must lie in the previous stage")
-    return universe.rho(prev, x, y)
-
-
-def gamma_new(universe, x: int, y: int, stage, prev, cfg, lp: Optional[MoleculeLP] = None) -> Fraction:
-    """gamma for x - y with x beyond the previous stage, by induction on the
-    rank of y: rank zero solves the molecule program exactly; positive rank
-    with y a formal inverse of a convex combination recurses convexly."""
-    store = universe.store
-    if x in prev.member_set:
-        raise OutOfStageError("gamma_new requires x outside the previous stage")
-    basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    dim = len(stage.basis)
-    if lp is None:
-        mols = molecule_table(universe, prev, basis_pos, dim)
-        canon = _dedupe_sign(mols)
-        lp = MoleculeLP(list(canon.keys()), list(canon.values()))
-
-    def value(xv: Vec, yid: int) -> Fraction:
-        r = store.rank(yid)
-        if r == 0:
-            yv = member_vector(universe, yid, basis_pos, dim)
-            target = tuple(a - b for a, b in zip(xv, yv))
-            return lp.solve(target)
-        dec = store.inverse_convex_decomposition(yid)
-        if dec is None:
-            raise NormExtensionError(
-                f"positive-rank gamma argument {yid} is not an inverse of a convex combination"
-            )
-        total = Fraction(0)
-        for basis_id, coeff in dec:
-            zi = store.lookup(store.group_inv(basis_id))
-            if zi is None:
-                raise NormExtensionError(f"inverse of basis element {basis_id} not interned")
-            total += coeff.as_fraction() * value(xv, zi)
-        return total
-
-    return value(member_vector(universe, x, basis_pos, dim), y)
 
 
 def sign_class(v: Vec) -> Vec:
@@ -227,13 +182,12 @@ def check_extension_norm(universe, stage, prev):
     """The new norm agrees exactly with the previous metric on differences
     of previous-stage elements that land in this stage."""
     from .verify import VerificationReport
-    from .metric_ext import _vector_diff_id
 
     report = VerificationReport(suite=f"extension norm_{stage.index}")
     members = prev.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            diff = _vector_diff_id(universe, a, b)
+            diff = universe.store.combine_id(a, b)
             if diff is None or diff not in stage.member_set:
                 continue
             want = universe.rho(prev, a, b)

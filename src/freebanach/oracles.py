@@ -139,10 +139,13 @@ def check_rho_oracle(cfg: Config | None = None):
 
 
 def certificate_mismatches(universe, n: int, members) -> int:
-    """How many of the given members of vector stage n lack an exact
+    """How many of the given nonzero members of vector stage n lack an exact
     primal/dual certificate that their table value is the molecule
-    program's optimum.  Each distinct dual is checked for feasibility once."""
-    from .norm_ext import member_vector, molecule_table, _dedupe_sign
+    program's optimum.  The program is solved once per +- class: -v takes
+    the negated solution and dual of v.  Each member's certificate is still
+    checked on its own, and each distinct dual is checked for feasibility
+    once."""
+    from .norm_ext import member_vector, molecule_table, sign_class, _dedupe_sign
 
     stage = universe.stage(n)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
@@ -150,11 +153,18 @@ def certificate_mismatches(universe, n: int, members) -> int:
     canon = _dedupe_sign(molecule_table(universe, universe.stage(n - 1), basis_pos, dim))
     mols, costs = list(canon.keys()), list(canon.values())
     lp = MoleculeLP(mols, costs)
+    solved: dict = {}
     feasible: dict = {}
     bad = 0
     for m in members:
         v = member_vector(universe, m, basis_pos, dim)
-        value, beta, dual = lp.solve_full(v)
+        cls = sign_class(v)
+        if cls not in solved:
+            solved[cls] = lp.solve_full(cls)
+        value, beta, dual = solved[cls]
+        if v != cls:
+            beta = {j: -b for j, b in beta.items()}
+            dual = tuple(-y for y in dual)
         if dual not in feasible:
             feasible[dual] = dual_feasible(mols, costs, dual)
         if not (feasible[dual] and certifies_target(mols, costs, v, value, beta, dual)

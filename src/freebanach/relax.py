@@ -24,6 +24,11 @@ Three realizations share those semantics:
 The bulk families are evaluated against the previous round's snapshot in a
 fixed order, so results are independent of rule order and bit-identical
 across runs.
+
+``to_scaled`` is the one Fraction -> int64 conversion: it raises
+``ScaleOverflowError`` unless the value is exact at the scale and below
+2^60 in magnitude, so a sum of two converted values cannot wrap in int64.
+The bulk engines here and the dense checks in ``verify`` all use it.
 """
 
 from __future__ import annotations
@@ -223,7 +228,9 @@ def _scale_for(values: Iterable[Fraction], extra_denoms: Iterable[int] = ()) -> 
     return scale
 
 
-def _to_scaled(value: Fraction, scale: int) -> int:
+def to_scaled(value: Fraction, scale: int) -> int:
+    """value * scale as an int, exact and below 2^60 in magnitude, or
+    ScaleOverflowError."""
     num = value.numerator * scale
     if num % value.denominator:
         raise ScaleOverflowError(f"{value} not representable at scale {scale}")
@@ -262,7 +269,7 @@ class FractionRules:
                 total += c * Fraction(v, self.scale)
             if not ok:
                 continue
-            new = _to_scaled(total, self.scale)
+            new = to_scaled(total, self.scale)
             if new < flat[target]:
                 flat[target] = new
                 changed = True
@@ -319,7 +326,7 @@ class PairComposition:
         n = self.n
         D = np.full(n * n, _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
-            s = _to_scaled(val, scale)
+            s = to_scaled(val, scale)
             idx = u * n + v
             if s < D[idx]:
                 D[idx] = s
@@ -455,7 +462,7 @@ class LatticeSystem:
     def _solve_scaled(self, scale: int, sweep_cap: int) -> tuple[dict[int, Fraction], int]:
         flat = np.full(self.size, _INT_INF, dtype=np.int64)
         for cell, val in self.seeds.items():
-            s = _to_scaled(val, scale)
+            s = to_scaled(val, scale)
             if s < flat[cell]:
                 flat[cell] = s
         frac = FractionRules(scale)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .scalars import Dyadic, full_scalar_set
-from .terms import UNIT_ID, GenTerm, TermStore
+from .terms import UNIT_ID, GenTerm, TermStore, WordSpace
 from .universal import TargetSpace
 
 
@@ -46,26 +46,45 @@ DEFAULT_TARGETS = (
 )
 
 
+INT_KEYS = ("stage_count", "ambient_expansion", "member_budget", "pair_cell_budget",
+            "quantifier_budget", "seed")
+BUILD_KEYS = ("preset", "scalar_sets", "word_caps") + INT_KEYS
+
+
+def _reject_unknown(section, known) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown key(s): {', '.join(unknown)}")
+
+
+def _parsed(section, key: str, parse):
+    """parse(section[key]), with a malformed value reported as a ConfigError."""
+    try:
+        return parse(section[key])
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Config:
     """Desk-scale parameters; the last entry of a per-stage list repeats.
 
     The production tables realize the unbounded decomposition minima by
-    relaxation to a fixpoint; ``decomp_cap`` and ``sum_cap`` bound the
-    factor/summand counts the independent oracles certify (observed optimal
-    depths are asserted against them), and the ambient expansion bounds the
-    partial products and sums all minimizations may pass through.
+    relaxation to a fixpoint.  ``ambient_expansion`` bounds the partial
+    products the metric minimizations may pass through (words of length up
+    to ``ambient_expansion`` times the stage's word cap).  The budgets bound
+    stage sizes (``member_budget``), the ambient pair space of the metric
+    closures (``pair_cell_budget``) and the exhaustive verification
+    quantifiers (``quantifier_budget``; sampled with ``seed`` beyond it).
+    A budget is never truncated silently: exceeding one is an error.
     """
 
     stage_count: int = 4
     scalar_sets: tuple[tuple[Dyadic, ...], ...] = (DESK_SCALARS,)
     word_caps: tuple[int, ...] = (1,)
-    decomp_cap: int = 6
-    sum_cap: int = 6
     ambient_expansion: int = 2
     member_budget: int = 500_000
     pair_cell_budget: int = 400_000
-    lattice_cell_budget: int = 1_000_000
     quantifier_budget: int = 10_000_000
     seed: int = 0
     targets: tuple[TargetSpace, ...] = DEFAULT_TARGETS
@@ -83,8 +102,6 @@ class Config:
     def validate(self) -> None:
         if self.stage_count < 1:
             raise ConfigError("stage_count must be >= 1")
-        if self.decomp_cap < 2 or self.sum_cap < 2:
-            raise ConfigError("decomposition caps must be >= 2")
         if self.ambient_expansion < 1:
             raise ConfigError("ambient_expansion must be >= 1")
         for caps in (self.word_caps,):
@@ -123,13 +140,23 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        """Read a ``[build]`` section and ``[target.*]`` sections.  An unknown
+        section or key, a missing target image or a malformed value is a
+        ConfigError."""
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"config file {path!r} not found")
+        for section in parser.sections():
+            if section != "build" and not section.startswith("target"):
+                raise ConfigError(f"unknown section [{section}]")
         kwargs: dict = {}
         if parser.has_section("build"):
             sec = parser["build"]
+            _reject_unknown(sec, BUILD_KEYS)
             if "preset" in sec:
                 base = {
                     "desk": cls.desk,
@@ -139,26 +166,30 @@ class Config:
                 if base is None:
                     raise ConfigError(f"unknown preset {sec['preset']!r}")
                 kwargs.update(vars(base()))
-            for key in ("stage_count", "decomp_cap", "sum_cap", "ambient_expansion",
-                        "member_budget", "pair_cell_budget", "lattice_cell_budget",
-                        "quantifier_budget", "seed"):
+            for key in INT_KEYS:
                 if key in sec:
-                    kwargs[key] = int(sec[key])
+                    kwargs[key] = _parsed(sec, key, int)
             if "scalar_sets" in sec:
-                groups = [g for g in sec["scalar_sets"].split(";") if g.strip()]
-                kwargs["scalar_sets"] = tuple(
-                    tuple(Dyadic.parse(tok) for tok in g.split()) for g in groups
-                )
+                kwargs["scalar_sets"] = _parsed(sec, "scalar_sets", lambda text: tuple(
+                    tuple(Dyadic.parse(tok) for tok in g.split()) for g in text.split(";") if g.strip()
+                ))
             if "word_caps" in sec:
-                kwargs["word_caps"] = tuple(int(t) for t in sec["word_caps"].split())
+                kwargs["word_caps"] = _parsed(
+                    sec, "word_caps", lambda text: tuple(int(t) for t in text.split())
+                )
         targets = []
         for section in parser.sections():
-            if not section.startswith("target"):
+            if section == "build":
                 continue
             sec = parser[section]
-            kind = sec.get("kind", "abs").strip()
-            image = tuple(Fraction(tok) for tok in sec["image"].split())
-            targets.append(TargetSpace(kind=kind, image=image))
+            _reject_unknown(sec, ("kind", "image"))
+            if "image" not in sec:
+                raise ConfigError(f"[{section}] has no image")
+            image = _parsed(sec, "image", lambda text: tuple(Fraction(tok) for tok in text.split()))
+            try:
+                targets.append(TargetSpace(kind=sec.get("kind", "abs").strip(), image=image))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
         if targets:
             kwargs["targets"] = tuple(targets)
         cfg = cls(**kwargs)
@@ -171,12 +202,9 @@ class Config:
             "stage_count": self.stage_count,
             "scalar_sets": [[str(d) for d in s] for s in self.scalar_sets],
             "word_caps": list(self.word_caps),
-            "decomp_cap": self.decomp_cap,
-            "sum_cap": self.sum_cap,
             "ambient_expansion": self.ambient_expansion,
             "member_budget": self.member_budget,
             "pair_cell_budget": self.pair_cell_budget,
-            "lattice_cell_budget": self.lattice_cell_budget,
             "quantifier_budget": self.quantifier_budget,
             "seed": self.seed,
             "targets": [t.describe() for t in self.targets],
@@ -287,28 +315,13 @@ class Universe:
                 f"(budget {self.cfg.member_budget})"
             )
 
-        members: list[int] = [UNIT_ID]
-        seen = {UNIT_ID}
         letters = [(gid, sign) for gid in generators for sign in (1, -1)]
-        frontier: list[tuple[tuple[int, int], ...]] = [()]
-        for _ in range(cap):
-            nxt = []
-            for w in frontier:
-                for letter in letters:
-                    if w and w[-1][0] == letter[0] and w[-1][1] == -letter[1]:
-                        continue
-                    grown = w + (letter,)
-                    nxt.append(grown)
-                    eid = store.intern(store.reduce_word(grown))
-                    if eid not in seen:
-                        seen.add(eid)
-                        members.append(eid)
-            frontier = nxt
+        members = [store.intern(store.reduce_word(w)) for w in WordSpace(letters, cap).words]
         return Stage(
             index=n,
             kind="word",
             members=tuple(members),
-            member_set=frozenset(seen),
+            member_set=frozenset(members),
             generators=generators,
             word_cap=cap,
         )

@@ -320,16 +320,7 @@ def check_operation_preservation(universe, target: TargetSpace, samples: int = 2
         members = list(stage.members)
         for _ in range(samples):
             a, b = rng.choice(members), rng.choice(members)
-            merged: dict[int, object] = {}
-            for eid in (a, b):
-                for basis_id, c in store.coeffs_of(eid):
-                    cur = merged.get(basis_id)
-                    nxt = c if cur is None else cur + c
-                    if nxt:
-                        merged[basis_id] = nxt
-                    elif cur is not None:
-                        del merged[basis_id]
-            s = store.lookup(store.combo_from_map(merged))
+            s = store.combine_id(a, b, sign=1)
             if s is None or s not in stage.member_set:
                 continue
             report.attempted += 1

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .scalars import common_denominator
+from .relax import to_scaled
+from .scalars import Dyadic, common_denominator
 from .terms import UNIT_ID
 
 COUNTEREXAMPLE_CAP = 25
@@ -101,7 +102,7 @@ def _metric_matrix(universe, stage):
     n = len(members)
     R = np.zeros((n, n), dtype=np.int64)
     for (a, b), v in stage.table.items():
-        s = v.numerator * (scale // v.denominator)
+        s = to_scaled(v, scale)
         R[pos[a], pos[b]] = s
         R[pos[b], pos[a]] = s
     return R, pos, scale
@@ -312,27 +313,31 @@ def check_condition_5(universe) -> list[VerificationReport]:
 
 
 def _member_lattice(universe, stage):
-    """Members arranged on the scalar-set grid for vectorized pair checks."""
+    """Members arranged on the scalar-set grid for vectorized pair checks:
+    the scaled norm on the grid (-1 at cells holding no member), and each
+    nonzero member with its digit offsets from the zero cell and its scaled
+    norm."""
     values = [d.as_fraction() for d in stage.scalar_set]
     digit = {v: i for i, v in enumerate(values)}
     radix = len(values)
     dim = len(stage.basis)
+    zero = digit[Fraction(0)]
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    table_scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
-    size = radix**dim
-    N = np.full(size, -1, dtype=np.int64)
-    cell_member = np.full(size, -1, dtype=np.int64)
+    scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
+    N = np.full(radix**dim, -1, dtype=np.int64)
+    steps = []
     for m in stage.members:
-        digits = [digit[Fraction(0)]] * dim
+        digits = [zero] * dim
         for b, c in universe.store.coeffs_of(m):
             digits[basis_pos[b]] = digit[c.as_fraction()]
         cell = 0
         for d in digits:
             cell = cell * radix + d
-        v = stage.table[m]
-        N[cell] = v.numerator * (table_scale // v.denominator)
-        cell_member[cell] = m
-    return N, cell_member, radix, dim, values, table_scale
+        w = to_scaled(stage.table[m], scale)
+        N[cell] = w
+        if m != UNIT_ID:
+            steps.append((m, [d - zero for d in digits], w))
+    return N.reshape((radix,) * dim), radix, steps
 
 
 def _homogeneity_report(universe, stage) -> VerificationReport:
@@ -360,7 +365,7 @@ def _homogeneity_report(universe, stage) -> VerificationReport:
                 continue
             target = store.lookup(
                 store.combo_from_map(
-                    {b: _dyadic(nc) for b, nc in scaled.items() if nc}
+                    {b: Dyadic.from_fraction(nc) for b, nc in scaled.items() if nc}
                 )
             )
             if target is None or target not in stage.member_set:
@@ -375,31 +380,12 @@ def _homogeneity_report(universe, stage) -> VerificationReport:
     return report
 
 
-def _dyadic(q: Fraction):
-    from .scalars import Dyadic
-
-    return Dyadic.from_fraction(q)
-
-
 def _subadditivity_report(universe, stage) -> VerificationReport:
     report = VerificationReport(suite=f"condition 5 subadditivity stage {stage.index}")
-    N, cell_member, radix, dim, values, scale = _member_lattice(universe, stage)
-    shape = (radix,) * dim
-    f = N.reshape(shape)
-    # offsets of members from the zero cell
-    zero_digit = values.index(Fraction(0))
-    basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    for m in stage.members:
-        if m == UNIT_ID:
-            continue
-        digits = [zero_digit] * dim
-        for b, c in universe.store.coeffs_of(m):
-            digits[basis_pos[b]] = values.index(c.as_fraction())
-        w = stage.table[m]
-        w_scaled = w.numerator * (scale // w.denominator)
+    f, radix, steps = _member_lattice(universe, stage)
+    for m, offsets, w_scaled in steps:
         src_sl, dst_sl = [], []
-        for d in digits:
-            o = d - zero_digit
+        for o in offsets:
             if o >= 0:
                 src_sl.append(slice(0, radix - o))
                 dst_sl.append(slice(o, radix))
@@ -420,8 +406,6 @@ def _subadditivity_report(universe, stage) -> VerificationReport:
 
 
 def check_condition_6(universe) -> list[VerificationReport]:
-    from .metric_ext import _vector_diff_id
-
     out = []
     store = universe.store
     for stage in universe.stages:
@@ -457,12 +441,12 @@ def check_condition_6(universe) -> list[VerificationReport]:
                 if not ok:
                     continue
                 for a in stage.members:
-                    diff = _vector_diff_id(universe, a, b)
+                    diff = store.combine_id(a, b)
                     if diff is None or diff not in stage.member_set:
                         continue
                     terms = []
                     for alpha, ci in resolved:
-                        dci = _vector_diff_id(universe, a, ci)
+                        dci = store.combine_id(a, ci)
                         if dci is None or dci not in stage.member_set:
                             terms = None
                             break

@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, exit codes, exports, config files."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from freebanach import Config, Universe
 from freebanach.cli import (
@@ -12,6 +15,7 @@ from freebanach.cli import (
     import_universe,
     main,
 )
+from freebanach.stages import ConfigError
 from freebanach.verify import check_conditions
 
 
@@ -143,3 +147,45 @@ def test_construction_error_exit(tmp_path, capsys):
     assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pair_cell_budget" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[build]\nstage_count = two\n",
+        "[build]\nstage_cout = 2\n",
+        "[biuld]\nstage_count = 2\n",
+        "[build]\ndecomp_cap = 6\n",
+        "[build]\nsum_cap = 6\n",
+        "[build]\nlattice_cell_budget = 1000000\n",
+        "[build]\nstage_count = 2\n[target.a]\nkind = foo\nimage = 1\n",
+        "[build]\nstage_count = 2\n[target.a]\nkind = abs\n",
+    ],
+    ids=["malformed-int", "unknown-key", "unknown-section", "decomp_cap", "sum_cap",
+         "lattice_cell_budget", "unknown-kind", "no-image"],
+)
+def test_config_file_errors_exit_2(tmp_path, capsys, text):
+    """Config files are outside input: an unknown section, an unknown or
+    removed key, or a malformed value is an error line and exit 2, never a
+    traceback or a silently ignored setting."""
+    path = tmp_path / "conf.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        Config.from_file(str(path))
+    assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# SHA-256 of export_bytes(u, check_conditions(u)); the export format and
+# every table and report value are pinned by these digests.
+EXPORT_DIGESTS = {
+    "exact": "94f460b7e8b5e92ff0eb370632013a7471123aaab6c4ba7603bd3b9c126b9418",
+    "rank": "c32ab993a14dfe1db8f6792508140067dc371489430b36de73959e7e87eda2e3",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EXPORT_DIGESTS))
+def test_export_bytes_pinned(preset, request):
+    u = request.getfixturevalue(f"{preset}_universe")
+    data = export_bytes(u, check_conditions(u))
+    assert hashlib.sha256(data).hexdigest() == EXPORT_DIGESTS[preset]

@@ -2,17 +2,12 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 from freebanach import Config, Universe, UNIT_ID
 from freebanach.metric_ext import (
-    MetricExtensionError,
     check_extension_metric,
     delta_general,
-    delta_rank0,
     delta_rank0_closure,
     rho_decomposition_oracle,
-    _vector_diff_id,
 )
 from freebanach.scalars import Dyadic
 
@@ -32,10 +27,11 @@ def test_delta_rank0_diagonal_and_direct(desk_universe):
     u = desk_universe
     s3, s2 = u.stage(3), u.stage(2)
     x = u.x_id
-    assert delta_rank0(u, x, x, s3, s2, u.cfg) == 0
+    rank0 = delta_rank0_closure(u, s3, s2, u.cfg)
+    assert rank0.get(x, x) == 0
     # m = 1 factorization bound: delta(x, e) <= ||x - e||_2 = 1, and the
     # closure cannot undercut the true distance 1
-    assert delta_rank0(u, x, UNIT_ID, s3, s2, u.cfg) == 1
+    assert rank0.get(x, UNIT_ID) == 1
 
 
 def test_delta_rank0_infeasible_cell(desk_universe):
@@ -49,8 +45,7 @@ def test_delta_rank0_infeasible_cell(desk_universe):
     assert neg_x is not None and store.rank(neg_x) == 0
     neg_x_inv = store.lookup(store.group_inv(neg_x))
     assert neg_x_inv is not None
-    with pytest.raises(MetricExtensionError):
-        delta_rank0(u, neg_x_inv, UNIT_ID, s3, s2, u.cfg)
+    assert delta_rank0_closure(u, s3, s2, u.cfg).get(neg_x_inv, UNIT_ID) is None
     # yet the relaxed metric is finite there (inversion rule):
     assert u.rho(s3, neg_x_inv, UNIT_ID) == u.rho(s3, neg_x, UNIT_ID)
 
@@ -91,8 +86,8 @@ def test_delta_cap2_upper_bound():
     x = u.x_id
     xx = store.lookup(store.group_mul(x, x))
     assert xx in stage3.member_set
-    val = delta_rank0(u, xx, UNIT_ID, stage3, s2, u.cfg)
-    assert val <= 2
+    val = delta_rank0_closure(u, stage3, s2, u.cfg).get(xx, UNIT_ID)
+    assert val is not None and val <= 2
 
 
 def test_extension_exact(desk_universe, rank_universe):
@@ -142,17 +137,7 @@ def test_oracle_equality_small_stage(desk_universe):
     s3 = u.stage(3)
     assert len(s3.members) <= 40
     oracle, depth = rho_decomposition_oracle(u, s3, u.stage(2), u.cfg)
-    assert depth <= u.cfg.decomp_cap
+    assert depth <= 6
     for key, value in s3.table.items():
         assert oracle.get(key) == value
 
-
-def test_vector_diff_helper(desk_universe):
-    u = desk_universe
-    store = u.store
-    x = u.x_id
-    xi = store.lookup(store.group_inv(x))
-    d = _vector_diff_id(u, x, xi)
-    assert d is not None
-    back = _vector_diff_id(u, d, d)
-    assert back == UNIT_ID

@@ -8,20 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 from freebanach import UNIT_ID, Config, Universe, norm_ext
-from freebanach.lp import MoleculeLP, basic_solution_oracle
-from freebanach.metric_ext import _vector_diff_id
+from freebanach.lp import basic_solution_oracle
 from freebanach.norm_ext import (
     NormExtensionError,
-    OutOfStageError,
     check_extension_norm,
-    gamma_base,
-    gamma_new,
     inverse_convex_instances,
     norm_extend,
     member_vector,
-    molecule_table,
     norm_decomposition_oracle,
-    _dedupe_sign,
 )
 from freebanach.oracles import certificate_mismatches
 from freebanach.scalars import Dyadic
@@ -43,7 +37,7 @@ def test_norm2_construction_values(exact_universe):
     assert s2.table[x] == 1
     assert s2.table[xi] == 1
     assert s2.table[UNIT_ID] == 0
-    d = _vector_diff_id(u, x, xi)
+    d = store.combine_id(x, xi)
     assert s2.table[d] == 2
     half_diff = _elt(u, (Dyadic(1, 1), Dyadic(-1, 1)))
     assert s2.table[half_diff] == 1  # homogeneity from ||x - x^-1|| = 2
@@ -65,73 +59,27 @@ def test_norm2_full_oracle(exact_universe):
 
 
 def test_gamma_base(exact_universe):
+    """The base clause: gamma(a - b) = rho(a, b) for stage-1 elements a, b."""
     u = exact_universe
-    s1 = u.stage(1)
+    s2, s1 = u.stage(2), u.stage(1)
+    store = u.store
     x = u.x_id
-    xi = u.store.lookup(u.store.group_inv(x))
-    assert gamma_base(u, x, UNIT_ID, s1) == 1
-    assert gamma_base(u, x, x, s1) == 0
-    assert gamma_base(u, x, xi, s1) == 2
-    with pytest.raises(OutOfStageError):
-        g = _elt(u, (Dyadic(1, 1), Dyadic(1, 1)))
-        gamma_base(u, g, UNIT_ID, s1)
+    xi = store.lookup(store.group_inv(x))
+    assert s2.gamma[store.combine_id(x, UNIT_ID)] == u.rho(s1, x, UNIT_ID) == 1
+    assert s2.gamma[store.combine_id(x, x)] == 0
+    assert s2.gamma[store.combine_id(x, xi)] == u.rho(s1, x, xi) == 2
 
 
 def test_gamma_new_rank0_lp(exact_universe):
+    """The new-element clause at rank zero: gamma is the molecule program's
+    value, and the norm is gamma."""
     u = exact_universe
-    s2, s1 = u.stage(2), u.stage(1)
+    s2 = u.stage(2)
     target = _elt(u, (Dyadic(1, 1), Dyadic(-1, 1)))  # (1/2)(x - x^-1)
-    assert gamma_new(u, target, UNIT_ID, s2, s1, u.cfg) == 1
     two_x = _elt(u, (Dyadic(2), Dyadic(0)))
-    assert gamma_new(u, two_x, UNIT_ID, s2, s1, u.cfg) == 2
-
-
-def test_gamma_new_inverse_convex_recursion(rank_universe):
-    """gamma(x - g^-1) = 1/2 gamma(x - x^-1) + 1/2 gamma(x - x) through the
-    positive-rank clause, on a synthetic fourth-stage basis over the built
-    rank-bearing third stage.  The shared fixture is cloned so its store is
-    untouched."""
-    from freebanach.stages import Stage
-
-    u = copy.copy(rank_universe)
-    u.store = copy.deepcopy(rank_universe.store)
-    store = u.store
-    s3 = u.stage(3)
-    # synthetic vector stage: register the fresh basis but skip enumeration
-    fresh = [m for m in s3.members if m not in u.stage(2).member_set]
-    for eid in fresh:
-        store.register_basis(eid)
-    stage4 = Stage(
-        index=4,
-        kind="vector",
-        basis=tuple(u.stage(2).basis) + tuple(fresh),
-    )
-
-    x = u.x_id
-    xi = store.lookup(store.group_inv(x))
-    g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
-    gi = store.lookup(store.group_inv(g))
-    assert store.rank(gi) == 1
-
-    basis_pos = {b: i for i, b in enumerate(stage4.basis)}
-    dim = len(stage4.basis)
-    canon = _dedupe_sign(molecule_table(u, s3, basis_pos, dim))
-    lp = MoleculeLP(list(canon.keys()), list(canon.values()))
-
-    # pick a genuinely new element: x + g^-1 in the vector structure
-    new_elt = store.intern(
-        store.lin_combine([(Dyadic(1), x), (Dyadic(1), gi)])
-    )
-    assert new_elt not in s3.member_set
-
-    got = gamma_new(u, new_elt, gi, stage4, s3, u.cfg, lp=lp)
-    xv = member_vector(u, new_elt, basis_pos, dim)
-    sub = []
-    for z in (x, xi):  # support of g
-        zi = store.lookup(store.group_inv(z))
-        zv = member_vector(u, zi, basis_pos, dim)
-        sub.append(lp.solve(tuple(a - b for a, b in zip(xv, zv))))
-    assert got == F(1, 2) * sub[0] + F(1, 2) * sub[1]
+    assert target not in u.stage(1).member_set and two_x not in u.stage(1).member_set
+    assert s2.gamma[target] == s2.table[target] == 1
+    assert s2.gamma[two_x] == s2.table[two_x] == 2
 
 
 def test_extension_norm_exact(exact_universe, desk_universe):
@@ -184,16 +132,7 @@ def test_stage4_random_decomposition_upper_bounds(desk_universe):
     checked = 0
     for _ in range(4000):
         a, b = rng.choice(members), rng.choice(members)
-        merged = {}
-        for eid in (a, b):
-            for basis_id, c in store.coeffs_of(eid):
-                cur = merged.get(basis_id)
-                nxt = c if cur is None else cur + c
-                if nxt:
-                    merged[basis_id] = nxt
-                elif cur is not None:
-                    del merged[basis_id]
-        s = store.lookup(store.combo_from_map(merged))
+        s = store.combine_id(a, b, sign=1)
         if s is None or s not in s4.member_set:
             continue
         assert s4.table[s] <= s4.table[a] + s4.table[b]

@@ -15,6 +15,7 @@ from freebanach.terms import (
     TermStore,
     UNIT,
     UNIT_ID,
+    WordSpace,
     WordTerm,
 )
 
@@ -182,6 +183,42 @@ def test_lin_combine_merge_order_irrelevant():
     a = store.lin_combine(parts)
     b = store.lin_combine(list(reversed(parts)))
     assert a == b == ComboTerm(((x, Dyadic(1, 1)),))
+
+
+def test_vector_diff_helper(desk_universe):
+    u = desk_universe
+    store = u.store
+    x = u.x_id
+    xi = store.lookup(store.group_inv(x))
+    d = store.combine_id(x, xi)
+    assert d is not None
+    assert store.combine_id(d, d) == UNIT_ID
+    assert store.combine_id(d, xi, sign=1) == x
+    # a difference that was never interned has no id
+    fresh, fx, fxi = basis_store()
+    assert fresh.combine_id(fx, fxi) is None
+    assert fresh.combine_id(fx, UNIT_ID) == fx
+
+
+def test_word_space_enumeration():
+    """Every irreducible word up to the cap once, shortest first, in the
+    order the word stages intern them; the product table and inverse map
+    agree with the store's group operations."""
+    store, (x, y, *_) = four_gen_store()
+    letters = [(x, 1), (x, -1), (y, 1), (y, -1)]
+    space = WordSpace(letters, 3)
+    assert len(space) == 1 + 4 + 4 * 3 + 4 * 9
+    assert space.words[:5] == [()] + [(letter,) for letter in letters]
+    assert [len(w) for w in space.words] == sorted(len(w) for w in space.words)
+    ids = [store.intern(store.reduce_word(w)) for w in space.words]
+    assert len(set(ids)) == len(space)
+    assert [store.word_of(i) for i in ids] == space.words
+    prod, inv = space.product_table(), space.inverse_map()
+    for i, a in enumerate(ids):
+        assert ids[inv[i]] == store.inv_id(a)
+        for j, b in enumerate(ids):
+            k = space.idx(store.word_of(store.mul_id(a, b)))
+            assert prod[i, j] == (-1 if k is None else k)
 
 
 def test_rank_examples():

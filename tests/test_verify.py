@@ -3,7 +3,10 @@ detection for every condition checker."""
 
 from fractions import Fraction as F
 
+import pytest
+
 from freebanach import Config, Universe, UNIT_ID
+from freebanach.relax import RelaxError, ScaleOverflowError
 from freebanach.verify import (
     check_biinvariance,
     check_condition_1,
@@ -150,3 +153,15 @@ def test_perturbed_leaves_original_intact(desk_universe):
     bad = perturbed(desk_universe, 3, key, EPS)
     assert desk_universe.stage(3).table[key] == before
     assert bad.stage(3).table[key] == before + EPS
+
+
+def test_scaled_overflow_is_typed(exact_universe):
+    """A table value too large for the int64 checks raises ScaleOverflowError,
+    a RelaxError that the CLI reports as exit 2, on a metric stage (the
+    condition 3 matrix) and on a norm stage (the condition 5 lattice)."""
+    u = exact_universe
+    for n in (1, 2):
+        key = _first_key(u.stage(n).table)
+        with pytest.raises(ScaleOverflowError):
+            check_conditions(perturbed(u, n, key, F(2**64)))
+    assert issubclass(ScaleOverflowError, RelaxError)
