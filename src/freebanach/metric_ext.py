@@ -252,39 +252,6 @@ def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
 # ---------------------------------------------------------------------------
 
 
-def _convex_instances(universe, stage):
-    """(d)/(e) rule instances: (target pair, ((alpha, source pair), ...))."""
-    store = universe.store
-    out = []
-    for b in stage.members:
-        dec = store.convex_decomposition(b)
-        if dec is not None:
-            for a in stage.members:
-                terms = []
-                ok = True
-                for basis_id, coeff in dec:
-                    if basis_id not in stage.member_set:
-                        ok = False
-                        break
-                    terms.append((coeff.as_fraction(), (a, basis_id)))
-                if ok:
-                    out.append(((a, b), tuple(terms)))
-        dec = store.inverse_convex_decomposition(b)
-        if dec is not None:
-            for a in stage.members:
-                terms = []
-                ok = True
-                for basis_id, coeff in dec:
-                    zi = store.lookup(store.group_inv(basis_id))
-                    if zi is None or zi not in stage.member_set:
-                        ok = False
-                        break
-                    terms.append((coeff.as_fraction(), (a, zi)))
-                if ok:
-                    out.append(((a, b), tuple(terms)))
-    return out
-
-
 def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
     """Stage 1: the defining values rho(x, e) = rho(x^-1, e) = 1 and
     rho(x, x^-1) = 2, confirmed to be relaxation-stable."""
@@ -354,15 +321,14 @@ def _rho_ambient(universe, stage, delta: DeltaTable, space: WordSpace):
         for b in stage.members:
             if a != b:
                 engine.add_generator(word_idx[a], word_idx[b])
-    for (a, b), terms in _convex_instances(universe, stage):
-        for pair in ((a, b), (b, a)):
-            engine.add_convex(
-                (word_idx[pair[0]], word_idx[pair[1]]),
-                [
-                    (c, (word_idx[p], word_idx[q]) if pair == (a, b) else (word_idx[q], word_idx[p]))
-                    for c, (p, q) in terms
-                ],
-            )
+    for inverse in (False, True):
+        for b, terms in store.convex_instances(stage, inverse):
+            wb = word_idx[b]
+            for a in stage.members:
+                if a != b:
+                    wa = word_idx[a]
+                    engine.add_convex((wa, wb), [(c, (wa, word_idx[z])) for c, z in terms])
+                    engine.add_convex((wb, wa), [(c, (word_idx[z], wa)) for c, z in terms])
     closure, sweeps = engine.solve()
 
     table: dict[tuple[int, int], Fraction] = {}
@@ -432,11 +398,12 @@ def _rho_members_only(universe, stage, delta: DeltaTable):
             if not terms or target in [j for _, j in terms]:
                 continue
             rules.append(UpperCombo(target, tuple(terms)))
-    for (a, b), terms in _convex_instances(universe, stage):
-        if a == b:
-            continue
-        combo = tuple((c, key(p, q)) for c, (p, q) in terms if p != q)
-        rules.append(UpperCombo(key(a, b), combo))
+    for inverse in (False, True):
+        for b, terms in store.convex_instances(stage, inverse):
+            for a in members:
+                if a != b:
+                    combo = tuple((c, key(a, z)) for c, z in terms if a != z)
+                    rules.append(UpperCombo(key(a, b), combo))
 
     sys = ConstraintSystem(indices=tuple(pairs), bounds=bounds, rules=rules)
     result = relax_fixpoint(sys)

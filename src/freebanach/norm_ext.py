@@ -120,7 +120,7 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     """
     if stage.index == 0:
         return {UNIT_ID: Fraction(0)}
-    instances = inverse_convex_instances(universe, stage)
+    instances = universe.store.convex_instances(stage, inverse=True)
     if instances:
         raise NormExtensionError(
             f"stage {stage.index} has {len(instances)} inverse-convex instance(s), first at "
@@ -161,21 +161,6 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
         elif v <= 0:
             raise NormExtensionError(f"zero norm on non-unit member {m}")
     return dict(gamma)
-
-
-def inverse_convex_instances(universe, stage) -> list[tuple[int, tuple[tuple[Fraction, int], ...]]]:
-    """Members y = c^-1 of the stage, with c a convex combination of basis
-    elements whose inverses z all lie in the stage, as (y, ((alpha, z), ...))."""
-    store = universe.store
-    out = []
-    for y in stage.members:
-        dec = store.inverse_convex_decomposition(y)
-        if dec is None:
-            continue
-        terms = tuple((coeff.as_fraction(), store.lookup(store.group_inv(b))) for b, coeff in dec)
-        if all(z in stage.member_set for _, z in terms):
-            out.append((y, terms))
-    return out
 
 
 def check_extension_norm(universe, stage, prev):

@@ -12,6 +12,7 @@ independent one.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .lp import InfeasibleLP, MoleculeLP, basic_solution_oracle, certifies_target, dual_feasible
@@ -107,8 +108,10 @@ def check_lp_oracle(count: int = 40, seed: int = 1):
 
 
 def check_stage2_oracle(cfg: Config | None = None):
-    """The construction-exact 81-entry second-stage table, entry for entry,
-    against the three-variable minimization by basic-solution enumeration."""
+    """The second-stage norm table (by default the construction-exact one of
+    81 entries), entry for entry, against the three-variable minimization by
+    basic-solution enumeration.  With a first word cap of 1 the stage-2
+    molecules are x - e, x^-1 - e and x - x^-1, at costs 1, 1 and 2."""
     from .norm_ext import member_vector
 
     universe = Universe(cfg or Config.exact_x2()).build()
@@ -125,7 +128,8 @@ def check_stage2_oracle(cfg: Config | None = None):
 
 
 def check_rho_oracle(cfg: Config | None = None):
-    """Desk third-stage metric against the independent factorization search."""
+    """Third-stage metric (by default desk's) against the independent
+    factorization search."""
     from .metric_ext import rho_decomposition_oracle
 
     universe = Universe(cfg or Config.desk(stage_count=3)).build()
@@ -174,8 +178,9 @@ def certificate_mismatches(universe, n: int, members) -> int:
 
 
 def check_stage4_certificates(cfg: Config | None = None, sample: int = 400, seed: int = 2):
-    """Sampled fourth-stage members: the table value is optimal for the
-    molecule program, witnessed by an exact primal/dual certificate pair."""
+    """Sampled fourth-stage members (by default desk's): the table value is
+    optimal for the molecule program, witnessed by an exact primal/dual
+    certificate pair."""
     universe = Universe(cfg or Config.desk(stage_count=4)).build()
     rng = random.Random(seed)
     members = [m for m in universe.stage(4).members if m != UNIT_ID]
@@ -185,10 +190,20 @@ def check_stage4_certificates(cfg: Config | None = None, sample: int = 400, seed
 
 
 def run_all_oracles(cfg: Config | None = None):
-    """All cross-checks; yields (description, passed)."""
+    """All cross-checks; yields (description, passed).  The stage-2 oracle
+    runs on the given config cut to two stages when its first word cap is 1
+    (stage 1's metric is defined on e, x and x^-1 only), else on exact-x2;
+    the stage-3 and stage-4 oracles build desk whatever the config.  Each
+    line built from a fixed preset names it."""
     seed = (cfg.seed if cfg else 0) or 0
     yield check_relax_oracle(seed=seed)
     yield check_lp_oracle(seed=seed + 1)
-    yield check_stage2_oracle()
-    yield check_rho_oracle()
-    yield check_stage4_certificates(seed=seed + 2)
+    if cfg is not None and cfg.word_cap(0) == 1:
+        yield check_stage2_oracle(replace(cfg, stage_count=2))
+    else:
+        line, passed = check_stage2_oracle()
+        yield f"{line} on exact-x2", passed
+    line, passed = check_rho_oracle()
+    yield f"{line} on desk", passed
+    line, passed = check_stage4_certificates(seed=seed + 2)
+    yield f"{line} on desk", passed

@@ -104,6 +104,9 @@ class Config:
             raise ConfigError("stage_count must be >= 1")
         if self.ambient_expansion < 1:
             raise ConfigError("ambient_expansion must be >= 1")
+        for key in ("member_budget", "pair_cell_budget", "quantifier_budget"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         for caps in (self.word_caps,):
             if any(c < 1 for c in caps):
                 raise ConfigError("word caps must be >= 1")

@@ -377,6 +377,26 @@ class TermStore:
                 return self.convex_decomposition(base)
         return None
 
+    def convex_instances(self, stage, inverse: bool) -> list[tuple[int, tuple[tuple[Fraction, int], ...]]]:
+        """The stage's members b = c_1 a_1 + ... + c_k a_k with a convex
+        decomposition, or with ``inverse`` those b = (c_1 a_1 + ...)^-1, as
+        (b, ((c_1, z_1), ...)) where z_i is a_i, or with ``inverse`` the
+        group inverse of a_i.  A member whose z_i do not all lie in the stage
+        is left out.  These are the instances of the convex and
+        inverse-convex inequalities: rho(a, b) <= sum_i c_i rho(a, z_i)."""
+        out = []
+        for b in stage.members:
+            dec = self.inverse_convex_decomposition(b) if inverse else self.convex_decomposition(b)
+            if dec is None:
+                continue
+            terms = tuple(
+                (coeff.as_fraction(), self.lookup(self.group_inv(a)) if inverse else a)
+                for a, coeff in dec
+            )
+            if all(z in stage.member_set for _, z in terms):
+                out.append((b, terms))
+        return out
+
     def rank(self, eid: int) -> int:
         """Stage-recursive rank: 0 unless the element or its inverse is a
         convex combination of basis elements, else 1 + max rank of the support."""

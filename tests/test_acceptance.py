@@ -117,7 +117,8 @@ def test_criterion_5_biinvariance(desk_universe):
     suite = check_biinvariance(desk_universe, desk_universe.stage(3))
     assert suite.ok, suite.render()
     by = {r.suite.split(" stage")[0]: r for r in suite.reports}
-    fact = by["condition 3 splitting"]
+    fact = {r.suite: r for r in check_conditions(desk_universe).reports}["condition 3 splitting stage 3"]
+    assert fact.ok
     assert fact.meta.get("mode") == "exhaustive"
     report(
         "5 bi-invariance",
@@ -149,11 +150,11 @@ def test_criterion_7_universal(desk_universe):
         lhs = target.norm_sq(phi_eval(u, u.x_id, target))
         rhs = target.y_norm_sq() * u.stage(2).table[u.x_id] ** 2
         assert lhs == rhs
-        _, dom = sigma_table(u, target)
-        assert dom.ok, dom.counterexamples[:3]
+        _, split = sigma_table(u, target)
+        assert split.ok, split.counterexamples[:3]
         pres = check_operation_preservation(u, target, seed=u.cfg.seed)
         assert pres.ok
-        checked += bound.attempted + dom.attempted
+        checked += bound.attempted + split.attempted
     report("7 universal property", f"3 targets, {checked} instances, bound tight at x")
 
 

@@ -1,13 +1,15 @@
 """Command-line surface: subcommands, exit codes, exports, config files."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
-from freebanach import Config, Universe
+from freebanach import Config, Universe, oracles
 from freebanach.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -160,9 +162,13 @@ def test_construction_error_exit(tmp_path, capsys):
         "[build]\nlattice_cell_budget = 1000000\n",
         "[build]\nstage_count = 2\n[target.a]\nkind = foo\nimage = 1\n",
         "[build]\nstage_count = 2\n[target.a]\nkind = abs\n",
+        "[build]\npreset = exact-x2\nquantifier_budget = 0\n",
+        "[build]\npreset = exact-x2\nmember_budget = 0\n",
+        "[build]\npreset = exact-x2\npair_cell_budget = 0\n",
     ],
     ids=["malformed-int", "unknown-key", "unknown-section", "decomp_cap", "sum_cap",
-         "lattice_cell_budget", "unknown-kind", "no-image"],
+         "lattice_cell_budget", "unknown-kind", "no-image", "quantifier_budget-0",
+         "member_budget-0", "pair_cell_budget-0"],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, text):
     """Config files are outside input: an unknown section, an unknown or
@@ -174,6 +180,31 @@ def test_config_file_errors_exit_2(tmp_path, capsys, text):
         Config.from_file(str(path))
     assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_small_quantifier_budget_still_samples(tmp_path, capsys):
+    """A quantifier budget below 10 still draws one splitting sample rather
+    than reporting a pass over nothing."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = exact-x2\nquantifier_budget = 5\n")
+    assert run_cli("verify", "--config", str(path), "--suite", "conditions") == EXIT_OK
+    assert "[pass] condition 3 splitting stage 1: 1/1\n" in capsys.readouterr().out
+
+
+def test_oracle_stage2_on_requested_preset(monkeypatch):
+    """The stage-2 oracle checks the preset asked for (cut to two stages),
+    not exact-x2 whatever the preset.  A first word cap above 1, which the
+    stage-1 metric does not cover, falls back to exact-x2 and says so."""
+    monkeypatch.setattr(oracles, "check_relax_oracle", lambda **kw: ("relax", True))
+    monkeypatch.setattr(oracles, "check_lp_oracle", lambda **kw: ("lp", True))
+    for cfg, tail in (
+        (Config.desk(), "(9 entries)"),
+        (Config.rank(), "(25 entries)"),
+        (Config.exact_x2(), "(81 entries)"),
+        (dataclasses.replace(Config.desk(), word_caps=(2,)), "(81 entries) on exact-x2"),
+    ):
+        line, ok = list(islice(oracles.run_all_oracles(cfg), 3))[2]
+        assert ok and line.endswith(tail), line
 
 
 # SHA-256 of export_bytes(u, check_conditions(u)); the export format and

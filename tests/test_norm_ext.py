@@ -12,7 +12,6 @@ from freebanach.lp import basic_solution_oracle
 from freebanach.norm_ext import (
     NormExtensionError,
     check_extension_norm,
-    inverse_convex_instances,
     norm_extend,
     member_vector,
     norm_decomposition_oracle,
@@ -178,7 +177,7 @@ def test_norm_is_gamma_without_instances(preset, request):
     norm_stages = [s for s in u.stages if s.kind == "vector" and s.index > 0]
     assert norm_stages
     for s in norm_stages:
-        assert inverse_convex_instances(u, s) == []
+        assert u.store.convex_instances(s, inverse=True) == []
         assert s.table == s.gamma
         assert s.notes["lattice_cells"] == s.notes["inverse_convex_instances"] == 0
 
@@ -198,7 +197,7 @@ def test_inverse_convex_instance_refused(rank_universe):
     stage = dataclasses.replace(
         s2, members=s2.members + (gi,), member_set=s2.member_set | {gi}, notes={}
     )
-    [(y, terms)] = inverse_convex_instances(u, stage)
+    [(y, terms)] = store.convex_instances(stage, inverse=True)
     assert y == gi and sorted(terms) == sorted([(F(1, 2), x), (F(1, 2), xi)])
     with pytest.raises(NormExtensionError, match="inverse-convex"):
         norm_extend(u, stage, u.stage(1), u.cfg)

@@ -1,4 +1,4 @@
-"""The freeness property: phi evaluation, norm bounds, sigma domination."""
+"""The freeness property: phi evaluation, norm bounds, sigma tables."""
 
 from fractions import Fraction as F
 
@@ -76,10 +76,14 @@ def test_sigma_base_values(exact_universe):
 
 def test_sigma_dominated_normalized(desk_universe):
     """sigma <= rho entrywise after the construction's normalization, for
-    every configured target including ||y|| != 1."""
+    every configured target including ||y|| != 1: the morphism bound's
+    check, on every entry of every stage."""
+    sizes = [(s.kind, len(s.members)) for s in desk_universe.stages]
+    entries = sum(n * (n - 1) // 2 if kind == "word" else n for kind, n in sizes)
     for target in desk_universe.cfg.targets:
-        _, rep = sigma_table(desk_universe, target)
+        rep = check_morphism_bound(desk_universe, target)
         assert rep.ok, rep.counterexamples[:3]
+        assert rep.attempted == entries
 
 
 def test_euclidean_target_exact_squares(desk_universe):

@@ -1,6 +1,7 @@
 """Verification suite behaviour: vacuous reporting, determinism, fault
 detection for every condition checker."""
 
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from freebanach.verify import (
     check_condition_5,
     check_condition_6,
     check_conditions,
+    check_suites,
     perturbed,
 )
 
@@ -33,6 +35,14 @@ def test_vacuous_sections_reported(desk_universe):
     assert by_name["condition 6 odd stage 3"].vacuous
     assert by_name["condition 6 odd stage 3"].ok
     assert by_name["extension rho_1"].vacuous
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
+def test_section_names_unique(preset, request):
+    """Each invariant has one section: no two sections of the full suite
+    share a name."""
+    names = [r.suite for r in check_suites(request.getfixturevalue(f"{preset}_universe")).reports]
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
 
 
 def test_report_determinism(desk_universe):
@@ -113,6 +123,39 @@ def test_fault_condition4_and_6(rank_universe):
     assert not all(r.ok for r in check_condition_6(bad))
 
 
+def test_condition6_even_clause_instance(rank_universe):
+    """A hand-made vector stage 4 over rank's stage 3, holding x, x - x^-1
+    and x - g^-1 with g = (1/2)x + (1/2)x^-1: the even clause takes stage 3's
+    instance (g^-1, (1/2 x^-1, 1/2 x)), checks ||x - g^-1|| <= (1/2)||x -
+    x^-1|| + (1/2)||x - x||, and catches a perturbed entry."""
+    from freebanach.scalars import Dyadic
+    from freebanach.stages import Stage
+
+    u = copy.copy(rank_universe)
+    u.store = store = copy.deepcopy(rank_universe.store)
+    x = u.x_id
+    xi = store.lookup(store.group_inv(x))
+    g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
+    gi = store.lookup(store.group_inv(g))
+    store.register_basis(gi)
+    x_xi = store.combine_id(x, xi)
+    x_gi = store.intern(store.lin_combine([(Dyadic(1), x), (Dyadic(-1), gi)]))
+    members = (UNIT_ID, x, x_xi, x_gi)
+    table = {UNIT_ID: F(0), x: F(1), x_xi: F(2), x_gi: F(1)}
+    s4 = Stage(index=4, kind="vector", members=members, member_set=frozenset(members), table=table, sealed=True)
+    u.stages = list(rank_universe.stages) + [s4]
+
+    def even(universe):
+        [r] = [r for r in check_condition_6(universe) if r.suite == "condition 6 even stage 4"]
+        return r
+
+    r = even(u)
+    assert (r.attempted, r.passed, r.vacuous) == (1, 1, False)
+    r = even(perturbed(u, 4, x_gi, EPS))
+    assert (r.attempted, r.passed) == (1, 0)
+    assert r.counterexamples[0]["pair"] == (x, gi)
+
+
 def test_fault_condition5(desk_universe):
     u = desk_universe
     s4 = u.stage(4)
@@ -133,17 +176,16 @@ def test_fault_biinvariance(desk_universe):
 
 
 def test_fault_sigma(desk_universe):
-    from freebanach.universal import sigma_table
+    """sigma <= ||y|| rho is the morphism bound's check: a nearly collapsed
+    metric entry fails it on every target."""
+    from freebanach.universal import check_morphism_bound
 
     u = desk_universe
     s3 = u.stage(3)
     key = _first_key(s3.table)
     bad = perturbed(u, 3, key, -u.rho(s3, *key) + EPS)  # nearly collapse it
-    failed = False
     for target in u.cfg.targets:
-        _, rep = sigma_table(bad, target)
-        failed = failed or not rep.ok
-    assert failed
+        assert not check_morphism_bound(bad, target).ok
 
 
 def test_perturbed_leaves_original_intact(desk_universe):
