@@ -104,7 +104,8 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
             atom_cells.add((wa, wb))
     for cell in sorted(atom_cells):
         engine.add_generator(*cell)
-    closure, _ = engine.solve()
+    closure, sweeps = engine.solve()
+    stage.notes["delta_sweeps"] = sweeps
 
     table = DeltaTable()
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
@@ -117,8 +118,8 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
             if wb is None:
                 continue
             val = closure.get((wa, wb))
-            if val is None and (wb, wa) in closure:
-                val = closure[(wb, wa)]
+            if val is None:
+                val = closure.get((wb, wa))
             if val is not None:
                 table.put_min(a, b, val)
     return table
@@ -254,11 +255,20 @@ def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
 
 def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
     """Stage 1: the defining values rho(x, e) = rho(x^-1, e) = 1 and
-    rho(x, x^-1) = 2, confirmed to be relaxation-stable."""
+    rho(x, x^-1) = 2, confirmed to be relaxation-stable.  They cover a first
+    word cap of 1 only.  Stage 2 reads the distance of every stage-1 pair,
+    so a tower that goes on past a stage 1 with more members is refused
+    here; a one-stage tower keeps the three values."""
     store = universe.store
     e = UNIT_ID
     x = universe.x_id
     xi = store.lookup(store.group_inv(x))
+    extra = len(set(stage.members) - {e, x, xi})
+    if extra and universe.cfg.stage_count > 1:
+        raise MetricExtensionError(
+            f"stage 1 with word cap {stage.word_cap} holds {extra} members beyond "
+            "e, x and x^-1; the stage-1 metric is defined for a first word cap of 1 only"
+        )
     pairs = [DeltaTable.key(x, e), DeltaTable.key(xi, e), DeltaTable.key(x, xi)]
     bounds = {
         pairs[0]: Fraction(1),

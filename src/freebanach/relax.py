@@ -14,7 +14,12 @@ Three realizations share those semantics:
                              indices (exact ``Fraction`` arithmetic);
 * ``PairComposition``     -- the word-pair composition family
                              D(P.Q) <= D(P) + D(Q) used by the metric
-                             extension, vectorized over scaled integers;
+                             extension, over scaled integers and
+                             block-sparse: each generator side composes
+                             one dense block of the word pairs whose
+                             products stay in the ambient set (the
+                             injectivity of free-group multiplication
+                             makes the block write exact; see the class);
 * ``LatticeSystem``       -- coefficient-lattice step/homogeneity families,
                              same scaling.  The build no longer calls it:
                              the norm is the molecule gauge gamma, and a
@@ -23,7 +28,9 @@ Three realizations share those semantics:
 
 The bulk families are evaluated against the previous round's snapshot in a
 fixed order, so results are independent of rule order and bit-identical
-across runs.
+across runs.  ``PairComposition`` reads its generator costs live, in
+generator order; its block plan keeps that order and the snapshot, so its
+fixpoint and sweep counts are those of the per-cell scatter it replaced.
 
 ``to_scaled`` is the one Fraction -> int64 conversion: it raises
 ``ScaleOverflowError`` unless the value is exact at the scale and below
@@ -281,6 +288,29 @@ class FractionRules:
 # ---------------------------------------------------------------------------
 
 
+class PairTable:
+    """Closure values by word pair, converted to ``Fraction`` only for the
+    cells a caller reads: ``get((u, v))`` is the value, or None at +inf."""
+
+    def __init__(self, values: np.ndarray, scale: int):
+        self._values = values
+        self._scale = scale
+
+    def get(self, cell: tuple[int, int]) -> Optional[Fraction]:
+        v = int(self._values[cell])
+        return None if v >= _INT_INF else Fraction(v, self._scale)
+
+
+def _shift_map(prod_line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sources whose product with ``word`` stays in the ambient set, and
+    their products; RelaxError unless no two sources share a product."""
+    src = np.nonzero(prod_line >= 0)[0]
+    tgt = prod_line[src].astype(np.intp)
+    if np.unique(tgt).size != tgt.size:
+        raise RelaxError(f"{side} product with word {word} is not injective")
+    return src, tgt
+
+
 class PairComposition:
     """Min-plus closure of seeded word-pair cells under composition
     D((uw)', (vz)') <= D(u, v) + D(w, z), with optional simultaneous-inverse
@@ -290,6 +320,26 @@ class PairComposition:
     -1 when the product leaves the ambient word set; composition is
     restricted to a generator cell list, which is complete for derivations
     whose left-to-right partial products stay inside the ambient set.
+
+    Block plan.  For each generator word w the sources u with u.w in the
+    ambient set, and their products, are read once off column w of
+    ``prod`` (w.u off row w).  A generator (w, z) then composes as one
+    dense block per side,
+    D[tgt_w x tgt_z] = min(D[tgt_w x tgt_z], before[src_w x src_z] + D(w, z)),
+    so only (cell, generator) pairs whose two products both land are ever
+    touched.  The plain assignment is exact because right (and left)
+    multiplication by a fixed element of a free group is injective: no two
+    sources of a block share a target, so no candidate is overwritten.  The
+    maps are checked to be injective when they are built (RelaxError
+    otherwise), so a malformed product table cannot lose a candidate.
+
+    Sweep order.  Each sweep reads sources from the snapshot taken at its
+    start and reads each generator's cost D(w, z) live, in generator order,
+    once for both sides; then applies the inverse mirror and the convex
+    instances.  A block touches exactly the targets a per-cell scatter of
+    the same sources would, with the same candidate values, so every sweep
+    leaves the same table and the fixpoint and sweep count are those of
+    the per-cell evaluation.
     """
 
     def __init__(self, n_words: int, prod: np.ndarray, inv: Optional[np.ndarray] = None):
@@ -312,68 +362,66 @@ class PairComposition:
     def add_convex(self, target: tuple[int, int], terms: Sequence[tuple[Fraction, tuple[int, int]]]) -> None:
         self.fraction_rules.append((target, tuple(terms)))
 
-    def solve(self, sweep_cap: int = 200) -> tuple[dict[tuple[int, int], Fraction], int]:
+    def _blocks(self) -> list[tuple[int, int, list]]:
+        """Per generator (w, z): its right and left blocks as (source,
+        target) ``np.ix_`` index pairs, from maps built once per word."""
+        right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for w in dict.fromkeys(word for gen in self.generators for word in gen):
+            right[w] = _shift_map(self.prod[:, w], w, "right")
+            left[w] = _shift_map(self.prod[w, :], w, "left")
+        blocks = []
+        for w, z in self.generators:
+            sides = []
+            for maps in (right, left):
+                (src_w, tgt_w), (src_z, tgt_z) = maps[w], maps[z]
+                if src_w.size and src_z.size:
+                    sides.append((np.ix_(src_w, src_z), np.ix_(tgt_w, tgt_z)))
+            blocks.append((w, z, sides))
+        return blocks
+
+    def solve(self, sweep_cap: int = 200) -> tuple[PairTable, int]:
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
         scale = _scale_for(self.seeds.values(), coeff_denoms)
+        blocks = self._blocks()
         for attempt in range(6):
             try:
-                return self._solve_scaled(scale, sweep_cap)
+                return self._solve_scaled(scale, sweep_cap, blocks)
             except ScaleOverflowError:
                 scale *= 4
         raise ScaleOverflowError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int) -> tuple[dict[tuple[int, int], Fraction], int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, blocks) -> tuple[PairTable, int]:
         n = self.n
-        D = np.full(n * n, _INT_INF, dtype=np.int64)
+        D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
             s = to_scaled(val, scale)
-            idx = u * n + v
-            if s < D[idx]:
-                D[idx] = s
-        gen = [(u, v) for (u, v) in self.generators]
+            if s < D[u, v]:
+                D[u, v] = s
         frac = FractionRules(scale)
         for target, terms in self.fraction_rules:
             frac.add(target[0] * n + target[1], [(c, j[0] * n + j[1]) for c, j in terms])
 
-        prod = self.prod
+        flat = D.reshape(-1)
         sweeps = 0
         while True:
             if sweeps > sweep_cap:
                 raise NonConvergenceError(f"pair composition unstable after {sweeps - 1} sweeps")
             sweeps += 1
             before = D.copy()
-            finite = np.nonzero(D < _INT_INF)[0]
-            fu, fv = finite // n, finite % n
-            fval = D[finite]
-            for w, z in gen:
-                gval = D[w * n + z]
-                if gval >= _INT_INF:
+            for w, z, sides in blocks:
+                g = D[w, z]
+                if g >= _INT_INF:
                     continue
-                # right composition: (u, v) . (w, z)
-                pu = prod[fu, w]
-                pv = prod[fv, z]
-                ok = (pu >= 0) & (pv >= 0)
-                if ok.any():
-                    tgt = pu[ok].astype(np.int64) * n + pv[ok]
-                    np.minimum.at(D, tgt, fval[ok] + gval)
-                # left composition: (w, z) . (u, v)
-                pu = prod[w, fu]
-                pv = prod[z, fv]
-                ok = (pu >= 0) & (pv >= 0)
-                if ok.any():
-                    tgt = pu[ok].astype(np.int64) * n + pv[ok]
-                    np.minimum.at(D, tgt, gval + fval[ok])
+                # +inf sources stay above every target: _INT_INF + g < 2^63
+                for src, tgt in sides:
+                    D[tgt] = np.minimum(D[tgt], before[src] + g)
             if self.inv is not None:
-                sq = D.reshape(n, n)
-                mirrored = sq[self.inv][:, self.inv]
-                np.minimum(sq, mirrored, out=sq)
-            frac.apply(D)
+                np.minimum(D, D[self.inv][:, self.inv], out=D)
+            frac.apply(flat)
             if np.array_equal(D, before):
                 break
-        out = {}
-        for idx in np.nonzero(D < _INT_INF)[0]:
-            out[(int(idx) // n, int(idx) % n)] = Fraction(int(D[idx]), scale)
-        return out, sweeps
+        return PairTable(D, scale), sweeps
 
 
 # ---------------------------------------------------------------------------

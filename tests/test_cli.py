@@ -151,6 +151,19 @@ def test_construction_error_exit(tmp_path, capsys):
     assert err.startswith("error:") and "pair_cell_budget" in err
 
 
+def test_first_word_cap_above_one_exit_2(tmp_path, capsys):
+    """A stage 1 with words beyond x^±1 has no stage-1 metric for stage 2 to
+    read: the build is refused with an error line and exit 2, not a
+    KeyError traceback with the verification-failure code."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = exact-x2\nword_caps = 2\n")
+    out = tmp_path / "x.json"
+    assert run_cli("build", "--config", str(path), "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "first word cap of 1 only" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -141,3 +141,12 @@ def test_oracle_equality_small_stage(desk_universe):
     for key, value in s3.table.items():
         assert oracle.get(key) == value
 
+
+def test_closure_sweep_counts(desk_universe, rank_universe):
+    """The pair closures keep the sweep semantics (snapshot sources, live
+    generator costs in generator order), so their sweep counts are fixed:
+    ``bench`` shows them as ``delta_sweeps`` and ``rho_sweeps``."""
+    assert rank_universe.stage(3).notes["delta_sweeps"] == 5
+    assert desk_universe.stage(3).notes["delta_sweeps"] == 5
+    desk3 = desk_universe.stage(3).notes
+    assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)

@@ -3,17 +3,22 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freebanach.relax import (
     ConstraintSystem,
     Equality,
     NonConvergenceError,
+    PairComposition,
+    RelaxError,
     UpperCombo,
     brute_force_oracle,
     relax_fixpoint,
 )
 from freebanach.oracles import check_relax_oracle, random_micro_system
+from freebanach.terms import WordSpace
 
 
 def test_no_rules_returns_bounds():
@@ -182,3 +187,89 @@ def test_order_independence():
 def test_maximality_vs_oracle_100_systems():
     line, ok = check_relax_oracle(count=100, seed=0, depth=8)
     assert ok, line
+
+
+@st.composite
+def pair_systems(draw):
+    """A small word space with dyadic seeds, generators drawn from the
+    seeded cells (a generator at +inf composes nothing), optionally the
+    inverse map, and at most one convex instance."""
+    letters, max_len = draw(st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2)]))
+    space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)][: 2 * letters], max_len)
+    cell = st.tuples(st.integers(0, len(space) - 1), st.integers(0, len(space) - 1))
+    dyadic = st.builds(lambda k, j: F(k, 2**j), st.integers(0, 8), st.integers(0, 2))
+    seeds = draw(st.lists(st.tuples(cell, dyadic), min_size=3, max_size=16))
+    if draw(st.booleans()):
+        seeds += [((i, i), F(0)) for i in range(len(space))]
+    seeded = st.sampled_from([c for c, _ in seeds])
+    generators = draw(st.lists(seeded, min_size=1, max_size=6))
+    inverse = draw(st.booleans())
+    convex = []
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([F(1, 2), F(1, 4)]))
+        convex.append((draw(cell), ((c, draw(seeded)), (1 - c, draw(seeded)))))
+    return space, seeds, generators, inverse, convex
+
+
+def _explicit_pair_system(space, seeds, generators, inverse, convex):
+    """The rules PairComposition closes under, written out one instance per
+    cell for ``relax_fixpoint``."""
+    n = len(space)
+    prod, inv = space.product_table(), space.inverse_map()
+    cells = [(u, v) for u in range(n) for v in range(n)]
+    bounds = dict.fromkeys(cells)
+    for c, val in seeds:
+        if bounds[c] is None or val < bounds[c]:
+            bounds[c] = val
+    one = F(1)
+    rules = []
+    for w, z in generators:
+        for u, v in cells:
+            if prod[u, w] >= 0 and prod[v, z] >= 0:
+                rules.append(UpperCombo((int(prod[u, w]), int(prod[v, z])), ((one, (u, v)), (one, (w, z)))))
+            if prod[w, u] >= 0 and prod[z, v] >= 0:
+                rules.append(UpperCombo((int(prod[w, u]), int(prod[z, v])), ((one, (w, z)), (one, (u, v)))))
+    if inverse:
+        rules += [Equality((u, v), (int(inv[u]), int(inv[v]))) for u, v in cells]
+    rules += [UpperCombo(target, terms) for target, terms in convex]
+    return ConstraintSystem(indices=tuple(cells), bounds=bounds, rules=rules)
+
+
+@given(pair_systems())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pair_composition_matches_relax_fixpoint(system):
+    """The block-sparse closure equals the explicit-rule fixpoint on every
+    cell.  A convex instance can close a contracting cycle, whose fixpoint
+    is only approached; then the engine must fail as the reference does."""
+    space, seeds, generators, inverse, convex = system
+    engine = PairComposition(
+        len(space), space.product_table(), space.inverse_map() if inverse else None
+    )
+    for (u, v), val in seeds:
+        engine.seed(u, v, val)
+    for gen in generators:
+        engine.add_generator(*gen)
+    for target, terms in convex:
+        engine.add_convex(target, terms)
+    ref_system = _explicit_pair_system(space, seeds, generators, inverse, convex)
+    try:
+        ref = relax_fixpoint(ref_system, sweep_cap=60)
+    except NonConvergenceError:
+        with pytest.raises(RelaxError):
+            engine.solve(sweep_cap=60)
+        return
+    table, _ = engine.solve(sweep_cap=60)
+    for cell in ref_system.indices:
+        assert table.get(cell) == ref.values.get(cell), cell
+
+
+def test_pair_composition_rejects_non_injective_products():
+    """Two sources with one product would make the block write drop a
+    candidate: the forged table is refused, not solved."""
+    prod = np.full((3, 3), -1, dtype=np.int32)
+    prod[1, 0] = prod[2, 0] = 0
+    engine = PairComposition(3, prod)
+    engine.seed(0, 0, F(1))
+    engine.add_generator(0, 0)
+    with pytest.raises(RelaxError, match="not injective"):
+        engine.solve()
