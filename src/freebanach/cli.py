@@ -20,7 +20,7 @@ from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
-from .stages import BudgetExceededError, Config, ConfigError, Stage, Universe
+from .stages import BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
 from .terms import (
     AlgebraError,
     ComboTerm,
@@ -284,6 +284,9 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     check_conditions(universe)
     rows.append(("conditions", time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    check_suites(universe, ("universal",))
+    rows.append(("universal", time.perf_counter() - t0))
     width = max(len(r[0]) for r in rows)
     for name, value in rows:
         shown = f"{value:.3f}s" if isinstance(value, float) else str(value)
@@ -340,7 +343,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ExprSyntaxError, ScalarDomainError, OutOfUniverseError,
-            AlgebraError, BudgetExceededError, OSError, RelaxError, InfeasibleLP) as exc:
+            AlgebraError, BudgetExceededError, NotBuiltError, OSError, RelaxError,
+            InfeasibleLP) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

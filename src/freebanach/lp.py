@@ -47,7 +47,8 @@ class InfeasibleLP(ValueError):
 
 
 class InexactDivision(ArithmeticError):
-    """An integer-preserving pivot left a remainder: the d/N invariant broke."""
+    """An exact integer division left a remainder: the invariant that made
+    it exact (the pivot's d/N, or phi's scale S) broke."""
 
 
 def _row_reduce(matrix: list[list[Fraction]], ncols: Optional[int] = None):

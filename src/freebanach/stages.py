@@ -33,7 +33,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class NotBuiltError(LookupError):
-    pass
+    """A stage, or a pair's entry in a sealed stage, that was never built."""
 
 
 DESK_SCALARS = (Dyadic(-1), Dyadic(0), Dyadic(1))
@@ -260,7 +260,10 @@ class Universe:
     def rho(self, stage: Stage, a: int, b: int) -> Fraction:
         if a == b:
             return Fraction(0)
-        return stage.table[(a, b) if a <= b else (b, a)]
+        try:
+            return stage.table[(a, b) if a <= b else (b, a)]
+        except KeyError:
+            raise NotBuiltError(f"stage {stage.index} has no distance for the pair ({a}, {b})") from None
 
     # -- construction -----------------------------------------------------
 

@@ -7,14 +7,30 @@ operation-preserving map phi'.  Commutative Banach spaces (R^d with the
 absolute-value, maximum, or Euclidean norm, multiplication taken to be
 addition) already exercise the norm inequality nontrivially.
 
+phi' is evaluated exactly in Python ints as S phi', where S is the lcm of
+the denominators of y times 2^K, and K sums over the norm stages the
+largest denominator exponent of a member coefficient.  A member's image
+then has denominators dividing S, so every division by 2^k is exact; a
+remainder raises ``InexactDivision`` rather than rounding.
+
 Each property is checked once.  ``check_morphism_bound`` checks that phi'
 never increases norms, entry for entry: ||phi(z)|| <= ||y|| ||z|| and
-sigma(a, b) <= ||y|| rho(a, b).  ``sigma_table`` returns the pullback tables
-with sampled checks of the splitting inequality sigma inherits from the
-target; ``check_operation_preservation`` samples the two structures.
+sigma(a, b) <= ||y|| rho(a, b).  ``sigma_table`` returns the pullback
+tables computed by the same pass, with the same report;
+``check_operation_preservation`` samples the two structures.  The
+splitting inequality of the pullback needs no check: phi' is a
+homomorphism into a commutative group, so
+
+    ||phi(ab) - phi(cd)|| = ||(phi(a) - phi(c)) + (phi(b) - phi(d))||
+                         <= sigma(a, c) + sigma(b, d)
+
+is the target's own triangle inequality, whatever rho is.  The
+homomorphism property itself is what ``check_operation_preservation``
+checks.
 
 Euclidean norms of rational vectors are irrational in general; all
-Euclidean assertions compare squares, so every check stays exact.
+Euclidean assertions compare squares, and ratios by integer
+cross-multiplication, so every check stays exact.
 """
 
 from __future__ import annotations
@@ -22,7 +38,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .lp import InexactDivision
 from .scalars import fraction_str
 from .terms import ComboTerm, GenTerm, UnitTerm, WordTerm
 
@@ -65,12 +83,12 @@ class TargetSpace:
         if self.kind == "abs":
             return abs(v[0])
         if self.kind == "max":
-            return max((abs(x) for x in v), default=Fraction(0))
+            return max(map(abs, v), default=Fraction(0))
         return None
 
     def norm_sq(self, v: Vec) -> Fraction:
         if self.kind == "euclid":
-            return sum((x * x for x in v), Fraction(0))
+            return sum(x * x for x in v)
         n = self.norm_exact(v)
         return n * n
 
@@ -91,178 +109,139 @@ class TargetSpace:
 
 
 class PhiMap:
-    """The unique operation-preserving map into a target, memoized by id."""
+    """S times the unique operation-preserving map into a target, as int
+    vectors memoized by id; ``scale`` is S (see the module docstring)."""
 
     def __init__(self, universe, target: TargetSpace):
         self.universe = universe
         self.target = target
-        self._memo: dict[int, Vec] = {}
+        store = universe.store
+        k = 0
+        for stage in universe.stages:
+            if stage.sealed and stage.kind == "vector":
+                terms = (store.term(z) for z in stage.members)
+                k += max(
+                    (c.log2den for t in terms if isinstance(t, ComboTerm) for _, c in t.coeffs),
+                    default=0,
+                )
+        self.scale = lcm(*(q.denominator for q in target.image)) << k
+        self.image = tuple(int(q * self.scale) for q in target.image)
+        self._memo: dict[int, tuple[int, ...]] = {}
 
-    def __call__(self, eid: int) -> Vec:
-        out = self._memo.get(eid)
+    def __call__(self, eid: int) -> tuple[int, ...]:
+        memo = self._memo
+        out = memo.get(eid)
         if out is not None:
             return out
         term = self.universe.store.term(eid)
-        d = self.target.dim
-        if isinstance(term, UnitTerm):
-            out = tuple(Fraction(0) for _ in range(d))
-        elif isinstance(term, GenTerm):
-            out = self.target.image
+        if isinstance(term, ComboTerm):
+            parts = [(c.num, c.log2den, memo.get(base) or self(base)) for base, c in term.coeffs]
+            top = max(k for _, k, _ in parts)
+            acc = [sum((n << (top - k)) * w[i] for n, k, w in parts) for i in range(self.target.dim)]
+            if top:
+                if any(v & ((1 << top) - 1) for v in acc):
+                    raise InexactDivision(f"phi' of {eid} is not a multiple of 1/{self.scale}")
+                acc = [v >> top for v in acc]
+            out = tuple(acc)
         elif isinstance(term, WordTerm):
-            acc = [Fraction(0)] * d
+            acc = [0] * self.target.dim
             for base, sign in term.letters:
-                sub = self(base)
-                for i in range(d):
-                    acc[i] += sub[i] if sign > 0 else -sub[i]
+                acc = [v + sign * w for v, w in zip(acc, memo.get(base) or self(base))]
             out = tuple(acc)
-        elif isinstance(term, ComboTerm):
-            acc = [Fraction(0)] * d
-            for base, coeff in term.coeffs:
-                sub = self(base)
-                c = coeff.as_fraction()
-                for i in range(d):
-                    acc[i] += c * sub[i]
-            out = tuple(acc)
+        elif isinstance(term, GenTerm):
+            out = self.image
+        elif isinstance(term, UnitTerm):
+            out = (0,) * self.target.dim
         else:
             raise TypeError(f"unknown term {term!r}")
-        self._memo[eid] = out
+        memo[eid] = out
         return out
 
 
 def phi_eval(universe, eid: int, target: TargetSpace) -> Vec:
-    return PhiMap(universe, target)(eid)
-
-
-def _vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def check_morphism_bound(universe, target: TargetSpace):
-    """||phi(z)|| <= ||y|| * ||z|| on norm stages, and the metric analogue
-    sigma(a, b) <= ||y|| * rho(a, b) on metric stages; compares squares so
-    Euclidean targets stay exact.  Reports the worst squared ratio."""
-    from .verify import VerificationReport
-
     phi = PhiMap(universe, target)
-    y_sq = target.y_norm_sq()
-    report = VerificationReport(suite=f"morphism bound {target.label()}")
-    worst: Fraction | None = None
-    for stage in universe.stages:
-        if not stage.sealed:
-            continue
-        if stage.kind == "vector":
-            for z in stage.members:
-                lhs_sq = target.norm_sq(phi(z))
-                rhs_sq = y_sq * stage.table[z] * stage.table[z]
-                report.attempted += 1
-                if lhs_sq <= rhs_sq:
-                    report.passed += 1
-                    if rhs_sq > 0:
-                        ratio = lhs_sq / rhs_sq
-                        if worst is None or ratio > worst:
-                            worst = ratio
-                else:
-                    report.add_counterexample(
-                        stage=stage.index, element=z,
-                        lhs_sq=str(lhs_sq), rhs_sq=str(rhs_sq),
-                    )
-        else:
-            members = stage.members
-            for i, a in enumerate(members):
-                va = phi(a)
-                for b in members[i + 1 :]:
-                    lhs_sq = target.norm_sq(_vec_sub(va, phi(b)))
-                    r = universe.rho(stage, a, b)
-                    rhs_sq = y_sq * r * r
-                    report.attempted += 1
-                    if lhs_sq <= rhs_sq:
-                        report.passed += 1
-                        if rhs_sq > 0:
-                            ratio = lhs_sq / rhs_sq
-                            if worst is None or ratio > worst:
-                                worst = ratio
-                    else:
-                        report.add_counterexample(
-                            stage=stage.index, pair=(a, b),
-                            lhs_sq=str(lhs_sq), rhs_sq=str(rhs_sq),
-                        )
-    report.meta["worst_ratio_sq"] = str(worst) if worst is not None else None
-    return report
+    return tuple(Fraction(v, phi.scale) for v in phi(eid))
 
 
 @dataclass
 class SigmaTable:
-    """Pullback (pseudo)metric and (pseudo)norm per stage, normalized by
-    ||y|| following the construction's without-loss-of-generality step.
-    Values are stored squared so Euclidean targets remain exact."""
+    """Pullback (pseudo)metric and (pseudo)norm per stage, stored squared so
+    Euclidean targets remain exact."""
 
     target: TargetSpace
     metric_sq: dict[int, dict[tuple[int, int], Fraction]]
     norm_sq: dict[int, dict[int, Fraction]]
 
 
-def _sum_of_roots_dominates(lhs_sq: Fraction, a_sq: Fraction, b_sq: Fraction) -> bool:
-    """sqrt(lhs_sq) <= sqrt(a_sq) + sqrt(b_sq), decided exactly by squaring
-    twice (all quantities nonnegative)."""
-    rest = lhs_sq - a_sq - b_sq
-    if rest <= 0:
-        return True
-    return rest * rest <= 4 * a_sq * b_sq
+def _entries(universe, stage, phi):
+    """(table key, report field, S^2 ||phi(.)||^2, table value) for each
+    entry of a sealed stage: its members on a norm stage, its pairs on a
+    word stage."""
+    norm_sq = phi.target.norm_sq
+    if stage.kind == "vector":
+        for z in stage.members:
+            yield z, ("element", z), norm_sq(phi(z)), stage.table[z]
+        return
+    members = stage.members
+    for i, a in enumerate(members):
+        va = phi(a)
+        for b in members[i + 1 :]:
+            diff = tuple(p - q for p, q in zip(va, phi(b)))
+            key = (a, b) if a <= b else (b, a)
+            yield key, ("pair", (a, b)), norm_sq(diff), universe.rho(stage, a, b)
 
 
-def sigma_table(universe, target: TargetSpace):
-    """The sigma tables, and a report of the splitting inequality the
-    pullback inherits from the target, spot-checked on sampled in-stage
-    quadruples.  That sigma <= ||y|| rho and |||.||| <= ||y|| ||.|| hold
-    entrywise is ``check_morphism_bound``'s report."""
+def _bound_pass(universe, target: TargetSpace):
+    """One pass of phi' over every sealed stage: the morphism-bound report,
+    the squared pullback tables times S^2 (by stage kind, then index), and
+    S^2.  For a table value p/q the bound is lhs q^2 <= Y p^2 with
+    Y = S^2 ||y||^2; the worst ratio is kept as an int pair."""
     from .verify import VerificationReport
 
     phi = PhiMap(universe, target)
-    report = VerificationReport(suite=f"sigma splitting {target.label()}")
-    metric_sq: dict[int, dict[tuple[int, int], Fraction]] = {}
-    norm_sq: dict[int, dict[int, Fraction]] = {}
+    y_sq = target.norm_sq(phi.image)
+    s_sq = phi.scale * phi.scale
+    report = VerificationReport(suite=f"morphism bound {target.label()}")
+    tables: dict[str, dict[int, dict]] = {"word": {}, "vector": {}}
+    worst: tuple[int, int] | None = None
     for stage in universe.stages:
         if not stage.sealed:
             continue
-        if stage.kind == "word":
-            members = stage.members
-            metric_sq[stage.index] = {
-                (a, b) if a <= b else (b, a): target.norm_sq(_vec_sub(phi(a), phi(b)))
-                for i, a in enumerate(members)
-                for b in members[i + 1 :]
-            }
-        else:
-            norm_sq[stage.index] = {z: target.norm_sq(phi(z)) for z in stage.members}
-    _sigma_spot_checks(universe, phi, target, report)
-    return SigmaTable(target=target, metric_sq=metric_sq, norm_sq=norm_sq), report
-
-
-def _sigma_spot_checks(universe, phi, target, report, samples: int = 300) -> None:
-    """Sampled instances of sigma(ab, cd) <= sigma(a, c) + sigma(b, d)."""
-    store = universe.store
-    rng = random.Random(universe.cfg.seed)
-    for stage in universe.stages:
-        if not stage.sealed or stage.kind != "word":
-            continue
-        members = list(stage.members)
-        for _ in range(samples):
-            a, b, c, d = (rng.choice(members) for _ in range(4))
-            ab = store.lookup(store.group_mul(a, b))
-            cd = store.lookup(store.group_mul(c, d))
-            if ab is None or cd is None:
-                continue
-            if ab not in stage.member_set or cd not in stage.member_set:
-                continue
-            lhs_sq = target.norm_sq(_vec_sub(phi(ab), phi(cd)))
-            ac_sq = target.norm_sq(_vec_sub(phi(a), phi(c)))
-            bd_sq = target.norm_sq(_vec_sub(phi(b), phi(d)))
+        table = tables[stage.kind][stage.index] = {}
+        for key, (field, where), lhs, value in _entries(universe, stage, phi):
+            table[key] = lhs
+            lhs_q = lhs * value.denominator**2
+            rhs = y_sq * value.numerator**2
             report.attempted += 1
-            if _sum_of_roots_dominates(lhs_sq, ac_sq, bd_sq):
+            if lhs_q <= rhs:
                 report.passed += 1
+                if rhs and (worst is None or lhs_q * worst[1] > worst[0] * rhs):
+                    worst = (lhs_q, rhs)
             else:
                 report.add_counterexample(
-                    stage=stage.index, op="sigma splitting", quadruple=(a, b, c, d)
+                    stage=stage.index, **{field: where},
+                    lhs_sq=str(Fraction(lhs, s_sq)),
+                    rhs_sq=str(Fraction(y_sq, s_sq) * value * value),
                 )
+    report.meta["worst_ratio_sq"] = str(Fraction(*worst)) if worst is not None else None
+    return report, tables, s_sq
+
+
+def check_morphism_bound(universe, target: TargetSpace):
+    """||phi(z)|| <= ||y|| * ||z|| on norm stages, and the metric analogue
+    sigma(a, b) <= ||y|| * rho(a, b) on metric stages; compares squares so
+    Euclidean targets stay exact.  Reports the worst squared ratio."""
+    return _bound_pass(universe, target)[0]
+
+
+def sigma_table(universe, target: TargetSpace):
+    """The sigma tables, and the morphism-bound report of the same pass."""
+    report, tables, s_sq = _bound_pass(universe, target)
+    metric_sq, norm_sq = (
+        {n: {k: Fraction(v, s_sq) for k, v in t.items()} for n, t in tables[kind].items()}
+        for kind in ("word", "vector")
+    )
+    return SigmaTable(target=target, metric_sq=metric_sq, norm_sq=norm_sq), report
 
 
 def check_operation_preservation(universe, target: TargetSpace, samples: int = 200, seed: int = 0):

@@ -37,3 +37,21 @@ def test_note_counters_on_every_norm_stage(tracer, exact_universe, rank_universe
         for stage in norm_stages:
             for key in tracer.NOTE_COUNTERS:
                 assert type(stage.notes.get(key)) is int, (stage.index, key)
+
+
+def test_universal_call_shapes(exact_universe):
+    """The benchmark's targets step calls the universal checks with these
+    arguments and reads ``.ok`` and ``.summary_line()`` of each report,
+    ``sigma_table``'s as its second item."""
+    from freebanach import universal
+
+    u = exact_universe
+    for target in u.cfg.targets:
+        reports = [
+            universal.check_morphism_bound(u, target),
+            universal.sigma_table(u, target)[1],
+            universal.check_operation_preservation(u, target, seed=u.cfg.seed),
+        ]
+        for report in reports:
+            assert report.ok, report.summary_line()
+            assert report.summary_line().startswith("[pass] ")

@@ -139,6 +139,7 @@ def test_bench_runs(capsys):
     out = capsys.readouterr().out
     assert "build all stages" in out
     assert "stage 2 gamma_lp_pivots" in out
+    assert "\nconditions " in out and "\nuniversal " in out
 
 
 def test_construction_error_exit(tmp_path, capsys):
@@ -162,6 +163,28 @@ def test_first_word_cap_above_one_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "first word cap of 1 only" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "x.x", "e"], ["verify"], ["verify", "--suite", "biinvariance"]],
+    ids=["dist", "verify", "verify-biinvariance"],
+)
+def test_one_stage_first_word_cap_two_exit_2(tmp_path, argv):
+    """A one-stage tower with a first word cap of 2 builds, but its stage-1
+    table holds only the pairs of e, x and x^-1: reading another pair is an
+    error line and exit 2, not a KeyError traceback or a missing pair read
+    as distance 0."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = exact-x2\nword_caps = 2\nstage_count = 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "freebanach.cli", *argv, "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: stage 1 has ")
 
 
 @pytest.mark.parametrize(

@@ -103,14 +103,17 @@ def test_operation_preservation(desk_universe):
 
 
 def test_scaling_covariance(desk_universe):
-    """Replacing y by lambda*y scales every image by lambda."""
+    """Replacing y by lambda*y scales every image by lambda.  PhiMap gives
+    S phi' in ints, and S depends on the denominators of y."""
     u = desk_universe
     base = TargetSpace.maximum((F(1), F(-1, 2)))
+    phi0 = PhiMap(u, base)
     for lam in (F(2), F(1, 2)):
         scaled = TargetSpace.maximum(tuple(lam * c for c in base.image))
-        phi0, phi1 = PhiMap(u, base), PhiMap(u, scaled)
+        phi1 = PhiMap(u, scaled)
+        assert phi1.scale != phi0.scale
         for m in list(u.stage(4).members)[:300]:
-            assert phi1(m) == tuple(lam * c for c in phi0(m))
+            assert [F(v, phi1.scale) for v in phi1(m)] == [lam * F(v, phi0.scale) for v in phi0(m)]
 
 
 def test_target_validation():

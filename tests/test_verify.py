@@ -37,12 +37,31 @@ def test_vacuous_sections_reported(desk_universe):
     assert by_name["extension rho_1"].vacuous
 
 
-@pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
-def test_section_names_unique(preset, request):
+@pytest.mark.parametrize(
+    "preset, sections, bound, preservation",
+    [
+        pytest.param("exact", 19, 85, 472, id="exact"),
+        pytest.param("rank", 27, 1110, 690, id="rank"),
+        pytest.param("desk", 32, 6679, 751, id="desk"),
+    ],
+)
+def test_section_names_unique(preset, sections, bound, preservation, request):
     """Each invariant has one section: no two sections of the full suite
-    share a name."""
-    names = [r.suite for r in check_suites(request.getfixturevalue(f"{preset}_universe")).reports]
+    share a name.  The universal suite is two sections per target, with the
+    same counts on every target."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    reports = check_suites(u).reports
+    names = [r.suite for r in reports]
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    assert len(reports) == sections
+    by_name = {r.suite: r for r in reports}
+    for target in u.cfg.targets:
+        rep = by_name.pop(f"morphism bound {target.label()}")
+        assert (rep.attempted, rep.passed) == (bound, bound)
+        if preset == "desk":
+            assert rep.meta["worst_ratio_sq"] == "1"
+        rep = by_name.pop(f"operation preservation {target.label()}")
+        assert (rep.attempted, rep.passed) == (preservation, preservation)
 
 
 def test_report_determinism(desk_universe):
@@ -186,6 +205,50 @@ def test_fault_sigma(desk_universe):
     bad = perturbed(u, 3, key, -u.rho(s3, *key) + EPS)  # nearly collapse it
     for target in u.cfg.targets:
         assert not check_morphism_bound(bad, target).ok
+
+
+def _root_sum_dominates(lhs_sq, a_sq, b_sq):
+    """sqrt(lhs_sq) <= sqrt(a_sq) + sqrt(b_sq), decided exactly by squaring
+    twice (all quantities nonnegative)."""
+    rest = lhs_sq - a_sq - b_sq
+    return rest <= 0 or rest * rest <= 4 * a_sq * b_sq
+
+
+def test_sigma_splitting_holds_on_a_faulty_table(desk_universe):
+    """sigma(ab, cd) <= sigma(a, c) + sigma(b, d) is the target's triangle
+    inequality, whatever rho is: it holds on every in-stage quadruple of a
+    table whose nearly collapsed entry the morphism bound rejects on every
+    target, so a sampled splitting check could not have caught the fault."""
+    from freebanach.universal import check_morphism_bound, sigma_table
+
+    u = desk_universe
+    s3 = u.stage(3)
+    key = _first_key(s3.table)
+    bad = perturbed(u, 3, key, -u.rho(s3, *key) + EPS)
+    store = u.store
+    for target in u.cfg.targets:
+        assert not check_morphism_bound(bad, target).ok
+        table, _ = sigma_table(bad, target)
+        checked = 0
+        for stage in bad.stages:
+            if stage.kind != "word":
+                continue
+            sq = table.metric_sq[stage.index]
+
+            def sigma_sq(a, b):
+                return 0 if a == b else sq[(a, b) if a <= b else (b, a)]
+
+            products = {}
+            for a in stage.members:
+                for b in stage.members:
+                    p = store.lookup(store.group_mul(a, b))
+                    if p is not None and p in stage.member_set:
+                        products[(a, b)] = p
+            for (a, b), ab in products.items():
+                for (c, d), cd in products.items():
+                    checked += 1
+                    assert _root_sum_dominates(sigma_sq(ab, cd), sigma_sq(a, c), sigma_sq(b, d))
+        assert checked > 1000
 
 
 def test_perturbed_leaves_original_intact(desk_universe):
