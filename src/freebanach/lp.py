@@ -27,8 +27,13 @@ A two-phase simplex with Bland's rule, pivoting the same way, finds the
 first basis; it is dual feasible whatever the right-hand side, so each
 further target warm-starts with dual-simplex pivots (the desk tower makes
 7112 over 3284 solves, ``pivots``).
-``basic_solution_oracle`` independently enumerates all candidate supports
-and is the cross-check required of the LP route.
+
+``basic_solution_values`` is the cross-check required of the LP route: it
+enumerates every basis (every independent set of rank-many molecules; the
+docstring proves that bases suffice), eliminates each one once in integers
+with all targets as right-hand sides, and counts a candidate only after an
+exact residual check, so it shares the pivot formula but no trust in it.
+``basic_solution_oracle`` is its one-target call.
 """
 
 from __future__ import annotations
@@ -97,6 +102,20 @@ def _pivot(rows: list[list[int]], d: int, col: list[int], r: int) -> tuple[list[
         [s * x for x in prow] if i == r else _exact_update(abs(p), row, s * f, prow, d)
         for i, (row, f) in enumerate(zip(rows, col))
     ], abs(p)
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[Optional[int]]]:
+    """Integer-preserving Gauss-Jordan by ``_pivot`` over the first
+    ``ncols`` columns; returns the rows, d > 0 and, per column, its pivot
+    row, or None where the column depends on the columns before it."""
+    d = 1
+    pivot_rows: list[Optional[int]] = []
+    for c in range(ncols):
+        r = next((i for i, row in enumerate(rows) if row[c] and i not in pivot_rows), None)
+        if r is not None:
+            rows, d = _pivot(rows, d, [row[c] for row in rows], r)
+        pivot_rows.append(r)
+    return rows, d, pivot_rows
 
 
 class MoleculeLP:
@@ -323,36 +342,74 @@ def verify_certificate(
     )
 
 
+def basic_solution_values(
+    molecules: Sequence[Vec], costs: Sequence[Fraction], targets: Sequence[Vec]
+) -> list[Optional[Fraction]]:
+    """min sum_j |beta_j| cost_j s.t. sum_j beta_j m_j = t for each target t,
+    by exhaustive enumeration of bases; None where t leaves the span.
+
+    Bases suffice.  With beta = beta+ - beta-, the program is a linear
+    program in nonnegative variables whose objective is bounded below by 0
+    (costs are nonnegative), so a feasible target attains its optimum at a
+    vertex; a vertex's columns +-m_j are linearly independent, so its
+    support S' is an independent molecule set.  Let r be the rank of all
+    molecules.  S' extends to an independent set S of exactly r molecules
+    (exchange lemma), and M_S has full column rank, so the unique solution
+    of M_S beta = t is the vertex's solution padded with zeros, at the same
+    cost.  Every basis solution is feasible, hence no cheaper than the
+    optimum, so the minimum over the size-r subsets that are independent
+    and consistent with t is the optimum.  A target outside the span is
+    consistent with no subset; the zero target gets 0 on any basis.
+
+    Molecules and targets are scaled to integers by one lcm (which leaves
+    every solution beta unchanged) and each size-r subset is eliminated
+    once, all targets riding along as right-hand-side columns, by the
+    integer-preserving pivot ``_pivot`` the simplex uses: afterwards the
+    pivot block is d * I, so d * beta is read off the pivot rows.  A target
+    counts a subset only when the non-pivot rows vanish in its column and
+    the candidate passes the exact residual check M_S (d beta) = d t in
+    ints, so a fault in the shared pivot can only raise a value, never
+    lower it, and a comparison with the simplex reports it as a mismatch.
+    Exponential in the molecule count: intended for small instances only.
+    """
+    targets = [tuple(Fraction(x) for x in t) for t in targets]
+    if not targets:
+        return []
+    dim = len(targets[0])
+    mols = [tuple(Fraction(x) for x in m) for m in molecules]
+    scale = lcm(*(x.denominator for v in (*mols, *targets) for x in v))
+    cols = [[int(x * scale) for x in m] for m in mols]
+    rhs = [[int(x * scale) for x in t] for t in targets]
+    cost_den = lcm(*(Fraction(c).denominator for c in costs))
+    cost = [int(Fraction(c) * cost_den) for c in costs]
+    _, _, pivot_rows = _eliminate([[c[i] for c in cols] for i in range(dim)], len(cols))
+    rank = len(pivot_rows) - pivot_rows.count(None)
+    # per target: sum |d beta_j| cost_j and its d, the value times d * cost_den
+    best: list[Optional[tuple[int, int]]] = [None] * len(targets)
+    for subset in combinations(range(len(cols)), rank):
+        tableau = [[cols[j][i] for j in subset] + [t[i] for t in rhs] for i in range(dim)]
+        tableau, d, pivot_rows = _eliminate(tableau, rank)
+        if None in pivot_rows:
+            continue  # dependent subset
+        free = [i for i in range(dim) if i not in pivot_rows]
+        for k, t in enumerate(rhs):
+            c = rank + k
+            if any(tableau[i][c] for i in free):
+                continue  # inconsistent: t leaves the span of the subset
+            x = [tableau[i][c] for i in pivot_rows]  # d * beta
+            num = sum(abs(b) * cost[j] for b, j in zip(x, subset))
+            if best[k] is not None and num * best[k][1] >= best[k][0] * d:
+                continue
+            if any(sum(cols[j][i] * b for j, b in zip(subset, x)) != d * t[i] for i in range(dim)):
+                continue  # residual check: a faulty pivot never counts
+            best[k] = (num, d)
+    return [None if b is None else Fraction(b[0], b[1] * cost_den) for b in best]
+
+
 def basic_solution_oracle(
     molecules: Sequence[Vec], costs: Sequence[Fraction], target: Vec
 ) -> Optional[Fraction]:
-    """Exhaustive enumeration of basic feasible supports.
-
-    Any optimum of the weighted-l1 problem is attained on a linearly
-    independent molecule subset, so trying every subset of size <= rank and
-    solving exactly yields the true minimum.  Returns None when the target
-    is not in the molecule span.  Intended for small instances only.
-    """
-    if all(x == 0 for x in target):
-        return Fraction(0)
-    dim = len(target)
-    _, pivots = _row_reduce([list(col) for col in zip(*molecules)])
-    rank = len(pivots)
-    best: Optional[Fraction] = None
-    idx = range(len(molecules))
-    for k in range(1, rank + 1):
-        for subset in combinations(idx, k):
-            cols = [molecules[j] for j in subset]
-            aug = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(dim)]
-            reduced, piv = _row_reduce(aug)
-            if any(p == k for p in piv):
-                continue  # inconsistent: pivot in the rhs column
-            if len(piv) < k:
-                continue  # dependent subset; a smaller one covers it
-            beta = [Fraction(0)] * k
-            for row, p in zip(reduced, piv):
-                beta[p] = row[k]
-            value = sum(abs(b) * costs[j] for b, j in zip(beta, subset))
-            if best is None or value < best:
-                best = value
-    return best
+    """``basic_solution_values`` for one target: the least cost over the
+    bases of the molecules (which suffice, as proved there), each eliminated
+    in integers and residual-checked; None outside the span."""
+    return basic_solution_values(molecules, costs, [target])[0]

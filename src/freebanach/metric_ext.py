@@ -452,27 +452,55 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
 
     Dijkstra from the empty pair over aligned prefix products kept within
     the ambient length: appending a member pair (a, b) costs delta(a, b),
-    so settled distances are exactly the factorization minima.  Pure
-    dict/heap/Fraction code, no shared machinery with the production
-    closure.  Returns the table plus the largest factor count used on any
-    optimal path."""
+    so settled distances are exactly the factorization minima.  Costs are
+    Python ints at the lcm of delta's denominators, and each distinct
+    prefix word memoizes its in-bound extensions by the distinct factor
+    words, so ``reduce_concat`` runs once per (prefix, factor) rather than
+    once per node and step.  The heap key (cost, depth, node) fixes the
+    settle order, and with it the reported depth.  Pure dict/heap/int code:
+    no word space, product table or scaled arrays shared with the
+    production closure.  Returns the table, in ``Fraction``, plus the
+    largest factor count used on any optimal path."""
     import heapq
+    from math import lcm
 
     store = universe.store
     if delta is None:
         delta = delta_bounds(universe, stage, prev, cfg)
     amb_len = cfg.ambient_expansion * stage.word_cap
-    steps = []
+    # factor words (one per distinct member word) and cost[i][j] for the
+    # step by factor words i on the left and j on the right, None if delta
+    # has no clause; a repeated word pair keeps its least cost
+    factors: dict[Letters, int] = {}
+    for m in stage.members:
+        factors.setdefault(store.word_of(m), len(factors))
+    raw: dict[tuple[int, int], Fraction] = {}
     for a in stage.members:
-        wa = store.word_of(a)
+        ia = factors[store.word_of(a)]
         for b in stage.members:
             v = delta.get(a, b)
-            if v is not None:
-                steps.append((wa, store.word_of(b), v))
+            k = (ia, factors[store.word_of(b)])
+            if v is not None and (k not in raw or v < raw[k]):
+                raw[k] = v
+    scale = lcm(*(v.denominator for v in raw.values()))
+    cost: list[list[Optional[int]]] = [[None] * len(factors) for _ in factors]
+    for (i, j), v in raw.items():
+        cost[i][j] = v.numerator * (scale // v.denominator)
+    words = list(factors)
+    extensions: dict[Letters, list[tuple[int, Letters]]] = {}
+
+    def extend(u: Letters) -> list[tuple[int, Letters]]:
+        ext = extensions.get(u)
+        if ext is None:
+            ext = extensions[u] = [
+                (i, w) for i, w in enumerate(reduce_concat(u, f) for f in words) if len(w) <= amb_len
+            ]
+        return ext
+
     start = ((), ())
-    dist: dict[tuple[Letters, Letters], Fraction] = {start: Fraction(0)}
+    dist: dict[tuple[Letters, Letters], int] = {start: 0}
     depth: dict[tuple[Letters, Letters], int] = {start: 0}
-    heap: list = [(Fraction(0), 0, start)]
+    heap: list = [(0, 0, start)]
     settled = set()
     while heap:
         d, k, node = heapq.heappop(heap)
@@ -480,20 +508,20 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
             continue
         settled.add(node)
         u, v = node
-        for wa, wb, cost in steps:
-            nu = reduce_concat(u, wa)
-            if len(nu) > amb_len:
-                continue
-            nv = reduce_concat(v, wb)
-            if len(nv) > amb_len:
-                continue
-            nd = d + cost
-            key = (nu, nv)
-            cur = dist.get(key)
-            if cur is None or nd < cur:
-                dist[key] = nd
-                depth[key] = k + 1
-                heapq.heappush(heap, (nd, k + 1, key))
+        right = extend(v)
+        for i, nu in extend(u):
+            row = cost[i]
+            for j, nv in right:
+                c = row[j]
+                if c is None:
+                    continue
+                nd = d + c
+                key = (nu, nv)
+                cur = dist.get(key)
+                if cur is None or nd < cur:
+                    dist[key] = nd
+                    depth[key] = k + 1
+                    heapq.heappush(heap, (nd, k + 1, key))
     out: dict[tuple[int, int], Fraction] = {}
     max_depth = 0
     for i, a in enumerate(stage.members):
@@ -505,6 +533,6 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
             ]
             if candidates:
                 val, dep = min(candidates)
-                out[DeltaTable.key(a, b)] = val
+                out[DeltaTable.key(a, b)] = Fraction(val, scale)
                 max_depth = max(max_depth, dep)
     return out, max_depth

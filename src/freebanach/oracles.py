@@ -15,7 +15,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from .lp import InfeasibleLP, MoleculeLP, basic_solution_oracle, certifies_target, dual_feasible
+from .lp import InfeasibleLP, MoleculeLP, basic_solution_values, certifies_target, dual_feasible
 from .relax import ConstraintSystem, Equality, UpperCombo, brute_force_oracle, relax_fixpoint
 from .stages import Config, Universe
 from .terms import UNIT_ID
@@ -68,21 +68,17 @@ def check_relax_oracle(count: int = 100, seed: int = 0, depth: int = 8):
     mismatches = 0
     for _ in range(count):
         sys_ = random_micro_system(rng)
-        got = relax_fixpoint(sys_)
-        want = brute_force_oracle(sys_, depth)
-        finite = {i: v for i, v in got.values.items()}
-        if finite != want:
+        if relax_fixpoint(sys_).values != brute_force_oracle(sys_, depth):
             mismatches += 1
     return f"relax fixpoint vs depth-{depth} enumeration on {count} systems", mismatches == 0
 
 
-def check_lp_oracle(count: int = 40, seed: int = 1):
-    """Exact simplex == basic-solution enumeration on random instances with
-    at most 12 molecules."""
+def random_lp_instances(count: int, seed: int):
+    """``count`` random molecule programs (molecules, costs, three targets)
+    in dims 2-4 with at most 12 nonzero molecules."""
     rng = random.Random(seed)
-    mismatches = 0
-    trials = 0
-    while trials < count:
+    made = 0
+    while made < count:
         d = rng.choice([2, 3, 4])
         j = rng.randint(d, 12)
         molecules = [
@@ -93,17 +89,26 @@ def check_lp_oracle(count: int = 40, seed: int = 1):
         if not molecules:
             continue
         costs = [Fraction(rng.randint(1, 6), rng.choice([1, 2])) for _ in molecules]
+        targets = [
+            tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(d)) for _ in range(3)
+        ]
+        yield molecules, costs, targets
+        made += 1
+
+
+def check_lp_oracle(count: int = 40, seed: int = 1):
+    """Exact simplex == basic-solution enumeration on random instances with
+    at most 12 molecules."""
+    mismatches = 0
+    for molecules, costs, targets in random_lp_instances(count, seed):
         lp = MoleculeLP(molecules, costs)
-        for _ in range(3):
-            target = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(d))
-            want = basic_solution_oracle(molecules, costs, target)
+        for target, want in zip(targets, basic_solution_values(molecules, costs, targets)):
             try:
                 got = lp.solve(target)
             except InfeasibleLP:
                 got = None
             if got != want:
                 mismatches += 1
-        trials += 1
     return f"molecule program vs basic-solution oracle on {count} instances", mismatches == 0
 
 
@@ -119,26 +124,30 @@ def check_stage2_oracle(cfg: Config | None = None):
     basis_pos = {b: i for i, b in enumerate(s2.basis)}
     molecules = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1))]
     costs = [Fraction(1), Fraction(1), Fraction(2)]
-    bad = 0
-    for m in s2.members:
-        v = member_vector(universe, m, basis_pos, 2)
-        if s2.table[m] != basic_solution_oracle(molecules, costs, v):
-            bad += 1
+    vectors = [member_vector(universe, m, basis_pos, 2) for m in s2.members]
+    want = basic_solution_values(molecules, costs, vectors)
+    bad = sum(1 for m, w in zip(s2.members, want) if s2.table[m] != w)
     return f"stage-2 norm table vs three-variable oracle ({len(s2.members)} entries)", bad == 0
+
+
+def rho_oracle_mismatches(universe):
+    """The third-stage table's pairs whose value differs from the
+    independent factorization search, sorted, and the search's depth."""
+    from .metric_ext import rho_decomposition_oracle
+
+    s3 = universe.stage(3)
+    oracle, depth = rho_decomposition_oracle(universe, s3, universe.stage(2), universe.cfg)
+    return sorted(k for k, v in s3.table.items() if oracle.get(k) != v), depth
 
 
 def check_rho_oracle(cfg: Config | None = None):
     """Third-stage metric (by default desk's) against the independent
     factorization search."""
-    from .metric_ext import rho_decomposition_oracle
-
     universe = Universe(cfg or Config.desk(stage_count=3)).build()
-    s3 = universe.stage(3)
-    oracle, depth = rho_decomposition_oracle(universe, s3, universe.stage(2), universe.cfg)
-    bad = sum(1 for k, v in s3.table.items() if oracle.get(k) != v)
+    bad, depth = rho_oracle_mismatches(universe)
     return (
-        f"stage-3 metric vs factorization oracle ({len(s3.table)} pairs, depth {depth})",
-        bad == 0,
+        f"stage-3 metric vs factorization oracle ({len(universe.stage(3).table)} pairs, depth {depth})",
+        not bad,
     )
 
 

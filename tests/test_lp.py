@@ -6,15 +6,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freebanach import lp as lp_module
 from freebanach.lp import (
     InexactDivision,
     InfeasibleLP,
     MoleculeLP,
     _pivot,
     basic_solution_oracle,
+    basic_solution_values,
     verify_certificate,
 )
-from freebanach.oracles import check_lp_oracle
+from freebanach.oracles import check_lp_oracle, random_lp_instances
 
 STAGE1_MOLECULES = [(F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
 STAGE1_COSTS = [F(1), F(1), F(2)]
@@ -55,9 +57,8 @@ def test_warm_restart_many_targets():
     mols = [m for m in mols if any(m)]
     costs = [F(rng.randint(1, 5)) for _ in mols]
     lp = MoleculeLP(mols, costs)
-    for _ in range(60):
-        t = tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(3))
-        want = basic_solution_oracle(mols, costs, t)
+    targets = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(3)) for _ in range(60)]
+    for t, want in zip(targets, basic_solution_values(mols, costs, targets)):
         try:
             got = lp.solve(t)
         except InfeasibleLP:
@@ -66,8 +67,52 @@ def test_warm_restart_many_targets():
 
 
 def test_oracle_runs():
-    line, ok = check_lp_oracle(count=40, seed=1)
+    """A seed other than criterion 6's, so the two check distinct instances."""
+    line, ok = check_lp_oracle(count=40, seed=7)
     assert ok, line
+
+
+def test_oracle_optimum_on_one_molecule_of_a_rank_3_set():
+    """The optimum uses one molecule; the oracle, which tries only bases of
+    size 3, finds it on a basis padded with zeros."""
+    mols = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(1))]
+    costs = [F(1), F(1), F(1), F(1)]
+    target = (F(2), F(2), F(2))
+    assert basic_solution_oracle(mols, costs, target) == 2
+    assert MoleculeLP(mols, costs).solve(target) == 2
+
+
+def test_oracle_on_a_proper_subspace():
+    """Molecules spanning a plane in dimension 3 (rank 2, with a dependent
+    pair): an in-span target gets its value, an out-of-span target None and
+    the zero target 0."""
+    mols = [(F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(1), F(1), F(2)), (F(2), F(0), F(2))]
+    costs = [F(1), F(3), F(3), F(1)]
+    targets = [(F(2), F(1), F(3)), (F(1), F(0), F(0)), (F(0), F(0), F(0))]
+    assert basic_solution_values(mols, costs, targets) == [F(7, 2), None, 0]
+    assert MoleculeLP(mols, costs).solve(targets[0]) == F(7, 2)
+
+
+def test_oracle_residual_check_refuses_a_faulty_elimination(monkeypatch):
+    """An elimination that zeroes the right-hand sides would read beta = 0,
+    value 0, for every target; the residual check refuses each such
+    candidate, so the fault can only raise values (here to None)."""
+    honest = lp_module._eliminate
+
+    def faulty(rows, ncols):
+        rows, d, pivot_rows = honest(rows, ncols)
+        return [row[:ncols] + [0] * (len(row) - ncols) for row in rows], d, pivot_rows
+
+    monkeypatch.setattr(lp_module, "_eliminate", faulty)
+    targets = [(F(1), F(0)), (F(1, 2), F(-1, 2)), (F(0), F(0))]
+    assert basic_solution_values(STAGE1_MOLECULES, STAGE1_COSTS, targets) == [None, None, 0]
+
+
+def test_batched_oracle_equals_single_calls():
+    for mols, costs, targets in random_lp_instances(40, seed=1):
+        assert basic_solution_values(mols, costs, targets) == [
+            basic_solution_oracle(mols, costs, t) for t in targets
+        ]
 
 
 quarters = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 4]))

@@ -9,7 +9,9 @@ from freebanach.metric_ext import (
     delta_rank0_closure,
     rho_decomposition_oracle,
 )
+from freebanach.oracles import check_rho_oracle, rho_oracle_mismatches
 from freebanach.scalars import Dyadic
+from freebanach.verify import perturbed
 
 
 def test_rho1_base_case(exact_universe):
@@ -137,9 +139,22 @@ def test_oracle_equality_small_stage(desk_universe):
     s3 = u.stage(3)
     assert len(s3.members) <= 40
     oracle, depth = rho_decomposition_oracle(u, s3, u.stage(2), u.cfg)
-    assert depth <= 6
+    assert depth == 5
     for key, value in s3.table.items():
         assert oracle.get(key) == value
+
+
+def test_rho_oracle_counts_faults(desk_universe):
+    """On a copy of the table with one entry lowered and another raised,
+    the oracle comparison reports exactly those two pairs."""
+    u = desk_universe
+    low, high = sorted(k for k in u.stage(3).table if k[0] != k[1])[:2]
+    bad = perturbed(perturbed(u, 3, low, F(-1, 2)), 3, high, F(1))
+    assert rho_oracle_mismatches(bad) == ([low, high], 5)
+
+
+def test_check_rho_oracle_line():
+    assert check_rho_oracle() == ("stage-3 metric vs factorization oracle (105 pairs, depth 5)", True)
 
 
 def test_closure_sweep_counts(desk_universe, rank_universe):
