@@ -5,10 +5,11 @@ sum_j beta_j * molecule_j = target,  over real beta.  Optima of rational
 data are rational and attained at basic solutions, so everything here is
 exact; no floating point touches any stored value.
 
-``MoleculeLP`` row-reduces the constraints once in ``Fraction``, scales the
-reduced system and the costs to integers by their common denominators, and
-from then on pivots in integers only (integer-preserving elimination:
-Edmonds 1967, Bareiss 1968).  For the current basis B it keeps
+``MoleculeLP`` scales the molecules and the costs to integers by their
+common denominators, row-reduces the constraints once, and pivots in
+integers only throughout (integer-preserving elimination: Edmonds 1967,
+Bareiss 1968; one ``_pivot`` serves the reduction, the simplex and the
+oracle).  For the current basis B it keeps
 d = |det B| > 0 and N = d * B^-1, which is +-adj B, plus the reduced costs
 scaled as R = d * cbar.  A pivot on row r, entering column a_e with
 col = N a_e and pivot entry p = col_r, sets
@@ -54,32 +55,6 @@ class InfeasibleLP(ValueError):
 class InexactDivision(ArithmeticError):
     """An exact integer division left a remainder: the invariant that made
     it exact (the pivot's d/N, or phi's scale S) broke."""
-
-
-def _row_reduce(matrix: list[list[Fraction]], ncols: Optional[int] = None):
-    """Gauss-Jordan elimination over the first ``ncols`` columns (all by
-    default); returns (all rows, pivot column indices).  Rows past the
-    pivots vanish on the eliminated columns."""
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    width = len(rows[0]) if rows else 0
-    for c in range(width if ncols is None else ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
 
 
 def _exact_update(p: int, row: list[int], f: int, prow: Sequence[int], d: int) -> list[int]:
@@ -136,20 +111,24 @@ class MoleculeLP:
         if any(c < 0 for c in self.costs):
             raise ValueError("negative molecule cost")
 
-        # Coordinate rows of the constraint matrix may be dependent; eliminate
-        # to full row rank, remembering the operator E so each target can be
-        # mapped into the reduced system and checked for consistency.
+        # Coordinate rows of the constraint matrix may be dependent: scale the
+        # molecules to integers by their lcm s and eliminate [A^T | s I], so
+        # the operator E (the right block) maps each target onto the scale of
+        # the reduced columns.  The pivot rows, in pivot-column order, are the
+        # working system; E's other rows vanish on targets in the span.
         d, J = self.dim, len(self.molecules)
-        work = [list(row) + [Fraction(int(i == k)) for k in range(d)]
+        scale = lcm(*(Fraction(x).denominator for mol in self.molecules for x in mol))
+        work = [[int(x * scale) for x in row] + [scale * (i == k) for k in range(d)]
                 for i, row in enumerate(zip(*self.molecules))]
-        work, pivots = _row_reduce(work, J)
+        work, _, pivot_rows = _eliminate(work, J)
+        pivots = [r for r in pivot_rows if r is not None]
+        work = [work[r] for r in pivots] + [row for i, row in enumerate(work) if i not in pivots]
         self.m = len(pivots)
         self.ncols = 2 * J
-        # one common scale makes the reduced rows and E integer; scaling all
-        # rows alike leaves every pivot choice, and phase one's, unchanged
-        scale = lcm(*(x.denominator for row in work for x in row))
-        self._op = [[int(x * scale) for x in row[J:]] for row in work]
-        cols = [tuple(int(work[i][j] * scale) for i in range(self.m)) for j in range(J)]
+        # the reduced rows are a positive multiple of the reduced row echelon
+        # form, which leaves every pivot choice, and phase one's, unchanged
+        self._op = [row[J:] for row in work]
+        cols = [tuple(work[i][j] for i in range(self.m)) for j in range(J)]
         self._cols = cols + [tuple(-x for x in col) for col in cols]  # signed columns
         self._cost_den = lcm(*(c.denominator for c in self.costs))
         self._cost = [int(c * self._cost_den) for c in self.costs] * 2  # scaled c

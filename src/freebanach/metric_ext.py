@@ -7,7 +7,11 @@ factorizations into previous-stage elements; positive-rank pairs dispatch
 on membership of the elements and their inverses; mixed-rank pairs recurse
 convexly on the canonical decomposition.  The metric itself is the greatest
 function below delta closed under simultaneous inversion, product
-splitting, and the two convex inequalities; it is computed by relaxation.
+splitting, the two convex inequalities and the triangle inequality; one
+pair-composition closure computes it, over the ambient word space or, when
+that exceeds ``pair_cell_budget``, over the stage's own words, with the
+triangle family on member triples (which ``rho_extend`` proves implied on
+an ambient space of at least twice the word cap).
 
 delta is genuinely partial: an element whose word contains a negative
 occurrence of a promoted-combination generator is not a product of
@@ -80,7 +84,8 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     Atoms are pairs (a, b) of prev-stage elements with a - b in the previous
     stage, at cost ||a - b||; composing atoms left-to-right enumerates all
     aligned factorizations whose partial products stay in the ambient word
-    set (length <= ambient_expansion * word_cap).
+    set (length <= ambient_expansion * word_cap).  Only the prev-member
+    words' product lines are built.
     """
     store = universe.store
     space = _ambient_space(store, prev.members, stage, cfg)
@@ -88,7 +93,7 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
         raise MetricExtensionError(
             f"rank-0 closure space {len(space)}^2 exceeds pair_cell_budget"
         )
-    engine = PairComposition(len(space), space.product_table())
+    engine = PairComposition(space)
     prev_members = list(prev.members)
     atom_cells = set()
     for a in prev_members:
@@ -288,20 +293,64 @@ def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
 
 def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     """The greatest symmetric function below delta satisfying inversion
-    equality, product splitting, and convexity; keys are unordered member
-    pairs, the diagonal is implicitly zero."""
-    store = universe.store
+    equality, product splitting, convexity and the triangle inequality;
+    keys are unordered member pairs, the diagonal is implicitly zero.
+
+    One closure computes it: ``_rho_closure`` over the word space W of the
+    words of length <= L over the stage's letters.  W is the ambient space
+    (L = ambient_expansion * word_cap) when its |W|^2 cells fit
+    ``pair_cell_budget``, and otherwise the members space (L = word_cap),
+    whose words are exactly the stage's members in member order: the
+    stage enumerates its members by the same ``WordSpace``.  The budget
+    picks the space, not the rules; ``stage.notes["rho_mode"]`` names it.
+
+    The system on W seeds delta on member pairs (both orders) and 0 on the
+    diagonal.  Its rules are composition D(uw, vz) <= D(u, v) + D(w, z) for
+    the generators (w, z) = (w, w), every word w, and (a, b), member pairs
+    a != b, on both sides (right block: source (u, v), target (uw, vz); left
+    block: target (wu, zv)); the inverse mirror D(u, v) = D(u^-1, v^-1); the
+    convex instances D(a, b) <= sum c D(a, z), in both orders; and the
+    triangle inequality D(a, b) <= D(a, m) + D(m, b) over member triples.
+    Every family is invariant under transposing the cells, so the greatest
+    fixpoint is symmetric and is read off either order.
+
+    (i) With L = word_cap the cells are the member pairs, and the system
+    is, rule for rule, the metric's rules written over member pairs alone.
+    Product splitting rho(uv, st) <= rho(u, s) + rho(v, t), over members
+    whose products uv and st are members, is the right block of the
+    generator (v, t) at the source (u, s); when v = t its second term is
+    the diagonal generator (v, v) at cost 0, and when u = s its first term
+    is the source (u, u), seeded 0.  A left block is a splitting instance
+    with the factors' roles swapped.  Inversion is the mirror (every
+    member's inverse is a member), and the convex instances, the triangle
+    instances and the delta seeds are the same.  So both have the same
+    closed functions below delta, and the same greatest one.
+
+    (ii) With L >= 2 word_cap the triangle family is implied.  Let a, b, m
+    be members with a != m != b (otherwise the instance is trivial, as
+    D(m, m) = 0).  The left block of the diagonal generator (m^-1, m^-1) at
+    the source (m, b) gives D(e, m^-1 b) <= D(m, b), because m^-1 b has
+    length <= 2 word_cap <= L; the left block of the generator (a, m) at the
+    source (e, m^-1 b) then gives D(a, b) <= D(a, m) + D(e, m^-1 b) <=
+    D(a, m) + D(m, b).  So every function closed under the other families is
+    closed under the triangle family, and every greatest fixpoint is the
+    one without it.
+
+    As ambient_expansion is an integer, L is word_cap or at least
+    2 word_cap.  At expansion 1 the ambient space is the members space, so
+    the budget cannot change a value there, and at expansion >= 2 the
+    triangle family changes none (ii).
+    """
     if stage.index == 1:
         return _base_case_table(universe, stage)
 
     delta = delta_bounds(universe, stage, prev, cfg)
     members = stage.members
-    space = _ambient_space(store, members, stage, cfg)
+    space = _ambient_space(universe.store, members, stage, cfg)
     ambient = len(space) ** 2 <= cfg.pair_cell_budget
-    if ambient:
-        table, sweeps = _rho_ambient(universe, stage, delta, space)
-    else:
-        table, sweeps = _rho_members_only(universe, stage, delta)
+    if not ambient:
+        space = WordSpace(space.alphabet, stage.word_cap)
+    table, sweeps = _rho_closure(universe, stage, delta, space)
     stage.notes["rho_sweeps"] = sweeps
     stage.notes["rho_mode"] = "ambient" if ambient else "members"
 
@@ -315,10 +364,11 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     return table
 
 
-def _rho_ambient(universe, stage, delta: DeltaTable, space: WordSpace):
-    """Full ambient-pair composition closure (small alphabets)."""
+def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
+    """The pair-composition closure of ``rho_extend``'s system over
+    ``space``; returns the member-pair table and the sweep count."""
     store = universe.store
-    engine = PairComposition(len(space), space.product_table(), space.inverse_map())
+    engine = PairComposition(space, inverse=True)
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
 
     for (a, b), val in delta.values.items():
@@ -331,6 +381,7 @@ def _rho_ambient(universe, stage, delta: DeltaTable, space: WordSpace):
         for b in stage.members:
             if a != b:
                 engine.add_generator(word_idx[a], word_idx[b])
+    engine.add_triangle(word_idx.values())
     for inverse in (False, True):
         for b, terms in store.convex_instances(stage, inverse):
             wb = word_idx[b]
@@ -355,69 +406,6 @@ def _rho_ambient(universe, stage, delta: DeltaTable, space: WordSpace):
             if vals:
                 table[DeltaTable.key(a, b)] = min(vals)
     return table, sweeps
-
-
-def _rho_members_only(universe, stage, delta: DeltaTable):
-    """Explicit-rule relaxation over member pairs: inversion equalities,
-    dense triangle rules, in-stage product splitting, and convexity.
-    Used when the ambient pair space exceeds the cell budget; decomposition
-    minima over out-of-stage partial products come from delta only."""
-    store = universe.store
-    members = stage.members
-    mset = stage.member_set
-    pairs = [
-        DeltaTable.key(a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    ]
-    pair_set = set(pairs)
-
-    def key(a, b):
-        return DeltaTable.key(a, b)
-
-    bounds: dict[tuple[int, int], Optional[Fraction]] = {p: delta.values.get(p) for p in pairs}
-    rules: list = []
-    inv_of = {m: store.lookup(store.group_inv(m)) for m in members}
-    for a, b in pairs:
-        ia, ib = inv_of[a], inv_of[b]
-        if ia in mset and ib in mset and key(ia, ib) != (a, b):
-            rules.append(Equality((a, b), key(ia, ib)))
-    one = Fraction(1)
-    for a, b in pairs:
-        for m in members:
-            if m == a or m == b:
-                continue
-            rules.append(UpperCombo((a, b), ((one, key(a, m)), (one, key(m, b)))))
-    # in-stage product splits
-    products = []
-    for u in members:
-        for v in members:
-            p = store.lookup(store.group_mul(u, v))
-            if p is not None and p in mset:
-                products.append((u, v, p))
-    for u, v, p1 in products:
-        for s, t, p2 in products:
-            if p1 == p2:
-                continue
-            target = key(p1, p2)
-            terms = []
-            if u != s:
-                terms.append((one, key(u, s)))
-            if v != t:
-                terms.append((one, key(v, t)))
-            if not terms or target in [j for _, j in terms]:
-                continue
-            rules.append(UpperCombo(target, tuple(terms)))
-    for inverse in (False, True):
-        for b, terms in store.convex_instances(stage, inverse):
-            for a in members:
-                if a != b:
-                    combo = tuple((c, key(a, z)) for c, z in terms if a != z)
-                    rules.append(UpperCombo(key(a, b), combo))
-
-    sys = ConstraintSystem(indices=tuple(pairs), bounds=bounds, rules=rules)
-    result = relax_fixpoint(sys)
-    return dict(result.values), result.sweeps
 
 
 # ---------------------------------------------------------------------------

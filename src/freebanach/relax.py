@@ -14,12 +14,15 @@ Three realizations share those semantics:
                              indices (exact ``Fraction`` arithmetic);
 * ``PairComposition``     -- the word-pair composition family
                              D(P.Q) <= D(P) + D(Q) used by the metric
-                             extension, over scaled integers and
-                             block-sparse: each generator side composes
-                             one dense block of the word pairs whose
-                             products stay in the ambient set (the
-                             injectivity of free-group multiplication
-                             makes the block write exact; see the class);
+                             extension (rank-0 delta and rho), over
+                             scaled integers and block-sparse: each
+                             generator side composes one dense block of
+                             the word pairs whose products stay in the
+                             word space (the injectivity of free-group
+                             multiplication makes the block write exact;
+                             see the class), plus the inverse mirror,
+                             explicit convex instances and a triangle
+                             pass over a registered member set;
 * ``LatticeSystem``       -- coefficient-lattice step/homogeneity families,
                              same scaling.  The build no longer calls it:
                              the norm is the molecule gauge gamma, and a
@@ -301,11 +304,11 @@ class PairTable:
         return None if v >= _INT_INF else Fraction(v, self._scale)
 
 
-def _shift_map(prod_line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sources whose product with ``word`` stays in the ambient set, and
+def _shift_map(line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sources whose product with ``word`` stays in the word space, and
     their products; RelaxError unless no two sources share a product."""
-    src = np.nonzero(prod_line >= 0)[0]
-    tgt = prod_line[src].astype(np.intp)
+    src = np.nonzero(line >= 0)[0]
+    tgt = line[src]
     if np.unique(tgt).size != tgt.size:
         raise RelaxError(f"{side} product with word {word} is not injective")
     return src, tgt
@@ -314,41 +317,49 @@ def _shift_map(prod_line: np.ndarray, word: int, side: str) -> tuple[np.ndarray,
 class PairComposition:
     """Min-plus closure of seeded word-pair cells under composition
     D((uw)', (vz)') <= D(u, v) + D(w, z), with optional simultaneous-inverse
-    equality and explicit convex instances.
+    equality, explicit convex instances and a triangle family.
 
-    ``prod[u, w]`` maps a word pair to the index of its reduced product, or
-    -1 when the product leaves the ambient word set; composition is
-    restricted to a generator cell list, which is complete for derivations
-    whose left-to-right partial products stay inside the ambient set.
+    ``space`` is a ``WordSpace``: ``space.product_lines(w)`` gives, for
+    every word u, the index of the reduced product u.w (and of w.u), or -1
+    when it leaves the space.  Composition is restricted to a generator
+    cell list, which is complete for derivations whose left-to-right
+    partial products stay inside the space.
 
     Block plan.  For each generator word w the sources u with u.w in the
-    ambient set, and their products, are read once off column w of
-    ``prod`` (w.u off row w).  A generator (w, z) then composes as one
-    dense block per side,
+    space, and their products, are read once off w's product lines (only
+    generator words' lines are built).  A generator (w, z) then composes as
+    one dense block per side,
     D[tgt_w x tgt_z] = min(D[tgt_w x tgt_z], before[src_w x src_z] + D(w, z)),
     so only (cell, generator) pairs whose two products both land are ever
     touched.  The plain assignment is exact because right (and left)
     multiplication by a fixed element of a free group is injective: no two
     sources of a block share a target, so no candidate is overwritten.  The
     maps are checked to be injective when they are built (RelaxError
-    otherwise), so a malformed product table cannot lose a candidate.
+    otherwise), so a malformed product line cannot lose a candidate.
+
+    Triangle family.  ``add_triangle(words)`` adds D(a, b) <= D(a, m) +
+    D(m, b) for a, b and m among those words only, applied in place, one
+    pivot m at a time (O(n^2) memory), over the finite entries of m's column
+    and row: a sum of two finite values stays below 2^63, so +inf never
+    wraps.
 
     Sweep order.  Each sweep reads sources from the snapshot taken at its
     start and reads each generator's cost D(w, z) live, in generator order,
-    once for both sides; then applies the inverse mirror and the convex
-    instances.  A block touches exactly the targets a per-cell scatter of
-    the same sources would, with the same candidate values, so every sweep
-    leaves the same table and the fixpoint and sweep count are those of
-    the per-cell evaluation.
+    once for both sides; then applies the inverse mirror, the triangle
+    family and the convex instances.  A block touches exactly the targets a
+    per-cell scatter of the same sources would, with the same candidate
+    values, so every sweep leaves the same table and the fixpoint and sweep
+    count are those of the per-cell evaluation.
     """
 
-    def __init__(self, n_words: int, prod: np.ndarray, inv: Optional[np.ndarray] = None):
-        self.n = n_words
-        self.prod = prod
-        self.inv = inv
+    def __init__(self, space, inverse: bool = False):
+        self.space = space
+        self.n = len(space)
+        self.inv = space.inverse_map() if inverse else None
         self.seeds: dict[tuple[int, int], Fraction] = {}
         self.generators: list[tuple[int, int]] = []
         self.fraction_rules: list[tuple[tuple[int, int], tuple[tuple[Fraction, tuple[int, int]], ...]]] = []
+        self.triangle = np.empty(0, dtype=np.intp)
 
     def seed(self, u: int, v: int, value: Fraction) -> None:
         key = (u, v)
@@ -362,14 +373,18 @@ class PairComposition:
     def add_convex(self, target: tuple[int, int], terms: Sequence[tuple[Fraction, tuple[int, int]]]) -> None:
         self.fraction_rules.append((target, tuple(terms)))
 
+    def add_triangle(self, words: Iterable[int]) -> None:
+        self.triangle = np.fromiter(words, dtype=np.intp)
+
     def _blocks(self) -> list[tuple[int, int, list]]:
         """Per generator (w, z): its right and left blocks as (source,
         target) ``np.ix_`` index pairs, from maps built once per word."""
         right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for w in dict.fromkeys(word for gen in self.generators for word in gen):
-            right[w] = _shift_map(self.prod[:, w], w, "right")
-            left[w] = _shift_map(self.prod[w, :], w, "left")
+            right_line, left_line = self.space.product_lines(w)
+            right[w] = _shift_map(right_line, w, "right")
+            left[w] = _shift_map(left_line, w, "left")
         blocks = []
         for w, z in self.generators:
             sides = []
@@ -392,7 +407,7 @@ class PairComposition:
         raise ScaleOverflowError("could not find a workable common denominator")
 
     def _solve_scaled(self, scale: int, sweep_cap: int, blocks) -> tuple[PairTable, int]:
-        n = self.n
+        n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
             s = to_scaled(val, scale)
@@ -418,6 +433,10 @@ class PairComposition:
                     D[tgt] = np.minimum(D[tgt], before[src] + g)
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
+            for m in tri:
+                a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
+                block = np.ix_(a, b)
+                D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
             frac.apply(flat)
             if np.array_equal(D, before):
                 break

@@ -73,10 +73,13 @@ class Config:
     relaxation to a fixpoint.  ``ambient_expansion`` bounds the partial
     products the metric minimizations may pass through (words of length up
     to ``ambient_expansion`` times the stage's word cap).  The budgets bound
-    stage sizes (``member_budget``), the ambient pair space of the metric
-    closures (``pair_cell_budget``) and the exhaustive verification
+    stage sizes (``member_budget``), the ambient pair space of the rank-0
+    closure (``pair_cell_budget``) and the exhaustive verification
     quantifiers (``quantifier_budget``; sampled with ``seed`` beyond it).
-    A budget is never truncated silently: exceeding one is an error.
+    A budget is never truncated silently: exceeding one is an error.  For
+    the metric closure ``pair_cell_budget`` picks the word space, not a
+    second engine: the ambient words when their pairs fit, else the stage's
+    own words, under the rules ``metric_ext.rho_extend`` lists.
     """
 
     stage_count: int = 4

@@ -101,8 +101,8 @@ def reduce_concat(a: Letters, b: Letters) -> Letters:
 
 class WordSpace:
     """The irreducible words of length <= max_len over a signed-letter
-    alphabet, shortest first and in alphabet order within a length, with a
-    dense reduced-product table for the composition engine."""
+    alphabet, shortest first and in alphabet order within a length, with
+    reduced-product lines for the composition engine."""
 
     def __init__(self, alphabet: list[tuple[int, int]], max_len: int):
         self.alphabet = list(alphabet)
@@ -132,17 +132,24 @@ class WordSpace:
     # need only the words, and importing numpy ahead of the rest of the
     # package made a cold start of the package about 10 % slower on a busy
     # 2-core host (0.166 s against 0.148 s to the end of set-up).
-    def product_table(self):
+    def product_lines(self, w: int):
+        """For every word u, the index of the reduced product u.w and of
+        w.u, or -1 where the product leaves the space.  A product longer
+        than the two lengths allow is reduced only if its junction cancels."""
         import numpy as np
 
-        n = len(self.words)
-        prod = np.full((n, n), -1, dtype=np.int32)
+        word, n = self.words[w], len(self.words)
+        right, left = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+        room = self.max_len - len(word)
+        head = word and (word[0][0], -word[0][1])  # the last letter of u that cancels in u.w
+        tail = word and (word[-1][0], -word[-1][1])  # the first letter of u that cancels in w.u
         for i, u in enumerate(self.words):
-            for j, v in enumerate(self.words):
-                p = reduce_concat(u, v)
-                if len(p) <= self.max_len:
-                    prod[i, j] = self.index[p]
-        return prod
+            fits = len(u) <= room
+            if fits or u[-1] == head:
+                right[i] = self.index.get(reduce_concat(u, word), -1)
+            if fits or u[0] == tail:
+                left[i] = self.index.get(reduce_concat(word, u), -1)
+        return right, left
 
     def inverse_map(self):
         import numpy as np

@@ -1,5 +1,6 @@
 """Metric extension: base case, delta dispatch, extension equality, oracle."""
 
+import dataclasses
 from fractions import Fraction as F
 
 from freebanach import Config, Universe, UNIT_ID
@@ -11,7 +12,7 @@ from freebanach.metric_ext import (
 )
 from freebanach.oracles import check_rho_oracle, rho_oracle_mismatches
 from freebanach.scalars import Dyadic
-from freebanach.verify import perturbed
+from freebanach.verify import check_biinvariance, perturbed
 
 
 def test_rho1_base_case(exact_universe):
@@ -165,3 +166,23 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
     assert desk_universe.stage(3).notes["delta_sweeps"] == 5
     desk3 = desk_universe.stage(3).notes
     assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)
+    rank3 = rank_universe.stage(3).notes
+    assert (rank3["rho_mode"], rank3["rho_sweeps"]) == ("members", 2)
+
+
+def test_rho_at_expansion_one_ignores_the_budget():
+    """At ambient expansion 1 the ambient word space is the stage's own
+    words, so the budget that picks the space changes no value: the default
+    budget (ambient) and a budget one cell short of it (members) give one
+    rho_3, and it satisfies the triangle inequality.  Before the triangle
+    family, the ambient closure gave 4 on 15 pairs where the members system
+    gave 2, and failed the triangle section."""
+    cfg = dataclasses.replace(Config.desk(stage_count=3), ambient_expansion=1)
+    by_budget = {}
+    for budget in (cfg.pair_cell_budget, 15**2 - 1):
+        u = Universe(dataclasses.replace(cfg, pair_cell_budget=budget)).build()
+        by_budget[u.stage(3).notes["rho_mode"]] = u
+    assert by_budget.keys() == {"ambient", "members"}
+    assert by_budget["ambient"].stage(3).table == by_budget["members"].stage(3).table
+    tri, _ = check_biinvariance(by_budget["ambient"], by_budget["ambient"].stage(3)).reports
+    assert tri.ok and tri.attempted == 15**3

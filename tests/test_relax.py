@@ -193,7 +193,7 @@ def test_maximality_vs_oracle_100_systems():
 def pair_systems(draw):
     """A small word space with dyadic seeds, generators drawn from the
     seeded cells (a generator at +inf composes nothing), optionally the
-    inverse map, and at most one convex instance."""
+    inverse map, at most one convex instance and a triangle word set."""
     letters, max_len = draw(st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2)]))
     space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)][: 2 * letters], max_len)
     cell = st.tuples(st.integers(0, len(space) - 1), st.integers(0, len(space) - 1))
@@ -208,14 +208,24 @@ def pair_systems(draw):
     if draw(st.booleans()):
         c = draw(st.sampled_from([F(1, 2), F(1, 4)]))
         convex.append((draw(cell), ((c, draw(seeded)), (1 - c, draw(seeded)))))
-    return space, seeds, generators, inverse, convex
+    triangle = draw(st.lists(st.integers(0, len(space) - 1), max_size=6, unique=True))
+    return space, seeds, generators, inverse, convex, triangle
 
 
-def _explicit_pair_system(space, seeds, generators, inverse, convex):
+def _product_table(space):
+    """prod[u, w]: the index of the reduced product u.w, or -1, assembled
+    from the engine's product lines (row w of ``prod`` is w's left line)."""
+    lines = [space.product_lines(w) for w in range(len(space))]
+    prod = np.column_stack([right for right, _ in lines])
+    assert (prod == np.vstack([left for _, left in lines])).all()
+    return prod
+
+
+def _explicit_pair_system(space, seeds, generators, inverse, convex, triangle=()):
     """The rules PairComposition closes under, written out one instance per
     cell for ``relax_fixpoint``."""
     n = len(space)
-    prod, inv = space.product_table(), space.inverse_map()
+    prod, inv = _product_table(space), space.inverse_map()
     cells = [(u, v) for u in range(n) for v in range(n)]
     bounds = dict.fromkeys(cells)
     for c, val in seeds:
@@ -232,7 +242,20 @@ def _explicit_pair_system(space, seeds, generators, inverse, convex):
     if inverse:
         rules += [Equality((u, v), (int(inv[u]), int(inv[v]))) for u, v in cells]
     rules += [UpperCombo(target, terms) for target, terms in convex]
+    rules += [UpperCombo((a, b), ((one, (a, m)), (one, (m, b)))) for a in triangle for b in triangle for m in triangle]
     return ConstraintSystem(indices=tuple(cells), bounds=bounds, rules=rules)
+
+
+def _pair_engine(space, seeds, generators, inverse, convex, triangle=()):
+    engine = PairComposition(space, inverse)
+    for (u, v), val in seeds:
+        engine.seed(u, v, val)
+    for gen in generators:
+        engine.add_generator(*gen)
+    for target, terms in convex:
+        engine.add_convex(target, terms)
+    engine.add_triangle(triangle)
+    return engine
 
 
 @given(pair_systems())
@@ -241,17 +264,8 @@ def test_pair_composition_matches_relax_fixpoint(system):
     """The block-sparse closure equals the explicit-rule fixpoint on every
     cell.  A convex instance can close a contracting cycle, whose fixpoint
     is only approached; then the engine must fail as the reference does."""
-    space, seeds, generators, inverse, convex = system
-    engine = PairComposition(
-        len(space), space.product_table(), space.inverse_map() if inverse else None
-    )
-    for (u, v), val in seeds:
-        engine.seed(u, v, val)
-    for gen in generators:
-        engine.add_generator(*gen)
-    for target, terms in convex:
-        engine.add_convex(target, terms)
-    ref_system = _explicit_pair_system(space, seeds, generators, inverse, convex)
+    engine = _pair_engine(*system)
+    ref_system = _explicit_pair_system(*system)
     try:
         ref = relax_fixpoint(ref_system, sweep_cap=60)
     except NonConvergenceError:
@@ -263,12 +277,37 @@ def test_pair_composition_matches_relax_fixpoint(system):
         assert table.get(cell) == ref.values.get(cell), cell
 
 
+def test_triangle_family_keeps_infinite_pairs():
+    """Words e, x, x^-1, y of a cap-1 space, seeded along e -> x -> x^-1 -> y
+    and x -> y only, with the triangle family alone.  It closes the paths
+    (x, y) = 1 + 3/2, (e, x^-1) = 2 and (e, y) = 7/2, and every pair against
+    the seeded direction, such as (y, e), stays +inf: only finite entries of
+    a pivot's column and row are summed, never two +inf entries (which
+    would wrap int64 to a negative value)."""
+    space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)], 1)
+    e, x, xi, y = 0, space.idx(((1, 1),)), space.idx(((1, -1),)), space.idx(((2, 1),))
+    seeds = [((m, m), F(0)) for m in (e, x, xi, y)]
+    seeds += [((e, x), F(1)), ((x, xi), F(1)), ((xi, y), F(3, 2)), ((x, y), F(5))]
+    system = (space, seeds, [], False, [], [e, x, xi, y])
+    table, _ = _pair_engine(*system).solve()
+    ref = relax_fixpoint(_explicit_pair_system(*system))
+    for cell in [(u, v) for u in range(len(space)) for v in range(len(space))]:
+        assert table.get(cell) == ref.values.get(cell), cell
+    assert (table.get((x, y)), table.get((e, xi)), table.get((e, y))) == (F(5, 2), F(2), F(7, 2))
+    assert table.get((y, e)) is None and table.get((xi, x)) is None
+    assert len(ref.values) == 4 + 6
+
+
 def test_pair_composition_rejects_non_injective_products():
     """Two sources with one product would make the block write drop a
-    candidate: the forged table is refused, not solved."""
-    prod = np.full((3, 3), -1, dtype=np.int32)
-    prod[1, 0] = prod[2, 0] = 0
-    engine = PairComposition(3, prod)
+    candidate: the forged product lines are refused, not solved."""
+
+    class ForgedSpace(WordSpace):
+        def product_lines(self, w):
+            line = np.array([0, 0, -1], dtype=np.intp)
+            return line, line
+
+    engine = PairComposition(ForgedSpace([(1, 1)], 1))
     engine.seed(0, 0, F(1))
     engine.add_generator(0, 0)
     with pytest.raises(RelaxError, match="not injective"):

@@ -202,7 +202,7 @@ def test_vector_diff_helper(desk_universe):
 
 def test_word_space_enumeration():
     """Every irreducible word up to the cap once, shortest first, in the
-    order the word stages intern them; the product table and inverse map
+    order the word stages intern them; the product lines and inverse map
     agree with the store's group operations."""
     store, (x, y, *_) = four_gen_store()
     letters = [(x, 1), (x, -1), (y, 1), (y, -1)]
@@ -213,12 +213,14 @@ def test_word_space_enumeration():
     ids = [store.intern(store.reduce_word(w)) for w in space.words]
     assert len(set(ids)) == len(space)
     assert [store.word_of(i) for i in ids] == space.words
-    prod, inv = space.product_table(), space.inverse_map()
-    for i, a in enumerate(ids):
-        assert ids[inv[i]] == store.inv_id(a)
-        for j, b in enumerate(ids):
-            k = space.idx(store.word_of(store.mul_id(a, b)))
-            assert prod[i, j] == (-1 if k is None else k)
+    inv = space.inverse_map()
+    for j, b in enumerate(ids):
+        assert ids[inv[j]] == store.inv_id(b)
+        right, left = space.product_lines(j)
+        for i, a in enumerate(ids):
+            for line, product in ((right, store.mul_id(a, b)), (left, store.mul_id(b, a))):
+                k = space.idx(store.word_of(product))
+                assert line[i] == (-1 if k is None else k)
 
 
 def test_rank_examples():
