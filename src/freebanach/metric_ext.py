@@ -3,15 +3,32 @@ word stage.
 
 The auxiliary function delta gives per-pair initial upper bounds: rank-0
 pairs minimize sums of previous-stage norms of differences over aligned
-factorizations into previous-stage elements; positive-rank pairs dispatch
-on membership of the elements and their inverses; mixed-rank pairs recurse
-convexly on the canonical decomposition.  The metric itself is the greatest
-function below delta closed under simultaneous inversion, product
-splitting, the two convex inequalities and the triangle inequality; one
-pair-composition closure computes it, over the ambient word space or, when
-that exceeds ``pair_cell_budget``, over the stage's own words, with the
-triangle family on member triples (which ``rho_extend`` proves implied on
-an ambient space of at least twice the word cap).
+factorizations into previous-stage elements, pairs of previous-stage
+elements take the previous norm of their difference (rule (a)), and no
+other pair has a clause.  The metric itself is the greatest function
+below delta closed under simultaneous inversion, product splitting, the
+two convex inequalities and the triangle inequality; one pair-composition
+closure computes it, over the ambient word space or, when that exceeds
+``pair_cell_budget``, over the stage's own words, with the triangle
+family on member triples in either space (which ``rho_extend`` proves
+implied on an ambient space of at least twice the word cap).
+
+No pair holding a positive-rank member needs a clause: each f closed
+under those rules and below delta lies below every clause such a pair
+could get, so such clauses change no closed function below delta.  For
+x, y of positive rank, each in the previous stage P or inverse to one:
+- x, y in P: ||x - y|| is the rule-(a) seed.
+- x^-1, y^-1 in P: f(x, y) = f(x^-1, y^-1) <= ||x^-1 - y^-1|| (mirror).
+- x, y^-1 in P, through z, z^-1 in P: f(x, y) <= f(x, z) + f(z, y) <=
+  ||x - z|| + ||z^-1 - y^-1||, by the member triangle family, the seed at
+  (x, z) and the mirrored seed at (z^-1, y^-1); x^-1, y in P is symmetric.
+- x of rank 0 and y = sum c_i b_i convex, or y^-1 = sum c_i b_i with
+  z_i = b_i^-1 for b_i: the clause is sum c_i d(x, z_i), d the seed or
+  clause at (x, z_i), and the closure's convex (inverse-convex) instance
+  gives f(x, y) <= sum c_i f(x, z_i) <= the clause, as f(x, z_i) <=
+  d(x, z_i) by induction on rank (rank z_i < rank y).  The instance exists
+  since every z_i is a member: basis elements lie in the previous word
+  stage, and word stages are closed under inversion.
 
 delta is genuinely partial: an element whose word contains a negative
 occurrence of a promoted-combination generator is not a product of
@@ -130,121 +147,20 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     return table
 
 
-def delta_general(universe, stage, prev, cfg, rank0: DeltaTable) -> DeltaTable:
-    """Full delta: rank-0 cells from the closure, the four membership cases
-    for positive-rank pairs, and the convex recursion for mixed ranks.
-    Dispatch is exclusive by rank: closure cells touching positive-rank
-    elements are factor bookkeeping, not delta values."""
-    store = universe.store
-    table = DeltaTable()
-    members = stage.members
-    ranks = {m: store.rank(m) for m in members}
-    prev_set = prev.member_set
-    # z candidates with both z and its inverse in the previous stage
-    z_pairs = []
-    for z in prev.members:
-        zi = store.lookup(store.group_inv(z))
-        if zi is not None and zi in prev_set:
-            z_pairs.append((z, zi))
-
-    inv_cache: dict[int, Optional[int]] = {}
-
-    def inv_member(a: int) -> Optional[int]:
-        if a not in inv_cache:
-            inv_cache[a] = store.lookup(store.group_inv(a))
-        return inv_cache[a]
-
-    def positive_pair(x: int, y: int) -> Optional[Fraction]:
-        xi, yi = inv_member(x), inv_member(y)
-        for z, zi in ((x, xi), (y, yi)):
-            if z not in prev_set and (zi is None or zi not in prev_set):
-                raise MetricExtensionError(
-                    f"positive-rank element {z} has neither itself nor its "
-                    "inverse in the previous stage; construction invariant broken"
-                )
-        best: Optional[Fraction] = None
-
-        def consider(v: Optional[Fraction]):
-            nonlocal best
-            if v is not None and (best is None or v < best):
-                best = v
-
-        if x in prev_set and y in prev_set:
-            consider(_norm_of_diff(universe, prev, x, y))
-        if xi in prev_set and yi in prev_set:
-            consider(_norm_of_diff(universe, prev, xi, yi))
-        if x in prev_set and yi in prev_set:
-            for z, zi in z_pairs:
-                left = _norm_of_diff(universe, prev, x, z)
-                right = _norm_of_diff(universe, prev, zi, yi)
-                if left is not None and right is not None:
-                    consider(left + right)
-        if xi in prev_set and y in prev_set:
-            for z, zi in z_pairs:
-                left = _norm_of_diff(universe, prev, xi, zi)
-                right = _norm_of_diff(universe, prev, z, y)
-                if left is not None and right is not None:
-                    consider(left + right)
-        return best
-
-    memo: dict[tuple[int, int], Optional[Fraction]] = {}
-
-    def delta(x: int, y: int) -> Optional[Fraction]:
-        if x == y:
-            return Fraction(0)
-        key = DeltaTable.key(x, y)
-        if key in memo:
-            return memo[key]
-        rx, ry = ranks.get(x, store.rank(x)), ranks.get(y, store.rank(y))
-        out: Optional[Fraction]
-        if rx == 0 and ry == 0:
-            out = rank0.get(x, y)
-        elif rx > 0 and ry > 0:
-            out = positive_pair(x, y)
-        else:
-            if rx > ry:
-                x, y = y, x  # keep the rank-0 element first
-            out = None
-            dec = store.convex_decomposition(y)
-            if dec is not None:
-                total = Fraction(0)
-                for basis_id, coeff in dec:
-                    sub = delta(x, basis_id)
-                    if sub is None:
-                        total = None
-                        break
-                    total += coeff.as_fraction() * sub
-                out = total
-            else:
-                dec = store.inverse_convex_decomposition(y)
-                if dec is None:
-                    raise MetricExtensionError(
-                        f"positive-rank element {y} admits no convex form"
-                    )
-                total = Fraction(0)
-                for basis_id, coeff in dec:
-                    zi = inv_member(basis_id)
-                    sub = delta(x, zi) if zi is not None else None
-                    if sub is None:
-                        total = None
-                        break
-                    total += coeff.as_fraction() * sub
-                out = total
-        memo[key] = out
-        return out
-
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            v = delta(a, b)
-            if v is not None:
-                table.put_min(a, b, v)
-    return table
+def delta_general(universe, rank0: DeltaTable) -> DeltaTable:
+    """delta's closure clauses: the rank-0 closure value on each pair of
+    distinct rank-0 members.  A pair holding a positive-rank member needs
+    none (module docstring), so its closure cells are factor bookkeeping."""
+    rank = universe.store.rank
+    return DeltaTable(
+        {(a, b): v for (a, b), v in rank0.values.items() if a != b and rank(a) == 0 == rank(b)}
+    )
 
 
 def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
     """delta, lowered by rule (a) to the previous norm of a - b on every
     pair of previous-stage elements whose difference lies there."""
-    delta = delta_general(universe, stage, prev, cfg, delta_rank0_closure(universe, stage, prev, cfg))
+    delta = delta_general(universe, delta_rank0_closure(universe, stage, prev, cfg))
     for i, a in enumerate(prev.members):
         for b in prev.members[i + 1 :]:
             v = _norm_of_diff(universe, prev, a, b)
@@ -448,7 +364,11 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
     settle order, and with it the reported depth.  Pure dict/heap/int code:
     no word space, product table or scaled arrays shared with the
     production closure.  Returns the table, in ``Fraction``, plus the
-    largest factor count used on any optimal path."""
+    largest factor count used on any optimal path.
+
+    delta is ``delta_bounds``, which leaves positive-rank members to the
+    closure's rules, so this is an oracle only for stages without them
+    (desk); a stage with them needs a per-value derivation check."""
     import heapq
     from math import lcm
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -229,13 +230,7 @@ def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_00
 
 
 def _scale_for(values: Iterable[Fraction], extra_denoms: Iterable[int] = ()) -> int:
-    from math import gcd
-
-    scale = common_denominator(values)
-    for d in extra_denoms:
-        if d:
-            scale = scale * d // gcd(scale, d)
-    return scale
+    return lcm(common_denominator(values), *extra_denoms)
 
 
 def to_scaled(value: Fraction, scale: int) -> int:

@@ -8,7 +8,7 @@ Nothing in this package ever stores a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable
 
 
@@ -111,7 +111,6 @@ class Dyadic:
         return f"{self.num}/{1 << self.log2den}"
 
 
-DY_ZERO = Dyadic(0)
 DY_ONE = Dyadic(1)
 
 
@@ -125,15 +124,8 @@ def full_scalar_set(k: int) -> tuple[Dyadic, ...]:
     return dyadic_range(1 << (2 * k), k)
 
 
-def lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def common_denominator(values: Iterable[Fraction]) -> int:
-    return lcm(v.denominator for v in values)
+    return lcm(*(v.denominator for v in values))
 
 
 def fraction_str(q: Fraction) -> str:

@@ -134,9 +134,9 @@ class Config:
 
     @classmethod
     def rank(cls, stage_count: int = 3) -> "Config":
-        """Half-integer scalars so that positive-rank elements, the four-case
-        dispatch and the convex rules are all exercised; three stages keep
-        the following vector stage out of combinatorial range."""
+        """Half-integer scalars so that positive-rank elements, which only
+        the metric's rules value, and the convex rules are exercised; three
+        stages keep the following vector stage out of combinatorial range."""
         return cls(stage_count=stage_count, scalar_sets=(RANK_SCALARS,))
 
     @classmethod

@@ -204,9 +204,6 @@ class TermStore:
     def is_generator(self, eid: int) -> bool:
         return eid in self._generators
 
-    def is_basis(self, eid: int) -> bool:
-        return eid in self._basis
-
     # -- canonical form ------------------------------------------------
 
     def _check_canonical(self, term: ElementTerm) -> None:

@@ -24,6 +24,6 @@ def desk_universe():
 
 @pytest.fixture(scope="session")
 def rank_universe():
-    """Half-integer scalars: positive ranks, four-case dispatch, convex
-    rules; three stages."""
+    """Half-integer scalars: positive ranks (no delta clause, valued by the
+    metric's rules), convex rules; three stages."""
     return Universe(Config.rank()).build()

@@ -246,6 +246,7 @@ def test_oracle_stage2_on_requested_preset(monkeypatch):
 # SHA-256 of export_bytes(u, check_conditions(u)); the export format and
 # every table and report value are pinned by these digests.
 EXPORT_DIGESTS = {
+    "desk": "0256a391db2e9e1ac2f69d912565db9bf12fde61bcbca812bc9657a0f3d641b4",
     "exact": "94f460b7e8b5e92ff0eb370632013a7471123aaab6c4ba7603bd3b9c126b9418",
     "rank": "c32ab993a14dfe1db8f6792508140067dc371489430b36de73959e7e87eda2e3",
 }

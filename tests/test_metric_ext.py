@@ -1,4 +1,4 @@
-"""Metric extension: base case, delta dispatch, extension equality, oracle."""
+"""Metric extension: base case, delta seeds, extension equality, oracle."""
 
 import dataclasses
 from fractions import Fraction as F
@@ -53,28 +53,33 @@ def test_delta_rank0_infeasible_cell(desk_universe):
     assert u.rho(s3, neg_x_inv, UNIT_ID) == u.rho(s3, neg_x, UNIT_ID)
 
 
-def test_delta_general_rank_dispatch(rank_universe):
+def test_delta_has_no_positive_rank_clause(rank_universe):
+    """delta's closure clauses hold pairs of rank-0 members only: the rho
+    rules alone give a positive-rank pair its value.  They still reach 1 at
+    (g, g^-1) and at (x, g), for g = 1/2 x + 1/2 x^-1."""
     u = rank_universe
     s3, s2 = u.stage(3), u.stage(2)
     store = u.store
+    table = delta_general(u, delta_rank0_closure(u, s3, s2, u.cfg))
+    positive = {m for m in s3.members if store.rank(m) > 0}
+    assert positive and table.values
+    assert not [k for k in table.values if positive.intersection(k)]
     x = u.x_id
     xi = store.lookup(store.group_inv(x))
     g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
     gi = store.lookup(store.group_inv(g))
-    rank0 = delta_rank0_closure(u, s3, s2, u.cfg)
-    table = delta_general(u, s3, s2, u.cfg, rank0)
-    # mixed rank: delta(a, g) = 1/2 delta(a, x) + 1/2 delta(a, x^-1)
-    for a in s3.members:
-        if store.rank(a) != 0:
-            continue
-        da = table.get(a, g)
-        dx, dxi = table.get(a, x), table.get(a, xi)
-        if dx is None or dxi is None:
-            assert da is None
-        else:
-            assert da == F(1, 2) * dx + F(1, 2) * dxi
-    # both ranks positive: the four-case table applies to (g, gi)
-    assert table.get(g, gi) is not None
+    assert u.rho(s3, g, gi) == 1
+    assert u.rho(s3, x, g) == 1
+
+
+def test_rank_rho_at_expansion_one(rank_universe):
+    """At ambient expansion 1 the closure runs on the ambient space with
+    the rank stage's positive-rank members in it, and gives the preset's
+    rho_3 (which closes over the members space)."""
+    u = Universe(dataclasses.replace(Config.rank(), ambient_expansion=1)).build()
+    assert u.stage(3).notes["rho_mode"] == "ambient"
+    assert rank_universe.stage(3).notes["rho_mode"] == "members"
+    assert u.stage(3).table == rank_universe.stage(3).table
 
 
 def test_delta_cap2_upper_bound():
@@ -167,7 +172,7 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
     desk3 = desk_universe.stage(3).notes
     assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)
     rank3 = rank_universe.stage(3).notes
-    assert (rank3["rho_mode"], rank3["rho_sweeps"]) == ("members", 2)
+    assert (rank3["rho_mode"], rank3["rho_sweeps"]) == ("members", 3)
 
 
 def test_rho_at_expansion_one_ignores_the_budget():
