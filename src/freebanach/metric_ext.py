@@ -1,5 +1,6 @@
 """Extending the norm on an even stage to a bi-invariant metric on the next
-word stage.
+word stage.  Stage 1 has a closed form instead: rho(x^a, x^b) = |a - b|
+(``_base_case_table``).
 
 The auxiliary function delta gives per-pair initial upper bounds: rank-0
 pairs minimize sums of previous-stage norms of differences over aligned
@@ -43,15 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .relax import (
-    ConstraintSystem,
-    Equality,
-    PairComposition,
-    RelaxError,
-    UpperCombo,
-    relax_fixpoint,
-)
-from .terms import UNIT_ID, Letters, WordSpace, reduce_concat
+from .relax import PairComposition, RelaxError
+from .terms import Letters, WordSpace, count_words, reduce_concat
 
 
 class MetricExtensionError(RelaxError):
@@ -88,11 +82,17 @@ def _norm_of_diff(universe, prev, a: int, b: int) -> Optional[Fraction]:
     return prev.table[diff]
 
 
-def _ambient_space(store, members, stage, cfg) -> WordSpace:
-    """The words of length <= ambient_expansion * word_cap over the signed
-    letters that occur in the given members' words (first-occurrence order)."""
-    alphabet = dict.fromkeys(letter for m in members for letter in store.word_of(m))
-    return WordSpace(list(alphabet), cfg.ambient_expansion * stage.word_cap)
+def _closure_space(store, members, lengths, cfg, what: str) -> WordSpace:
+    """The words of the first of ``lengths`` whose pairs fit
+    ``pair_cell_budget``, over the signed letters of the members' words
+    (first-occurrence order).  Sizes are counted before any word is built,
+    and a typed error refuses the closure when no length fits."""
+    alphabet = list(dict.fromkeys(letter for m in members for letter in store.word_of(m)))
+    for max_len in lengths:
+        size = count_words(alphabet, max_len)
+        if size**2 <= cfg.pair_cell_budget:
+            return WordSpace(alphabet, max_len)
+    raise MetricExtensionError(f"{what} space {size}^2 exceeds pair_cell_budget")
 
 
 def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
@@ -105,11 +105,8 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     words' product lines are built.
     """
     store = universe.store
-    space = _ambient_space(store, prev.members, stage, cfg)
-    if len(space) ** 2 > cfg.pair_cell_budget:
-        raise MetricExtensionError(
-            f"rank-0 closure space {len(space)}^2 exceeds pair_cell_budget"
-        )
+    lengths = [cfg.ambient_expansion * stage.word_cap]
+    space = _closure_space(store, prev.members, lengths, cfg, "rank-0 closure")
     engine = PairComposition(space)
     prev_members = list(prev.members)
     atom_cells = set()
@@ -175,36 +172,31 @@ def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
 
 
 def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
-    """Stage 1: the defining values rho(x, e) = rho(x^-1, e) = 1 and
-    rho(x, x^-1) = 2, confirmed to be relaxation-stable.  They cover a first
-    word cap of 1 only.  Stage 2 reads the distance of every stage-1 pair,
-    so a tower that goes on past a stage 1 with more members is refused
-    here; a one-stage tower keeps the three values."""
-    store = universe.store
-    e = UNIT_ID
-    x = universe.x_id
-    xi = store.lookup(store.group_inv(x))
-    extra = len(set(stage.members) - {e, x, xi})
-    if extra and universe.cfg.stage_count > 1:
-        raise MetricExtensionError(
-            f"stage 1 with word cap {stage.word_cap} holds {extra} members beyond "
-            "e, x and x^-1; the stage-1 metric is defined for a first word cap of 1 only"
-        )
-    pairs = [DeltaTable.key(x, e), DeltaTable.key(xi, e), DeltaTable.key(x, xi)]
-    bounds = {
-        pairs[0]: Fraction(1),
-        pairs[1]: Fraction(1),
-        pairs[2]: Fraction(2),
+    """Stage 1, the free group on x in words of length <= the first word
+    cap, has rho(x^a, x^b) = |a - b|, where a is a word's letter-sign sum.
+
+    rho_1 is the greatest function closed under the metric's rules
+    (inversion, product splitting, the triangle inequality) that is 0 on
+    the diagonal and at most 1 at (x, e); stage 1 has no convex instance.
+    - rho(x^a, x^b) <= |a - b|: splitting x^(c+1) = x.x^c against
+      x^c = e.x^c gives rho(x^(c+1), x^c) <= rho(x, e) + rho(x^c, x^c) = 1,
+      inversion gives rho(x^-(c+1), x^-c) = rho(x^(c+1), x^c) for c >= 0,
+      and the triangle inequality along x^b, ..., x^a, all members, adds
+      |a - b| such steps.
+    - |a - b| <= rho(x^a, x^b): the letter-sign sum s is a homomorphism
+      onto the integers (x -> 1), so f(u, v) = |s(u) - s(v)| is closed
+      under every rule: f(u^-1, v^-1) = f(u, v), f(uw, vz) <= f(u, v) +
+      f(w, z) and f(a, b) <= f(a, m) + f(m, b).  It is 0 on the diagonal
+      and 1 at (x, e), so it lies below the greatest such function.
+    Distinct reduced words in x alone have distinct letter-sign sums, so the
+    table is positive off the diagonal."""
+    word_of = universe.store.word_of
+    exponent = {m: sum(sign for _, sign in word_of(m)) for m in stage.members}
+    return {
+        DeltaTable.key(a, b): Fraction(abs(exponent[a] - exponent[b]))
+        for i, a in enumerate(stage.members)
+        for b in stage.members[i + 1 :]
     }
-    rules = [
-        Equality(pairs[0], pairs[1]),
-        UpperCombo(pairs[2], ((Fraction(1), pairs[0]), (Fraction(1), pairs[1]))),
-    ]
-    sys = ConstraintSystem(indices=tuple(pairs), bounds=bounds, rules=rules)
-    result = relax_fixpoint(sys)
-    if result.values != bounds:
-        raise MetricExtensionError("base-case values are not relaxation-stable")
-    return dict(result.values)
 
 
 def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
@@ -219,6 +211,7 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     whose words are exactly the stage's members in member order: the
     stage enumerates its members by the same ``WordSpace``.  The budget
     picks the space, not the rules; ``stage.notes["rho_mode"]`` names it.
+    When the members space exceeds the budget too, the stage is refused.
 
     The system on W seeds delta on member pairs (both orders) and 0 on the
     diagonal.  Its rules are composition D(uw, vz) <= D(u, v) + D(w, z) for
@@ -254,21 +247,21 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
 
     As ambient_expansion is an integer, L is word_cap or at least
     2 word_cap.  At expansion 1 the ambient space is the members space, so
-    the budget cannot change a value there, and at expansion >= 2 the
-    triangle family changes none (ii).
+    the budget cannot change a value there (it builds or refuses that
+    space), and at expansion >= 2 the triangle family changes none (ii).
     """
     if stage.index == 1:
         return _base_case_table(universe, stage)
 
     delta = delta_bounds(universe, stage, prev, cfg)
     members = stage.members
-    space = _ambient_space(universe.store, members, stage, cfg)
-    ambient = len(space) ** 2 <= cfg.pair_cell_budget
-    if not ambient:
-        space = WordSpace(space.alphabet, stage.word_cap)
+    ambient_len = cfg.ambient_expansion * stage.word_cap
+    space = _closure_space(
+        universe.store, members, [ambient_len, stage.word_cap], cfg, f"stage-{stage.index} metric members"
+    )
     table, sweeps = _rho_closure(universe, stage, delta, space)
     stage.notes["rho_sweeps"] = sweeps
-    stage.notes["rho_mode"] = "ambient" if ambient else "members"
+    stage.notes["rho_mode"] = "ambient" if space.max_len == ambient_len else "members"
 
     for i, a in enumerate(members):
         for b in members[i + 1 :]:

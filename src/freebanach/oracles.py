@@ -4,7 +4,8 @@ independent one.
 * the relaxation engine against depth-bounded enumeration of rule trees on
   randomized micro constraint systems;
 * the exact simplex against exhaustive basic-solution enumeration;
-* the second-stage norm table against the three-variable minimization;
+* the second-stage norm table against the minimization over the stage-1
+  pairs' differences;
 * the third-stage metric against Dijkstra over aligned factorizations;
 * the fourth-stage norm against exact LP optimality certificates.
 """
@@ -114,20 +115,19 @@ def check_lp_oracle(count: int = 40, seed: int = 1):
 
 def check_stage2_oracle(cfg: Config | None = None):
     """The second-stage norm table (by default the construction-exact one of
-    81 entries), entry for entry, against the three-variable minimization by
-    basic-solution enumeration.  With a first word cap of 1 the stage-2
-    molecules are x - e, x^-1 - e and x - x^-1, at costs 1, 1 and 2."""
+    81 entries), entry for entry, against basic-solution enumeration over
+    the built stage 1: one molecule a - b per stage-1 pair, at cost
+    rho_1(a, b)."""
     from .norm_ext import member_vector
 
     universe = Universe(cfg or Config.exact_x2()).build()
-    s2 = universe.stage(2)
+    s1, s2 = universe.stage(1), universe.stage(2)
     basis_pos = {b: i for i, b in enumerate(s2.basis)}
-    molecules = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1))]
-    costs = [Fraction(1), Fraction(1), Fraction(2)]
-    vectors = [member_vector(universe, m, basis_pos, 2) for m in s2.members]
-    want = basic_solution_values(molecules, costs, vectors)
+    vector = {m: member_vector(universe, m, basis_pos, len(s2.basis)) for m in s2.members}
+    molecules = [tuple(p - q for p, q in zip(vector[a], vector[b])) for a, b in s1.table]
+    want = basic_solution_values(molecules, list(s1.table.values()), list(vector.values()))
     bad = sum(1 for m, w in zip(s2.members, want) if s2.table[m] != w)
-    return f"stage-2 norm table vs three-variable oracle ({len(s2.members)} entries)", bad == 0
+    return f"stage-2 norm table vs stage-1 pair oracle ({len(s2.members)} entries)", bad == 0
 
 
 def rho_oracle_mismatches(universe):
@@ -198,21 +198,14 @@ def check_stage4_certificates(cfg: Config | None = None, sample: int = 400, seed
     return f"stage-4 norm vs LP certificates on {len(chosen)} members", bad == 0
 
 
-def run_all_oracles(cfg: Config | None = None):
+def run_all_oracles(cfg: Config):
     """All cross-checks; yields (description, passed).  The stage-2 oracle
-    runs on the given config cut to two stages when its first word cap is 1
-    (stage 1's metric is defined on e, x and x^-1 only), else on exact-x2;
-    the stage-3 and stage-4 oracles build desk whatever the config.  Each
-    line built from a fixed preset names it."""
-    seed = (cfg.seed if cfg else 0) or 0
-    yield check_relax_oracle(seed=seed)
-    yield check_lp_oracle(seed=seed + 1)
-    if cfg is not None and cfg.word_cap(0) == 1:
-        yield check_stage2_oracle(replace(cfg, stage_count=2))
-    else:
-        line, passed = check_stage2_oracle()
-        yield f"{line} on exact-x2", passed
+    runs on the given config cut to two stages; the stage-3 and stage-4
+    oracles build desk whatever the config, and their lines name it."""
+    yield check_relax_oracle(seed=cfg.seed)
+    yield check_lp_oracle(seed=cfg.seed + 1)
+    yield check_stage2_oracle(replace(cfg, stage_count=2))
     line, passed = check_rho_oracle()
     yield f"{line} on desk", passed
-    line, passed = check_stage4_certificates(seed=seed + 2)
+    line, passed = check_stage4_certificates(seed=cfg.seed + 2)
     yield f"{line} on desk", passed

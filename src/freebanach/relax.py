@@ -373,7 +373,8 @@ class PairComposition:
 
     def _blocks(self) -> list[tuple[int, int, list]]:
         """Per generator (w, z): its right and left blocks as (source,
-        target) ``np.ix_`` index pairs, from maps built once per word."""
+        target) broadcast index pairs (rows[:, None], cols), from maps built
+        once per word."""
         right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for w in dict.fromkeys(word for gen in self.generators for word in gen):
@@ -386,7 +387,7 @@ class PairComposition:
             for maps in (right, left):
                 (src_w, tgt_w), (src_z, tgt_z) = maps[w], maps[z]
                 if src_w.size and src_z.size:
-                    sides.append((np.ix_(src_w, src_z), np.ix_(tgt_w, tgt_z)))
+                    sides.append(((src_w[:, None], src_z), (tgt_w[:, None], tgt_z)))
             blocks.append((w, z, sides))
         return blocks
 
@@ -430,7 +431,7 @@ class PairComposition:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
             for m in tri:
                 a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
-                block = np.ix_(a, b)
+                block = (a[:, None], b)
                 D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
             frac.apply(flat)
             if np.array_equal(D, before):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .scalars import Dyadic, full_scalar_set
-from .terms import UNIT_ID, GenTerm, TermStore, WordSpace
+from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words
 from .universal import TargetSpace
 
 
@@ -73,7 +73,7 @@ class Config:
     relaxation to a fixpoint.  ``ambient_expansion`` bounds the partial
     products the metric minimizations may pass through (words of length up
     to ``ambient_expansion`` times the stage's word cap).  The budgets bound
-    stage sizes (``member_budget``), the ambient pair space of the rank-0
+    stage sizes (``member_budget``), the pair space of every metric-side
     closure (``pair_cell_budget``) and the exhaustive verification
     quantifiers (``quantifier_budget``; sampled with ``seed`` beyond it).
     A budget is never truncated silently: exceeding one is an error.  For
@@ -310,21 +310,13 @@ class Universe:
                 store.register_generator(eid)
             generators = tuple(prev_word.generators) + tuple(fresh)
 
-        g = len(generators)
-        count = 1
-        width = 2 * g
-        if width:
-            level = width
-            for _ in range(cap):
-                count += level
-                level *= width - 1
+        letters = [(gid, sign) for gid in generators for sign in (1, -1)]
+        count = count_words(letters, cap)
         if count > self.cfg.member_budget:
             raise BudgetExceededError(
                 f"word stage {n} would have {count} members "
                 f"(budget {self.cfg.member_budget})"
             )
-
-        letters = [(gid, sign) for gid in generators for sign in (1, -1)]
         members = [store.intern(store.reduce_word(w)) for w in WordSpace(letters, cap).words]
         return Stage(
             index=n,

@@ -18,7 +18,8 @@ Structural equality of canonical terms coincides with equality in X, so the
 interning store is a bijection between ids and elements.
 
 ``WordSpace`` enumerates the irreducible words up to a length cap; the word
-stages and the metric closures both draw their words from it.
+stages and the metric closures both draw their words from it, after
+``count_words`` has checked the size against their budget.
 """
 
 from __future__ import annotations
@@ -97,6 +98,21 @@ def reduce_concat(a: Letters, b: Letters) -> Letters:
         la.pop()
         lb.pop(0)
     return tuple(la) + tuple(lb)
+
+
+def count_words(alphabet: Iterable[tuple[int, int]], max_len: int) -> int:
+    """``len(WordSpace(alphabet, max_len))`` without building the space: a
+    letter whose inverse is in the alphabet has one follower fewer, so the
+    words ending in paired and in unpaired letters grow by a 2 x 2 step."""
+    letters = set(alphabet)
+    paired = sum((base, -sign) in letters for base, sign in letters)
+    free = len(letters) - paired
+    total, ends_paired, ends_free = 1, paired, free
+    for _ in range(max_len):
+        total += ends_paired + ends_free
+        ends_paired, ends_free = (ends_paired * (paired - 1) + ends_free * paired,
+                                  (ends_paired + ends_free) * free)
+    return total
 
 
 class WordSpace:

@@ -1,13 +1,20 @@
 """Command-line surface: subcommands, exit codes, exports, config files."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import resource
 import subprocess
 import sys
+import tempfile
+import time
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freebanach import Config, Universe, oracles
 from freebanach.cli import (
@@ -152,29 +159,32 @@ def test_construction_error_exit(tmp_path, capsys):
     assert err.startswith("error:") and "pair_cell_budget" in err
 
 
-def test_first_word_cap_above_one_exit_2(tmp_path, capsys):
-    """A stage 1 with words beyond x^±1 has no stage-1 metric for stage 2 to
-    read: the build is refused with an error line and exit 2, not a
-    KeyError traceback with the verification-failure code."""
+def test_first_word_cap_above_one_builds(tmp_path, capsys):
+    """Stage 1 is rho(x^a, x^b) = |a - b| for every first word cap, so
+    exact-x2 at word cap 2 (stages of 1, 5 and 6561 members) builds, passes
+    its conditions and writes its export."""
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = exact-x2\nword_caps = 2\n")
     out = tmp_path / "x.json"
-    assert run_cli("build", "--config", str(path), "--out", str(out)) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "first word cap of 1 only" in err
-    assert not out.exists()
+    assert run_cli("build", "--config", str(path), "--out", str(out)) == EXIT_OK
+    assert "overall: pass" in capsys.readouterr().out
+    sizes = [len(s.members) for s in import_universe(str(out)).stages]
+    assert sizes == [1, 5, 6561]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["dist", "x.x", "e"], ["verify"], ["verify", "--suite", "biinvariance"]],
+    "argv, tail",
+    [
+        (["dist", "x.x", "e"], "2 (stage 1)\n"),
+        (["verify"], "overall: pass\n"),
+        (["verify", "--suite", "biinvariance"], "overall: pass\n"),
+    ],
     ids=["dist", "verify", "verify-biinvariance"],
 )
-def test_one_stage_first_word_cap_two_exit_2(tmp_path, argv):
-    """A one-stage tower with a first word cap of 2 builds, but its stage-1
-    table holds only the pairs of e, x and x^-1: reading another pair is an
-    error line and exit 2, not a KeyError traceback or a missing pair read
-    as distance 0."""
+def test_one_stage_first_word_cap_two(tmp_path, argv, tail):
+    """A one-stage tower with a first word cap of 2 has a distance for every
+    pair of its five words, so queries and verification run on all of them:
+    rho(x^2, e) = 2."""
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = exact-x2\nword_caps = 2\nstage_count = 1\n")
     proc = subprocess.run(
@@ -182,9 +192,33 @@ def test_one_stage_first_word_cap_two_exit_2(tmp_path, argv):
         capture_output=True,
         text=True,
     )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.endswith(tail)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_closure_space_counted_before_it_is_built(tmp_path):
+    """3-stage desk at word cap 2 asks for a rank-0 closure over 37 459 269
+    words.  The budget check counts them instead of enumerating them, so
+    the whole process exits 2 within a second rather than after building
+    the space (about a minute and 6 GB).  The child's address space is
+    capped at 2 GiB, with one BLAS thread so that the cap does not depend
+    on the core count."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = desk\nstage_count = 3\nword_caps = 2\n")
+    argv = [sys.executable, "-m", "freebanach.cli", "build", "--config", str(path),
+            "--out", str(tmp_path / "x.json")]
+    t0 = time.perf_counter()
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_memory)
+    elapsed = time.perf_counter() - t0
     assert proc.returncode == EXIT_USAGE
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: stage 1 has ")
+    assert proc.stderr == "error: rank-0 closure space 37459269^2 exceeds pair_cell_budget\n"
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -218,6 +252,53 @@ def test_config_file_errors_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _config_text(preset, stages, caps, expansion, members, cells):
+    return (f"[build]\npreset = {preset}\nstage_count = {stages}\nword_caps = {caps}\n"
+            f"ambient_expansion = {expansion}\nmember_budget = {members}\n"
+            f"pair_cell_budget = {cells}\n")
+
+
+@st.composite
+def small_config_files(draw):
+    """A valid ``[build]`` section: a preset's scalar sets, 1-4 stages,
+    non-decreasing word caps 1-3, ambient expansion 1-2 and budgets of a
+    few thousand at most."""
+    return _config_text(
+        draw(st.sampled_from(["desk", "rank", "exact-x2"])),
+        draw(st.integers(1, 4)),
+        " ".join(map(str, sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))))),
+        draw(st.integers(1, 2)),
+        draw(st.integers(1, 6000)),
+        draw(st.integers(1, 6000)),
+    )
+
+
+@given(small_config_files())
+@example(_config_text("desk", 3, "1", 2, 6000, 6000))  # rho_3 on the members space
+@example(_config_text("desk", 3, "1", 1, 6000, 100))  # members space refused
+@example(_config_text("desk", 4, "1", 2, 6000, 6000))  # stage 4 over member_budget
+@example(_config_text("rank", 2, "2", 2, 6000, 6000))
+@example(_config_text("exact-x2", 3, "1", 2, 6000, 6000))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_valid_config_builds_or_exits_2(text):
+    """Every config that validates either builds with its conditions passing
+    (exit 0) or is refused with one error line (exit 2): never a traceback,
+    a MemoryError or the verification-failure code.  The budgets bound every
+    stage and every closure space, so each case stays small."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/conf.ini"
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["build", "--config", path, "--out", f"{tmp}/x.json"])
+    if code == EXIT_OK:
+        assert "overall: pass" in out.getvalue()
+    else:
+        assert code == EXIT_USAGE, (text, out.getvalue())
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
 def test_small_quantifier_budget_still_samples(tmp_path, capsys):
     """A quantifier budget below 10 still draws one splitting sample rather
     than reporting a pass over nothing."""
@@ -229,15 +310,15 @@ def test_small_quantifier_budget_still_samples(tmp_path, capsys):
 
 def test_oracle_stage2_on_requested_preset(monkeypatch):
     """The stage-2 oracle checks the preset asked for (cut to two stages),
-    not exact-x2 whatever the preset.  A first word cap above 1, which the
-    stage-1 metric does not cover, falls back to exact-x2 and says so."""
+    not exact-x2 whatever the preset, whatever its first word cap: at cap 2
+    its molecules are the ten stage-1 pair differences."""
     monkeypatch.setattr(oracles, "check_relax_oracle", lambda **kw: ("relax", True))
     monkeypatch.setattr(oracles, "check_lp_oracle", lambda **kw: ("lp", True))
     for cfg, tail in (
         (Config.desk(), "(9 entries)"),
         (Config.rank(), "(25 entries)"),
         (Config.exact_x2(), "(81 entries)"),
-        (dataclasses.replace(Config.desk(), word_caps=(2,)), "(81 entries) on exact-x2"),
+        (dataclasses.replace(Config.desk(), word_caps=(2,)), "(81 entries)"),
     ):
         line, ok = list(islice(oracles.run_all_oracles(cfg), 3))[2]
         assert ok and line.endswith(tail), line

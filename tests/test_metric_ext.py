@@ -2,8 +2,12 @@
 
 import dataclasses
 from fractions import Fraction as F
+from itertools import product
+
+import pytest
 
 from freebanach import Config, Universe, UNIT_ID
+from freebanach.cli import EXIT_USAGE, main
 from freebanach.metric_ext import (
     check_extension_metric,
     delta_general,
@@ -11,6 +15,7 @@ from freebanach.metric_ext import (
     rho_decomposition_oracle,
 )
 from freebanach.oracles import check_rho_oracle, rho_oracle_mismatches
+from freebanach.relax import ConstraintSystem, Equality, UpperCombo, relax_fixpoint
 from freebanach.scalars import Dyadic
 from freebanach.verify import check_biinvariance, perturbed
 
@@ -24,6 +29,39 @@ def test_rho1_base_case(exact_universe):
     assert u.rho(s1, xi, UNIT_ID) == 1
     assert u.rho(s1, x, xi) == 2
     assert len(s1.table) == 3
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_stage1_formula_is_the_greatest_closed_function(cap):
+    """Stage 1 against the Fraction reference engine.  Over ordered pairs of
+    stage-1 words, seeded 0 on the diagonal and 1 at (x, e), the greatest
+    function closed under composition D(uw, vz) <= D(u, v) + D(w, z) (all
+    six words in the stage), the inverse mirror D(u, v) = D(u^-1, v^-1) and
+    the triangle inequality is the built table, |a - b| at (x^a, x^b)."""
+    u = Universe(dataclasses.replace(Config.exact_x2(stage_count=1), word_caps=(cap,))).build()
+    store, s1 = u.store, u.stage(1)
+    members = s1.members
+    word = {m: store.word_of(m) for m in members}
+    member_of = {w: m for m, w in word.items()}
+    cells = [(a, b) for a in members for b in members]
+    bounds = {cell: None for cell in cells}
+    bounds.update({(m, m): F(0) for m in members})
+    bounds[(u.x_id, UNIT_ID)] = F(1)
+    rules = []
+    for (a, b), (c, d) in product(cells, repeat=2):
+        ac = member_of.get(store.word_of(store.mul_id(a, c)))
+        bd = member_of.get(store.word_of(store.mul_id(b, d)))
+        if ac is not None and bd is not None:
+            rules.append(UpperCombo((ac, bd), ((F(1), (a, b)), (F(1), (c, d)))))
+    rules += [Equality((a, b), (store.inv_id(a), store.inv_id(b))) for a, b in cells]
+    rules += [UpperCombo((a, b), ((F(1), (a, m)), (F(1), (m, b)))) for a, b in cells for m in members]
+    out = relax_fixpoint(ConstraintSystem(indices=tuple(cells), bounds=bounds, rules=rules))
+    assert not out.unconstrained
+    assert len(members) == 2 * cap + 1
+    assert len(s1.table) == len(members) * (len(members) - 1) // 2
+    assert all(out[(a, b)] == u.rho(s1, a, b) for a, b in cells)
+    exponent = {m: sum(sign for _, sign in word[m]) for m in members}
+    assert all(u.rho(s1, a, b) == abs(exponent[a] - exponent[b]) for a, b in cells)
 
 
 def test_delta_rank0_diagonal_and_direct(desk_universe):
@@ -175,19 +213,25 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
     assert (rank3["rho_mode"], rank3["rho_sweeps"]) == ("members", 3)
 
 
-def test_rho_at_expansion_one_ignores_the_budget():
+def test_rho_at_expansion_one_ignores_the_budget(tmp_path, capsys):
     """At ambient expansion 1 the ambient word space is the stage's own
-    words, so the budget that picks the space changes no value: the default
-    budget (ambient) and a budget one cell short of it (members) give one
-    rho_3, and it satisfies the triangle inequality.  Before the triangle
-    family, the ambient closure gave 4 on 15 pairs where the members system
-    gave 2, and failed the triangle section."""
+    words, so the budget changes no value: it builds that one space or
+    refuses the stage.  Desk stage 3 has 15 words; a budget of 15^2 builds
+    the default budget's rho_3, which satisfies the triangle inequality,
+    and one cell less is exit 2, naming pair_cell_budget.  Before the
+    triangle family, the ambient closure gave 4 on 15 pairs where the
+    members system gave 2, and failed the triangle section."""
     cfg = dataclasses.replace(Config.desk(stage_count=3), ambient_expansion=1)
-    by_budget = {}
-    for budget in (cfg.pair_cell_budget, 15**2 - 1):
-        u = Universe(dataclasses.replace(cfg, pair_cell_budget=budget)).build()
-        by_budget[u.stage(3).notes["rho_mode"]] = u
-    assert by_budget.keys() == {"ambient", "members"}
-    assert by_budget["ambient"].stage(3).table == by_budget["members"].stage(3).table
-    tri, _ = check_biinvariance(by_budget["ambient"], by_budget["ambient"].stage(3)).reports
+    default = Universe(cfg).build()
+    fitted = Universe(dataclasses.replace(cfg, pair_cell_budget=15**2)).build()
+    assert fitted.stage(3).notes["rho_mode"] == "ambient"
+    assert fitted.stage(3).table == default.stage(3).table
+    tri, _ = check_biinvariance(fitted, fitted.stage(3)).reports
     assert tri.ok and tri.attempted == 15**3
+    path = tmp_path / "conf.ini"
+    path.write_text(
+        "[build]\npreset = desk\nstage_count = 3\nambient_expansion = 1\npair_cell_budget = 224\n"
+    )
+    assert main(["norm", "x", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pair_cell_budget" in err

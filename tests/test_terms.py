@@ -17,6 +17,7 @@ from freebanach.terms import (
     UNIT_ID,
     WordSpace,
     WordTerm,
+    count_words,
 )
 
 
@@ -221,6 +222,25 @@ def test_word_space_enumeration():
             for line, product in ((right, store.mul_id(a, b)), (left, store.mul_id(b, a))):
                 k = space.idx(store.word_of(product))
                 assert line[i] == (-1 if k is None else k)
+
+
+@pytest.mark.parametrize(
+    "letters, max_len",
+    [
+        ([(1, 1), (1, -1), (2, 1), (2, -1)], 4),
+        ([(1, 1), (1, -1), (2, 1), (3, -1), (4, 1)], 4),
+        ([(1, 1), (2, 1), (3, -1)], 4),
+        ([(1, 1), (1, -1)] + [(g, 1) for g in range(2, 24)], 2),
+    ],
+    ids=["inverse-closed", "partly-paired", "unpaired", "rank-0-alphabet"],
+)
+def test_count_words_matches_word_space(letters, max_len):
+    """The count the budget checks read equals the size of the space they
+    guard, whichever letters have their inverse in the alphabet.  Rank's
+    rank-0 alphabet (24 letters, one inverse pair) has 1 + 24 + 2 * 23 +
+    22 * 24 = 599 words of length <= 2."""
+    for n in range(max_len + 1):
+        assert count_words(letters, n) == len(WordSpace(letters, n))
 
 
 def test_rank_examples():
