@@ -20,7 +20,7 @@ from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
-from .stages import BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
+from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
 from .terms import (
     AlgebraError,
     ComboTerm,
@@ -33,12 +33,6 @@ from .verify import SUITES, SuiteReport, check_conditions, check_suites
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
-
-PRESETS = {
-    "desk": Config.desk,
-    "rank": Config.rank,
-    "exact-x2": Config.exact_x2,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +185,7 @@ def _load_config(args) -> Config:
     if args.config:
         cfg = Config.from_file(args.config)
     else:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        cfg = preset()
+        cfg = PRESETS[args.preset]()
     if args.seed is not None:
         cfg = Config(**{**vars(cfg), "seed": args.seed})
     cfg.validate()

@@ -126,6 +126,8 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     closure, sweeps = engine.solve()
     stage.notes["delta_sweeps"] = sweeps
 
+    # the closure is transpose-symmetric (a - b in P iff b - a in P, and
+    # ||a - b|| = ||b - a||), so one order of each pair is read
     table = DeltaTable()
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
     for i, a in enumerate(stage.members):
@@ -137,8 +139,6 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
             if wb is None:
                 continue
             val = closure.get((wa, wb))
-            if val is None:
-                val = closure.get((wb, wa))
             if val is not None:
                 table.put_min(a, b, val)
     return table
@@ -301,19 +301,14 @@ def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
                     engine.add_convex((wb, wa), [(c, (word_idx[z], wa)) for c, z in terms])
     closure, sweeps = engine.solve()
 
+    # every family is transpose-symmetric (``rho_extend``), so one order of
+    # each pair is read
     table: dict[tuple[int, int], Fraction] = {}
     for i, a in enumerate(stage.members):
         for b in stage.members[i + 1 :]:
-            vals = [
-                v
-                for v in (
-                    closure.get((word_idx[a], word_idx[b])),
-                    closure.get((word_idx[b], word_idx[a])),
-                )
-                if v is not None
-            ]
-            if vals:
-                table[DeltaTable.key(a, b)] = min(vals)
+            v = closure.get((word_idx[a], word_idx[b]))
+            if v is not None:
+                table[DeltaTable.key(a, b)] = v
     return table, sweeps
 
 

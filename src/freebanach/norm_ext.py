@@ -118,8 +118,6 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     the norm is gamma (module docstring); a stage with one would need at
     least 5^24 members and is refused with ``NormExtensionError``.
     """
-    if stage.index == 0:
-        return {UNIT_ID: Fraction(0)}
     instances = universe.store.convex_instances(stage, inverse=True)
     if instances:
         raise NormExtensionError(

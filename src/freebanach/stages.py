@@ -110,11 +110,10 @@ class Config:
         for key in ("member_budget", "pair_cell_budget", "quantifier_budget"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        for caps in (self.word_caps,):
-            if any(c < 1 for c in caps):
-                raise ConfigError("word caps must be >= 1")
-            if list(caps) != sorted(caps):
-                raise ConfigError("word caps must be non-decreasing (chain monotonicity)")
+        if any(c < 1 for c in self.word_caps):
+            raise ConfigError("word caps must be >= 1")
+        if list(self.word_caps) != sorted(self.word_caps):
+            raise ConfigError("word caps must be non-decreasing (chain monotonicity)")
         for s in self.scalar_sets:
             values = {d.as_fraction() for d in s}
             if not {Fraction(0), Fraction(1), Fraction(-1)} <= values:
@@ -164,11 +163,7 @@ class Config:
             sec = parser["build"]
             _reject_unknown(sec, BUILD_KEYS)
             if "preset" in sec:
-                base = {
-                    "desk": cls.desk,
-                    "rank": cls.rank,
-                    "exact-x2": cls.exact_x2,
-                }.get(sec["preset"])
+                base = PRESETS.get(sec["preset"])
                 if base is None:
                     raise ConfigError(f"unknown preset {sec['preset']!r}")
                 kwargs.update(vars(base()))
@@ -215,6 +210,9 @@ class Config:
             "seed": self.seed,
             "targets": [t.describe() for t in self.targets],
         }
+
+
+PRESETS = {"desk": Config.desk, "rank": Config.rank, "exact-x2": Config.exact_x2}
 
 
 @dataclass

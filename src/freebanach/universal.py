@@ -8,10 +8,12 @@ absolute-value, maximum, or Euclidean norm, multiplication taken to be
 addition) already exercise the norm inequality nontrivially.
 
 phi' is evaluated exactly in Python ints as S phi', where S is the lcm of
-the denominators of y times 2^K, and K sums over the norm stages the
-largest denominator exponent of a member coefficient.  A member's image
-then has denominators dividing S, so every division by 2^k is exact; a
-remainder raises ``InexactDivision`` rather than rounding.
+the denominators of y times 2^K, and K sums over the norm stages with a
+basis the largest denominator exponent of their scalar set.  Every
+coefficient function into that set is a member, so this is the largest
+exponent of a member coefficient, and a member's image has denominators
+dividing S: every division by 2^k is exact, and a remainder raises
+``InexactDivision`` rather than rounding.
 
 Each property is checked once.  ``check_morphism_bound`` checks that phi'
 never increases norms, entry for entry: ||phi(z)|| <= ||y|| ||z|| and
@@ -92,9 +94,6 @@ class TargetSpace:
         n = self.norm_exact(v)
         return n * n
 
-    def y_norm_exact(self) -> Fraction | None:
-        return self.norm_exact(self.image)
-
     def y_norm_sq(self) -> Fraction:
         return self.norm_sq(self.image)
 
@@ -115,15 +114,11 @@ class PhiMap:
     def __init__(self, universe, target: TargetSpace):
         self.universe = universe
         self.target = target
-        store = universe.store
-        k = 0
-        for stage in universe.stages:
-            if stage.sealed and stage.kind == "vector":
-                terms = (store.term(z) for z in stage.members)
-                k += max(
-                    (c.log2den for t in terms if isinstance(t, ComboTerm) for _, c in t.coeffs),
-                    default=0,
-                )
+        k = sum(
+            max(d.log2den for d in stage.scalar_set)
+            for stage in universe.stages
+            if stage.sealed and stage.kind == "vector" and stage.basis
+        )
         self.scale = lcm(*(q.denominator for q in target.image)) << k
         self.image = tuple(int(q * self.scale) for q in target.image)
         self._memo: dict[int, tuple[int, ...]] = {}

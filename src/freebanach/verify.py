@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .relax import to_scaled
-from .scalars import Dyadic, common_denominator
+from .relax import ScaleOverflowError, to_scaled
+from .scalars import common_denominator
 from .stages import NotBuiltError
 from .terms import UNIT_ID
 
@@ -186,9 +186,8 @@ def check_condition_2(universe) -> list[VerificationReport]:
     return out
 
 
-def _fact_inequality(universe, stage, budget: int, seed: int) -> VerificationReport:
+def _fact_inequality(universe, stage, R, pos, scale, budget: int, seed: int) -> VerificationReport:
     report = VerificationReport(suite=f"condition 3 splitting stage {stage.index}")
-    R, pos, scale = _metric_matrix(universe, stage)
     P = _product_matrix(universe, stage, pos)
     ab = np.argwhere(P >= 0)  # pairs with in-stage product
     k = len(ab)
@@ -238,24 +237,28 @@ def _fact_inequality(universe, stage, budget: int, seed: int) -> VerificationRep
     return report
 
 
-def _inverse_invariance(universe, stage) -> VerificationReport:
+def _inverse_invariance(universe, stage, R, pos, scale) -> VerificationReport:
+    """rho(a, b) = rho(a^-1, b^-1) on member pairs, read off the metric
+    matrix with one inverse lookup per member.  A member whose inverse is
+    not a member is a counterexample, and none of its pairs passes."""
     store = universe.store
     report = VerificationReport(suite=f"condition 3 inversion stage {stage.index}")
     members = stage.members
-    for i, a in enumerate(members):
-        ia = store.lookup(store.group_inv(a))
-        for b in members[i + 1 :]:
-            ib = store.lookup(store.group_inv(b))
-            report.attempted += 1
-            if ia in stage.member_set and ib in stage.member_set:
-                lhs = universe.rho(stage, a, b)
-                rhs = universe.rho(stage, ia, ib)
-                if lhs == rhs:
-                    report.passed += 1
-                else:
-                    report.add_counterexample(pair=(a, b), lhs=str(lhs), rhs=str(rhs))
-            else:
-                report.passed += 1  # inverses promoted later; nothing to compare
+    n = len(members)
+    inv = np.array([pos.get(store.lookup(store.group_inv(m)), -1) for m in members], dtype=np.int64)
+    present = inv >= 0
+    for i in np.flatnonzero(~present):
+        report.add_counterexample(element=members[i], inverse=None)
+    both = np.triu(np.ones((n, n), dtype=bool), 1) & present[:, None] & present[None, :]
+    bad = both & (R != R[inv][:, inv])
+    report.attempted = n * (n - 1) // 2
+    report.passed = int(both.sum()) - int(bad.sum())
+    for i, j in np.argwhere(bad):
+        report.add_counterexample(
+            pair=(members[i], members[j]),
+            lhs=str(Fraction(int(R[i, j]), scale)),
+            rhs=str(Fraction(int(R[inv[i], inv[j]]), scale)),
+        )
     return report
 
 
@@ -263,8 +266,9 @@ def check_condition_3(universe, budget: int, seed: int) -> list[VerificationRepo
     out = []
     for stage in universe.stages:
         if stage.sealed and stage.kind == "word" and stage.index >= 1:
-            out.append(_fact_inequality(universe, stage, budget, seed))
-            out.append(_inverse_invariance(universe, stage))
+            R, pos, scale = _metric_matrix(universe, stage)
+            out.append(_fact_inequality(universe, stage, R, pos, scale, budget, seed))
+            out.append(_inverse_invariance(universe, stage, R, pos, scale))
     return out
 
 
@@ -296,105 +300,121 @@ def check_condition_4(universe) -> list[VerificationReport]:
 
 
 def check_condition_5(universe) -> list[VerificationReport]:
+    """Homogeneity and subadditivity of each norm stage, both read off one
+    ``_member_lattice``."""
     out = []
     for stage in universe.stages:
         if not stage.sealed or stage.kind != "vector" or stage.index == 0:
             continue
-        out.append(_homogeneity_report(universe, stage))
-        out.append(_subadditivity_report(universe, stage))
+        lattice = _member_lattice(universe, stage)
+        out.append(_homogeneity_report(stage, lattice))
+        out.append(_subadditivity_report(stage, lattice))
     return out
 
 
 def _member_lattice(universe, stage):
-    """Members arranged on the scalar-set grid for vectorized pair checks:
-    the scaled norm on the grid (-1 at cells holding no member), and each
-    nonzero member with its digit offsets from the zero cell and its scaled
-    norm."""
+    """A norm stage's members on the scalar-set grid, axis k for basis
+    element k and digit d for the d-th scalar of the sorted set: the scaled
+    norms and the member ids (each -1 where no member is), the scalars and
+    the scale."""
     values = [d.as_fraction() for d in stage.scalar_set]
     digit = {v: i for i, v in enumerate(values)}
-    radix = len(values)
-    dim = len(stage.basis)
-    zero = digit[Fraction(0)]
+    radix, dim = len(values), len(stage.basis)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
     N = np.full(radix**dim, -1, dtype=np.int64)
-    steps = []
+    ids = np.full(radix**dim, -1, dtype=np.int64)
     for m in stage.members:
-        digits = [zero] * dim
+        digits = [digit[Fraction(0)]] * dim
         for b, c in universe.store.coeffs_of(m):
             digits[basis_pos[b]] = digit[c.as_fraction()]
         cell = 0
         for d in digits:
             cell = cell * radix + d
-        w = to_scaled(stage.table[m], scale)
-        N[cell] = w
-        if m != UNIT_ID:
-            steps.append((m, [d - zero for d in digits], w))
-    return N.reshape((radix,) * dim), radix, steps
+        N[cell] = to_scaled(stage.table[m], scale)
+        ids[cell] = m
+    return N.reshape((radix,) * dim), ids.reshape((radix,) * dim), values, scale
 
 
-def _homogeneity_report(universe, stage) -> VerificationReport:
+def _digit_runs(values, alpha: Fraction, shift: Fraction):
+    """The digits whose scalar s the map s -> alpha s + shift keeps in the
+    set, and the digits of the images, each as an index: a slice (a view)
+    when the digits are evenly spaced, as on every evenly spaced scalar set,
+    else an index array.  Both laws of condition 5 are such maps on each
+    axis alone: v -> alpha v, and v -> v + m with m's coefficient on the
+    axis as the shift.  Each keeps 0 or the shift, so no run is empty."""
+    digit = {v: i for i, v in enumerate(values)}
+    images = [alpha * v + shift for v in values]
+    kept = [(d, digit[w]) for d, w in enumerate(images) if w in digit]
+    runs = []
+    for digits in zip(*kept):
+        step = digits[1] - digits[0] if len(digits) > 1 else 1
+        if all(b - a == step for a, b in zip(digits, digits[1:])):
+            stop = digits[-1] + step
+            runs.append(slice(digits[0], stop if stop >= 0 else None, step))
+        else:
+            runs.append(np.array(digits))
+    return runs
+
+
+def _take(grid, runs):
+    """``grid`` restricted to one run per axis: the slices as a view, then
+    each index array along its axis."""
+    if all(isinstance(r, slice) for r in runs):
+        return grid[runs]
+    out = grid[tuple(r if isinstance(r, slice) else slice(None) for r in runs)]
+    for axis, r in enumerate(runs):
+        if not isinstance(r, slice):
+            out = np.take(out, r, axis=axis)
+    return out
+
+
+def _homogeneity_report(stage, lattice) -> VerificationReport:
+    """||alpha v|| = |alpha| ||v||, as q N[alpha v] = |p| N[v], for each
+    ratio alpha = p/q != 1 of nonzero scalars (the set is symmetric, so they
+    include -1) and each nonzero member v with alpha v a member.  A norm
+    large enough to wrap those int64 products raises ``ScaleOverflowError``."""
     report = VerificationReport(suite=f"condition 5 homogeneity stage {stage.index}")
-    store = universe.store
-    values = sorted({d.as_fraction() for d in stage.scalar_set})
-    nonzero = [v for v in values if v != 0]
-    ratios = sorted({a / b for a in nonzero for b in nonzero} | {-(a / b) for a in nonzero for b in nonzero})
-    for m in stage.members:
-        if m == UNIT_ID:
-            continue
-        coeffs = store.coeffs_of(m)
-        for alpha in ratios:
-            if alpha == 1:
-                continue
-            scaled = {}
-            ok = True
-            for b, c in coeffs:
-                nc = c.as_fraction() * alpha
-                if nc not in values and nc != 0:
-                    ok = False
-                    break
-                scaled[b] = nc
-            if not ok:
-                continue
-            target = store.lookup(
-                store.combo_from_map(
-                    {b: Dyadic.from_fraction(nc) for b, nc in scaled.items() if nc}
-                )
+    N, ids, values, scale = lattice
+    nonzero = [v for v in values if v]
+    ratios = sorted({a / b for a in nonzero for b in nonzero} - {1})
+    top = int(N.max())
+    if any(top * max(abs(r.numerator), r.denominator) >= 1 << 63 for r in ratios):
+        raise ScaleOverflowError(f"homogeneity of stage {stage.index} overflows int64")
+    for alpha in ratios:
+        source, target = ((run,) * N.ndim for run in _digit_runs(values, alpha, Fraction(0)))
+        s, t, m = _take(N, source), _take(N, target), _take(ids, source)
+        both = (s >= 0) & (t >= 0) & (m != UNIT_ID)
+        bad = both & (alpha.denominator * t != abs(alpha.numerator) * s)
+        report.attempted += int(both.sum())
+        report.passed += int((both & ~bad).sum())
+        for i in zip(*np.nonzero(bad)):
+            report.add_counterexample(
+                element=int(m[i]), alpha=str(alpha),
+                lhs=str(Fraction(int(t[i]), scale)),
+                rhs=str(abs(alpha) * Fraction(int(s[i]), scale)),
             )
-            if target is None or target not in stage.member_set:
-                continue
-            report.attempted += 1
-            lhs = stage.table[target]
-            rhs = abs(alpha) * stage.table[m]
-            if lhs == rhs:
-                report.passed += 1
-            else:
-                report.add_counterexample(element=m, alpha=str(alpha), lhs=str(lhs), rhs=str(rhs))
     return report
 
 
-def _subadditivity_report(universe, stage) -> VerificationReport:
+def _subadditivity_report(stage, lattice) -> VerificationReport:
+    """||v + m|| <= ||v|| + ||m|| for each nonzero member m and each member
+    v, the zero one too, with v + m a member; each shift's runs are found
+    once.  A sum of two scaled norms cannot wrap (``to_scaled``)."""
     report = VerificationReport(suite=f"condition 5 subadditivity stage {stage.index}")
-    f, radix, steps = _member_lattice(universe, stage)
-    for m, offsets, w_scaled in steps:
-        src_sl, dst_sl = [], []
-        for o in offsets:
-            if o >= 0:
-                src_sl.append(slice(0, radix - o))
-                dst_sl.append(slice(o, radix))
-            else:
-                src_sl.append(slice(-o, radix))
-                dst_sl.append(slice(0, radix + o))
-        s = f[tuple(src_sl)]
-        d_ = f[tuple(dst_sl)]
-        both = (s >= 0) & (d_ >= 0)
-        count = int(both.sum())
+    N, ids, values, _ = lattice
+    shifts = [_digit_runs(values, Fraction(1), v) for v in values]
+    for cell in map(tuple, np.argwhere(ids >= 0)):
+        if ids[cell] == UNIT_ID:
+            continue
+        source, target = zip(*(shifts[d] for d in cell))
+        s, t = _take(N, source), _take(N, target)
+        both = (s >= 0) & (t >= 0)
+        count, nbad = int(both.sum()), int((both & (t > s + N[cell])).sum())
         report.attempted += count
-        bad = both & (d_ > s + w_scaled)
-        nbad = int(bad.sum())
         report.passed += count - nbad
         if nbad:
-            report.add_counterexample(step_member=m, violations=nbad)
+            report.add_counterexample(step_member=int(ids[cell]), violations=nbad)
     return report
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -258,12 +259,16 @@ def _config_text(preset, stages, caps, expansion, members, cells):
             f"pair_cell_budget = {cells}\n")
 
 
+UNEVEN_SCALARS = "scalar_sets = -4 -1 -1/4 0 1/4 1 4\n"
+
+
 @st.composite
 def small_config_files(draw):
-    """A valid ``[build]`` section: a preset's scalar sets, 1-4 stages,
-    non-decreasing word caps 1-3, ambient expansion 1-2 and budgets of a
-    few thousand at most."""
-    return _config_text(
+    """A valid ``[build]`` section: a preset's scalar sets, or a drawn
+    symmetric dyadic set holding 0 and +-1 (in general unevenly spaced),
+    1-4 stages, non-decreasing word caps 1-3, ambient expansion 1-2 and
+    budgets of a few thousand at most."""
+    text = _config_text(
         draw(st.sampled_from(["desk", "rank", "exact-x2"])),
         draw(st.integers(1, 4)),
         " ".join(map(str, sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))))),
@@ -271,9 +276,16 @@ def small_config_files(draw):
         draw(st.integers(1, 6000)),
         draw(st.integers(1, 6000)),
     )
+    extra = draw(st.sets(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2), Fraction(4)]),
+                         max_size=2))
+    if extra:
+        values = sorted({s * v for v in (Fraction(0), Fraction(1), *extra) for s in (1, -1)})
+        text += f"scalar_sets = {' '.join(map(str, values))}\n"
+    return text
 
 
 @given(small_config_files())
+@example(_config_text("desk", 2, "1", 2, 6000, 6000) + UNEVEN_SCALARS)  # digit offsets are not sums
 @example(_config_text("desk", 3, "1", 2, 6000, 6000))  # rho_3 on the members space
 @example(_config_text("desk", 3, "1", 1, 6000, 100))  # members space refused
 @example(_config_text("desk", 4, "1", 2, 6000, 6000))  # stage 4 over member_budget

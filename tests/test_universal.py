@@ -116,6 +116,16 @@ def test_scaling_covariance(desk_universe):
             assert [F(v, phi1.scale) for v in phi1(m)] == [lam * F(v, phi0.scale) for v in phi0(m)]
 
 
+@pytest.mark.parametrize(
+    "preset, scales", [("desk", (1, 2, 2)), ("rank", (2, 4, 4)), ("exact", (2, 4, 4))]
+)
+def test_phi_scale(preset, scales, request):
+    """S per default target: the lcm of y's denominators times 2^K, with K
+    read off the scalar sets of the norm stages that have a basis."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    assert tuple(PhiMap(u, target).scale for target in u.cfg.targets) == scales
+
+
 def test_target_validation():
     with pytest.raises(ValueError):
         TargetSpace(kind="abs", image=(F(1), F(2)))

@@ -2,12 +2,14 @@
 detection for every condition checker."""
 
 import copy
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from freebanach import Config, Universe, UNIT_ID
-from freebanach.relax import RelaxError, ScaleOverflowError
+from freebanach import Config, Dyadic, Universe, UNIT_ID
+from freebanach.relax import RelaxError, ScaleOverflowError, to_scaled
+from freebanach.scalars import common_denominator
 from freebanach.verify import (
     check_biinvariance,
     check_condition_1,
@@ -21,6 +23,14 @@ from freebanach.verify import (
 )
 
 EPS = F(1, 1 << 20)
+
+# symmetric, holding 0 and +-1, unevenly spaced; its largest ratio is 16
+UNEVEN_SCALARS = "-4 -1 -1/4 0 1/4 1 4"
+
+
+def _two_stages(scalars: str):
+    scalar_set = tuple(map(Dyadic.parse, scalars.split()))
+    return Universe(Config(stage_count=2, scalar_sets=(scalar_set,))).build()
 
 
 def test_suite_passes(desk_universe, rank_universe):
@@ -270,3 +280,85 @@ def test_scaled_overflow_is_typed(exact_universe):
         with pytest.raises(ScaleOverflowError):
             check_conditions(perturbed(u, n, key, F(2**64)))
     assert issubclass(ScaleOverflowError, RelaxError)
+
+
+def _condition5_by_pairs(stage, vectors):
+    """(attempted, failed) of homogeneity and of subadditivity, member by
+    member in Fraction: ||r v|| = |r| ||v|| for each ratio r != 1 of nonzero
+    scalars, and ||v + s|| <= ||v|| + ||s|| for each nonzero step s, wherever
+    the image is a member."""
+    by_vector = {v: m for m, v in vectors.items()}
+    norm = stage.table
+    nonzero = {d.as_fraction() for d in stage.scalar_set} - {0}
+    ratios = {a / b for a in nonzero for b in nonzero} - {1}
+    hom = [
+        norm[by_vector[w]] == abs(r) * norm[m]
+        for m, v in vectors.items() if any(v)
+        for r in ratios if (w := tuple(r * x for x in v)) in by_vector
+    ]
+    sub = [
+        norm[by_vector[w]] <= norm[m] + norm[step]
+        for step, s in vectors.items() if any(s)
+        for m, v in vectors.items() if (w := tuple(a + b for a, b in zip(v, s))) in by_vector
+    ]
+    return (len(hom), hom.count(False)), (len(sub), sub.count(False))
+
+
+@pytest.mark.parametrize(
+    "scalars, counts",
+    [(UNEVEN_SCALARS, [(176, 0), (312, 0)]), ("-4 -2 -1 0 1 2 4", [(176, 0), (912, 0)])],
+    ids=["quarters", "doubles"],
+)
+def test_condition5_on_unevenly_spaced_scalars(scalars, counts):
+    """On unevenly spaced scalar sets both laws check exactly the member
+    pairs that the laws relate, all passing (the second set's sums need
+    index arrays, not slices).  A raised norm fails subadditivity on exactly
+    the pairs a member-by-member check rejects."""
+    u = _two_stages(scalars)
+    s2 = u.stage(2)
+    basis_pos = {b: i for i, b in enumerate(s2.basis)}
+    vectors = {m: u.store.vector_fractions(m, basis_pos, len(s2.basis)) for m in s2.members}
+    assert list(_condition5_by_pairs(s2, vectors)) == counts
+    bad = perturbed(u, 2, u.x_id, F(5))
+    faulty = list(_condition5_by_pairs(bad.stage(2), vectors))
+    assert faulty[1][1] > 0
+    for universe, expected in ((u, counts), (bad, faulty)):
+        got = [(r.attempted, r.attempted - r.passed) for r in check_condition_5(universe)]
+        assert got == expected
+    sub = check_condition_5(bad)[1]
+    assert sub.summary_line().startswith("[FAIL] condition 5 subadditivity stage 2")
+
+
+def test_homogeneity_overflow_is_typed():
+    """A norm scaled into [2^59, 2^60) passes ``to_scaled``, but 16 times it
+    wraps int64: the homogeneity check raises ScaleOverflowError."""
+    u = _two_stages(UNEVEN_SCALARS)
+    s2 = u.stage(2)
+    quarter_x = u.store.lookup(u.store.lin_combine([(Dyadic(1, 2), u.x_id)]))
+    scale = common_denominator(s2.table.values())
+    bad = perturbed(u, 2, quarter_x, F(2**59, scale) - s2.table[quarter_x])
+    table = bad.stage(2).table
+    assert 2**59 <= to_scaled(table[quarter_x], common_denominator(table.values())) < 2**60
+    with pytest.raises(ScaleOverflowError):
+        check_condition_5(bad)
+
+
+def test_inversion_missing_inverse(exact_universe):
+    """A word stage forged without x^-1 (and its distances) cannot satisfy
+    inversion at x: the section fails and names x, rather than passing
+    the pairs it cannot compare."""
+    u = exact_universe
+    s1 = u.stage(1)
+    x = u.x_id
+    xi = u.store.lookup(u.store.group_inv(x))
+    members = tuple(m for m in s1.members if m != xi)
+    table = {k: v for k, v in s1.table.items() if xi not in k}
+    forged = copy.copy(u)
+    forged.stages = list(u.stages)
+    forged.stages[1] = dataclasses.replace(
+        s1, members=members, member_set=frozenset(members), table=table
+    )
+    [inversion] = [r for r in check_condition_3(forged, 10**7, 0) if "inversion" in r.suite]
+    assert not inversion.ok
+    assert (inversion.attempted, inversion.passed) == (1, 0)
+    assert inversion.counterexamples == [{"element": x, "inverse": None}]
