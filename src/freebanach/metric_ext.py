@@ -171,7 +171,7 @@ def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
 # ---------------------------------------------------------------------------
 
 
-def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
+def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
     """Stage 1, the free group on x in words of length <= the first word
     cap, has rho(x^a, x^b) = |a - b|, where a is a word's letter-sign sum.
 
@@ -189,7 +189,11 @@ def _base_case_table(universe, stage) -> dict[tuple[int, int], Fraction]:
       f(w, z) and f(a, b) <= f(a, m) + f(m, b).  It is 0 on the diagonal
       and 1 at (x, e), so it lies below the greatest such function.
     Distinct reduced words in x alone have distinct letter-sign sums, so the
-    table is positive off the diagonal."""
+    table is positive off the diagonal.  Its n^2 cells must fit
+    ``pair_cell_budget``, as every other metric table's do."""
+    n = len(stage.members)
+    if n * n > cfg.pair_cell_budget:
+        raise MetricExtensionError(f"stage-1 metric members space {n}^2 exceeds pair_cell_budget")
     word_of = universe.store.word_of
     exponent = {m: sum(sign for _, sign in word_of(m)) for m in stage.members}
     return {
@@ -251,7 +255,7 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     space), and at expansion >= 2 the triangle family changes none (ii).
     """
     if stage.index == 1:
-        return _base_case_table(universe, stage)
+        return _base_case_table(universe, stage, cfg)
 
     delta = delta_bounds(universe, stage, prev, cfg)
     members = stage.members

@@ -74,9 +74,6 @@ class Dyadic:
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.log2den)
 
-    def _cmp_key(self):
-        return self.as_fraction()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dyadic):
             return NotImplemented

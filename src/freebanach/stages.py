@@ -328,10 +328,7 @@ class Universe:
     def _enumerate_vector_stage(self, n: int) -> Stage:
         store = self.store
         scalars = self.cfg.scalar_set(n // 2)
-        if n == 2:
-            prev_vec = self.stages[0]
-        else:
-            prev_vec = self.stages[n - 2]
+        prev_vec = self.stages[n - 2]
         prev_word = self.stages[n - 1]
         fresh = [m for m in prev_word.members if m not in prev_vec.member_set]
         for eid in fresh:
@@ -354,8 +351,6 @@ class Universe:
             if eid not in seen:
                 seen.add(eid)
                 members.append(eid)
-        if not basis:
-            members, seen = [UNIT_ID], {UNIT_ID}
         return Stage(
             index=n,
             kind="vector",

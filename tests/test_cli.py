@@ -312,12 +312,28 @@ def test_every_valid_config_builds_or_exits_2(text):
 
 
 def test_small_quantifier_budget_still_samples(tmp_path, capsys):
-    """A quantifier budget below 10 still draws one splitting sample rather
+    """A quantifier budget below the row length still walks one sampled
+    splitting row (exact-x2's 7 product pairs against one of them) rather
     than reporting a pass over nothing."""
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = exact-x2\nquantifier_budget = 5\n")
     assert run_cli("verify", "--config", str(path), "--suite", "conditions") == EXIT_OK
-    assert "[pass] condition 3 splitting stage 1: 1/1\n" in capsys.readouterr().out
+    assert "[pass] condition 3 splitting stage 1: 7/7\n" in capsys.readouterr().out
+
+
+def test_stage1_obeys_pair_cell_budget(tmp_path, capsys):
+    """Stage 1 at word cap c has 2c + 1 members, and its table must fit
+    ``pair_cell_budget`` like every other metric table: at the default
+    400 000 cells cap 315 (631^2 cells) builds, and cap 316 (633^2) exits
+    2 before any distance is computed."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = exact-x2\nstage_count = 1\nword_caps = 316\n")
+    assert run_cli("dist", "x", "inv(x)", "--config", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pair_cell_budget" in err
+    path.write_text("[build]\npreset = exact-x2\nstage_count = 1\nword_caps = 315\n")
+    assert run_cli("dist", "x", "inv(x)", "--config", str(path)) == EXIT_OK
+    assert capsys.readouterr().out == "2 (stage 1)\n"
 
 
 def test_oracle_stage2_on_requested_preset(monkeypatch):

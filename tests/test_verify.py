@@ -3,6 +3,8 @@ detection for every condition checker."""
 
 import copy
 import dataclasses
+import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -132,6 +134,44 @@ def test_fault_condition3(desk_universe):
     bad = perturbed(u, 3, key, F(3))  # break splitting through the unit
     reports = check_condition_3(bad, budget=10**7, seed=0)
     assert not all(r.ok for r in reports)
+
+
+def test_fault_condition3_sampled(desk_universe):
+    """Past the budget, splitting walks a seeded sample of its exhaustive
+    rows: one budget short of all k^2 instances walks k - 1 of stage 3's
+    k rows, so the fault above, which shows on several rows, fails on any
+    seed.  Each counterexample is one the exhaustive walk reports, with its
+    lhs and rhs, and the report records the seed and the row count."""
+    u = desk_universe
+    bad = perturbed(u, 3, _first_key(u.stage(3).table), F(3))
+
+    def splitting(budget):
+        [rep] = [r for r in check_condition_3(bad, budget, seed=7) if r.suite == "condition 3 splitting stage 3"]
+        return rep
+
+    full = splitting(10**7)
+    k = math.isqrt(full.attempted)
+    sampled = splitting(k * k - 1)
+    assert not sampled.ok and sampled.attempted == (k - 1) * k
+    assert {key: sampled.meta[key] for key in ("mode", "seed", "rows")} == {"mode": "sampled", "seed": 7, "rows": k - 1}
+    assert full.meta["counterexample_count"] < 25  # none dropped from the exhaustive list
+    for ce in sampled.counterexamples:
+        assert ce in full.counterexamples and F(ce["lhs"]) > F(ce["rhs"])
+
+
+def test_triangle_memory_is_quadratic():
+    """The triangle section takes one middle member at a time: on the
+    121-member stage 1 of exact-x2 at word cap 60 its peak stays below
+    2 MB, where an n^3 temporary would take 14 MB."""
+    u = Universe(dataclasses.replace(Config.exact_x2(), stage_count=1, word_caps=(60,))).build()
+    tracemalloc.start()
+    try:
+        suite = check_biinvariance(u, u.stage(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite.ok and suite.reports[0].attempted == 121**3
+    assert peak < 2 << 20, peak
 
 
 def test_fault_condition4_and_6(rank_universe):
