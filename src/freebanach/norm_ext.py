@@ -110,8 +110,10 @@ def _dedupe_sign(molecules: dict[Vec, Fraction]) -> dict[Vec, Fraction]:
 def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     """Norm table for a vector stage.
 
-    gamma(m) is the molecule gauge of m's +- class on every nonzero member,
-    one program per class, warm-started in member order.  On a prev member
+    gamma(m) is the molecule gauge of m's +- class on every nonzero member.
+    All classes go to one ``MoleculeLP.solve_many`` call in member order,
+    which solves warm only the classes its cached optimal bases do not
+    cover; ``gamma_lp_calls`` counts those solves.  On a prev member
     the gauge must equal the molecule cost of the member's own vector, its
     prev-metric value: otherwise the norm would not extend the metric, and
     ``NormExtensionError`` is raised.  Without an inverse-convex instance
@@ -130,23 +132,20 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     canon = _dedupe_sign(molecules)
     lp = MoleculeLP(list(canon.keys()), list(canon.values()))
 
-    gauge: dict[Vec, Fraction] = {}
+    vecs = {m: member_vector(universe, m, basis_pos, dim) for m in stage.members if m != UNIT_ID}
+    index: dict[Vec, int] = {}
+    class_of = {m: index.setdefault(sign_class(v), len(index)) for m, v in vecs.items()}
+    gauge = [value for value, _ in lp.solve_many(list(index))]
     gamma: dict[int, Fraction] = {UNIT_ID: Fraction(0)}
-    for m in stage.members:
-        if m == UNIT_ID:
-            continue
-        v = member_vector(universe, m, basis_pos, dim)
-        cls = sign_class(v)
-        g = gauge.get(cls)
-        if g is None:
-            g = gauge[cls] = lp.solve(cls)
+    for m, v in vecs.items():
+        g = gauge[class_of[m]]
         if m in prev.member_set and molecules.get(v) != g:
             raise NormExtensionError(
                 f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
             )
         gamma[m] = g
     stage.gamma = gamma
-    stage.notes["gamma_lp_calls"] = len(gauge)
+    stage.notes["gamma_lp_calls"] = len(lp.bases)
     stage.notes["gamma_lp_pivots"] = lp.pivots
     # counters perfbench's tracer still reads on every norm stage
     stage.notes["lattice_cells"] = 0

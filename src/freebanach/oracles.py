@@ -16,7 +16,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from .lp import InfeasibleLP, MoleculeLP, basic_solution_values, certifies_target, dual_feasible
+from .lp import Certifier, InfeasibleLP, MoleculeLP, basic_solution_values
 from .relax import ConstraintSystem, Equality, UpperCombo, brute_force_oracle, relax_fixpoint
 from .stages import Config, Universe
 from .terms import UNIT_ID
@@ -154,10 +154,15 @@ def check_rho_oracle(cfg: Config | None = None):
 def certificate_mismatches(universe, n: int, members) -> int:
     """How many of the given nonzero members of vector stage n lack an exact
     primal/dual certificate that their table value is the molecule
-    program's optimum.  The program is solved once per +- class: -v takes
-    the negated solution and dual of v.  Each member's certificate is still
-    checked on its own, and each distinct dual is checked for feasibility
-    once."""
+    program's optimum.  The +- classes are resolved once, by
+    ``MoleculeLP.solve_many``, and each class v reads its solution B^-1 v,
+    which must be >= 0, and its dual off its cached basis B; each cached
+    basis's dual is checked for feasibility once.  Each member's
+    certificate is then checked on its own, against the original molecules
+    (``Certifier``) and at the member's table value.  A member -v would take
+    the negated solution and dual of v, and negating target, solution and
+    dual together changes none of the checked identities, so it is checked
+    on its class v."""
     from .norm_ext import member_vector, molecule_table, sign_class, _dedupe_sign
 
     stage = universe.stage(n)
@@ -166,22 +171,24 @@ def certificate_mismatches(universe, n: int, members) -> int:
     canon = _dedupe_sign(molecule_table(universe, universe.stage(n - 1), basis_pos, dim))
     mols, costs = list(canon.keys()), list(canon.values())
     lp = MoleculeLP(mols, costs)
-    solved: dict = {}
-    feasible: dict = {}
+    check = Certifier(mols, costs)
+    index: dict = {}
+    class_of = {
+        m: index.setdefault(sign_class(member_vector(universe, m, basis_pos, dim)), len(index))
+        for m in members
+    }
+    order = list(index)
+    certs = []
+    feasible: dict[int, bool] = {}
+    for cls, (_, k) in zip(order, lp.solve_many(order)):
+        cert = lp.certificate(k, cls)  # None where B^-1 v has a negative entry
+        if cert is not None and k not in feasible:
+            feasible[k] = check.dual_feasible(cert[2])
+        certs.append(cert if cert is not None and feasible[k] else None)
     bad = 0
-    for m in members:
-        v = member_vector(universe, m, basis_pos, dim)
-        cls = sign_class(v)
-        if cls not in solved:
-            solved[cls] = lp.solve_full(cls)
-        value, beta, dual = solved[cls]
-        if v != cls:
-            beta = {j: -b for j, b in beta.items()}
-            dual = tuple(-y for y in dual)
-        if dual not in feasible:
-            feasible[dual] = dual_feasible(mols, costs, dual)
-        if not (feasible[dual] and certifies_target(mols, costs, v, value, beta, dual)
-                and stage.table[m] == value):
+    for m, i in class_of.items():
+        cert = certs[i]
+        if cert is None or not check.certifies(order[i], stage.table[m], cert[1], cert[2]):
             bad += 1
     return bad
 

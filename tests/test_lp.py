@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from freebanach.lp import (
     InexactDivision,
     InfeasibleLP,
     MoleculeLP,
+    _matmul,
     _pivot,
     basic_solution_oracle,
     basic_solution_values,
@@ -152,6 +154,88 @@ def test_solve_matches_oracle_property(program):
         value, beta, dual = lp.solve_full(t)
         assert value == want == lp.solve(t)
         assert verify_certificate(mols, costs, t, value, beta, dual)
+
+
+@given(molecule_programs())
+@settings(max_examples=150, deadline=None)
+def test_solve_many_matches_solve_and_oracle_property(program):
+    """The batch values equal per-target ``solve`` and the oracle, each
+    target's cached basis certifies it, a second batch is served from the
+    cache alone, and an infeasible target makes the batch raise."""
+    mols, costs, targets = program
+    want = basic_solution_values(mols, costs, targets)
+    feasible = [t for t, w in zip(targets, want) if w is not None]
+    single, batch = MoleculeLP(mols, costs), MoleculeLP(mols, costs)
+    solved = batch.solve_many(feasible)
+    assert [v for v, _ in solved] == [w for w in want if w is not None]
+    assert [v for v, _ in solved] == [single.solve(t) for t in feasible]
+    for t, (v, k) in zip(feasible, solved):
+        value, beta, dual = batch.certificate(k, t)
+        assert value == v
+        assert verify_certificate(mols, costs, t, value, beta, dual)
+    bases, pivots = len(batch.bases), batch.pivots
+    assert batch.solve_many(feasible) == solved
+    assert (len(batch.bases), batch.pivots) == (bases, pivots)
+    for t, w in zip(targets, want):
+        if w is None:
+            with pytest.raises(InfeasibleLP):
+                batch.solve_many([*feasible, t])
+
+
+def test_forged_basis_never_values_a_target_it_does_not_cover():
+    """A cached basis optimal for v has B^-1(-v) = -B^-1 v with a negative
+    entry, and c_B B^-1(-v) = -gamma(v) < 0.  Handed to a fresh solver as
+    its cache, the basis values v, and -v is solved for its own optimum."""
+    v, neg = (F(1), F(0)), (F(-1), F(0))
+    donor = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
+    [(value, k)] = donor.solve_many([v])
+    lp = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
+    lp.bases.append(donor.bases[k])
+    assert lp.certificate(0, neg) is None  # B^-1(-v) has a negative entry
+    (got_v, basis_v), (got_neg, basis_neg) = lp.solve_many([v, neg])
+    assert (got_v, basis_v) == (value, 0) == (1, 0)
+    assert got_neg == basic_solution_oracle(STAGE1_MOLECULES, STAGE1_COSTS, neg) == 1
+    assert basis_neg == 1 == len(lp.bases) - 1
+
+
+def test_matmul_falls_back_to_python_ints():
+    """A product whose bound reaches 2^62 is taken in Python ints, exactly;
+    below the bound it stays in int64."""
+    big = np.array([[2**40], [1]], dtype=np.int64)
+    out = _matmul([[2**30, 1], [-(2**30), 1]], big)
+    assert out.dtype == object
+    assert out[:, 0].tolist() == [2**70 + 1, -(2**70) + 1]
+    small = _matmul([[2, 1]], np.array([[3], [4]], dtype=np.int64))
+    assert small.dtype == np.int64 and small.tolist() == [[10]]
+
+
+@pytest.mark.parametrize("case", ["target denominators", "molecule entries"])
+def test_solve_many_python_int_path_matches_oracle(monkeypatch, case):
+    """Targets with denominators 3^45 (their scaled matrix leaves int64),
+    or small targets against molecules with entries 2^70 (the reduction
+    operator's products leave int64): the batch runs its products in
+    Python ints and agrees with basic-solution enumeration."""
+    products = []
+    honest = lp_module._matmul
+
+    def spy(a, b):
+        out = honest(a, b)
+        products.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(lp_module, "_matmul", spy)
+    if case == "target denominators":
+        mols, costs = STAGE1_MOLECULES, STAGE1_COSTS
+        targets = [(F(1, 3**45), F(2)), (F(-5, 3**44), F(1, 3)), (F(7), F(-1, 3**45))]
+    else:
+        mols = [(F(2**70), F(0)), (F(0), F(1, 2**70)), (F(2**70), F(-1))]
+        costs = [F(1), F(3, 2**70), F(2)]
+        targets = [(F(3), F(1)), (F(-3), F(5, 2)), (F(1), F(0))]
+    want = basic_solution_values(mols, costs, targets)
+    got = MoleculeLP(mols, costs).solve_many(targets)
+    assert object in products
+    assert [v for v, _ in got] == want
+    assert want == [MoleculeLP(mols, costs).solve(t) for t in targets]
 
 
 def test_pivot_remainder_raises():

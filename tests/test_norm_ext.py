@@ -152,21 +152,22 @@ def test_homogeneity_negation(desk_universe):
 
 
 def test_gamma_lp_pivot_counts(exact_universe, rank_universe, desk_universe):
-    """Dual-simplex pivots of the gamma programs, and the programs solved
-    (one per +- class of nonzero members), are deterministic."""
+    """Dual-simplex pivots of the gamma programs, and the warm solves (one
+    per cached optimal basis; the bases cover every +- class of nonzero
+    members), are deterministic."""
     def pivots(u):
         return sum(s.notes.get("gamma_lp_pivots", 0) for s in u.stages)
 
-    assert pivots(exact_universe) == 14
-    assert pivots(rank_universe) == 6
-    assert pivots(desk_universe) == 7112
+    assert pivots(exact_universe) == 2
+    assert pivots(rank_universe) == 2
+    assert pivots(desk_universe) == 1351
 
     def lp_calls(u):
         return [s.notes["gamma_lp_calls"] for s in u.stages if "gamma_lp_calls" in s.notes]
 
-    assert lp_calls(exact_universe) == [40]
-    assert lp_calls(rank_universe) == [12]
-    assert lp_calls(desk_universe) == [4, 3280]
+    assert lp_calls(exact_universe) == [3]
+    assert lp_calls(rank_universe) == [3]
+    assert lp_calls(desk_universe) == [2, 367]
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
