@@ -48,10 +48,8 @@ def _term_doc(term):
     if isinstance(term, WordTerm):
         return ["word", [[b, s] for b, s in term.letters]]
     if isinstance(term, ComboTerm):
-        return [
-            "combo",
-            [[b, c.as_fraction().numerator, c.as_fraction().denominator] for b, c in term.coeffs],
-        ]
+        # a normalized Dyadic is already in lowest terms: num over 2^log2den
+        return ["combo", [[b, c.num, 1 << c.log2den] for b, c in term.coeffs]]
     raise TypeError(f"unknown term {term!r}")
 
 
@@ -64,9 +62,7 @@ def _term_from_doc(doc):
     if kind == "word":
         return WordTerm(tuple((b, s) for b, s in doc[1]))
     if kind == "combo":
-        return ComboTerm(
-            tuple((b, Dyadic.from_fraction(Fraction(n, d))) for b, n, d in doc[1])
-        )
+        return ComboTerm(tuple((b, Dyadic.from_pair(n, d)) for b, n, d in doc[1]))
     raise ValueError(f"unknown term document {doc!r}")
 
 

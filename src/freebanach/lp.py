@@ -9,24 +9,36 @@ exact; no floating point touches any stored value.
 common denominators, row-reduces the constraints once, and pivots in
 integers only throughout (integer-preserving elimination: Edmonds 1967,
 Bareiss 1968; one ``_pivot`` serves the reduction, the simplex and the
-oracle).  For the current basis B it keeps
-d = |det B| > 0 and N = d * B^-1, which is +-adj B, plus the reduced costs
-scaled as R = d * cbar.  A pivot on row r, entering column a_e with
-col = N a_e and pivot entry p = col_r, sets
+oracle).  For the current basis B it keeps d = |det B| > 0 and the
+tableau d * B^-1 [A | I | v] under its cost row,
 
-    N_i  <-  (|p| N_i - sgn(p) col_i N_r) / d     for i != r,
-    N_r  <-  sgn(p) N_r,        d  <-  |p|,
+    [ N A | N       | N v       ]      N = d * B^-1, which is +-adj B,
+    [ R   | -c_B N  | -c_B N v  ]      R = d * cbar, the scaled reduced costs,
 
-and R likewise against the pivot row N_r A.  The new d is |det B'| and the
-new N is +-adj B', a matrix of minors of the integer system, so each
-division is exact; a remainder means the invariant broke and raises
-``InexactDivision``.  Every denominator is d > 0 (times positive scales),
-so signs and ratios are compared by integer cross-multiplication and
-Fractions are built only for the returned value, solution and dual.
+for the current target v.  A pivot on row r, entering column e with
+col = the tableau's column e and pivot entry p = col_r, sets every row
 
-A two-phase simplex with Bland's rule, pivoting the same way, finds the
-first basis; it is dual feasible whatever the right-hand side, so each
-further target warm-starts with dual-simplex pivots (``solve_full``).
+    T_i  <-  (|p| T_i - sgn(p) col_i T_r) / d     for i != r,
+    T_r  <-  sgn(p) T_r,        d  <-  |p|,
+
+the cost row included, so N, R and N v come out updated together.  The
+new d is |det B'| and the new entries are minors of the integer system,
+so each division is exact; a remainder means the invariant broke and
+raises ``InexactDivision``.  Every denominator is d > 0 (times positive
+scales), so signs and ratios are compared by integer cross-multiplication
+and Fractions are built only for the returned value, solution and dual.
+
+The tableaux are numpy arrays.  Each product runs in int64 while an
+explicit bound on its entries and partial results holds (``_fit``: for a
+pivot, 2 max|col| max|T| and d below 2^62; for a matrix product, inner
+length * max|a| * max|b|), and past the bound the same code runs on object
+arrays of Python ints, which never wrap.  Arrays leave for Python ints
+through ``tolist`` or ``int``, so no numpy scalar reaches a Fraction.
+
+A two-phase simplex with Bland's rule, pivoting the same tableau with one
+more cost row for phase one, finds the first basis; it is dual feasible
+whatever the right-hand side, so each further target warm-starts with
+dual-simplex pivots (``solve_full``).
 
 ``solve_many`` resolves a batch of targets from a cache of optimal bases
 (the multiple-right-hand-side basis reuse of parametric programming:
@@ -49,15 +61,16 @@ is its one-target call.
 ``basic_solution_values`` is the cross-check required of the LP route: it
 enumerates every basis (every independent set of rank-many molecules; the
 docstring proves that bases suffice), eliminates each one once in integers
-with all targets as right-hand sides, and counts a candidate only after an
-exact residual check, so it shares the pivot formula but no trust in it.
+with all targets as right-hand sides, a chunk of subsets at a time as one
+stack of tableaux, and counts a candidate only after an exact residual
+check, so it shares the pivot formula but no trust in it.
 ``basic_solution_oracle`` is its one-target call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -66,8 +79,10 @@ import numpy as np
 
 Vec = tuple[Fraction, ...]
 
-# every partial sum of an int64 product stays below this in magnitude
+# every partial result of an int64 array operation stays below this in magnitude
 _INT64_SAFE = 1 << 62
+# entries of the subset tableaux ``basic_solution_values`` eliminates at once
+_ORACLE_CELLS = 1 << 18
 
 
 def _scaled(v: Iterable, den: int) -> list[int]:
@@ -84,52 +99,101 @@ class InexactDivision(ArithmeticError):
     it exact (the pivot's d/N, or phi's scale S) broke."""
 
 
-def _exact_update(p: int, row: list[int], f: int, prow: Sequence[int], d: int) -> list[int]:
-    """(p * row - f * prow) / d entrywise; the quotient must be exact."""
-    out = []
-    for a, b in zip(row, prow):
-        q, rem = divmod(p * a - f * b, d)
-        if rem:
-            raise InexactDivision(f"pivot update left remainder {rem} modulo {d}")
-        out.append(q)
-    return out
+def _absmax(a: np.ndarray) -> int:
+    """max |a| over an integer array, as a Python int (0 when empty); the
+    reshape keeps a 0-d object array an array under ``np.abs``."""
+    return int(np.abs(a.reshape(-1)).max(initial=0))
 
 
-def _pivot(rows: list[list[int]], d: int, col: list[int], r: int) -> tuple[list[list[int]], int]:
-    """Integer-preserving pivot of d * B^-1 rows on row r, where col is the
-    entering column through those rows; returns the new rows and d > 0."""
-    p, prow = col[r], rows[r]
-    s = 1 if p > 0 else -1
-    return [
-        [s * x for x in prow] if i == r else _exact_update(abs(p), row, s * f, prow, d)
-        for i, (row, f) in enumerate(zip(rows, col))
-    ], abs(p)
+def _fit(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays in int64 when ``bound`` < 2^62 bounds every entry and
+    every partial result of the operation they enter, else as object
+    arrays of Python ints, which never wrap; the operation then runs the
+    same code on either."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[Optional[int]]]:
+def _ints(x) -> np.ndarray:
+    """An integer array as it is, or nested lists of Python ints as one:
+    in int64 when every entry is below the bound, else as an object
+    array.  (``np.array`` alone would give uint64 past 2^63.)"""
+    if isinstance(x, np.ndarray):
+        return x
+    a = np.array(x, dtype=object)
+    return _fit(_absmax(a), a)[0]
+
+
+def _matmul(a, b) -> np.ndarray:
+    """a @ b exactly, for integer arrays (or lists, see ``_ints``): in
+    int64 when inner length * max|a| * max|b| < 2^62 bounds every partial
+    sum, else in Python ints (object arrays), which never wrap."""
+    a, b = _ints(a), _ints(b)
+    ma, mb = _absmax(a), _absmax(b)
+    a, b = _fit(max(a.shape[-1] * ma * mb, ma, mb), a, b)
+    return a @ b
+
+
+def _pivot(rows, d, col, r):
+    """Integer-preserving pivot of an integer tableau (k x n) on row r,
+    where col is its entering column through its rows.  With p = col_r,
+    each other row becomes (|p| row_i - sgn(p) col_i row_r) / d, whose
+    division must be exact, and row r becomes sgn(p) row_r; returns the
+    new tableau and the new d = |p| > 0.  A stack of tableaux (S x k x n,
+    with d and r arrays of one entry per tableau) pivots each on its own
+    row, all at once.  In int64 while 2 max|col| max|rows| and max d stay
+    below 2^62 (``_fit``), else in Python ints."""
+    rows, col = _ints(rows), _ints(col)
+    at = r if rows.ndim == 2 else (np.arange(len(rows)), r)  # the pivot rows
+    p, d = np.asarray(col[at]), np.asarray(d)
+    mc = _absmax(col)
+    rows, col, p, d = _fit(max(2 * mc * _absmax(rows), mc, _absmax(d)), rows, col, p, d)
+    # ufuncs on 0-d object arrays return Python ints, so keep arrays
+    q, sign, prow, d = np.asarray(np.abs(p)), np.asarray(np.sign(p)), rows[at], d[..., None, None]
+    num = q[..., None, None] * rows - (sign[..., None] * col)[..., None] * prow[..., None, :]
+    out = num // d
+    if (num - out * d).any():
+        raise InexactDivision("pivot update left a remainder")
+    out[at] = sign[..., None] * prow
+    return out, q.tolist() if q.ndim == 0 else q
+
+
+def _eliminate(tableaux, ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer-preserving Gauss-Jordan by ``_pivot`` over the first
-    ``ncols`` columns; returns the rows, d > 0 and, per column, its pivot
-    row, or None where the column depends on the columns before it."""
-    d = 1
-    pivot_rows: list[Optional[int]] = []
+    ``ncols`` columns of a stack of integer tableaux (S x k x n), all at
+    once.  Returns the tableaux, d > 0 of each and, per tableau and column,
+    its pivot row, or -1 where the column depends on the columns before
+    it."""
+    work = _ints(tableaux).copy()  # pivots write into it
+    S, k = work.shape[:2]
+    d = np.ones(S, dtype=np.int64)
+    used = np.zeros((S, k), dtype=bool)
+    pivot_rows = np.full((S, ncols), -1)
     for c in range(ncols):
-        r = next((i for i, row in enumerate(rows) if row[c] and i not in pivot_rows), None)
-        if r is not None:
-            rows, d = _pivot(rows, d, [row[c] for row in rows], r)
-        pivot_rows.append(r)
-    return rows, d, pivot_rows
+        candidates = (work[:, :, c] != 0) & ~used
+        has = np.flatnonzero(candidates.any(axis=1))
+        if not has.size:
+            continue
+        r = candidates[has].argmax(axis=1)  # the first unused nonzero row
+        out, q = _pivot(work[has], d[has], work[has, :, c], r)
+        if out.dtype == object:
+            work, d = work.astype(object), d.astype(object)
+        work[has], d[has] = out, q
+        used[has, r] = True
+        pivot_rows[has, c] = r
+    return work, d, pivot_rows
 
 
-def _matmul(a: Sequence[Sequence[int]], b: np.ndarray) -> np.ndarray:
-    """a @ b exactly, for Python-int rows a and an int64 or object array b:
-    in int64 when inner length * max|a| * max|b| < 2^62 bounds every
-    partial sum, else in Python ints (object arrays), which never wrap."""
-    if b.dtype != object:
-        a_max = max(abs(x) for row in a for x in row)
-        if len(a[0]) * a_max * int(np.abs(b).max(initial=0)) < _INT64_SAFE:
-            return np.array(a, dtype=np.int64) @ b
-        b = b.astype(object)
-    return np.array(a, dtype=object) @ b
+def _least_ratio(num: np.ndarray, den: np.ndarray, order) -> int:
+    """The index in ``order`` whose num/den is least (den > 0 there), the
+    first in ``order`` on a tie.  For L the lcm of those dens, the ints
+    num * (L / den) order the ratios exactly, in int64 while L max|num|
+    stays below 2^62 (``_fit``)."""
+    order = np.asarray(order)
+    a, b = num[order], den[order]
+    L = lcm(*b.tolist())
+    a, b = _fit(max(L * _absmax(a), L), a, b)
+    return int(order[np.argmin(a * (L // b))])
 
 
 class OptimalBasis(NamedTuple):
@@ -138,13 +202,15 @@ class OptimalBasis(NamedTuple):
 
     columns: tuple[int, ...]
     det: int
-    adj: list[list[int]]
+    adj: np.ndarray
 
 
 class MoleculeLP:
     """min sum c_j |beta_j| s.t. sum beta_j m_j = v, resolved for many v.
 
-    Columns are the signed molecules (+m_j and -m_j, each at cost c_j >= 0).
+    Molecules and targets are tuples of Fractions or of ints (ints have
+    denominator 1).  Columns are the signed molecules (+m_j and -m_j, each
+    at cost c_j >= 0).
     The constraint matrix is row-reduced once so the working system has full
     row rank; targets inconsistent with the dropped rows are infeasible.
     ``pivots`` counts the dual-simplex pivots over all solves; ``bases``
@@ -156,7 +222,7 @@ class MoleculeLP:
             raise ValueError("no molecules")
         self.dim = len(molecules[0])
         self.molecules = [tuple(m) for m in molecules]
-        self.costs = [Fraction(c) for c in costs]
+        self.costs = list(costs)
         if any(c < 0 for c in self.costs):
             raise ValueError("negative molecule cost")
 
@@ -166,107 +232,97 @@ class MoleculeLP:
         # the reduced columns.  The pivot rows, in pivot-column order, are the
         # working system; E's other rows vanish on targets in the span.
         d, J = self.dim, len(self.molecules)
-        scale = lcm(*(Fraction(x).denominator for mol in self.molecules for x in mol))
+        scale = lcm(*(x.denominator for mol in self.molecules for x in mol))
         work = [[int(x * scale) for x in row] + [scale * (i == k) for k in range(d)]
                 for i, row in enumerate(zip(*self.molecules))]
-        work, _, pivot_rows = _eliminate(work, J)
-        pivots = [r for r in pivot_rows if r is not None]
+        work, _, pivot_rows = _eliminate([work], J)
+        work = work[0].tolist()
+        pivots = [r for r in pivot_rows[0].tolist() if r >= 0]
         work = [work[r] for r in pivots] + [row for i, row in enumerate(work) if i not in pivots]
         self.m = len(pivots)
         self.ncols = 2 * J
         # the reduced rows are a positive multiple of the reduced row echelon
         # form, which leaves every pivot choice, and phase one's, unchanged
-        self._op = [row[J:] for row in work]
-        cols = [tuple(work[i][j] for i in range(self.m)) for j in range(J)]
-        self._cols = cols + [tuple(-x for x in col) for col in cols]  # signed columns
+        self._op = _ints([row[J:] for row in work])
+        cols = [row[:J] for row in work[: self.m]]
+        self._cols = [row + [-x for x in row] for row in cols]  # signed columns, m x 2J
         self._cost_den = lcm(*(c.denominator for c in self.costs))
-        self._cost = [int(c * self._cost_den) for c in self.costs] * 2  # scaled c
+        self._cost = _scaled(self.costs, self._cost_den) * 2  # scaled c
         self.pivots = 0
         self.bases: list[OptimalBasis] = []
         self._basis: Optional[list[int]] = None
-        # N = d * B^-1, d = |det B| and R = d * reduced costs, set by phase one
-        self._adj, self._det, self._red = [], 1, []
+        # the warm tableau d * B^-1 [A | I | v] under its cost row, that is
+        # [N A | N | N v ; R | -c_B N | -c_B N v], and d = |det B|, from phase one
+        self._T, self._det = np.zeros((0, 0), dtype=np.int64), 1
 
     def _reduce(self, targets: Sequence[Vec]) -> tuple[np.ndarray, list[int]]:
         """The integer right-hand sides of the scaled reduced system, one
         column per target (an m x T matrix), and each target's common
         denominator; raises if a target leaves the span."""
         dens = [lcm(*(x.denominator for x in t)) for t in targets]
-        scaled = np.array([_scaled(t, den) for t, den in zip(targets, dens)], dtype=object).T
-        if np.abs(scaled).max() < _INT64_SAFE:
-            scaled = scaled.astype(np.int64)
+        scaled = _ints([_scaled(t, den) for t, den in zip(targets, dens)]).T
         image = _matmul(self._op, scaled)
         if image[self.m :].any():
             raise InfeasibleLP("target outside molecule span")
         return image[: self.m], dens
 
-    def _reduce_vec(self, v: Vec) -> tuple[list[int], int]:
-        """``_reduce`` for one target, as Python ints."""
-        rhs, [den] = self._reduce([v])
-        return rhs[:, 0].tolist(), den
-
     # -- simplex core ----------------------------------------------------
 
-    def _phase_one(self, rhs: list[int]) -> None:
+    def _phase_one(self, rhs: np.ndarray) -> None:
         """Dense two-phase start on the integer tableau d * B^-1 [A | I | rhs]
-        (rows sign-fixed so rhs >= 0); establishes a dual-feasible optimal
-        basis, whose N is read off the artificial block."""
+        (rows sign-fixed so rhs >= 0) under its two objective rows, which
+        ``_pivot`` updates with the rest: d times the reduced costs of the
+        artificial cost and of the molecule costs.  Establishes a
+        dual-feasible optimal basis and the warm tableau: the artificial
+        block is N = d * B^-1 up to the signs, the second objective row R."""
         m, n = self.m, self.ncols
-        cols = self._cols
-        signs = [-1 if b < 0 else 1 for b in rhs]
-        T = [
-            [s * col[i] for col in cols] + [int(i == k) for k in range(m)] + [s * rhs[i]]
-            for i, s in enumerate(signs)
+        signs = [-1 if b < 0 else 1 for b in rhs.tolist()]
+        rows = [
+            [s * x for x in col] + [int(i == k) for k in range(m)] + [s * b]
+            for i, (s, col, b) in enumerate(zip(signs, self._cols, rhs.tolist()))
         ]
+        art = [-sum(col) for col in zip(*rows)]  # c - c_B T at the artificial basis
+        art[n : n + m] = [0] * m
+        T = _ints(rows + [art, self._cost + [0] * (m + 1)])
         det = 1
-        basis = [n + i for i in range(m)]
+        basis = list(range(n, n + m))
 
         def pivot(r: int, e: int) -> None:
             nonlocal T, det
-            T, det = _pivot(T, det, [row[e] for row in T], r)
+            T, det = _pivot(T, det, T[:, e], r)
             basis[r] = e
 
-        def run(cost: list[int], limit: int) -> None:
+        def run(z: int, limit: int) -> None:
             while True:
-                # Bland: first improving column, d * red_j < 0
-                entering = next((j for j in range(limit) if j not in basis and det * cost[j]
-                                 < sum(cost[basis[i]] * T[i][j] for i in range(m))), None)
-                if entering is None:
+                # Bland: first improving column, d * reduced cost < 0
+                free = T[z, :limit] < 0
+                free[[b for b in basis if b < limit]] = False
+                improving = np.flatnonzero(free)
+                if not improving.size:
                     return
-                r = None  # least ratio rhs_i / t_i over t_i > 0, then least basis index
-                for i in range(m):
-                    t = T[i][entering]
-                    if t > 0 and (r is None or (T[i][-1] * T[r][entering], basis[i])
-                                  < (T[r][-1] * t, basis[r])):
-                        r = i
-                if r is None:
+                e = int(improving[0])
+                # least ratio rhs_i / t_i over t_i > 0, then least basis index
+                eligible = sorted(np.flatnonzero(T[:m, e] > 0).tolist(), key=basis.__getitem__)
+                if not eligible:
                     raise InfeasibleLP("unbounded phase; molecule costs degenerate")
-                pivot(r, entering)
+                pivot(_least_ratio(T[:m, -1], T[:m, e], eligible), e)
 
-        art_cost = [0] * n + [1] * m
-        run(art_cost, n + m)
-        if sum(T[i][-1] * art_cost[basis[i]] for i in range(m)) != 0:
+        run(m, n + m)
+        if any(T[i, -1] for i in range(m) if basis[i] >= n):
             raise InfeasibleLP("phase one optimum positive")
         # drive zero-level artificials out of the basis
         for i in range(m):
             if basis[i] >= n:
-                pivot_col = next((j for j in range(n) if T[i][j] != 0 and j not in basis), None)
+                pivot_col = next((j for j in np.flatnonzero(T[i, :n]).tolist() if j not in basis), None)
                 if pivot_col is None:
                     raise InfeasibleLP("redundant row survived row reduction")
                 pivot(i, pivot_col)
-        run(self._cost + [0] * m, n)
+        run(m + 1, n)
         if any(b >= n for b in basis):
             raise InfeasibleLP("artificial column stuck in basis")
-        # the artificial block is d * (diag(signs) B)^-1
+        # the artificial block is d * (diag(signs) B)^-1 = N diag(signs)
         self._basis, self._det = basis, det
-        self._adj = [[T[i][n + k] * signs[k] for k in range(m)] for i in range(m)]
-        u = self._dual_row(basis, self._adj)
-        self._red = [det * cj - sum(map(mul, u, col)) for cj, col in zip(self._cost, cols)]
-
-    def _dual_row(self, columns: Sequence[int], N: list[list[int]]) -> list[int]:
-        """c_B N, the dual of the scaled reduced system times d."""
-        c = self._cost
-        return [sum(c[columns[i]] * N[i][k] for i in range(self.m)) for k in range(self.m)]
+        self._T = T[[*range(m), m + 1]] * _ints([1] * n + signs + [1])
 
     def solve(self, target: Vec) -> Fraction:
         return self.solve_full(target)[0]
@@ -277,76 +333,70 @@ class MoleculeLP:
         The dual certificate y satisfies |<y, molecule_j>| <= cost_j for all
         j and <y, target> = value, so it witnesses optimality by weak
         duality without trusting the pivoting path.  Warm-starts from the
-        previous basis (dual feasibility is independent of the target)."""
-        rhs, den = self._reduce_vec(target)
+        previous basis (dual feasibility is independent of the target).
+        Each dual-simplex pivot is one ``_pivot`` of the warm tableau, whose
+        last column is set to N v and -c_B N v for the target v: the pivot
+        row is row r of N A, the ratio test reads R, and N, R and
+        x_B = N v / d come out updated together."""
+        image, [den] = self._reduce([target])
+        rhs = image[:, 0]
+        m, n = self.m, self.ncols
         if self._basis is None:
             self._phase_one(rhs)
-        m, J = self.m, self.ncols // 2
+        else:
+            T = self._T[:, :-1]
+            self._T = np.concatenate([T, _matmul(T[:, n:], rhs)[:, None]], axis=1)
         basis = self._basis
         guard = 0
         while True:
             guard += 1
             if guard > 10_000:
                 raise InfeasibleLP("dual simplex failed to terminate")
-            N, det, R = self._adj, self._det, self._red
-            xb = [sum(map(mul, row, rhs)) for row in N]  # x_B * d * den
-            negative = [i for i in range(m) if xb[i] < 0]
+            T, det = self._T, self._det
+            negative = np.flatnonzero(T[:m, -1] < 0).tolist()  # x_B * d * den < 0
             if not negative:
                 break
             row_leave = min(negative, key=basis.__getitem__)
-            # pivot row over all columns (the second half negates the first)
-            half = [sum(map(mul, N[row_leave], col)) for col in self._cols[:J]]
-            arow = half + [-a for a in half]
-            in_basis = set(basis)
-            enter = None
-            for j, a in enumerate(arow):
-                if a >= 0 or j in in_basis:
-                    continue
-                # ratio R_j / -a_j below the best so far; ties keep the lower j
-                if enter is None or R[j] * -arow[enter] < R[enter] * -a:
-                    enter = j
-            if enter is None:
+            # enter on the least ratio R_j / -a_j over the a_j < 0 of the
+            # pivot row off the basis, ties to the lower j
+            arow = T[row_leave, :n]
+            free = arow < 0
+            free[basis] = False
+            candidates = np.flatnonzero(free)
+            if not candidates.size:
                 raise InfeasibleLP("dual unbounded: target infeasible")
-            # p = arow[enter] < 0, so sgn(p) = -1 in the R update
-            p = arow[enter]
-            self._red = _exact_update(-p, R, -R[enter], arow, det)
-            col = [sum(map(mul, row, self._cols[enter])) for row in N]
-            self._adj, self._det = _pivot(N, det, col, row_leave)
+            enter = _least_ratio(T[m, :n], -arow, candidates)
+            self._T, self._det = _pivot(T, det, T[:, enter], row_leave)
             basis[row_leave] = enter
             self.pivots += 1
 
-        return self._certificate(OptimalBasis(tuple(basis), det, N), xb, den)
+        basis = OptimalBasis(tuple(basis), det, T[:m, n:-1])
+        return self._certificate(basis, T[:m, -1].tolist(), den)
 
     def _certificate(self, basis: OptimalBasis, xb: list[int], den: int):
         """(value, signed molecule solution, dual) on a basis, from
-        xb = N * rhs = x_B * d * den."""
+        xb = N * rhs = x_B * d * den, in Python ints."""
         J = self.ncols // 2
         scale = basis.det * den
         value = Fraction(sum(self._cost[j] * x for j, x in zip(basis.columns, xb)),
                          scale * self._cost_den)
-        beta: dict[int, Fraction] = {}
-        for x, j in zip(xb, basis.columns):
-            if x:
-                mol, sgn = (j, 1) if j < J else (j - J, -1)
-                beta[mol] = beta.get(mol, Fraction(0)) + sgn * Fraction(x, scale)
-        # lift the dual into original coordinates through the operator E
-        u = self._dual_row(basis.columns, basis.adj)
-        y = tuple(
-            Fraction(sum(u[i] * self._op[i][k] for i in range(self.m)), basis.det * self._cost_den)
-            for k in range(self.dim)
-        )
-        return value, beta, y
+        # +m_j and -m_j are dependent, so a basis holds at most one of them
+        beta = {j % J: Fraction(x if j < J else -x, scale) for x, j in zip(xb, basis.columns) if x}
+        # lift the dual c_B N (times d) into original coordinates through the operator E
+        u = _matmul([self._cost[j] for j in basis.columns], basis.adj)
+        y = _matmul(u, self._op[: self.m]).tolist()
+        return value, beta, tuple(Fraction(x, basis.det * self._cost_den) for x in y)
 
     def certificate(self, k: int, target: Vec):
         """``solve_full``'s (value, solution, dual) for a target on cached
         basis k, or None where B^-1 v has a negative entry: the basis is
         then not primal feasible for the target and certifies nothing."""
         basis = self.bases[k]
-        rhs, den = self._reduce_vec(target)
-        xb = [sum(map(mul, row, rhs)) for row in basis.adj]
-        if any(x < 0 for x in xb):
+        image, [den] = self._reduce([target])
+        xb = _matmul(basis.adj, image[:, 0])
+        if (xb < 0).any():
             return None
-        return self._certificate(basis, xb, den)
+        return self._certificate(basis, xb.tolist(), den)
 
     def solve_many(self, targets: Sequence[Vec]) -> list[tuple[Fraction, int]]:
         """(value, index into ``bases``) for each target, from the cache of
@@ -379,7 +429,8 @@ class MoleculeLP:
                 return out
             first = int(uncovered[0])
             value = self.solve_full(targets[first])[0]
-            self.bases.append(OptimalBasis(tuple(self._basis), self._det, self._adj))
+            N = np.ascontiguousarray(self._T[: self.m, self.ncols : -1])
+            self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))
             out[first] = (value, tested)
             uncovered = uncovered[1:]
 
@@ -465,45 +516,59 @@ def basic_solution_values(
     Molecules and targets are scaled to integers by one lcm (which leaves
     every solution beta unchanged) and each size-r subset is eliminated
     once, all targets riding along as right-hand-side columns, by the
-    integer-preserving pivot ``_pivot`` the simplex uses: afterwards the
-    pivot block is d * I, so d * beta is read off the pivot rows.  A target
-    counts a subset only when the non-pivot rows vanish in its column and
-    the candidate passes the exact residual check M_S (d beta) = d t in
-    ints, so a fault in the shared pivot can only raise a value, never
-    lower it, and a comparison with the simplex reports it as a mismatch.
-    Exponential in the molecule count: intended for small instances only.
+    integer-preserving pivot ``_pivot`` the simplex uses; the subsets go
+    through ``_eliminate`` as stacks of tableaux, at most ``_ORACLE_CELLS``
+    entries at a time.  Afterwards the pivot block is d * I, so d * beta is
+    read off the pivot rows.  A target counts a subset only when the
+    non-pivot rows vanish in its column and the candidate passes the exact
+    residual check M_S (d beta) = d t in ints; the least such candidate
+    (``_least_ratio``) is the value.  So a fault in the shared pivot can
+    only raise a value, never lower it, and a comparison with the simplex
+    reports it as a mismatch.  Exponential in the molecule count: intended
+    for small instances only.
     """
     targets = [tuple(Fraction(x) for x in t) for t in targets]
     if not targets:
         return []
-    dim = len(targets[0])
+    dim, T = len(targets[0]), len(targets)
     mols = [tuple(Fraction(x) for x in m) for m in molecules]
     scale = lcm(*(x.denominator for v in (*mols, *targets) for x in v))
-    cols = [[int(x * scale) for x in m] for m in mols]
-    rhs = [[int(x * scale) for x in t] for t in targets]
+    cols = _ints([[int(x * scale) for x in m] for m in mols]).reshape(len(mols), dim)
+    rhs = _ints([[int(x * scale) for x in t] for t in targets]).T  # dim x T
     cost_den = lcm(*(Fraction(c).denominator for c in costs))
-    cost = [int(Fraction(c) * cost_den) for c in costs]
-    _, _, pivot_rows = _eliminate([[c[i] for c in cols] for i in range(dim)], len(cols))
-    rank = len(pivot_rows) - pivot_rows.count(None)
+    cost = _ints([int(Fraction(c) * cost_den) for c in costs])
+    _, _, pivot_rows = _eliminate(cols.T[None], len(mols))
+    rank = int((pivot_rows >= 0).sum())
     # per target: sum |d beta_j| cost_j and its d, the value times d * cost_den
-    best: list[Optional[tuple[int, int]]] = [None] * len(targets)
-    for subset in combinations(range(len(cols)), rank):
-        tableau = [[cols[j][i] for j in subset] + [t[i] for t in rhs] for i in range(dim)]
-        tableau, d, pivot_rows = _eliminate(tableau, rank)
-        if None in pivot_rows:
-            continue  # dependent subset
-        free = [i for i in range(dim) if i not in pivot_rows]
-        for k, t in enumerate(rhs):
-            c = rank + k
-            if any(tableau[i][c] for i in free):
-                continue  # inconsistent: t leaves the span of the subset
-            x = [tableau[i][c] for i in pivot_rows]  # d * beta
-            num = sum(abs(b) * cost[j] for b, j in zip(x, subset))
-            if best[k] is not None and num * best[k][1] >= best[k][0] * d:
-                continue
-            if any(sum(cols[j][i] * b for j, b in zip(subset, x)) != d * t[i] for i in range(dim)):
-                continue  # residual check: a faulty pivot never counts
-            best[k] = (num, d)
+    best: list[Optional[tuple[int, int]]] = [None] * T
+    subsets = combinations(range(len(mols)), rank)
+    size = max(1, _ORACLE_CELLS // (dim * (rank + T)))
+    while chunk := list(islice(subsets, size)):
+        S = np.array(chunk, dtype=np.intp).reshape(len(chunk), rank)
+        M = cols[S].transpose(0, 2, 1)  # subset x dim x rank
+        tableaux = np.concatenate([M, np.broadcast_to(rhs, (len(S), dim, T))], axis=2)
+        tableaux, d, pivot_rows = _eliminate(tableaux, rank)
+        independent = (pivot_rows >= 0).all(axis=1)
+        tableaux, d, pivot_rows = tableaux[independent], d[independent], pivot_rows[independent]
+        S, M = S[independent], M[independent]
+        n = np.arange(len(S))[:, None]
+        x = tableaux[n, pivot_rows, rank:]  # d * beta: subset x rank x target
+        free = np.ones((len(S), dim), dtype=bool)
+        free[n, pivot_rows] = False
+        consistent = ~(free[:, :, None] & (tableaux[:, :, rank:] != 0)).any(axis=1)
+        nums = _matmul(cost[S][:, None, :], np.abs(x))[:, 0]
+        # the residual check M_S (d beta) = d t, in ints: a faulty pivot never counts
+        md, mr = _absmax(d), _absmax(rhs)
+        dd, v = _fit(max(md * mr, md, mr), d, rhs)
+        solved = (_matmul(M, x) == dd[:, None, None] * v).all(axis=1)
+        valid = consistent & solved
+        for k in range(T):
+            ok = np.flatnonzero(valid[:, k])
+            if ok.size:
+                i = _least_ratio(nums[:, k], d, ok)
+                num, den = int(nums[i, k]), int(d[i])
+                if best[k] is None or num * best[k][1] < best[k][0] * den:
+                    best[k] = (num, den)
     return [None if b is None else Fraction(b[0], b[1] * cost_den) for b in best]
 
 

@@ -48,6 +48,15 @@ such a stage:
 
 Such a stage is far beyond ``member_budget``, so the refusal costs no
 buildable configuration anything.
+
+Coordinates are integers.  Every coefficient of a member, and of a prev
+member, is a numerator over 2^k, for k the largest exponent of the
+stage's scalar set (scalar sets only grow); ``scalar_shift`` gives k and
+``TermStore.vector_ints`` the numerators.  So the member vectors, the
+molecules and the +- classes are int tuples, all scaled by 2^k.  The
+scale changes no gauge value: beta is feasible for the molecules d_j at
+target v exactly when it is feasible for 2^k d_j at 2^k v, at the same
+cost.  Only the dual certificates scale, by 2^-k.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from .relax import RelaxError
 from .terms import UNIT_ID
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
 class NormExtensionError(RelaxError):
@@ -69,13 +79,19 @@ def member_vector(universe, eid: int, basis_pos: dict[int, int], dim: int) -> Ve
     return universe.store.vector_fractions(eid, basis_pos, dim)
 
 
-def molecule_table(universe, prev, basis_pos: dict[int, int], dim: int) -> dict[Vec, Fraction]:
-    """Elementary differences a - b over prev-stage pairs, each with the
-    least metric value among the pairs realizing it; the zero vector is
-    excluded."""
-    out: dict[Vec, Fraction] = {}
+def scalar_shift(stage) -> int:
+    """k with every member coefficient of the vector stage, and of its
+    prev stage, a numerator over 2^k: the scalar set's largest exponent."""
+    return max((c.log2den for c in stage.scalar_set), default=0)
+
+
+def molecule_table(universe, prev, basis_pos: dict[int, int], dim: int, shift: int) -> dict[IntVec, Fraction]:
+    """Elementary differences a - b over prev-stage pairs, as numerators
+    over 2^shift, each with the least metric value among the pairs
+    realizing it; the zero vector is excluded."""
+    out: dict[IntVec, Fraction] = {}
     members = prev.members
-    vecs = {m: member_vector(universe, m, basis_pos, dim) for m in members}
+    vecs = {m: universe.store.vector_ints(m, basis_pos, dim, shift) for m in members}
     for i, a in enumerate(members):
         va = vecs[a]
         for b in members:
@@ -90,15 +106,15 @@ def molecule_table(universe, prev, basis_pos: dict[int, int], dim: int) -> dict[
     return out
 
 
-def sign_class(v: Vec) -> Vec:
+def sign_class(v: IntVec) -> IntVec:
     """The member of {v, -v} whose first nonzero entry is positive (v != 0)."""
     first = next(x for x in v if x != 0)
     return v if first > 0 else tuple(-x for x in v)
 
 
-def _dedupe_sign(molecules: dict[Vec, Fraction]) -> dict[Vec, Fraction]:
+def _dedupe_sign(molecules: dict[IntVec, Fraction]) -> dict[IntVec, Fraction]:
     """Keep one representative per +-pair (the solver supplies both signs)."""
-    out: dict[Vec, Fraction] = {}
+    out: dict[IntVec, Fraction] = {}
     for d, cost in molecules.items():
         canon = sign_class(d)
         cur = out.get(canon)
@@ -128,12 +144,14 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
         )
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     dim = len(stage.basis)
-    molecules = molecule_table(universe, prev, basis_pos, dim)
+    shift = scalar_shift(stage)
+    molecules = molecule_table(universe, prev, basis_pos, dim, shift)
     canon = _dedupe_sign(molecules)
     lp = MoleculeLP(list(canon.keys()), list(canon.values()))
 
-    vecs = {m: member_vector(universe, m, basis_pos, dim) for m in stage.members if m != UNIT_ID}
-    index: dict[Vec, int] = {}
+    vector = universe.store.vector_ints
+    vecs = {m: vector(m, basis_pos, dim, shift) for m in stage.members if m != UNIT_ID}
+    index: dict[IntVec, int] = {}
     class_of = {m: index.setdefault(sign_class(v), len(index)) for m, v in vecs.items()}
     gauge = [value for value, _ in lp.solve_many(list(index))]
     gamma: dict[int, Fraction] = {UNIT_ID: Fraction(0)}

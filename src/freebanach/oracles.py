@@ -162,20 +162,22 @@ def certificate_mismatches(universe, n: int, members) -> int:
     (``Certifier``) and at the member's table value.  A member -v would take
     the negated solution and dual of v, and negating target, solution and
     dual together changes none of the checked identities, so it is checked
-    on its class v."""
-    from .norm_ext import member_vector, molecule_table, sign_class, _dedupe_sign
+    on its class v.  Vectors and molecules are the int tuples of
+    ``norm_extend``, scaled by 2^k, which leaves every value unchanged
+    and scales the duals by 2^-k (``norm_ext`` docstring)."""
+    from .norm_ext import molecule_table, scalar_shift, sign_class, _dedupe_sign
 
     stage = universe.stage(n)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    dim = len(stage.basis)
-    canon = _dedupe_sign(molecule_table(universe, universe.stage(n - 1), basis_pos, dim))
+    dim, shift = len(stage.basis), scalar_shift(stage)
+    canon = _dedupe_sign(molecule_table(universe, universe.stage(n - 1), basis_pos, dim, shift))
     mols, costs = list(canon.keys()), list(canon.values())
     lp = MoleculeLP(mols, costs)
     check = Certifier(mols, costs)
     index: dict = {}
+    vector = universe.store.vector_ints
     class_of = {
-        m: index.setdefault(sign_class(member_vector(universe, m, basis_pos, dim)), len(index))
-        for m in members
+        m: index.setdefault(sign_class(vector(m, basis_pos, dim, shift)), len(index)) for m in members
     }
     order = list(index)
     certs = []

@@ -45,6 +45,13 @@ class Dyadic:
         return cls(q.numerator, k)
 
     @classmethod
+    def from_pair(cls, num: int, den: int) -> "Dyadic":
+        """num / den for ints with den a positive power of two."""
+        if not (isinstance(num, int) and isinstance(den, int)) or den <= 0 or den & (den - 1):
+            raise ScalarDomainError(f"{num}/{den} is not an integer over a positive power of two")
+        return cls(num, den.bit_length() - 1)
+
+    @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse 'p' or 'p/q' with q a power of two."""
         s = text.strip()

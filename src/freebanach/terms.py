@@ -356,12 +356,20 @@ class TermStore:
             return self._terms[items[0][0]]
         return ComboTerm(items)
 
-    def vector_fractions(self, eid: int, basis_order: dict[int, int], dim: int) -> tuple[Fraction, ...]:
-        """Coefficients of a vector-expressible element over an ordered basis."""
-        vec = [Fraction(0)] * dim
+    def vector_ints(self, eid: int, basis_order: dict[int, int], dim: int, shift: int) -> tuple[int, ...]:
+        """Coefficients of a vector-expressible element over an ordered
+        basis, as numerators over 2^shift; ``shift`` must be at least each
+        coefficient's ``log2den`` (a vector stage's largest scalar exponent
+        covers its members and the previous stages' members)."""
+        vec = [0] * dim
         for b, c in self.coeffs_of(eid):
-            vec[basis_order[b]] = c.as_fraction()
+            vec[basis_order[b]] = c.num << (shift - c.log2den)
         return tuple(vec)
+
+    def vector_fractions(self, eid: int, basis_order: dict[int, int], dim: int) -> tuple[Fraction, ...]:
+        """``vector_ints`` as the coefficients themselves, Fractions."""
+        shift = max((c.log2den for _, c in self.coeffs_of(eid)), default=0)
+        return tuple(Fraction(x, 1 << shift) for x in self.vector_ints(eid, basis_order, dim, shift))
 
     # -- rank -------------------------------------------------------------
 

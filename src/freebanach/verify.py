@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .relax import ScaleOverflowError, to_scaled
-from .scalars import common_denominator
+from .scalars import Dyadic, common_denominator
 from .stages import NotBuiltError
 from .terms import UNIT_ID
 
@@ -307,16 +307,16 @@ def _member_lattice(universe, stage):
     norms and the member ids (each -1 where no member is), the scalars and
     the scale."""
     values = [d.as_fraction() for d in stage.scalar_set]
-    digit = {v: i for i, v in enumerate(values)}
+    digit = {d: i for i, d in enumerate(stage.scalar_set)}  # keyed by the Dyadic scalars
     radix, dim = len(values), len(stage.basis)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
     N = np.full(radix**dim, -1, dtype=np.int64)
     ids = np.full(radix**dim, -1, dtype=np.int64)
     for m in stage.members:
-        digits = [digit[Fraction(0)]] * dim
+        digits = [digit[Dyadic(0)]] * dim
         for b, c in universe.store.coeffs_of(m):
-            digits[basis_pos[b]] = digit[c.as_fraction()]
+            digits[basis_pos[b]] = digit[c]
         cell = 0
         for d in digits:
             cell = cell * radix + d

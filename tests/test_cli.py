@@ -25,7 +25,10 @@ from freebanach.cli import (
     import_universe,
     main,
 )
+from freebanach.cli import _term_doc, _term_from_doc
+from freebanach.scalars import Dyadic, ScalarDomainError
 from freebanach.stages import ConfigError
+from freebanach.terms import ComboTerm
 from freebanach.verify import check_conditions
 
 
@@ -79,6 +82,34 @@ def test_build_and_reimport(tmp_path, capsys):
     suite = check_conditions(u)
     assert suite.ok
     assert export_bytes(u, suite) == out.read_bytes()
+
+
+@pytest.mark.parametrize("den", [0, 3, -2])
+def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path, den):
+    """A combination coefficient whose denominator is 0, 3 or -2 is no
+    dyadic scalar: the import raises ``ScalarDomainError``, which ``main``
+    maps to exit 2, rather than a bare ``ZeroDivisionError`` or a silent
+    sign flip."""
+    doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
+    combo = next(m["term"] for s in doc["stages"] for m in s["members"] if m["term"][0] == "combo")
+    combo[1][0][2] = den
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScalarDomainError):
+        import_universe(str(path), Config.exact_x2())
+
+
+dyadic_coeffs = st.builds(Dyadic, st.integers(-(2**70), 2**70).filter(bool), st.integers(0, 80))
+
+
+@given(st.lists(dyadic_coeffs, min_size=1, max_size=6))
+def test_combo_term_document_round_trip(coeffs):
+    """A combination's document holds each coefficient as the Fraction's
+    own lowest-terms pair, and reads back as the same term."""
+    term = ComboTerm(tuple(enumerate(coeffs, start=1)))
+    doc = json.loads(json.dumps(_term_doc(term)))
+    assert doc[1] == [[b, c.as_fraction().numerator, c.as_fraction().denominator] for b, c in term.coeffs]
+    assert _term_from_doc(doc) == term
 
 
 def test_export_byte_determinism(tmp_path):

@@ -101,9 +101,11 @@ def test_oracle_residual_check_refuses_a_faulty_elimination(monkeypatch):
     candidate, so the fault can only raise values (here to None)."""
     honest = lp_module._eliminate
 
-    def faulty(rows, ncols):
-        rows, d, pivot_rows = honest(rows, ncols)
-        return [row[:ncols] + [0] * (len(row) - ncols) for row in rows], d, pivot_rows
+    def faulty(tableaux, ncols):
+        tableaux, d, pivot_rows = honest(tableaux, ncols)
+        tableaux = tableaux.copy()
+        tableaux[:, :, ncols:] = 0
+        return tableaux, d, pivot_rows
 
     monkeypatch.setattr(lp_module, "_eliminate", faulty)
     targets = [(F(1), F(0)), (F(1, 2), F(-1, 2)), (F(0), F(0))]
@@ -182,6 +184,27 @@ def test_solve_many_matches_solve_and_oracle_property(program):
                 batch.solve_many([*feasible, t])
 
 
+@given(molecule_programs(), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_scaling_molecules_and_targets_by_a_power_of_two_property(program, k):
+    """beta is feasible for the molecules d_j at v exactly when it is for
+    2^s d_j at 2^s v, at the same cost.  With 2^s clearing every
+    denominator, as the norm extension's integer vectors do, the values of
+    ``solve_many`` and of basic-solution enumeration are unchanged."""
+    mols, costs, targets = program
+    s = max(x.denominator for v in (*mols, *targets) for x in v).bit_length() - 1 + k
+
+    def up(v):
+        return tuple(int(x * 2**s) for x in v)
+
+    want = basic_solution_values(mols, costs, targets)
+    assert basic_solution_values([up(m) for m in mols], costs, [up(t) for t in targets]) == want
+    feasible = [t for t, w in zip(targets, want) if w is not None]
+    plain = MoleculeLP(mols, costs).solve_many(feasible)
+    scaled = MoleculeLP([up(m) for m in mols], costs).solve_many([up(t) for t in feasible])
+    assert [v for v, _ in plain] == [v for v, _ in scaled] == [w for w in want if w is not None]
+
+
 def test_forged_basis_never_values_a_target_it_does_not_cover():
     """A cached basis optimal for v has B^-1(-v) = -B^-1 v with a negative
     entry, and c_B B^-1(-v) = -gamma(v) < 0.  Handed to a fresh solver as
@@ -236,6 +259,32 @@ def test_solve_many_python_int_path_matches_oracle(monkeypatch, case):
     assert object in products
     assert [v for v, _ in got] == want
     assert want == [MoleculeLP(mols, costs).solve(t) for t in targets]
+
+
+def test_warm_pivots_past_the_int64_bound_run_on_python_ints(monkeypatch):
+    """Molecules with entries 2^33 + 1 make d = |det B| and the pivot
+    products reach 2^66, past the int64 bound: the warm dual-simplex pivots
+    after the first solve run on object arrays (Python ints), and every
+    value equals basic-solution enumeration's."""
+    a = 2**33 + 1
+    mols = [(F(a), F(0)), (F(0), F(a)), (F(a), F(-a)), (F(3 * a), F(a))]
+    costs = [F(1), F(1), F(2), F(3)]
+    targets = [(F(a * x), F(a * y)) for x, y in [(1, 0), (-1, 2), (0, -3), (5, 1), (-2, -2), (1, -4)]]
+    dtypes = []
+    honest = lp_module._pivot
+
+    def spy(rows, d, col, r):
+        out, q = honest(rows, d, col, r)
+        dtypes.append(out.dtype)
+        return out, q
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    lp = MoleculeLP(mols, costs)
+    first = lp.solve(targets[0])
+    dtypes.clear()
+    got = [first] + [v for v, _ in lp.solve_many(targets[1:])]
+    assert lp.pivots > 0 and object in dtypes
+    assert got == basic_solution_values(mols, costs, targets)
 
 
 def test_pivot_remainder_raises():

@@ -204,6 +204,20 @@ def test_inverse_convex_instance_refused(rank_universe):
         norm_extend(u, stage, u.stage(1), u.cfg)
 
 
+@pytest.mark.parametrize("preset, n", [("exact", 2), ("rank", 2), ("desk", 4)])
+def test_vector_ints_are_the_coefficients_over_the_shift(preset, n, request):
+    """Every member's integer vector is its coefficient vector times
+    2^shift, the stage's largest scalar exponent (1 on exact-x2 and rank, 0
+    on desk)."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    stage = u.stage(n)
+    basis_pos = {b: i for i, b in enumerate(stage.basis)}
+    dim, shift = len(stage.basis), norm_ext.scalar_shift(stage)
+    for m in stage.members:
+        want = tuple(x * 2**shift for x in u.store.vector_fractions(m, basis_pos, dim))
+        assert u.store.vector_ints(m, basis_pos, dim, shift) == want
+
+
 def test_prev_member_gauge_mismatch_raises(monkeypatch):
     """A molecule cheaper than a prev member's own metric value would make
     the norm undercut the metric it extends; the build refuses it.  Halving
@@ -211,9 +225,9 @@ def test_prev_member_gauge_mismatch_raises(monkeypatch):
     program reaches x at 1/2."""
     real = norm_ext.molecule_table
 
-    def lowered(universe, prev, basis_pos, dim):
-        table = real(universe, prev, basis_pos, dim)
-        v = member_vector(universe, universe.x_id, basis_pos, dim)
+    def lowered(universe, prev, basis_pos, dim, shift):
+        table = real(universe, prev, basis_pos, dim, shift)
+        v = universe.store.vector_ints(universe.x_id, basis_pos, dim, shift)
         neg = tuple(-a for a in v)
         table[neg] = table[neg] / 2
         return table
