@@ -20,7 +20,8 @@ from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
-from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
+from .stages import (PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe,
+                     off_grid_cells)
 from .terms import (
     AlgebraError,
     ComboTerm,
@@ -116,9 +117,18 @@ def export_tables(universe, path: str, suite: SuiteReport | None = None) -> None
         fh.write(data)
 
 
+def _table_value(num, den) -> Fraction:
+    if not isinstance(den, int) or den <= 0:
+        raise ConfigError(f"table value {num}/{den}: the denominator is not a positive int")
+    return Fraction(num, den)
+
+
 def import_universe(path: str, cfg: Config | None = None):
     """Rebuild a universe from an export document: terms are interned in id
-    order so the reconstructed store is identical to the original."""
+    order so the reconstructed store is identical to the original.  A table
+    value whose denominator is not a positive int, or a vector stage whose
+    members are not its digit grid in order (``stages.off_grid_cells``), is
+    a ConfigError."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.read().decode())
     if doc.get("format") != "freebanach-export":
@@ -142,32 +152,19 @@ def import_universe(path: str, cfg: Config | None = None):
             got = store.intern(term)
             if got != eid:
                 raise ConfigError(f"id mismatch on import: {got} != {eid}")
+        ids = tuple(m["id"] for m in sdoc["members"])
+        common = dict(index=sdoc["index"], members=ids, member_set=frozenset(ids), sealed=True)
         if sdoc["kind"] == "word":
-            table = {
-                (a, b): Fraction(n, d) for a, b, n, d in sdoc["table"]
-            }
-            stage = Stage(
-                index=sdoc["index"],
-                kind="word",
-                members=tuple(m["id"] for m in sdoc["members"]),
-                member_set=frozenset(m["id"] for m in sdoc["members"]),
-                generators=tuple(sdoc["generators"]),
-                table=table,
-                word_cap=sdoc["word_cap"],
-                sealed=True,
-            )
+            stage = Stage(kind="word", **common, generators=tuple(sdoc["generators"]),
+                          table={(a, b): _table_value(n, d) for a, b, n, d in sdoc["table"]},
+                          word_cap=sdoc["word_cap"])
         else:
-            table = {m: Fraction(n, d) for m, n, d in sdoc["table"]}
-            stage = Stage(
-                index=sdoc["index"],
-                kind="vector",
-                members=tuple(m["id"] for m in sdoc["members"]),
-                member_set=frozenset(m["id"] for m in sdoc["members"]),
-                basis=tuple(sdoc.get("basis", ())),
-                table=table,
-                scalar_set=tuple(Dyadic.parse(s) for s in sdoc.get("scalar_set", ())),
-                sealed=True,
-            )
+            stage = Stage(kind="vector", **common, basis=tuple(sdoc.get("basis", ())),
+                          table={m: _table_value(n, d) for m, n, d in sdoc["table"]},
+                          scalar_set=tuple(Dyadic.parse(s) for s in sdoc.get("scalar_set", ())))
+            off = off_grid_cells(store, stage)
+            if off:
+                raise ConfigError(f"stage {stage.index}: members off their digit-grid cells {off[:5]}")
         universe.stages.append(stage)
     return universe
 

@@ -51,12 +51,17 @@ buildable configuration anything.
 
 Coordinates are integers.  Every coefficient of a member, and of a prev
 member, is a numerator over 2^k, for k the largest exponent of the
-stage's scalar set (scalar sets only grow); ``scalar_shift`` gives k and
-``TermStore.vector_ints`` the numerators.  So the member vectors, the
-molecules and the +- classes are int tuples, all scaled by 2^k.  The
-scale changes no gauge value: beta is feasible for the molecules d_j at
-target v exactly when it is feasible for 2^k d_j at 2^k v, at the same
-cost.  Only the dual certificates scale, by 2^-k.
+stage's scalar set (scalar sets only grow); ``scalar_shift`` gives k.  The
+member vectors are the rows of ``Stage.coordinates(k)``, and the prev
+members' ``TermStore.vector_ints``: a word stage is no grid.  The scale
+changes no gauge value: beta is feasible for the molecules d_j at target v
+exactly when it is feasible for 2^k d_j at 2^k v, at the same cost.  Only
+the dual certificates scale, by 2^-k.
+
+The +- class of member k of an n-member stage is {k, n - 1 - k}, and the
+unit is the centre cell.  The r scalars are sorted and symmetric, so
+digits d and r - 1 - d are negatives.  Every digit of n - 1 is r - 1, so
+n - 1 - k has digit r - 1 - d where k has d: its row is -(row k).
 """
 
 from __future__ import annotations
@@ -73,10 +78,6 @@ IntVec = tuple[int, ...]
 
 class NormExtensionError(RelaxError):
     pass
-
-
-def member_vector(universe, eid: int, basis_pos: dict[int, int], dim: int) -> Vec:
-    return universe.store.vector_fractions(eid, basis_pos, dim)
 
 
 def scalar_shift(stage) -> int:
@@ -127,11 +128,12 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     """Norm table for a vector stage.
 
     gamma(m) is the molecule gauge of m's +- class on every nonzero member.
-    All classes go to one ``MoleculeLP.solve_many`` call in member order,
-    which solves warm only the classes its cached optimal bases do not
-    cover; ``gamma_lp_calls`` counts those solves.  On a prev member
-    the gauge must equal the molecule cost of the member's own vector, its
-    prev-metric value: otherwise the norm would not extend the metric, and
+    All classes, {k, n - 1 - k} for member k, go to one
+    ``MoleculeLP.solve_many`` call in member order, which solves warm only
+    the classes its cached optimal bases do not cover; ``gamma_lp_calls``
+    counts those solves.  On a prev member the gauge must equal the
+    molecule cost of the member's own vector, its prev-metric value:
+    otherwise the norm would not extend the metric, and
     ``NormExtensionError`` is raised.  Without an inverse-convex instance
     the norm is gamma (module docstring); a stage with one would need at
     least 5^24 members and is refused with ``NormExtensionError``.
@@ -143,20 +145,19 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
             f"member {instances[0][0]}: not built (such a stage needs at least 5^24 members)"
         )
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    dim = len(stage.basis)
     shift = scalar_shift(stage)
-    molecules = molecule_table(universe, prev, basis_pos, dim, shift)
+    molecules = molecule_table(universe, prev, basis_pos, len(basis_pos), shift)
     canon = _dedupe_sign(molecules)
     lp = MoleculeLP(list(canon.keys()), list(canon.values()))
 
-    vector = universe.store.vector_ints
-    vecs = {m: vector(m, basis_pos, dim, shift) for m in stage.members if m != UNIT_ID}
-    index: dict[IntVec, int] = {}
-    class_of = {m: index.setdefault(sign_class(v), len(index)) for m, v in vecs.items()}
-    gauge = [value for value, _ in lp.solve_many(list(index))]
+    vecs = list(map(tuple, stage.coordinates(shift).tolist()))
+    last = len(vecs) - 1
+    gauge = [value for value, _ in lp.solve_many([sign_class(v) for v in vecs[: last // 2]])]
     gamma: dict[int, Fraction] = {UNIT_ID: Fraction(0)}
-    for m, v in vecs.items():
-        g = gauge[class_of[m]]
+    for k, (m, v) in enumerate(zip(stage.members, vecs)):
+        if 2 * k == last:
+            continue
+        g = gauge[min(k, last - k)]
         if m in prev.member_set and molecules.get(v) != g:
             raise NormExtensionError(
                 f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
@@ -170,10 +171,7 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     stage.notes["inverse_convex_instances"] = 0
 
     for m, v in gamma.items():
-        if m == UNIT_ID:
-            if v != 0:
-                raise NormExtensionError("norm of the unit is nonzero")
-        elif v <= 0:
+        if v <= 0 and m != UNIT_ID:
             raise NormExtensionError(f"zero norm on non-unit member {m}")
     return dict(gamma)
 
@@ -212,7 +210,7 @@ def norm_decomposition_oracle(universe, stage, targets, box: Fraction) -> dict[i
     for m in stage.members:
         if m == UNIT_ID:
             continue
-        gammas.append((member_vector(universe, m, basis_pos, dim), stage.gamma[m]))
+        gammas.append((universe.store.vector_fractions(m, basis_pos, dim), stage.gamma[m]))
     wanted = set(targets)
     cutoff = max(stage.gamma[m] for m in stage.members)
     start = tuple(Fraction(0) for _ in range(dim))

@@ -118,12 +118,10 @@ def check_stage2_oracle(cfg: Config | None = None):
     81 entries), entry for entry, against basic-solution enumeration over
     the built stage 1: one molecule a - b per stage-1 pair, at cost
     rho_1(a, b)."""
-    from .norm_ext import member_vector
-
     universe = Universe(cfg or Config.exact_x2()).build()
     s1, s2 = universe.stage(1), universe.stage(2)
     basis_pos = {b: i for i, b in enumerate(s2.basis)}
-    vector = {m: member_vector(universe, m, basis_pos, len(s2.basis)) for m in s2.members}
+    vector = {m: universe.store.vector_fractions(m, basis_pos, len(s2.basis)) for m in s2.members}
     molecules = [tuple(p - q for p, q in zip(vector[a], vector[b])) for a, b in s1.table]
     want = basic_solution_values(molecules, list(s1.table.values()), list(vector.values()))
     bad = sum(1 for m, w in zip(s2.members, want) if s2.table[m] != w)

@@ -10,6 +10,14 @@ Everything the underlying construction treats as countably infinite is a
 finite, configurable desk-scale parameter here.  Builds are deterministic:
 fixed enumeration orders give identical stores, member orderings, and
 tables on every run with the same Config.
+
+A vector stage is its digit grid: its members are interned in
+``itertools.product`` order over the sorted, distinct scalar set, so member
+k has the mixed-radix digits of k (axis i is ``basis[i]``, the last axis
+varies fastest).  ``Stage.coordinates`` reads the members' coefficients off
+that order.  ``off_grid_cells`` checks it against the store; condition 1
+and ``import_universe`` call it, the build does not (its stages are grids
+by construction).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
+from .norm_ext import scalar_shift
 from .scalars import Dyadic, full_scalar_set
 from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words
 from .universal import TargetSpace
@@ -33,7 +42,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class NotBuiltError(LookupError):
-    """A stage, or a pair's entry in a sealed stage, that was never built."""
+    """A stage, or an entry of a sealed stage (a pair's distance, an id's phi'), never built."""
 
 
 DESK_SCALARS = (Dyadic(-1), Dyadic(0), Dyadic(1))
@@ -116,6 +125,8 @@ class Config:
             raise ConfigError("word caps must be non-decreasing (chain monotonicity)")
         for s in self.scalar_sets:
             values = {d.as_fraction() for d in s}
+            if len(values) != len(s):
+                raise ConfigError("scalar sets must not repeat a value")
             if not {Fraction(0), Fraction(1), Fraction(-1)} <= values:
                 raise ConfigError("scalar sets must contain 0, 1 and -1")
             if {-v for v in values} != values:
@@ -233,6 +244,32 @@ class Stage:
     def clone_with_table(self, table: dict) -> "Stage":
         return replace(self, table=table)
 
+    def coordinates(self, shift: int):
+        """A vector stage's member coefficients as numerators over 2^shift,
+        an n x dim object array of Python ints whose row k is the digits of
+        k (module docstring).  ``shift`` must cover every scalar's exponent."""
+        import numpy as np
+
+        digits = np.array([d.num << (shift - d.log2den) for d in self.scalar_set], dtype=object)
+        dim, radix = len(self.basis), len(digits)
+        return digits[np.indices((radix,) * dim).reshape(dim, radix**dim).T]
+
+
+def off_grid_cells(store: TermStore, stage: Stage) -> list[int]:
+    """The cells k of a vector stage that lack a member or a row, or whose
+    member's ``vector_ints`` (if it has one) is not row k of ``coordinates``."""
+    shift = scalar_shift(stage)
+    rows = stage.coordinates(shift)
+    pos = {b: i for i, b in enumerate(stage.basis)}
+
+    def on(k: int) -> bool:  # row by row, so that no list of all rows is kept alive
+        try:
+            return store.vector_ints(stage.members[k], pos, len(pos), shift) == tuple(rows[k])
+        except (IndexError, KeyError, ValueError):  # AlgebraError is a ValueError
+            return False
+
+    return [k for k in range(max(len(rows), len(stage.members))) if not on(k)]
+
 
 class Universe:
     """The built tower plus its interning store and generator element."""
@@ -343,19 +380,15 @@ class Universe:
             )
 
         ordered = sorted(scalars, key=lambda d: d.as_fraction())
-        members: list[int] = []
-        seen: set[int] = set()
-        for coeffs in product(ordered, repeat=len(basis)):
-            parts = {b: c for b, c in zip(basis, coeffs) if c}
-            eid = store.intern(store.combo_from_map(parts))
-            if eid not in seen:
-                seen.add(eid)
-                members.append(eid)
+        members = tuple(
+            store.intern(store.combo_from_map(dict(zip(basis, coeffs))))
+            for coeffs in product(ordered, repeat=len(basis))
+        )
         return Stage(
             index=n,
             kind="vector",
-            members=tuple(members),
-            member_set=frozenset(seen),
+            members=members,
+            member_set=frozenset(members),
             basis=basis,
             scalar_set=tuple(ordered),
         )

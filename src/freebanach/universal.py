@@ -9,11 +9,13 @@ addition) already exercise the norm inequality nontrivially.
 
 phi' is evaluated exactly in Python ints as S phi', where S is the lcm of
 the denominators of y times 2^K, and K sums over the norm stages with a
-basis the largest denominator exponent of their scalar set.  Every
+basis the largest denominator exponent k of their scalar set.  Every
 coefficient function into that set is a member, so this is the largest
 exponent of a member coefficient, and a member's image has denominators
-dividing S: every division by 2^k is exact, and a remainder raises
-``InexactDivision`` rather than rounding.
+dividing S.  So on a norm stage phi' is one object-array product, the
+members' ``Stage.coordinates`` (numerators over 2^k) times the basis
+images, divided by 2^k exactly: a remainder raises ``InexactDivision``
+rather than rounding.
 
 Each property is checked once.  ``check_morphism_bound`` checks that phi'
 never increases norms, entry for entry: ||phi(z)|| <= ||y|| ||z|| and
@@ -42,9 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .lp import InexactDivision
-from .scalars import fraction_str
-from .terms import ComboTerm, GenTerm, UnitTerm, WordTerm
+from .norm_ext import scalar_shift
+from .scalars import DY_ONE, fraction_str
+from .terms import UNIT_ID
 
 Vec = tuple[Fraction, ...]
 
@@ -109,48 +114,38 @@ class TargetSpace:
 
 class PhiMap:
     """S times the unique operation-preserving map into a target, as int
-    vectors memoized by id; ``scale`` is S (see the module docstring)."""
+    vectors by id; ``scale`` is S (see the module docstring).  It is filled
+    once, stage by stage: the unit to 0, x to the image, a norm stage by
+    one product, each new word-stage member by the sum of its letters.  A
+    call is a lookup; an id in no sealed stage raises ``NotBuiltError``."""
 
     def __init__(self, universe, target: TargetSpace):
-        self.universe = universe
         self.target = target
-        k = sum(
-            max(d.log2den for d in stage.scalar_set)
-            for stage in universe.stages
-            if stage.sealed and stage.kind == "vector" and stage.basis
-        )
+        sealed = [stage for stage in universe.stages if stage.sealed]
+        k = sum(scalar_shift(stage) for stage in sealed if stage.kind == "vector" and stage.basis)
         self.scale = lcm(*(q.denominator for q in target.image)) << k
         self.image = tuple(int(q * self.scale) for q in target.image)
-        self._memo: dict[int, tuple[int, ...]] = {}
+        values = self._values = {UNIT_ID: (0,) * target.dim, universe.x_id: self.image}
+        for stage in sealed:
+            if stage.kind == "word":
+                for m in stage.member_set - values.keys():  # new words, over filled letters
+                    letters = [[sign * w for w in values[b]] for b, sign in universe.store.word_of(m)]
+                    values[m] = tuple(map(sum, zip(*letters)))
+            elif stage.basis:
+                shift = scalar_shift(stage)
+                images = np.array([values[b] for b in stage.basis], dtype=object)
+                for m, row in zip(stage.members, (stage.coordinates(shift) @ images).tolist()):
+                    if any(v & ((1 << shift) - 1) for v in row):
+                        raise InexactDivision(f"phi' of {m} is not a multiple of 1/{self.scale}")
+                    values[m] = tuple(v >> shift for v in row)
 
     def __call__(self, eid: int) -> tuple[int, ...]:
-        memo = self._memo
-        out = memo.get(eid)
-        if out is not None:
-            return out
-        term = self.universe.store.term(eid)
-        if isinstance(term, ComboTerm):
-            parts = [(c.num, c.log2den, memo.get(base) or self(base)) for base, c in term.coeffs]
-            top = max(k for _, k, _ in parts)
-            acc = [sum((n << (top - k)) * w[i] for n, k, w in parts) for i in range(self.target.dim)]
-            if top:
-                if any(v & ((1 << top) - 1) for v in acc):
-                    raise InexactDivision(f"phi' of {eid} is not a multiple of 1/{self.scale}")
-                acc = [v >> top for v in acc]
-            out = tuple(acc)
-        elif isinstance(term, WordTerm):
-            acc = [0] * self.target.dim
-            for base, sign in term.letters:
-                acc = [v + sign * w for v, w in zip(acc, memo.get(base) or self(base))]
-            out = tuple(acc)
-        elif isinstance(term, GenTerm):
-            out = self.image
-        elif isinstance(term, UnitTerm):
-            out = (0,) * self.target.dim
-        else:
-            raise TypeError(f"unknown term {term!r}")
-        memo[eid] = out
-        return out
+        try:
+            return self._values[eid]
+        except KeyError:
+            from .stages import NotBuiltError
+
+            raise NotBuiltError(f"phi' of {eid}: the id is in no sealed stage") from None
 
 
 def phi_eval(universe, eid: int, target: TargetSpace) -> Vec:
@@ -241,49 +236,35 @@ def sigma_table(universe, target: TargetSpace):
 
 def check_operation_preservation(universe, target: TargetSpace, samples: int = 200, seed: int = 0):
     """phi preserves both structures: products map to sums, inverses to
-    negations, combinations to weighted sums (sampled in-stage instances)."""
+    negations, combinations to weighted sums (sampled in-stage instances:
+    products and inverses on each word stage, then sums on each norm stage)."""
     from .verify import VerificationReport
 
     phi = PhiMap(universe, target)
     store = universe.store
     rng = random.Random(seed)
     report = VerificationReport(suite=f"operation preservation {target.label()}")
-    word_stages = [s for s in universe.stages if s.sealed and s.kind == "word"]
-    for stage in word_stages:
+
+    def sample(stage, op: str, arity: int, operate, image) -> None:
         members = list(stage.members)
         for _ in range(samples):
-            a, b = rng.choice(members), rng.choice(members)
-            p = store.lookup(store.group_mul(a, b))
-            if p is None or p not in stage.member_set:
+            args = tuple(rng.choice(members) for _ in range(arity))
+            out = store.lookup(operate(*args))
+            if out is None or out not in stage.member_set:
                 continue
             report.attempted += 1
-            want = tuple(x + y for x, y in zip(phi(a), phi(b)))
-            if phi(p) == want:
+            if phi(out) == image(*map(phi, args)):
                 report.passed += 1
             else:
-                report.add_counterexample(stage=stage.index, op="mul", pair=(a, b))
-        for _ in range(samples):
-            a = rng.choice(members)
-            inv = store.lookup(store.group_inv(a))
-            if inv is None or inv not in stage.member_set:
-                continue
-            report.attempted += 1
-            if phi(inv) == tuple(-x for x in phi(a)):
-                report.passed += 1
-            else:
-                report.add_counterexample(stage=stage.index, op="inv", element=a)
-    vec_stages = [s for s in universe.stages if s.sealed and s.kind == "vector" and s.basis]
-    for stage in vec_stages:
-        members = list(stage.members)
-        for _ in range(samples):
-            a, b = rng.choice(members), rng.choice(members)
-            s = store.combine_id(a, b, sign=1)
-            if s is None or s not in stage.member_set:
-                continue
-            report.attempted += 1
-            want = tuple(x + y for x, y in zip(phi(a), phi(b)))
-            if phi(s) == want:
-                report.passed += 1
-            else:
-                report.add_counterexample(stage=stage.index, op="add", pair=(a, b))
+                where = {"pair": args} if arity == 2 else {"element": args[0]}
+                report.add_counterexample(stage=stage.index, op=op, **where)
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    for stage in (s for s in universe.stages if s.sealed and s.kind == "word"):
+        sample(stage, "mul", 2, store.group_mul, add)
+        sample(stage, "inv", 1, store.group_inv, lambda v: tuple(-x for x in v))
+    for stage in (s for s in universe.stages if s.sealed and s.kind == "vector" and s.basis):
+        sample(stage, "add", 2, lambda a, b: store.lin_combine([(DY_ONE, a), (DY_ONE, b)]), add)
     return report

@@ -9,11 +9,12 @@ other sections are exhaustive, with memory quadratic in the stage size.
 
 Numbered conditions:
 
-1. metric zero exactly on the diagonal; norm zero exactly at the unit
+1. metric zero exactly on the diagonal; norm zero exactly at the unit,
+   each norm-stage member on its cell of the digit grid (``stages``)
 2. each table extends the previous one exactly on qualifying pairs
 3. product splitting (the bi-invariance inequality) and inversion equality
 4. convexity of the metric in a convex-combination argument
-5. homogeneity and subadditivity of the norm
+5. homogeneity and subadditivity of the norm, read off the digit grid
 6. inverse-convexity (odd clause on metric stages, even clause on norm
    stages; vacuous whenever no positive-rank element is in range)
 
@@ -35,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .relax import ScaleOverflowError, to_scaled
-from .scalars import Dyadic, common_denominator
-from .stages import NotBuiltError
+from .scalars import common_denominator
+from .stages import NotBuiltError, off_grid_cells
 from .terms import UNIT_ID
 
 COUNTEREXAMPLE_CAP = 25
@@ -157,14 +158,16 @@ def check_condition_1(universe) -> list[VerificationReport]:
                     else:
                         report.add_counterexample(pair=(a, b), value=str(v))
         else:
-            for m in stage.members:
+            off = set(off_grid_cells(universe.store, stage))
+            for k, m in enumerate(stage.members):
                 report.attempted += 1
                 v = stage.table.get(m)
-                want_zero = m == UNIT_ID
-                if v is not None and ((v == 0) == want_zero) and v >= 0:
+                if k not in off and v is not None and ((v == 0) == (m == UNIT_ID)) and v >= 0:
                     report.passed += 1
                 else:
-                    report.add_counterexample(element=m, value=str(v))
+                    report.add_counterexample(element=m, cell=k, value=str(v))
+            for k in sorted(off.difference(range(len(stage.members)))):  # cells with no member
+                report.add_counterexample(element=None, cell=k)
         out.append(report)
     return out
 
@@ -290,39 +293,28 @@ def check_condition_4(universe) -> list[VerificationReport]:
 
 def check_condition_5(universe) -> list[VerificationReport]:
     """Homogeneity and subadditivity of each norm stage, both read off one
-    ``_member_lattice``."""
+    ``_member_lattice``: the stage's members in member order are its digit
+    grid, so each law is a map of digit runs along every axis."""
     out = []
     for stage in universe.stages:
         if not stage.sealed or stage.kind != "vector" or stage.index == 0:
             continue
-        lattice = _member_lattice(universe, stage)
+        lattice = _member_lattice(stage)
         out.append(_homogeneity_report(stage, lattice))
         out.append(_subadditivity_report(stage, lattice))
     return out
 
 
-def _member_lattice(universe, stage):
-    """A norm stage's members on the scalar-set grid, axis k for basis
-    element k and digit d for the d-th scalar of the sorted set: the scaled
-    norms and the member ids (each -1 where no member is), the scalars and
-    the scale."""
+def _member_lattice(stage):
+    """A norm stage's scaled norms and member ids in member order, reshaped
+    to the scalar-set grid (axis k for basis element k, digit d for the
+    d-th scalar of the sorted set; ``stages`` owns that order and condition
+    1 checks it), the scalars and the scale."""
     values = [d.as_fraction() for d in stage.scalar_set]
-    digit = {d: i for i, d in enumerate(stage.scalar_set)}  # keyed by the Dyadic scalars
-    radix, dim = len(values), len(stage.basis)
-    basis_pos = {b: i for i, b in enumerate(stage.basis)}
+    shape = (len(values),) * len(stage.basis)
     scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
-    N = np.full(radix**dim, -1, dtype=np.int64)
-    ids = np.full(radix**dim, -1, dtype=np.int64)
-    for m in stage.members:
-        digits = [digit[Dyadic(0)]] * dim
-        for b, c in universe.store.coeffs_of(m):
-            digits[basis_pos[b]] = digit[c]
-        cell = 0
-        for d in digits:
-            cell = cell * radix + d
-        N[cell] = to_scaled(stage.table[m], scale)
-        ids[cell] = m
-    return N.reshape((radix,) * dim), ids.reshape((radix,) * dim), values, scale
+    N = np.array([to_scaled(stage.table[m], scale) for m in stage.members], dtype=np.int64)
+    return N.reshape(shape), np.array(stage.members, dtype=np.int64).reshape(shape), values, scale
 
 
 def _digit_runs(values, alpha: Fraction, shift: Fraction):
@@ -373,10 +365,10 @@ def _homogeneity_report(stage, lattice) -> VerificationReport:
     for alpha in ratios:
         source, target = ((run,) * N.ndim for run in _digit_runs(values, alpha, Fraction(0)))
         s, t, m = _take(N, source), _take(N, target), _take(ids, source)
-        both = (s >= 0) & (t >= 0) & (m != UNIT_ID)
-        bad = both & (alpha.denominator * t != abs(alpha.numerator) * s)
-        report.attempted += int(both.sum())
-        report.passed += int((both & ~bad).sum())
+        nonzero = m != UNIT_ID
+        bad = nonzero & (alpha.denominator * t != abs(alpha.numerator) * s)
+        report.attempted += int(nonzero.sum())
+        report.passed += int((nonzero & ~bad).sum())
         for i in zip(*np.nonzero(bad)):
             report.add_counterexample(
                 element=int(m[i]), alpha=str(alpha),
@@ -393,13 +385,12 @@ def _subadditivity_report(stage, lattice) -> VerificationReport:
     report = VerificationReport(suite=f"condition 5 subadditivity stage {stage.index}")
     N, ids, values, _ = lattice
     shifts = [_digit_runs(values, Fraction(1), v) for v in values]
-    for cell in map(tuple, np.argwhere(ids >= 0)):
+    for cell in np.ndindex(ids.shape):
         if ids[cell] == UNIT_ID:
             continue
         source, target = zip(*(shifts[d] for d in cell))
         s, t = _take(N, source), _take(N, target)
-        both = (s >= 0) & (t >= 0)
-        count, nbad = int(both.sum()), int((both & (t > s + N[cell])).sum())
+        count, nbad = s.size, int((t > s + N[cell]).sum())
         report.attempted += count
         report.passed += count - nbad
         if nbad:

@@ -27,3 +27,13 @@ def rank_universe():
     """Half-integer scalars: positive ranks (no delta clause, valued by the
     metric's rules), convex rules; three stages."""
     return Universe(Config.rank()).build()
+
+
+@pytest.fixture(scope="session")
+def uneven_universe():
+    """Two stages over the unevenly spaced scalar set -4 -1 -1/4 0 1/4 1 4:
+    X_2 has 7^2 members, and its coefficients are quarters."""
+    from freebanach.scalars import Dyadic
+
+    scalars = tuple(map(Dyadic.parse, "-4 -1 -1/4 0 1/4 1 4".split()))
+    return Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()

@@ -13,7 +13,7 @@ from freebanach import Config, Universe, UNIT_ID
 from freebanach.cli import export_bytes
 from freebanach.lp import basic_solution_oracle
 from freebanach.metric_ext import check_extension_metric
-from freebanach.norm_ext import check_extension_norm, member_vector
+from freebanach.norm_ext import check_extension_norm
 from freebanach.oracles import check_lp_oracle, check_relax_oracle
 from freebanach.scalars import Dyadic
 from freebanach.universal import (
@@ -62,7 +62,7 @@ def test_criterion_2_norm2_oracle_exact():
     molecules = [(F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
     costs = [F(1), F(1), F(2)]
     for m in s2.members:
-        vec = member_vector(u, m, basis_pos, 2)
+        vec = u.store.vector_fractions(m, basis_pos, 2)
         assert s2.table[m] == basic_solution_oracle(molecules, costs, vec)
     x = u.x_id
     xi = u.store.lookup(u.store.group_inv(x))

@@ -99,6 +99,39 @@ def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path
         import_universe(str(path), Config.exact_x2())
 
 
+def _word_den_zero(doc):
+    doc["stages"][1]["table"][0][3] = 0
+
+
+def _vector_den_negative(doc):
+    doc["stages"][2]["table"][1][2] = -1
+
+
+def _vector_members_swapped(doc):
+    stage = doc["stages"][2]
+    for rows in (stage["members"], stage["table"]):
+        rows[3], rows[7] = rows[7], rows[3]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_word_den_zero, "denominator"), (_vector_den_negative, "denominator"),
+     (_vector_members_swapped, r"stage 2: members off their digit-grid cells \[3, 7\]")],
+    ids=["word-den-0", "vector-den-negative", "vector-members-swapped"],
+)
+def test_import_validates_tables_and_member_order(tmp_path, edit, message):
+    """A table denominator that is not a positive int, or a vector stage
+    whose members are not in digit-grid order, is a ConfigError (exit 2),
+    not a ZeroDivisionError, a negative norm or a stage condition 5 would
+    misread."""
+    doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
+    edit(doc)
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        import_universe(str(path), Config.exact_x2())
+
+
 dyadic_coeffs = st.builds(Dyadic, st.integers(-(2**70), 2**70).filter(bool), st.integers(0, 80))
 
 
@@ -267,10 +300,12 @@ def test_closure_space_counted_before_it_is_built(tmp_path):
         "[build]\npreset = exact-x2\nquantifier_budget = 0\n",
         "[build]\npreset = exact-x2\nmember_budget = 0\n",
         "[build]\npreset = exact-x2\npair_cell_budget = 0\n",
+        "[build]\nstage_count = 2\nscalar_sets = -1 0 1 1\n",
+        "[build]\nstage_count = 2\nscalar_sets = -1 0 1 2/2\n",
     ],
     ids=["malformed-int", "unknown-key", "unknown-section", "decomp_cap", "sum_cap",
          "lattice_cell_budget", "unknown-kind", "no-image", "quantifier_budget-0",
-         "member_budget-0", "pair_cell_budget-0"],
+         "member_budget-0", "pair_cell_budget-0", "repeated-scalar", "repeated-scalar-by-value"],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, text):
     """Config files are outside input: an unknown section, an unknown or

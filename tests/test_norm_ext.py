@@ -13,7 +13,6 @@ from freebanach.norm_ext import (
     NormExtensionError,
     check_extension_norm,
     norm_extend,
-    member_vector,
     norm_decomposition_oracle,
 )
 from freebanach.oracles import certificate_mismatches
@@ -53,7 +52,7 @@ def test_norm2_full_oracle(exact_universe):
     molecules = [(F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
     costs = [F(1), F(1), F(2)]
     for m in s2.members:
-        v = member_vector(u, m, basis_pos, 2)
+        v = u.store.vector_fractions(m, basis_pos, 2)
         assert s2.table[m] == basic_solution_oracle(molecules, costs, v)
 
 
@@ -94,7 +93,7 @@ def test_stage2_unit_decomposition_oracle(exact_universe):
     u = exact_universe
     s2 = u.stage(2)
     basis_pos = {b: i for i, b in enumerate(s2.basis)}
-    targets = [member_vector(u, m, basis_pos, 2) for m in s2.members]
+    targets = [u.store.vector_fractions(m, basis_pos, 2) for m in s2.members]
     vals = norm_decomposition_oracle(u, s2, targets, box=F(4))
     for i, m in enumerate(s2.members):
         if i in vals:

@@ -4,7 +4,8 @@ import pytest
 
 from freebanach import Config, Universe, UNIT_ID, BudgetExceededError
 from freebanach.scalars import Dyadic
-from freebanach.stages import ConfigError, NotBuiltError
+from freebanach.norm_ext import scalar_shift
+from freebanach.stages import ConfigError, NotBuiltError, off_grid_cells
 
 
 def test_stage1_construction_exact():
@@ -111,6 +112,30 @@ def test_scalar_set_validation():
         Config(word_caps=(2, 1)).validate()  # decreasing caps break the chain
     with pytest.raises(ConfigError):
         Config(stage_count=0).validate()
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
+def test_vector_stage_is_its_digit_grid(preset, request):
+    """On every vector stage, row k of ``coordinates`` is the digits of k
+    over the sorted scalars (last axis fastest), scaled by 2^shift; it is
+    member k's ``vector_ints``; row n - 1 - k is its negative, and the unit
+    is the centre cell."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    for stage in (s for s in u.stages if s.kind == "vector"):
+        shift, dim = scalar_shift(stage), len(stage.basis)
+        numerators = [d.as_fraction() * 2**shift for d in stage.scalar_set]
+        rows = stage.coordinates(shift)
+        n = len(stage.members)
+        assert rows.shape == (n, dim) == (len(numerators) ** dim, dim)
+        basis_pos = {b: i for i, b in enumerate(stage.basis)}
+        for k, m in enumerate(stage.members):
+            digits = [k // len(numerators) ** (dim - 1 - i) % len(numerators) for i in range(dim)]
+            row = tuple(rows[k])
+            assert row == tuple(numerators[d] for d in digits)
+            assert row == u.store.vector_ints(m, basis_pos, dim, shift)
+            assert tuple(rows[n - 1 - k]) == tuple(-x for x in row)
+        assert stage.members[(n - 1) // 2] == UNIT_ID
+        assert off_grid_cells(u.store, stage) == []
 
 
 def test_vector_stage_collapses_contain_previous(desk_universe):

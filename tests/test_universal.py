@@ -6,6 +6,8 @@ import pytest
 
 from freebanach import Config, Universe, UNIT_ID
 from freebanach.scalars import Dyadic
+from freebanach.stages import NotBuiltError
+from freebanach.terms import ComboTerm
 from freebanach.universal import (
     PhiMap,
     TargetSpace,
@@ -124,6 +126,55 @@ def test_phi_scale(preset, scales, request):
     read off the scalar sets of the norm stages that have a basis."""
     u = request.getfixturevalue(f"{preset}_universe")
     assert tuple(PhiMap(u, target).scale for target in u.cfg.targets) == scales
+
+
+def _reference_phi(u, target):
+    """phi' member by member in Fraction, from the store's terms: a
+    combination is sum c phi'(b) over its ``coeffs_of``, a word the sum of
+    its letters."""
+    memo = {UNIT_ID: (F(0),) * target.dim, u.x_id: target.image}
+
+    def phi(eid):
+        if eid not in memo:
+            if isinstance(u.store.term(eid), ComboTerm):
+                parts = [(c.as_fraction(), phi(b)) for b, c in u.store.coeffs_of(eid)]
+            else:
+                parts = [(F(sign), phi(b)) for b, sign in u.store.word_of(eid)]
+            memo[eid] = tuple(sum(c * w[i] for c, w in parts) for i in range(target.dim))
+        return memo[eid]
+
+    return phi
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
+def test_phi_product_matches_member_reference(preset, request):
+    """PhiMap's one product per norm stage equals the per-member reference
+    on every vector-stage member, for the default targets and a Euclidean
+    one; rank's and the quarters' coefficients divide exactly."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    members = [m for s in u.stages if s.kind == "vector" for m in s.members]
+    for target in (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2)))):
+        phi, ref = PhiMap(u, target), _reference_phi(u, target)
+        for m in members:
+            assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+
+
+def test_phi_past_int64(desk_universe):
+    """An image of 2^62 drives stage-4 images past 2^63; they stay exact."""
+    target = TargetSpace.real(F(2**62))
+    phi, ref = PhiMap(desk_universe, target), _reference_phi(desk_universe, target)
+    members = desk_universe.stage(4).members
+    assert max(abs(phi(m)[0]) for m in members) >= 2**63
+    for m in members:
+        assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+
+
+def test_phi_outside_the_tower_is_not_built(exact_universe):
+    """PhiMap is filled on the sealed stages only; another id is a typed
+    LookupError, not a KeyError."""
+    phi = PhiMap(exact_universe, TargetSpace.real(F(1)))
+    with pytest.raises(NotBuiltError, match="no sealed stage"):
+        phi(len(exact_universe.store))
 
 
 def test_target_validation():

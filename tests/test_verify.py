@@ -112,6 +112,20 @@ def test_fault_condition1_norm(desk_universe):
     assert not all(r.ok for r in reports)
 
 
+def test_fault_condition1_member_order(desk_universe):
+    """Desk stage 4 with two members swapped is no longer its digit grid:
+    condition 1 fails there and names both members with their cells."""
+    u = copy.copy(desk_universe)
+    u.stages = list(desk_universe.stages)
+    s4 = u.stage(4)
+    members = list(s4.members)
+    members[3], members[100] = members[100], members[3]
+    u.stages[4] = dataclasses.replace(s4, members=tuple(members))
+    [r] = [r for r in check_condition_1(u) if r.suite == "condition 1 stage 4"]
+    assert r.summary_line() == f"[FAIL] condition 1 stage 4: {len(members) - 2}/{len(members)}"
+    assert [(ce["element"], ce["cell"]) for ce in r.counterexamples] == [(members[3], 3), (members[100], 100)]
+
+
 def test_fault_condition2_extension(desk_universe):
     from freebanach.metric_ext import check_extension_metric
 
