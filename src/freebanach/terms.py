@@ -100,6 +100,11 @@ def reduce_concat(a: Letters, b: Letters) -> Letters:
     return tuple(la) + tuple(lb)
 
 
+def invert_word(w: Letters) -> Letters:
+    """The inverse of a word, letters reversed and signs flipped (irreducible if w is)."""
+    return tuple((b, -s) for b, s in reversed(w))
+
+
 def count_words(alphabet: Iterable[tuple[int, int]], max_len: int) -> int:
     """``len(WordSpace(alphabet, max_len))`` without building the space: a
     letter whose inverse is in the alphabet has one follower fewer, so the
@@ -170,10 +175,7 @@ class WordSpace:
     def inverse_map(self):
         import numpy as np
 
-        out = np.empty(len(self.words), dtype=np.int32)
-        for i, w in enumerate(self.words):
-            out[i] = self.index[tuple((b, -s) for b, s in reversed(w))]
-        return out
+        return np.array([self.index[invert_word(w)] for w in self.words], dtype=np.int32)
 
 
 class TermStore:
@@ -304,9 +306,7 @@ class TermStore:
         return self.reduce_word(self.word_of(a) + self.word_of(b))
 
     def group_inv(self, a: int) -> ElementTerm:
-        return self.reduce_word(
-            tuple((base, -sign) for base, sign in reversed(self.word_of(a)))
-        )
+        return self.reduce_word(invert_word(self.word_of(a)))
 
     def mul_id(self, a: int, b: int) -> int:
         return self.intern(self.group_mul(a, b))

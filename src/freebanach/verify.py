@@ -1,11 +1,13 @@
 """Executable verification of every stated invariant, with counterexamples.
 
 Each checker is a pure function of sealed stage tables; two runs produce
-identical reports.  Condition 3's splitting walks rows: each row is one
-product pair (c, d) against all k of them, every row while the k^2
-instances fit the configured budget, else a seeded sample of rows, with
-the seed and row count recorded in the report so failures reproduce.  The
-other sections are exhaustive, with memory quadratic in the stage size.
+identical reports.  The word-stage sections read one product table and
+inverse map per stage, built from its member words.  Condition 3's
+splitting walks rows: each row is one product pair (c, d) against all k of
+them, every row while the k^2 instances fit the configured budget, else a
+seeded sample of rows, with the seed and row count recorded in the report
+so failures reproduce.  The other sections are exhaustive, with memory
+quadratic in the stage size.
 
 Numbered conditions:
 
@@ -38,7 +40,7 @@ import numpy as np
 from .relax import ScaleOverflowError, to_scaled
 from .scalars import common_denominator
 from .stages import NotBuiltError, off_grid_cells
-from .terms import UNIT_ID
+from .terms import UNIT_ID, invert_word, reduce_concat
 
 COUNTEREXAMPLE_CAP = 25
 
@@ -107,33 +109,30 @@ class SuiteReport:
 def _metric_matrix(universe, stage):
     """Member-indexed metric as exact scaled integers.  A table that lacks
     a pair of members is refused rather than read as distance 0."""
-    members = stage.members
+    members, n = stage.members, len(stage.members)
     pos = {m: i for i, m in enumerate(members)}
     scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
-    n = len(members)
     if len(stage.table) != n * (n - 1) // 2:
         raise NotBuiltError(
             f"stage {stage.index} has {len(stage.table)} of the {n * (n - 1) // 2} distances of its members"
         )
     R = np.zeros((n, n), dtype=np.int64)
     for (a, b), v in stage.table.items():
-        s = to_scaled(v, scale)
-        R[pos[a], pos[b]] = s
-        R[pos[b], pos[a]] = s
-    return R, pos, scale
+        R[pos[a], pos[b]] = R[pos[b], pos[a]] = to_scaled(v, scale)
+    return R, scale
 
 
-def _product_matrix(universe, stage, pos):
-    store = universe.store
-    members = stage.members
-    n = len(members)
-    P = np.full((n, n), -1, dtype=np.int32)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            p = store.lookup(store.group_mul(a, b))
-            if p is not None and p in stage.member_set:
-                P[i, j] = pos[p]
-    return P
+def _group_law(universe, stage):
+    """The group law that condition 3 and translation invariance read on a
+    word stage, built from its member words: ``P[i, j]`` is the position of
+    members[i] . members[j] and ``inv[i]`` that of members[i]^-1, each -1 off
+    the stage.  A product is ``reduce_concat`` of two member words and one
+    lookup; neither member order nor the build's closure tables are read."""
+    words = [universe.store.word_of(m) for m in stage.members]
+    at, n = {w: i for i, w in enumerate(words)}, len(words)
+    P = np.array([[at.get(reduce_concat(a, b), -1) for b in words] for a in words], dtype=np.int64)
+    inv = np.array([at.get(invert_word(w), -1) for w in words], dtype=np.int64)
+    return P.reshape(n, n), inv
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +190,12 @@ def check_condition_2(universe) -> list[VerificationReport]:
     return out
 
 
-def _fact_inequality(universe, stage, R, pos, scale, budget: int, seed: int) -> VerificationReport:
+def _fact_inequality(stage, P, R, scale, budget: int, seed: int) -> VerificationReport:
     """rho(ab, cd) <= rho(a, c) + rho(b, d) over the k pairs (a, b) whose
     product is a member, one row (c, d) at a time against all k pairs:
     every row when the k^2 instances fit ``budget``, else the rows of a
     seeded sample of max(1, budget // k) of them."""
     report = VerificationReport(suite=f"condition 3 splitting stage {stage.index}")
-    P = _product_matrix(universe, stage, pos)
     ab = np.argwhere(P >= 0)  # pairs with in-stage product
     k = len(ab)
     if k * k <= budget:
@@ -206,7 +204,7 @@ def _fact_inequality(universe, stage, R, pos, scale, budget: int, seed: int) -> 
     else:
         rows = sorted(random.Random(seed).sample(range(k), max(1, budget // k)))
         report.meta.update(mode="sampled", seed=seed, rows=len(rows))
-    pa = P[ab[:, 0], ab[:, 1]].astype(np.int64)
+    pa = P[ab[:, 0], ab[:, 1]]
     for idx in rows:
         c, d = ab[idx, 0], ab[idx, 1]
         lhs = R[pa, P[c, d]]
@@ -229,15 +227,12 @@ def _fact_inequality(universe, stage, R, pos, scale, budget: int, seed: int) -> 
     return report
 
 
-def _inverse_invariance(universe, stage, R, pos, scale) -> VerificationReport:
+def _inverse_invariance(stage, inv, R, scale) -> VerificationReport:
     """rho(a, b) = rho(a^-1, b^-1) on member pairs, read off the metric
-    matrix with one inverse lookup per member.  A member whose inverse is
-    not a member is a counterexample, and none of its pairs passes."""
-    store = universe.store
+    matrix through the inverse map.  A member whose inverse is not a member
+    is a counterexample, and none of its pairs passes."""
     report = VerificationReport(suite=f"condition 3 inversion stage {stage.index}")
-    members = stage.members
-    n = len(members)
-    inv = np.array([pos.get(store.lookup(store.group_inv(m)), -1) for m in members], dtype=np.int64)
+    members, n = stage.members, len(stage.members)
     present = inv >= 0
     for i in np.flatnonzero(~present):
         report.add_counterexample(element=members[i], inverse=None)
@@ -258,9 +253,10 @@ def check_condition_3(universe, budget: int, seed: int) -> list[VerificationRepo
     out = []
     for stage in universe.stages:
         if stage.sealed and stage.kind == "word" and stage.index >= 1:
-            R, pos, scale = _metric_matrix(universe, stage)
-            out.append(_fact_inequality(universe, stage, R, pos, scale, budget, seed))
-            out.append(_inverse_invariance(universe, stage, R, pos, scale))
+            R, scale = _metric_matrix(universe, stage)
+            P, inv = _group_law(universe, stage)
+            out.append(_fact_inequality(stage, P, R, scale, budget, seed))
+            out.append(_inverse_invariance(stage, inv, R, scale))
     return out
 
 
@@ -309,9 +305,13 @@ def _member_lattice(stage):
     """A norm stage's scaled norms and member ids in member order, reshaped
     to the scalar-set grid (axis k for basis element k, digit d for the
     d-th scalar of the sorted set; ``stages`` owns that order and condition
-    1 checks it), the scalars and the scale."""
+    1 checks it, and a stage off the grid's size is refused), the scalars
+    and the scale."""
     values = [d.as_fraction() for d in stage.scalar_set]
     shape = (len(values),) * len(stage.basis)
+    if len(stage.members) != len(values) ** len(shape):
+        raise NotBuiltError(f"stage {stage.index} has {len(stage.members)} members, not the "
+                            f"{len(values) ** len(shape)} cells of its digit grid (see condition 1)")
     scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
     N = np.array([to_scaled(stage.table[m], scale) for m in stage.members], dtype=np.int64)
     return N.reshape(shape), np.array(stage.members, dtype=np.int64).reshape(shape), values, scale
@@ -455,7 +455,7 @@ def check_biinvariance(universe, stage) -> SuiteReport:
     """The triangle inequality and the two-sided translation-invariance
     equalities on one word stage, both exhaustive.  The splitting inequality
     they follow from is checked once, as condition 3."""
-    R, pos, _ = _metric_matrix(universe, stage)
+    R, _ = _metric_matrix(universe, stage)
     n = len(stage.members)
     tri = VerificationReport(suite=f"triangle inequality stage {stage.index}")
     nbad, first = 0, []
@@ -470,7 +470,7 @@ def check_biinvariance(universe, stage) -> SuiteReport:
     if nbad:
         tri.meta["counterexample_count"] = nbad
 
-    P = _product_matrix(universe, stage, pos)
+    P, _ = _group_law(universe, stage)
     trans = VerificationReport(suite=f"translation invariance stage {stage.index}")
     for g in range(n):
         for side, moved in (("left", P[g]), ("right", P[:, g])):  # g . a, a . g
@@ -480,9 +480,8 @@ def check_biinvariance(universe, stage) -> SuiteReport:
             trans.attempted += len(idx) ** 2
             trans.passed += len(idx) ** 2 - len(bad)
             for i, j in bad[:3]:
-                trans.add_counterexample(
-                    g=stage.members[g], pair=(stage.members[idx[i]], stage.members[idx[j]]), side=side
-                )
+                pair = (stage.members[idx[i]], stage.members[idx[j]])
+                trans.add_counterexample(g=stage.members[g], pair=pair, side=side)
     return SuiteReport([tri, trans])
 
 

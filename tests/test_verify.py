@@ -6,13 +6,17 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from freebanach import Config, Dyadic, Universe, UNIT_ID
 from freebanach.relax import RelaxError, ScaleOverflowError, to_scaled
 from freebanach.scalars import common_denominator
+from freebanach.stages import NotBuiltError
+from freebanach.terms import GenTerm, TermStore, WordSpace
 from freebanach.verify import (
+    _group_law,
     check_biinvariance,
     check_condition_1,
     check_condition_3,
@@ -258,6 +262,25 @@ def test_fault_biinvariance(desk_universe):
     assert not suite.ok
 
 
+def test_fault_translation_invariance(desk_universe):
+    """The raised entry of ``test_fault_biinvariance`` fails translation
+    invariance itself, not only the triangle, and each counterexample
+    (g, (a, b), side) is one: rho(a, b) differs from rho(g a, g b) on the
+    left side, from rho(a g, b g) on the right, with the products taken by
+    the store."""
+    u = desk_universe
+    bad = perturbed(u, 3, _first_key(u.stage(3).table), F(5))
+    stage = bad.stage(3)
+    [trans] = [r for r in check_biinvariance(bad, stage).reports if r.suite == "translation invariance stage 3"]
+    assert trans.summary_line().startswith("[FAIL]") and trans.attempted == 562
+    assert trans.counterexamples
+    store = u.store
+    for ce in trans.counterexamples:
+        g, (a, b) = ce["g"], ce["pair"]
+        moved = [store.group_mul(g, m) if ce["side"] == "left" else store.group_mul(m, g) for m in (a, b)]
+        assert bad.rho(stage, a, b) != bad.rho(stage, *map(store.lookup, moved))
+
+
 def test_fault_sigma(desk_universe):
     """sigma <= ||y|| rho is the morphism bound's check: a nearly collapsed
     metric entry fails it on every target."""
@@ -416,3 +439,53 @@ def test_inversion_missing_inverse(exact_universe):
     assert not inversion.ok
     assert (inversion.attempted, inversion.passed) == (1, 0)
     assert inversion.counterexamples == [{"element": x, "inverse": None}]
+
+
+def test_condition5_refuses_an_off_size_norm_stage(exact_universe):
+    """A norm stage forged without its last member is not its digit grid:
+    condition 5 refuses it with a typed error naming both sizes, rather
+    than reshaping it, and condition 1 reports the empty cell."""
+    u = copy.copy(exact_universe)
+    u.stages = list(exact_universe.stages)
+    s2 = u.stage(2)
+    members = s2.members[:-1]
+    u.stages[2] = dataclasses.replace(s2, members=members, member_set=frozenset(members))
+    with pytest.raises(NotBuiltError, match="stage 2 has 80 members, not the 81 cells"):
+        check_condition_5(u)
+    [r] = [r for r in check_condition_1(u) if r.suite == "condition 1 stage 2"]
+    assert not r.ok
+    assert r.counterexamples == [{"element": None, "cell": 80}]
+
+
+def test_group_law_matches_the_store(exact_universe, rank_universe, desk_universe):
+    """The product table and inverse map read off the member words agree
+    with the store's ``group_mul`` and ``group_inv`` on every pair of every
+    word stage: the presets', a one-stage tower at word cap 40 (products
+    cancel up to 40 letters), a stage forged without x^-1, and, since every
+    preset's in-stage products commute, the words of length <= 3 on two
+    generators in reverse order."""
+    long_words = Universe(dataclasses.replace(Config.exact_x2(stage_count=1), word_caps=(40,))).build()
+    s1 = exact_universe.stage(1)
+    xi = exact_universe.store.lookup(exact_universe.store.group_inv(exact_universe.x_id))
+    members = tuple(m for m in s1.members if m != xi)
+    forged = dataclasses.replace(s1, members=members, member_set=frozenset(members))
+    cases = [(u, s) for u in (exact_universe, rank_universe, desk_universe, long_words)
+             for s in u.stages if s.kind == "word"]
+    cases.append((exact_universe, forged))
+    store = TermStore()
+    x, y = (store.intern(GenTerm(i)) for i in range(2))
+    store.register_generator(x)
+    store.register_generator(y)
+    words = WordSpace([(x, 1), (x, -1), (y, 1), (y, -1)], 3).words
+    free = tuple(store.intern(store.reduce_word(w)) for w in reversed(words))
+    cases.append((SimpleNamespace(store=store), SimpleNamespace(members=free)))
+    for u, stage in cases:
+        store, pos = u.store, {m: i for i, m in enumerate(stage.members)}
+
+        def at(term):
+            return pos.get(store.lookup(term), -1)
+
+        P, inv = _group_law(u, stage)
+        assert inv.tolist() == [at(store.group_inv(a)) for a in stage.members]
+        assert P.tolist() == [[at(store.group_mul(a, b)) for b in stage.members] for a in stage.members]
+    assert len(long_words.stage(1).members) == 81
