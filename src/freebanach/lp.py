@@ -327,8 +327,10 @@ class MoleculeLP:
     def solve(self, target: Vec) -> Fraction:
         return self.solve_full(target)[0]
 
-    def solve_full(self, target: Vec):
+    def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None):
         """(value, signed molecule solution, dual certificate) for one target.
+        ``reduced`` is the target's column of ``_reduce`` and its
+        denominator, when the caller has them already.
 
         The dual certificate y satisfies |<y, molecule_j>| <= cost_j for all
         j and <y, target> = value, so it witnesses optimality by weak
@@ -338,8 +340,10 @@ class MoleculeLP:
         last column is set to N v and -c_B N v for the target v: the pivot
         row is row r of N A, the ratio test reads R, and N, R and
         x_B = N v / d come out updated together."""
-        image, [den] = self._reduce([target])
-        rhs = image[:, 0]
+        if reduced is None:
+            image, [den] = self._reduce([target])
+            reduced = image[:, 0], den
+        rhs, den = reduced
         m, n = self.m, self.ncols
         if self._basis is None:
             self._phase_one(rhs)
@@ -405,7 +409,8 @@ class MoleculeLP:
         covers every uncovered target with N r >= 0 at value
         c_B N r / (d * den * cost_den), in one exact product (``_matmul``);
         then the first target still uncovered is solved warm by
-        ``solve_full``, its final basis is cached, and the loop repeats.
+        ``solve_full`` from its reduced column, its final basis is cached,
+        and the loop repeats.
         Raises ``InfeasibleLP`` if any target leaves the molecule span."""
         out: list = [None] * len(targets)
         if not targets:
@@ -428,7 +433,7 @@ class MoleculeLP:
             if not uncovered.size:
                 return out
             first = int(uncovered[0])
-            value = self.solve_full(targets[first])[0]
+            value = self.solve_full(targets[first], (rhs[:, first], dens[first]))[0]
             N = np.ascontiguousarray(self._T[: self.m, self.ncols : -1])
             self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))
             out[first] = (value, tested)

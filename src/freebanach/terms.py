@@ -92,12 +92,16 @@ UNIT_ID = 0
 
 
 def reduce_concat(a: Letters, b: Letters) -> Letters:
-    """Reduced product of two already-irreducible words."""
-    la, lb = list(a), list(b)
-    while la and lb and la[-1][0] == lb[0][0] and la[-1][1] == -lb[0][1]:
-        la.pop()
-        lb.pop(0)
-    return tuple(la) + tuple(lb)
+    """Reduced product of two already-irreducible words: only the junction
+    cancels, the last k letters of a against the first k of b."""
+    if not (a and b and a[-1][0] == b[0][0] and a[-1][1] == -b[0][1]):
+        return a + b  # the common case: nothing cancels
+    k = 1
+    for (p, s), (q, t) in zip(reversed(a[:-1]), b[1:]):
+        if p != q or s != -t:
+            break
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 def invert_word(w: Letters) -> Letters:

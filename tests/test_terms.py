@@ -18,6 +18,8 @@ from freebanach.terms import (
     WordSpace,
     WordTerm,
     count_words,
+    invert_word,
+    reduce_concat,
 )
 
 
@@ -111,6 +113,24 @@ def test_reduce_matches_naive_random(seq):
         assert term == store.term(naive[0][0])
     else:
         assert term == WordTerm(naive)
+
+
+LETTERS = st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1, -1])), max_size=8)
+
+
+@given(LETTERS, LETTERS, st.integers(0, 8))
+@settings(max_examples=300)
+def test_reduce_concat_matches_reduce_word(x, y, k):
+    """The product of two reduced words cancels only at the junction: b
+    starts with the inverse of a's last k letters (all of a, and the
+    empty word, included) followed by a reduced word."""
+    store, gens = four_gen_store()
+    a = _naive_reduce([(gens[g - 1], s) for g, s in x])
+    b = _naive_reduce(invert_word(a[len(a) - min(k, len(a)) :]) + tuple((gens[g - 1], s) for g, s in y))
+    for u, v in ((a, b), (b, a), (a, invert_word(a)), (invert_word(a), a), (a, ()), ((), a)):
+        product = reduce_concat(u, v)
+        assert product == _naive_reduce(u + v)
+        assert store.reduce_word(product) == store.reduce_word(u + v)
 
 
 def test_group_laws():

@@ -2,15 +2,19 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freebanach import Config, Universe, UNIT_ID
 from freebanach.scalars import Dyadic
 from freebanach.stages import NotBuiltError
 from freebanach.terms import ComboTerm
+from freebanach.verify import VerificationReport, perturbed
 from freebanach.universal import (
     PhiMap,
     TargetSpace,
+    _argmax_ratio,
     check_morphism_bound,
     check_operation_preservation,
     phi_eval,
@@ -144,6 +148,125 @@ def _reference_phi(u, target):
         return memo[eid]
 
     return phi
+
+
+def _reference_bound(u, target):
+    """The morphism bound entry by entry in Fraction, from
+    ``_reference_phi``: the report (members of each norm stage, then pairs
+    i < j of each word stage, in member order) and the sigma tables."""
+    phi, y_sq = _reference_phi(u, target), target.y_norm_sq()
+    report = VerificationReport(suite=f"morphism bound {target.label()}")
+    metric_sq, norm_sq, worst = {}, {}, None
+    for stage in (s for s in u.stages if s.sealed):
+        members = stage.members
+        if stage.kind == "vector":
+            table = norm_sq[stage.index] = {}
+            entries = [("element", z, z, phi(z), stage.table[z]) for z in members]
+        else:
+            table = metric_sq[stage.index] = {}
+            entries = [
+                ("pair", (a, b), (min(a, b), max(a, b)), [p - q for p, q in zip(phi(a), phi(b))], u.rho(stage, a, b))
+                for i, a in enumerate(members)
+                for b in members[i + 1 :]
+            ]
+        for field, where, key, image, value in entries:
+            lhs = table[key] = target.norm_sq(image)
+            rhs = y_sq * value * value
+            report.attempted += 1
+            if lhs <= rhs:
+                report.passed += 1
+                if rhs and (worst is None or lhs / rhs > worst):
+                    worst = lhs / rhs
+            else:
+                report.add_counterexample(stage=stage.index, **{field: where}, lhs_sq=str(lhs), rhs_sq=str(rhs))
+    report.meta["worst_ratio_sq"] = None if worst is None else str(worst)
+    return report, metric_sq, norm_sq
+
+
+def _assert_matches_reference(u, target):
+    table, report = sigma_table(u, target)
+    ref, metric_sq, norm_sq = _reference_bound(u, target)
+    assert report.describe() == check_morphism_bound(u, target).describe() == ref.describe()
+    assert table.metric_sq == metric_sq
+    assert table.norm_sq == norm_sq
+    return table, report
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
+def test_bound_pass_matches_entry_reference(preset, request):
+    """The array bound pass gives the per-entry reference's report (counts,
+    worst ratio, meta) and sigma tables, for the default targets and a
+    Euclidean one."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    for target in (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2)))):
+        _assert_matches_reference(u, target)
+
+
+def test_bound_pass_past_int64(desk_universe):
+    """An image of 2^62 puts the stage-4 squares past int64, so the pass
+    runs on Python-int object arrays; it passes and the sigma entries are
+    the exact reference values."""
+    table, report = _assert_matches_reference(desk_universe, TargetSpace.real(F(2**62)))
+    assert report.ok and report.meta["worst_ratio_sq"] == "1"
+    keys, lhs = table.scaled["vector"][4]
+    assert lhs.dtype == object and max(lhs.tolist()) >= 2**124
+    assert table.norm_sq[4][desk_universe.x_id] == 2**124
+
+
+@pytest.mark.parametrize("stage_index", [4, 3])
+def test_bound_fault_lowered_entry(desk_universe, stage_index):
+    """Lowering x's stage-4 norm, or rho(e, x) on stage 3, from 1 to 1/2
+    fails the bound on every default target with one counterexample, whose
+    fields, values and count are the per-entry reference's."""
+    u = desk_universe
+    x = u.x_id
+    key = x if stage_index == 4 else (min(UNIT_ID, x), max(UNIT_ID, x))
+    bad = perturbed(u, stage_index, key, -F(1, 2))
+    field = "element" if stage_index == 4 else "pair"
+    for target in u.cfg.targets:
+        _, report = _assert_matches_reference(bad, target)
+        assert not report.ok and report.meta["counterexample_count"] == 1
+        [example] = report.counterexamples
+        assert list(example) == ["stage", field, "lhs_sq", "rhs_sq"]
+        assert example["stage"] == stage_index
+        assert F(example["lhs_sq"]) == 4 * F(example["rhs_sq"]) == target.y_norm_sq()
+
+
+def test_bound_faults_come_in_entry_order(rank_universe):
+    """Every rank stage-2 norm scaled by 3/4, so the table holds quarters:
+    the failures come out in member order, with the reference's values."""
+    u = bad = rank_universe
+    s2 = u.stage(2)
+    for z in s2.members:
+        bad = perturbed(bad, 2, z, -s2.table[z] / 4)
+    for target in u.cfg.targets:
+        _, report = _assert_matches_reference(bad, target)
+        assert report.meta["counterexample_count"] > 1
+
+
+def test_bound_worst_ratio_below_one():
+    """On stage 1 alone, with rho(e, x) = rho(e, x^-1) = 2 and
+    rho(x, x^-1) = 3, every entry passes and the worst squared ratio is
+    4/9, at the last pair."""
+    u = bad = Universe(Config(stage_count=1, word_caps=(1,))).build()
+    for key in u.stage(1).table:
+        bad = perturbed(bad, 1, key, F(1))
+    for target in u.cfg.targets:
+        _, report = _assert_matches_reference(bad, target)
+        assert report.ok and report.meta["worst_ratio_sq"] == "4/9"
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**70), st.integers(1, 2**70)), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_argmax_ratio_is_exact(pairs):
+    """The tournament finds a greatest ratio exactly, on any length and on
+    Python ints past int64."""
+    num, den = (np.array(column, dtype=object) for column in zip(*pairs))
+    k = _argmax_ratio(num, den)
+    assert F(*pairs[k]) == max(F(n, d) for n, d in pairs)
+    small = [(n % 1000, d % 1000 + 1) for n, d in pairs]
+    num, den = (np.array(column, dtype=np.int64) for column in zip(*small))
+    assert F(*small[_argmax_ratio(num, den)]) == max(F(n, d) for n, d in small)
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
