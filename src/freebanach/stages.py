@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
+from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
 from .scalars import Dyadic, full_scalar_set
 from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words
@@ -246,11 +247,14 @@ class Stage:
 
     def coordinates(self, shift: int):
         """A vector stage's member coefficients as numerators over 2^shift,
-        an n x dim object array of Python ints whose row k is the digits of
-        k (module docstring).  ``shift`` must cover every scalar's exponent."""
+        an n x dim integer array whose row k is the digits of k (module
+        docstring): int64 when ``lp._fit``'s bound holds for every digit,
+        else an object array of Python ints.  ``shift`` must cover every
+        scalar's exponent."""
         import numpy as np
 
         digits = np.array([d.num << (shift - d.log2den) for d in self.scalar_set], dtype=object)
+        [digits] = _fit(_absmax(digits), digits)  # fitted before the gather: radix entries, not n x dim
         dim, radix = len(self.basis), len(digits)
         return digits[np.indices((radix,) * dim).reshape(dim, radix**dim).T]
 
@@ -264,7 +268,7 @@ def off_grid_cells(store: TermStore, stage: Stage) -> list[int]:
 
     def on(k: int) -> bool:  # row by row, so that no list of all rows is kept alive
         try:
-            return store.vector_ints(stage.members[k], pos, len(pos), shift) == tuple(rows[k])
+            return store.vector_ints(stage.members[k], pos, len(pos), shift) == tuple(rows[k].tolist())
         except (IndexError, KeyError, ValueError):  # AlgebraError is a ValueError
             return False
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from freebanach import Config, Universe, UNIT_ID
 from freebanach.scalars import Dyadic
-from freebanach.stages import NotBuiltError
+from freebanach.norm_ext import scalar_shift
+from freebanach.stages import NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm
 from freebanach.verify import VerificationReport, perturbed
 from freebanach.universal import (
@@ -290,6 +291,24 @@ def test_phi_past_int64(desk_universe):
     assert max(abs(phi(m)[0]) for m in members) >= 2**63
     for m in members:
         assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+
+
+def test_coordinates_past_int64(desk_universe):
+    """Coordinates are int64 on desk, but a scalar set holding +-2^70 keeps
+    them exact Python ints in an object array: the stage-2 grid still
+    matches the store, and PhiMap's product agrees with the reference."""
+    big = 2**70
+    scalars = tuple(map(Dyadic.parse, f"-{big} -1 0 1 {big}".split()))
+    u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
+    s2, s4 = u.stage(2), desk_universe.stage(4)
+    assert s4.coordinates(scalar_shift(s4)).dtype == np.int64
+    rows = s2.coordinates(scalar_shift(s2))
+    assert rows.dtype == object and rows[0].tolist() == [-big, -big]
+    assert off_grid_cells(u.store, s2) == []
+    for target in (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2)))):
+        phi, ref = PhiMap(u, target), _reference_phi(u, target)
+        for m in s2.members:
+            assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
 
 
 def test_phi_outside_the_tower_is_not_built(exact_universe):

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from freebanach import Config, Dyadic, Universe, UNIT_ID
@@ -16,7 +17,13 @@ from freebanach.scalars import common_denominator
 from freebanach.stages import NotBuiltError
 from freebanach.terms import GenTerm, TermStore, WordSpace
 from freebanach.verify import (
+    COUNTEREXAMPLE_CAP,
+    VerificationReport,
+    _digit_runs,
     _group_law,
+    _member_lattice,
+    _subadditivity_report,
+    _take,
     check_biinvariance,
     check_condition_1,
     check_condition_3,
@@ -404,6 +411,62 @@ def test_condition5_on_unevenly_spaced_scalars(scalars, counts):
         assert got == expected
     sub = check_condition_5(bad)[1]
     assert sub.summary_line().startswith("[FAIL] condition 5 subadditivity stage 2")
+    for universe in (u, bad):
+        _assert_subadditivity_by_cells(universe.stage(2))
+
+
+def _subadditivity_by_cells(stage, lattice) -> VerificationReport:
+    """The subadditivity section one step cell at a time, the reference for
+    the blocked pass: for each nonzero member m, the views of the lattice
+    on every axis's source and target runs of the shift by m's digit."""
+    report = VerificationReport(suite=f"condition 5 subadditivity stage {stage.index}")
+    N, ids, values, _ = lattice
+    shifts = [_digit_runs(values, F(1), v) for v in values]
+    for cell in np.ndindex(ids.shape):
+        if ids[cell] == UNIT_ID:
+            continue
+        source, target = zip(*(shifts[d] for d in cell))
+        s, t = _take(N, source), _take(N, target)
+        count, nbad = s.size, int((t > s + N[cell]).sum())
+        report.attempted += count
+        report.passed += count - nbad
+        if nbad:
+            report.add_counterexample(step_member=int(ids[cell]), violations=nbad)
+    return report
+
+
+def _assert_subadditivity_by_cells(stage):
+    lattice = _member_lattice(stage)
+    got = _subadditivity_report(stage, lattice).describe()
+    assert got == _subadditivity_by_cells(stage, lattice).describe()
+    return got
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
+def test_subadditivity_blocks_match_cells(preset, request):
+    """The blocked subadditivity pass reports what the pass per step cell
+    does on every norm stage of each fixture."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    for stage in u.stages:
+        if stage.kind == "vector" and stage.index > 0:
+            assert _assert_subadditivity_by_cells(stage)["ok"]
+
+
+@pytest.mark.parametrize("digits", [(0,) * 8, (2,) * 8, (0, 2, 1, 1, 1, 1, 2, 0)], ids=["first", "last", "mixed"])
+def test_subadditivity_faults_at_block_boundaries(desk_universe, digits):
+    """Desk stage 4's grid splits into four outer and four inner axes.  One
+    entry raised, or lowered, at the first member, the last, or one with
+    non-central digits on both sides of the split fails with the reference's
+    counterexamples in its order; raising the first member fails more steps
+    than the report keeps, so the cap and the count are compared too."""
+    u, s4 = desk_universe, desk_universe.stage(4)
+    member = s4.members[int(np.ravel_multi_index(digits, (3,) * 8))]
+    raised, lowered = (_assert_subadditivity_by_cells(perturbed(u, 4, member, delta).stage(4))
+                       for delta in (EPS, -s4.table[member] / 2))
+    assert not raised["ok"] and not lowered["ok"]
+    if digits == (0,) * 8:
+        assert len(raised["counterexamples"]) == COUNTEREXAMPLE_CAP
+        assert int(raised["meta"]["counterexample_count"]) > COUNTEREXAMPLE_CAP
 
 
 def test_homogeneity_overflow_is_typed():
@@ -441,10 +504,12 @@ def test_inversion_missing_inverse(exact_universe):
     assert inversion.counterexamples == [{"element": x, "inverse": None}]
 
 
-def test_condition5_refuses_an_off_size_norm_stage(exact_universe):
+def test_condition5_refuses_an_off_size_norm_stage(exact_universe, monkeypatch):
     """A norm stage forged without its last member is not its digit grid:
-    condition 5 refuses it with a typed error naming both sizes, rather
-    than reshaping it, and condition 1 reports the empty cell."""
+    condition 5 refuses it with a typed error naming both sizes, before
+    either law is read off a lattice, rather than reshaping it, and
+    condition 1 reports the empty cell."""
+    monkeypatch.setattr("freebanach.verify._digit_runs", None)  # any block built would fail on this
     u = copy.copy(exact_universe)
     u.stages = list(exact_universe.stages)
     s2 = u.stage(2)
