@@ -54,7 +54,12 @@ def _term_doc(term):
     raise TypeError(f"unknown term {term!r}")
 
 
-def _term_from_doc(doc):
+def _term_from_doc(doc, pairs: dict | None = None):
+    """The term of a member document.  ``pairs`` memoizes combination
+    coefficients, so that every ``[b, num, den]`` triple read with the same
+    memo passes through ``Dyadic.from_pair`` once and shares one ``(b, c)``
+    pair; only triples of exact ints are kept, since ``1.0 == True == 1``
+    would otherwise let a float or a bool field through as a hit."""
     kind = doc[0]
     if kind == "e":
         return UnitTerm()
@@ -63,7 +68,18 @@ def _term_from_doc(doc):
     if kind == "word":
         return WordTerm(tuple((b, s) for b, s in doc[1]))
     if kind == "combo":
-        return ComboTerm(tuple((b, Dyadic.from_pair(n, d)) for b, n, d in doc[1]))
+        if pairs is None:
+            pairs = {}
+        coeffs = []
+        for b, n, d in doc[1]:
+            if type(b) is int and type(n) is int and type(d) is int:
+                pair = pairs.get((b, n, d))
+                if pair is None:
+                    pair = pairs[b, n, d] = (b, Dyadic.from_pair(n, d))
+            else:
+                pair = (b, Dyadic.from_pair(n, d))
+            coeffs.append(pair)
+        return ComboTerm(tuple(coeffs))
     raise ValueError(f"unknown term document {doc!r}")
 
 
@@ -118,17 +134,24 @@ def export_tables(universe, path: str, suite: SuiteReport | None = None) -> None
 
 
 def _table_value(num, den) -> Fraction:
-    if not isinstance(den, int) or den <= 0:
+    """A norm or distance read from a table: an int numerator >= 0 over a
+    positive int denominator (a bool or a float is not an int here)."""
+    if type(den) is not int or den <= 0:
         raise ConfigError(f"table value {num}/{den}: the denominator is not a positive int")
+    if type(num) is not int or num < 0:
+        raise ConfigError(f"table value {num}/{den}: the numerator is not a non-negative int")
     return Fraction(num, den)
 
 
 def import_universe(path: str, cfg: Config | None = None):
     """Rebuild a universe from an export document: terms are interned in id
     order so the reconstructed store is identical to the original.  A table
-    value whose denominator is not a positive int, or a vector stage whose
-    members are not its digit grid in order (``stages.off_grid_cells``), is
-    a ConfigError."""
+    value that is not a non-negative int over a positive int, or a vector
+    stage whose members are not its digit grid in order
+    (``stages.off_grid_cells``), is a ConfigError.  The document is
+    untrusted, so every new member is checked by ``intern``; only its
+    combination coefficients are shared, one per distinct triple read
+    (``_term_from_doc``'s memo, which lives for this call)."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.read().decode())
     if doc.get("format") != "freebanach-export":
@@ -138,6 +161,7 @@ def import_universe(path: str, cfg: Config | None = None):
     universe.stages = []
     store = universe.store
     pending: dict[int, list] = {}
+    pairs: dict = {}
     for sdoc in doc["stages"]:
         for gid in sdoc.get("generators", ()):  # registration precedes letters
             store.register_generator(gid)
@@ -148,7 +172,7 @@ def import_universe(path: str, cfg: Config | None = None):
         for eid in sorted(pending):
             if eid < len(store):
                 continue
-            term = _term_from_doc(pending[eid])
+            term = _term_from_doc(pending[eid], pairs)
             got = store.intern(term)
             if got != eid:
                 raise ConfigError(f"id mismatch on import: {got} != {eid}")

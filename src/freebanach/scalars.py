@@ -46,8 +46,8 @@ class Dyadic:
 
     @classmethod
     def from_pair(cls, num: int, den: int) -> "Dyadic":
-        """num / den for ints with den a positive power of two."""
-        if not (isinstance(num, int) and isinstance(den, int)) or den <= 0 or den & (den - 1):
+        """num / den for ints (not bools) with den a positive power of two."""
+        if not (type(num) is int and type(den) is int) or den <= 0 or den & (den - 1):
             raise ScalarDomainError(f"{num}/{den} is not an integer over a positive power of two")
         return cls(num, den.bit_length() - 1)
 

@@ -14,7 +14,8 @@ tables on every run with the same Config.
 A vector stage is its digit grid: its members are interned in
 ``itertools.product`` order over the sorted, distinct scalar set, so member
 k has the mixed-radix digits of k (axis i is ``basis[i]``, the last axis
-varies fastest).  ``Stage.coordinates`` reads the members' coefficients off
+varies fastest), by ``TermStore.intern_grid`` from one shared ``(b, c)``
+pair per axis and scalar.  ``Stage.coordinates`` reads the members' coefficients off
 that order.  ``off_grid_cells`` checks it against the store; condition 1
 and ``import_universe`` call it, the build does not (its stages are grids
 by construction).
@@ -25,7 +26,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
 
 from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
@@ -356,7 +356,7 @@ class Universe:
                 f"word stage {n} would have {count} members "
                 f"(budget {self.cfg.member_budget})"
             )
-        members = [store.intern(store.reduce_word(w)) for w in WordSpace(letters, cap).words]
+        members = store.intern_words(WordSpace(letters, cap).words)
         return Stage(
             index=n,
             kind="word",
@@ -384,10 +384,7 @@ class Universe:
             )
 
         ordered = sorted(scalars, key=lambda d: d.as_fraction())
-        members = tuple(
-            store.intern(store.combo_from_map(dict(zip(basis, coeffs))))
-            for coeffs in product(ordered, repeat=len(basis))
-        )
+        members = tuple(store.intern_grid(basis, ordered))
         return Stage(
             index=n,
             kind="vector",

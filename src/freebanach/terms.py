@@ -217,6 +217,60 @@ class TermStore:
         self._index[term] = eid
         return eid
 
+    def intern_words(self, words: Iterable[Letters]) -> list[int]:
+        """Ids of irreducible words over registered generators, as
+        ``WordSpace`` yields them, without folding each one again by
+        ``reduce_word``: the empty word is the unit, a single positive letter
+        its base element, and any other word a ``WordTerm`` that ``intern``
+        checks."""
+        ids = []
+        for w in words:
+            if not w:
+                ids.append(UNIT_ID)
+            elif len(w) == 1 and w[0][1] == 1:
+                if w[0][0] not in self._generators:
+                    raise InvalidLetterError(f"id {w[0][0]} is not a registered generator")
+                ids.append(w[0][0])
+            else:
+                ids.append(self.intern(WordTerm(w)))
+        return ids
+
+    def intern_grid(self, basis: Sequence[int], scalars: Sequence[Dyadic]) -> list[int]:
+        """Ids of every coefficient function from ``basis`` into ``scalars``,
+        in ``itertools.product`` order (the last axis varies fastest).
+
+        Hash-consed on the scalar layer: each axis has one shared ``(b, c)``
+        pair per nonzero scalar, and a cell's coefficients are those pairs,
+        its zero digits left out.  ``_check_canonical``'s combination
+        invariants are therefore checked once for the grid, not per member:
+        the basis ids strictly increase and are registered.  The empty cell
+        is the unit and a singleton coefficient-1 cell the basis element
+        itself, as ``combo_from_map`` would fold them."""
+        prev = -1
+        for b in basis:
+            if b <= prev:
+                raise CanonicalityError("combination keys not strictly increasing")
+            prev = b
+            if b not in self._basis:
+                raise BasisUnderflowError(f"id {b} is not a registered basis element")
+        cells: list[tuple] = [()]
+        for b in basis:  # prefix by prefix; a zero digit adds () and so shares its prefix
+            options = [((b, c),) if c else () for c in scalars]
+            cells = [cell + option for cell in cells for option in options]
+        terms, index, ids = self._terms, self._index, []
+        for coeffs in cells:
+            if not coeffs:
+                ids.append(UNIT_ID)
+            elif len(coeffs) == 1 and coeffs[0][1] == DY_ONE:
+                ids.append(coeffs[0][0])
+            else:
+                term = ComboTerm(coeffs)
+                eid = index.setdefault(term, len(terms))  # one hash: found, or the next id
+                if eid == len(terms):
+                    terms.append(term)
+                ids.append(eid)
+        return ids
+
     def register_generator(self, eid: int) -> None:
         self._generators.add(eid)
 

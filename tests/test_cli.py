@@ -84,19 +84,43 @@ def test_build_and_reimport(tmp_path, capsys):
     assert export_bytes(u, suite) == out.read_bytes()
 
 
-@pytest.mark.parametrize("den", [0, 3, -2])
-def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path, den):
-    """A combination coefficient whose denominator is 0, 3 or -2 is no
-    dyadic scalar: the import raises ``ScalarDomainError``, which ``main``
-    maps to exit 2, rather than a bare ``ZeroDivisionError`` or a silent
-    sign flip."""
+@pytest.mark.parametrize(
+    "field, value",
+    [(2, 0), (2, 3), (2, -2), (1, True), (2, True), (1, 1.0), (2, 1.0)],
+    ids=["0", "3", "-2", "num-true", "den-true", "num-1.0", "den-1.0"],
+)
+def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path, field, value):
+    """A combination coefficient whose denominator is 0, 3 or -2, or whose
+    numerator or denominator is a bool or a float, is no dyadic scalar: the
+    import raises ``ScalarDomainError``, which ``main`` maps to exit 2,
+    rather than a bare ``ZeroDivisionError`` or a silent sign flip.  The
+    edited coefficient is the last one whose field equals 1 and whose exact
+    triple an earlier member already holds, so ``true`` and ``1.0`` (equal
+    to 1, and hashed alike) would pass a memo keyed on the raw triple."""
     doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
-    combo = next(m["term"] for s in doc["stages"] for m in s["members"] if m["term"][0] == "combo")
-    combo[1][0][2] = den
+    combos = [m["term"][1] for s in doc["stages"] for m in s["members"] if m["term"][0] == "combo"]
+    seen = [{tuple(c) for c in coeffs} for coeffs in combos]
+    i, c = next((i, c) for i in reversed(range(len(combos))) for c in combos[i]
+                if c[field] == 1 and any(tuple(c) in earlier for earlier in seen[:i]))
+    c[field] = value
     path = tmp_path / "export.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ScalarDomainError):
         import_universe(str(path), Config.exact_x2())
+
+
+def test_import_shares_one_pair_per_coefficient_triple(tmp_path, desk_universe):
+    """The import reads each distinct ``[b, num, den]`` triple once: equal
+    coefficient pairs of the imported store are one object, and the members,
+    their terms and the store size are those of the build."""
+    path = tmp_path / "export.json"
+    path.write_bytes(export_bytes(desk_universe))
+    u = import_universe(str(path), Config.desk())
+    assert [s.members for s in u.stages] == [s.members for s in desk_universe.stages]
+    assert len(u.store) == 1 + max(m for s in desk_universe.stages for m in s.members)
+    assert all(u.store.term(m) == desk_universe.store.term(m) for s in u.stages for m in s.members)
+    pairs = [p for i in range(len(u.store)) if isinstance(t := u.store.term(i), ComboTerm) for p in t.coeffs]
+    assert len({id(p) for p in pairs}) == len(set(pairs)) == 16  # 8 axes x the scalars +-1
 
 
 def _word_den_zero(doc):
@@ -105,6 +129,26 @@ def _word_den_zero(doc):
 
 def _vector_den_negative(doc):
     doc["stages"][2]["table"][1][2] = -1
+
+
+def _word_num_true(doc):
+    doc["stages"][1]["table"][0][2] = True
+
+
+def _vector_num_negative(doc):
+    doc["stages"][2]["table"][1][1] = -1
+
+
+def _vector_num_float(doc):
+    doc["stages"][2]["table"][1][1] = 1.5
+
+
+def _vector_den_float(doc):
+    doc["stages"][2]["table"][1][2] = 2.0
+
+
+def _vector_den_true(doc):
+    doc["stages"][2]["table"][1][2] = True
 
 
 def _vector_members_swapped(doc):
@@ -116,14 +160,19 @@ def _vector_members_swapped(doc):
 @pytest.mark.parametrize(
     "edit, message",
     [(_word_den_zero, "denominator"), (_vector_den_negative, "denominator"),
+     (_word_num_true, "numerator"), (_vector_num_negative, "numerator"),
+     (_vector_num_float, "numerator"), (_vector_den_float, "denominator"),
+     (_vector_den_true, "denominator"),
      (_vector_members_swapped, r"stage 2: members off their digit-grid cells \[3, 7\]")],
-    ids=["word-den-0", "vector-den-negative", "vector-members-swapped"],
+    ids=["word-den-0", "vector-den-negative", "word-num-true", "vector-num-negative",
+         "vector-num-float", "vector-den-float", "vector-den-true", "vector-members-swapped"],
 )
 def test_import_validates_tables_and_member_order(tmp_path, edit, message):
-    """A table denominator that is not a positive int, or a vector stage
-    whose members are not in digit-grid order, is a ConfigError (exit 2),
-    not a ZeroDivisionError, a negative norm or a stage condition 5 would
-    misread."""
+    """A table value that is not a non-negative int over a positive int (a
+    bool or a float is not an int here), or a vector stage whose members
+    are not in digit-grid order, is a ConfigError (exit 2), not a
+    ZeroDivisionError, a bare TypeError, a negative norm, ``true`` read as 1
+    or a stage condition 5 would misread."""
     doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
     edit(doc)
     path = tmp_path / "export.json"

@@ -1,11 +1,15 @@
 """Tower construction: sizes, chain monotonicity, bookkeeping, determinism."""
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from freebanach import Config, Universe, UNIT_ID, BudgetExceededError
 from freebanach.scalars import Dyadic
 from freebanach.norm_ext import scalar_shift
 from freebanach.stages import ConfigError, NotBuiltError, off_grid_cells
+from freebanach.terms import ComboTerm, TermStore
 
 
 def test_stage1_construction_exact():
@@ -152,3 +156,50 @@ def test_empty_basis_degenerate():
     assert s0.members == (UNIT_ID,)
     assert s0.kind == "vector"
     assert s0.table[UNIT_ID] == 0
+
+
+def _grid_by_members(store, basis, scalars):
+    """The per-member path ``TermStore.intern_grid`` replaced: one
+    ``combo_from_map`` and one checked ``intern`` per cell."""
+    return [store.intern(store.combo_from_map(dict(zip(basis, coeffs))))
+            for coeffs in product(scalars, repeat=len(basis))]
+
+
+def _words_by_reduction(store, words):
+    """The path ``TermStore.intern_words`` replaced: each word folded again
+    by ``reduce_word``."""
+    return [store.intern(store.reduce_word(w)) for w in words]
+
+
+ENUMERATION_CONFIGS = {
+    "desk": Config.desk(),
+    "rank": Config.rank(),
+    "exact": Config.exact_x2(),
+    "uneven": Config(stage_count=2, scalar_sets=(tuple(map(Dyadic.parse, "-4 -1 -1/4 0 1/4 1 4".split())),)),
+    "exact-cap-100": replace(Config.exact_x2(), stage_count=1, word_caps=(100,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_CONFIGS))
+def test_enumeration_matches_per_member_reference(name, monkeypatch):
+    """The shared-pair grid and the words interned as ``WordSpace`` yields
+    them give the member ids, the terms and the store size of the
+    per-member reference paths."""
+    cfg = ENUMERATION_CONFIGS[name]
+    new = Universe(cfg).build()
+    monkeypatch.setattr(TermStore, "intern_grid", _grid_by_members)
+    monkeypatch.setattr(TermStore, "intern_words", _words_by_reduction)
+    old = Universe(cfg).build()
+    assert [s.members for s in new.stages] == [s.members for s in old.stages]
+    assert len(new.store) == len(old.store)
+    assert [new.store.term(i) for i in range(len(new.store))] == [old.store.term(i) for i in range(len(old.store))]
+
+
+def test_grid_shares_one_pair_per_axis_and_scalar(desk_universe):
+    """Desk stage 4's 6561 members hold about 35 000 coefficients, but no
+    more distinct pair objects than dim x radix: one per axis and scalar
+    (and stage 2's, for the members the two stages share)."""
+    stage, store = desk_universe.stage(4), desk_universe.store
+    terms = [store.term(m) for m in stage.members]
+    pairs = {id(p) for t in terms if isinstance(t, ComboTerm) for p in t.coeffs}
+    assert len(pairs) <= len(stage.basis) * len(stage.scalar_set) == 24

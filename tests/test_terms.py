@@ -302,6 +302,40 @@ def test_interning():
         store.intern(ComboTerm(((x, Dyadic(1)),)))
 
 
+def test_grid_refuses_what_check_canonical_refuses():
+    """``intern_grid`` checks the combination invariants once for the
+    whole grid, and raises the error ``intern`` raises for a member that
+    breaks them (basis ids out of order or repeated, or not registered),
+    before it interns anything."""
+    store, x, xi = basis_store()
+    w = store.intern(WordTerm(((x, 1), (x, 1))))  # interned, but no basis element
+    one, scalars = Dyadic(1), (Dyadic(-1), Dyadic(0), Dyadic(1))
+    size = len(store)
+    for basis, error in [((xi, x), CanonicalityError), ((x, x), CanonicalityError),
+                         ((x, w), BasisUnderflowError)]:
+        with pytest.raises(error):
+            store.intern(ComboTerm(tuple((b, one) for b in basis)))
+        with pytest.raises(error):
+            store.intern_grid(basis, scalars)
+        assert len(store) == size
+
+
+def test_intern_words_is_reduce_word_on_irreducible_words():
+    """Interned without a second ``reduce_word``, the irreducible words get
+    the ids the fold gives; a letter that is no registered generator is
+    refused as ``reduce_word`` refuses it."""
+    store, (x, y, *_) = four_gen_store()
+    words = WordSpace([(x, 1), (x, -1), (y, 1), (y, -1)], 3).words
+    ids = store.intern_words(words)
+    assert ids[:2] == [UNIT_ID, x]  # the empty word and a positive letter: no term interned
+    assert ids == [store.intern(store.reduce_word(w)) for w in words]
+    for word in [((99, 1),), ((99, -1),), ((x, 1), (99, 1))]:
+        with pytest.raises(InvalidLetterError):
+            store.reduce_word(word)
+        with pytest.raises(InvalidLetterError):
+            store.intern_words([word])
+
+
 def test_id_equality_iff_structural(exact_universe):
     store = exact_universe.store
     seen = {}
