@@ -1,11 +1,12 @@
 """Command-line entry points and bit-exact table export.
 
 Subcommands: build, dist, norm, verify, oracle, bench.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage, config, evaluation, or
-construction errors (a relaxation or molecule program that cannot finish
-within the config).  Exported documents are deterministic byte-for-byte
-for a fixed config: values are integer pairs, never decimals, and field
-order is fixed.
+success, 1 on verification failure (or a ``bench`` round trip whose bytes
+differ), 2 on usage, config, evaluation, construction (a relaxation or
+molecule program that cannot finish within the config) or export-document
+errors.  Exports (format version 2, see ``export_document``) are
+deterministic byte-for-byte for a fixed config: values are integer pairs,
+never decimals, and field order is fixed.
 """
 
 from __future__ import annotations
@@ -20,100 +21,52 @@ from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
-from .stages import (PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe,
-                     off_grid_cells)
-from .terms import (
-    AlgebraError,
-    ComboTerm,
-    GenTerm,
-    UnitTerm,
-    WordTerm,
-)
+from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
+from .terms import AlgebraError
 from .verify import SUITES, SuiteReport, check_conditions, check_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+# what ``main`` reports as one error line and exit 2
+USAGE_ERRORS = (ConfigError, ExprSyntaxError, ScalarDomainError, OutOfUniverseError, AlgebraError,
+                BudgetExceededError, NotBuiltError, OSError, RelaxError, InfeasibleLP)
 
 
 # ---------------------------------------------------------------------------
 # export document
 # ---------------------------------------------------------------------------
 
-
-def _term_doc(term):
-    if isinstance(term, UnitTerm):
-        return ["e"]
-    if isinstance(term, GenTerm):
-        return ["gen", term.index]
-    if isinstance(term, WordTerm):
-        return ["word", [[b, s] for b, s in term.letters]]
-    if isinstance(term, ComboTerm):
-        # a normalized Dyadic is already in lowest terms: num over 2^log2den
-        return ["combo", [[b, c.num, 1 << c.log2den] for b, c in term.coeffs]]
-    raise TypeError(f"unknown term {term!r}")
+FORMAT_VERSION = 2
+TOP_KEYS = ("format", "version", "config", "stages")  # then "verification", if a report was given
+STAGE_KEYS = {"word": ("index", "kind", "generators", "word_cap", "count", "table"),
+              "vector": ("index", "kind", "basis", "scalar_set", "count", "table")}
 
 
-def _term_from_doc(doc, pairs: dict | None = None):
-    """The term of a member document.  ``pairs`` memoizes combination
-    coefficients, so that every ``[b, num, den]`` triple read with the same
-    memo passes through ``Dyadic.from_pair`` once and shares one ``(b, c)``
-    pair; only triples of exact ints are kept, since ``1.0 == True == 1``
-    would otherwise let a float or a bool field through as a hit."""
-    kind = doc[0]
-    if kind == "e":
-        return UnitTerm()
-    if kind == "gen":
-        return GenTerm(doc[1])
-    if kind == "word":
-        return WordTerm(tuple((b, s) for b, s in doc[1]))
-    if kind == "combo":
-        if pairs is None:
-            pairs = {}
-        coeffs = []
-        for b, n, d in doc[1]:
-            if type(b) is int and type(n) is int and type(d) is int:
-                pair = pairs.get((b, n, d))
-                if pair is None:
-                    pair = pairs[b, n, d] = (b, Dyadic.from_pair(n, d))
-            else:
-                pair = (b, Dyadic.from_pair(n, d))
-            coeffs.append(pair)
-        return ComboTerm(tuple(coeffs))
-    raise ValueError(f"unknown term document {doc!r}")
+def _cells(stage: Stage) -> list:
+    """A stage's table keys in document order: a vector stage's members in
+    grid order, a word stage's member pairs i < j in ``WordSpace`` order."""
+    members = stage.members
+    if stage.kind == "vector":
+        return list(members)
+    return [(a, b) if a < b else (b, a) for i, a in enumerate(members) for b in members[i + 1:]]
 
 
 def export_document(universe, suite: SuiteReport | None = None) -> dict:
+    """Format version 2: a stage is its generating data, its member count
+    and its table as ``[num, den]`` rows over ``_cells``.  Members and ids
+    are not written: ``import_universe`` re-derives them."""
     stages = []
     for stage in universe.stages:
-        if not stage.sealed:
-            continue
-        entry = {
-            "index": stage.index,
-            "kind": stage.kind,
-            "members": [
-                {"id": m, "term": _term_doc(universe.store.term(m))}
-                for m in stage.members
-            ],
-        }
-        if stage.kind == "word":
-            entry["word_cap"] = stage.word_cap
-            entry["generators"] = list(stage.generators)
-            entry["table"] = [
-                [a, b, v.numerator, v.denominator]
-                for (a, b), v in sorted(stage.table.items())
-            ]
-        else:
-            entry["scalar_set"] = [str(d) for d in stage.scalar_set]
-            entry["basis"] = list(stage.basis)
-            entry["table"] = [
-                [m, stage.table[m].numerator, stage.table[m].denominator]
-                for m in stage.members
-            ]
-        stages.append(entry)
+        if stage.sealed:
+            data = ({"generators": list(stage.generators), "word_cap": stage.word_cap} if stage.kind == "word"
+                    else {"basis": list(stage.basis), "scalar_set": [str(d) for d in stage.scalar_set]})
+            values = map(stage.table.__getitem__, _cells(stage))
+            stages.append({"index": stage.index, "kind": stage.kind, **data, "count": len(stage.members),
+                           "table": [[v.numerator, v.denominator] for v in values]})
     doc = {
         "format": "freebanach-export",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "config": universe.cfg.describe(),
         "stages": stages,
     }
@@ -133,63 +86,89 @@ def export_tables(universe, path: str, suite: SuiteReport | None = None) -> None
         fh.write(data)
 
 
-def _table_value(num, den) -> Fraction:
-    """A norm or distance read from a table: an int numerator >= 0 over a
-    positive int denominator (a bool or a float is not an int here)."""
-    if type(den) is not int or den <= 0:
-        raise ConfigError(f"table value {num}/{den}: the denominator is not a positive int")
-    if type(num) is not int or num < 0:
-        raise ConfigError(f"table value {num}/{den}: the numerator is not a non-negative int")
-    return Fraction(num, den)
+def _same(value, expected) -> bool:
+    """Equal as JSON text, so that 1, 1.0 and true are three values here."""
+    return json.dumps(value) == json.dumps(expected)
+
+
+def _table(rows, cells: list, where: str) -> dict:
+    """A table from one ``[num, den]`` row per cell: an int numerator >= 0
+    over a positive int denominator, in lowest terms.  Each distinct pair
+    is read once, but only once every field is known to be an int: a bool
+    or a float equals and hashes like the int it would pass for."""
+    if type(rows) is not list or len(rows) != len(cells):
+        raise ConfigError(f"{where}: the table is not a list of {len(cells)} rows")
+    if not all(type(row) is list and len(row) == 2 for row in rows):
+        raise ConfigError(f"{where}: a table row is not a [num, den] list")
+    pairs = list(map(tuple, rows))
+    ints = all(type(num) is int and type(den) is int for num, den in pairs)
+    values = {}
+    for num, den in set(pairs) if ints else pairs:
+        if type(den) is not int or den <= 0:
+            raise ConfigError(f"{where}: table value {num!r}/{den!r}: the denominator is not a positive int")
+        if type(num) is not int or num < 0:
+            raise ConfigError(f"{where}: table value {num!r}/{den!r}: the numerator is not a non-negative int")
+        value = values[num, den] = Fraction(num, den)
+        if value.denominator != den:
+            raise ConfigError(f"{where}: table value {num}/{den} is not in lowest terms")
+    return dict(zip(cells, map(values.__getitem__, pairs)))
+
+
+def _stage_from_doc(universe, n: int, sdoc) -> Stage:
+    """Stage n, enumerated after the stages below it from the document's
+    word cap or scalar set, with every field checked."""
+    where, kind = f"stage {n}", "word" if n % 2 else "vector"
+    keys = STAGE_KEYS[kind]
+    if type(sdoc) is not dict or tuple(sdoc) != keys or sdoc["kind"] != kind or not _same(sdoc["index"], n):
+        raise ConfigError(f"{where}: not a {kind} stage with index {n} and the fields {keys}")
+    cfg = universe.cfg
+    key, given = ("word_cap", cfg.word_cap(n // 2)) if kind == "word" else (
+        "scalar_set", [str(d) for d in sorted(cfg.scalar_set(n // 2))] if n else [])
+    if not _same(sdoc[key], given):  # before the enumeration reads it
+        raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the config gives {given!r}")
+    if n == 0:
+        stage = universe._unit_stage()
+    elif kind == "word":
+        stage = universe._enumerate_word_stage(n, sdoc["word_cap"])
+    else:
+        stage = universe._enumerate_vector_stage(n, list(map(Dyadic.parse, sdoc["scalar_set"])))
+    spanning = "generators" if kind == "word" else "basis"
+    for key, derived in ((spanning, list(getattr(stage, spanning))), ("count", len(stage.members))):
+        if not _same(sdoc[key], derived):
+            raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the stages below give {derived!r}")
+    stage.table = _table(sdoc["table"], _cells(stage), where)
+    stage.sealed = True
+    return stage
 
 
 def import_universe(path: str, cfg: Config | None = None):
-    """Rebuild a universe from an export document: terms are interned in id
-    order so the reconstructed store is identical to the original.  A table
-    value that is not a non-negative int over a positive int, or a vector
-    stage whose members are not its digit grid in order
-    (``stages.off_grid_cells``), is a ConfigError.  The document is
-    untrusted, so every new member is checked by ``intern``; only its
-    combination coefficients are shared, one per distinct triple read
-    (``_term_from_doc``'s memo, which lives for this call)."""
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read().decode())
-    if doc.get("format") != "freebanach-export":
+    """Rebuild a universe from a format-version-2 export document, under
+    ``cfg`` or, if None, the document's config, which must be the same.
+    Each stage is enumerated by the build's own enumeration from the word
+    cap or scalar set the document states, so the store is the build's id
+    for id; the stated generators, basis and member count must be the
+    derived ones.  Any other version, or any malformed document, is a
+    ConfigError (exit 2): a version-1 document has to be rebuilt."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path!r} is not a JSON document: {exc}") from None
+    if type(doc) is not dict or doc.get("format") != "freebanach-export":
         raise ConfigError(f"{path!r} is not an export document")
-    cfg = cfg if cfg is not None else Config()
+    if not _same(doc.get("version"), FORMAT_VERSION):
+        raise ConfigError(f"{path!r} has export format version {doc.get('version')!r}; only version "
+                          f"{FORMAT_VERSION} is read: rebuild it with `freebanach build`")
+    if tuple(k for k in doc if k != "verification") != TOP_KEYS:
+        raise ConfigError(f"{path!r}: expected the fields {TOP_KEYS}, found {tuple(doc)}")
+    cfg = cfg if cfg is not None else Config.from_description(doc["config"])
+    if not _same(doc["config"], cfg.describe()):
+        raise ConfigError(f"{path!r} was not exported under this config")
+    if type(doc["stages"]) is not list or len(doc["stages"]) != cfg.stage_count + 1:
+        raise ConfigError(f"{path!r}: the config asks for {cfg.stage_count + 1} stages")
     universe = Universe(cfg)
-    universe.stages = []
-    store = universe.store
-    pending: dict[int, list] = {}
-    pairs: dict = {}
-    for sdoc in doc["stages"]:
-        for gid in sdoc.get("generators", ()):  # registration precedes letters
-            store.register_generator(gid)
-        for bid in sdoc.get("basis", ()):
-            store.register_basis(bid)
-        for m in sdoc["members"]:
-            pending[m["id"]] = m["term"]
-        for eid in sorted(pending):
-            if eid < len(store):
-                continue
-            term = _term_from_doc(pending[eid], pairs)
-            got = store.intern(term)
-            if got != eid:
-                raise ConfigError(f"id mismatch on import: {got} != {eid}")
-        ids = tuple(m["id"] for m in sdoc["members"])
-        common = dict(index=sdoc["index"], members=ids, member_set=frozenset(ids), sealed=True)
-        if sdoc["kind"] == "word":
-            stage = Stage(kind="word", **common, generators=tuple(sdoc["generators"]),
-                          table={(a, b): _table_value(n, d) for a, b, n, d in sdoc["table"]},
-                          word_cap=sdoc["word_cap"])
-        else:
-            stage = Stage(kind="vector", **common, basis=tuple(sdoc.get("basis", ())),
-                          table={m: _table_value(n, d) for m, n, d in sdoc["table"]},
-                          scalar_set=tuple(Dyadic.parse(s) for s in sdoc.get("scalar_set", ())))
-            off = off_grid_cells(store, stage)
-            if off:
-                raise ConfigError(f"stage {stage.index}: members off their digit-grid cells {off[:5]}")
-        universe.stages.append(stage)
+    for n, sdoc in enumerate(doc["stages"]):
+        universe.stages.append(_stage_from_doc(universe, n, sdoc))
     return universe
 
 
@@ -295,10 +274,22 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     check_suites(universe, ("universal",))
     rows.append(("universal", time.perf_counter() - t0))
+    import tempfile  # here, so that no other subcommand pays for importing it
+
+    t0 = time.perf_counter()
+    data = export_bytes(universe)
+    with tempfile.NamedTemporaryFile(suffix=".json") as fh:
+        fh.write(data)
+        fh.flush()
+        same = export_bytes(import_universe(fh.name, cfg)) == data
+    rows.append(("round trip", time.perf_counter() - t0))
     width = max(len(r[0]) for r in rows)
     for name, value in rows:
         shown = f"{value:.3f}s" if isinstance(value, float) else str(value)
         print(f"{name:<{width}}  {shown}")
+    if not same:
+        print("error: the re-imported universe exports other bytes", file=sys.stderr)
+        return EXIT_VERIFICATION
     return EXIT_OK
 
 
@@ -350,9 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExprSyntaxError, ScalarDomainError, OutOfUniverseError,
-            AlgebraError, BudgetExceededError, NotBuiltError, OSError, RelaxError,
-            InfeasibleLP) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

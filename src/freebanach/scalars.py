@@ -23,7 +23,7 @@ class Dyadic:
     Arithmetic is exact and closed under +, -, *; comparison is exact.
     """
 
-    __slots__ = ("num", "log2den")
+    __slots__ = ("num", "log2den", "_hash")
 
     def __init__(self, num: int, log2den: int = 0):
         if log2den < 0:
@@ -35,6 +35,7 @@ class Dyadic:
             log2den = 0
         self.num = num
         self.log2den = log2den
+        self._hash = None
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "Dyadic":
@@ -43,13 +44,6 @@ class Dyadic:
         if den != 1 << k:
             raise ScalarDomainError(f"{q} is not dyadic")
         return cls(q.numerator, k)
-
-    @classmethod
-    def from_pair(cls, num: int, den: int) -> "Dyadic":
-        """num / den for ints (not bools) with den a positive power of two."""
-        if not (type(num) is int and type(den) is int) or den <= 0 or den & (den - 1):
-            raise ScalarDomainError(f"{num}/{den} is not an integer over a positive power of two")
-        return cls(num, den.bit_length() - 1)
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
@@ -98,8 +92,11 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return self.as_fraction() >= other.as_fraction()
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.log2den))
+    def __hash__(self) -> int:  # kept from the first call: most arithmetic results are never hashed
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.num, self.log2den))
+        return h
 
     def __bool__(self) -> bool:
         return self.num != 0

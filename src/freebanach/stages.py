@@ -17,8 +17,8 @@ k has the mixed-radix digits of k (axis i is ``basis[i]``, the last axis
 varies fastest), by ``TermStore.intern_grid`` from one shared ``(b, c)``
 pair per axis and scalar.  ``Stage.coordinates`` reads the members' coefficients off
 that order.  ``off_grid_cells`` checks it against the store; condition 1
-and ``import_universe`` call it, the build does not (its stages are grids
-by construction).
+calls it, the build and ``import_universe`` do not (their stages are grids
+by construction: import re-derives each stage by the build's enumeration).
 """
 
 from __future__ import annotations
@@ -223,6 +223,19 @@ class Config:
             "targets": [t.describe() for t in self.targets],
         }
 
+    @classmethod
+    def from_description(cls, desc) -> "Config":
+        """Read back ``describe()``, converting rather than type-checking each
+        field (a caller that refuses a re-typed one compares the echoes)."""
+        try:
+            targets = tuple(TargetSpace(t["kind"], tuple(map(Fraction, t["image"]))) for t in desc["targets"])
+            cfg = cls(**{key: int(desc[key]) for key in INT_KEYS}, word_caps=tuple(map(int, desc["word_caps"])),
+                      scalar_sets=tuple(tuple(map(Dyadic.parse, s)) for s in desc["scalar_sets"]), targets=targets)
+            cfg.validate()
+        except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"config {desc!r}: {exc}") from None
+        return cfg
+
 
 PRESETS = {"desk": Config.desk, "rank": Config.rank, "exact-x2": Config.exact_x2}
 
@@ -312,32 +325,30 @@ class Universe:
     def build(self) -> "Universe":
         from . import metric_ext, norm_ext
 
-        stage0 = Stage(
-            index=0,
-            kind="vector",
-            members=(UNIT_ID,),
-            member_set=frozenset({UNIT_ID}),
-            basis=(),
-            table={UNIT_ID: Fraction(0)},
-            sealed=True,
-        )
+        stage0 = self._unit_stage()
+        stage0.table, stage0.sealed = {UNIT_ID: Fraction(0)}, True
         self.stages = [stage0]
         for n in range(1, self.cfg.stage_count + 1):
             if n % 2 == 1:
-                stage = self._enumerate_word_stage(n)
+                stage = self._enumerate_word_stage(n, self.cfg.word_cap((n - 1) // 2))
                 prev = self.stages[n - 1]
                 stage.table = metric_ext.rho_extend(self, stage, prev, self.cfg)
             else:
-                stage = self._enumerate_vector_stage(n)
+                stage = self._enumerate_vector_stage(n, self.cfg.scalar_set(n // 2))
                 prev = self.stages[n - 1]
                 stage.table = norm_ext.norm_extend(self, stage, prev, self.cfg)
             stage.sealed = True
             self.stages.append(stage)
         return self
 
-    def _enumerate_word_stage(self, n: int) -> Stage:
+    @staticmethod
+    def _unit_stage() -> Stage:
+        """X_0 = {e}, the vector stage over the empty basis."""
+        return Stage(index=0, kind="vector", members=(UNIT_ID,), member_set=frozenset({UNIT_ID}))
+
+    # The build passes the config's word cap or scalar set, import_universe the document's.
+    def _enumerate_word_stage(self, n: int, cap: int) -> Stage:
         store = self.store
-        cap = self.cfg.word_cap((n - 1) // 2)
         if n == 1:
             generators = (self.x_id,)
             store.register_generator(self.x_id)
@@ -366,9 +377,8 @@ class Universe:
             word_cap=cap,
         )
 
-    def _enumerate_vector_stage(self, n: int) -> Stage:
+    def _enumerate_vector_stage(self, n: int, scalars) -> Stage:
         store = self.store
-        scalars = self.cfg.scalar_set(n // 2)
         prev_vec = self.stages[n - 2]
         prev_word = self.stages[n - 1]
         fresh = [m for m in prev_word.members if m not in prev_vec.member_set]

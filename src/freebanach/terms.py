@@ -207,14 +207,17 @@ class TermStore:
         return self._index.get(term)
 
     def intern(self, term: ElementTerm) -> int:
-        """Return the id of ``term``, assigning the next id if new. Idempotent."""
-        found = self._index.get(term)
-        if found is not None:
-            return found
-        self._check_canonical(term)
-        eid = len(self._terms)
-        self._terms.append(term)
-        self._index[term] = eid
+        """Return the id of ``term``, assigning the next id if new. Idempotent.
+        A new term is hashed once; if it is refused, it leaves no entry."""
+        terms, index = self._terms, self._index
+        eid = index.setdefault(term, len(terms))
+        if eid == len(terms):
+            try:
+                self._check_canonical(term)
+            except BaseException:
+                del index[term]
+                raise
+            terms.append(term)
         return eid
 
     def intern_words(self, words: Iterable[Letters]) -> list[int]:

@@ -17,18 +17,17 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freebanach import Config, Universe, oracles
+from freebanach import Config, Universe, cli, oracles
 from freebanach.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFICATION,
+    USAGE_ERRORS,
     export_bytes,
     import_universe,
     main,
 )
-from freebanach.cli import _term_doc, _term_from_doc
-from freebanach.scalars import Dyadic, ScalarDomainError
 from freebanach.stages import ConfigError
-from freebanach.terms import ComboTerm
 from freebanach.verify import check_conditions
 
 
@@ -75,7 +74,7 @@ def test_build_and_reimport(tmp_path, capsys):
     data = json.loads(out.read_bytes())
     assert data["format"] == "freebanach-export"
     stage1 = data["stages"][1]
-    assert len(stage1["members"]) == 3
+    assert stage1["count"] == 3
     assert len(stage1["table"]) == 3
 
     u = import_universe(str(out), Config.exact_x2())
@@ -84,114 +83,234 @@ def test_build_and_reimport(tmp_path, capsys):
     assert export_bytes(u, suite) == out.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [(2, 0), (2, 3), (2, -2), (1, True), (2, True), (1, 1.0), (2, 1.0)],
-    ids=["0", "3", "-2", "num-true", "den-true", "num-1.0", "den-1.0"],
-)
-def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path, field, value):
-    """A combination coefficient whose denominator is 0, 3 or -2, or whose
-    numerator or denominator is a bool or a float, is no dyadic scalar: the
-    import raises ``ScalarDomainError``, which ``main`` maps to exit 2,
-    rather than a bare ``ZeroDivisionError`` or a silent sign flip.  The
-    edited coefficient is the last one whose field equals 1 and whose exact
-    triple an earlier member already holds, so ``true`` and ``1.0`` (equal
-    to 1, and hashed alike) would pass a memo keyed on the raw triple."""
-    doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
-    combos = [m["term"][1] for s in doc["stages"] for m in s["members"] if m["term"][0] == "combo"]
-    seen = [{tuple(c) for c in coeffs} for coeffs in combos]
-    i, c = next((i, c) for i in reversed(range(len(combos))) for c in combos[i]
-                if c[field] == 1 and any(tuple(c) in earlier for earlier in seen[:i]))
-    c[field] = value
+def _write(tmp_path, doc):
     path = tmp_path / "export.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScalarDomainError):
-        import_universe(str(path), Config.exact_x2())
+    return str(path)
 
 
-def test_import_shares_one_pair_per_coefficient_triple(tmp_path, desk_universe):
-    """The import reads each distinct ``[b, num, den]`` triple once: equal
-    coefficient pairs of the imported store are one object, and the members,
-    their terms and the store size are those of the build."""
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "1/3", "1/-2", "true/2", "1/true", "1.0/2", "1/2.0"],
+    ids=["0", "3", "-2", "num-true", "den-true", "num-1.0", "den-1.0"],
+)
+def test_import_refuses_a_combination_denominator_off_the_powers_of_two(tmp_path, text):
+    """A vector stage's coefficients are its scalar set.  A scalar ``1/2``
+    rewritten with a denominator of 0, 3 or -2, or with its numerator or
+    denominator spelled as a bool or a float, is refused with a ConfigError
+    (exit 2), whether the config is given or read from the document: not a
+    bare ``ZeroDivisionError``, a non-dyadic coefficient or the silent sign
+    flip that ``Fraction(1, -2)`` would be."""
+    doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
+    for scalars in (doc["config"]["scalar_sets"][0], doc["stages"][2]["scalar_set"]):
+        scalars[scalars.index("1/2")] = text
+    path = _write(tmp_path, doc)
+    for cfg in (Config.exact_x2(), None):
+        with pytest.raises(ConfigError):
+            import_universe(path, cfg)
+
+
+FRESH_BUILDS = {"exact-cap2": lambda: Universe(dataclasses.replace(Config.exact_x2(), word_caps=(2,))).build(),
+                "desk-3": lambda: Universe(Config.desk(stage_count=3)).build()}
+
+
+@pytest.mark.parametrize("preset", ["desk", "rank", "exact", "exact-cap2", "desk-3"])
+def test_import_reproduces_the_build(tmp_path, request, preset):
+    """Import re-derives every stage by the build's own enumeration: the
+    members, every member's term, the store size, the generators, the
+    basis, the scalar sets and the tables are the build's, and the
+    re-export is the export's bytes.  exact-x2 at word cap 2 has stages of
+    1, 5 and 6561 members.  The desk export without a suite is under
+    100 KB, since no member is written."""
+    u = FRESH_BUILDS[preset]() if preset in FRESH_BUILDS else request.getfixturevalue(f"{preset}_universe")
+    data = export_bytes(u)
     path = tmp_path / "export.json"
-    path.write_bytes(export_bytes(desk_universe))
-    u = import_universe(str(path), Config.desk())
-    assert [s.members for s in u.stages] == [s.members for s in desk_universe.stages]
-    assert len(u.store) == 1 + max(m for s in desk_universe.stages for m in s.members)
-    assert all(u.store.term(m) == desk_universe.store.term(m) for s in u.stages for m in s.members)
-    pairs = [p for i in range(len(u.store)) if isinstance(t := u.store.term(i), ComboTerm) for p in t.coeffs]
-    assert len({id(p) for p in pairs}) == len(set(pairs)) == 16  # 8 axes x the scalars +-1
+    path.write_bytes(data)
+    v = import_universe(str(path))
+    assert v.cfg == u.cfg
+    assert len(v.store) == len(u.store)
+    assert all(v.store.term(i) == u.store.term(i) for i in range(len(u.store)))
+    for mine, theirs in zip(v.stages, u.stages, strict=True):
+        assert (mine.index, mine.kind, mine.members, mine.member_set) == \
+            (theirs.index, theirs.kind, theirs.members, theirs.member_set)
+        assert (mine.generators, mine.word_cap, mine.basis, mine.scalar_set) == \
+            (theirs.generators, theirs.word_cap, theirs.basis, theirs.scalar_set)
+        assert mine.table == theirs.table and mine.sealed
+    assert export_bytes(v) == data
+    if preset == "exact-cap2":
+        assert [len(s.members) for s in v.stages] == [1, 5, 6561]
+    if preset == "desk":
+        assert len(data) < 100_000
 
 
-def _word_den_zero(doc):
-    doc["stages"][1]["table"][0][3] = 0
+def _word_row(field, value):
+    def edit(doc):
+        doc["stages"][1]["table"][0][field] = value
+    return edit
 
 
-def _vector_den_negative(doc):
-    doc["stages"][2]["table"][1][2] = -1
+def _vector_row(field, value):
+    def edit(doc):
+        doc["stages"][2]["table"][1][field] = value
+    return edit
 
 
-def _word_num_true(doc):
-    doc["stages"][1]["table"][0][2] = True
+def _basis_swapped(doc):
+    basis = doc["stages"][2]["basis"]
+    basis[0], basis[1] = basis[1], basis[0]
 
 
-def _vector_num_negative(doc):
-    doc["stages"][2]["table"][1][1] = -1
+def _not_lowest_terms(doc):
+    doc["stages"][2]["table"][1] = [14, 4]
 
 
-def _vector_num_float(doc):
-    doc["stages"][2]["table"][1][1] = 1.5
-
-
-def _vector_den_float(doc):
-    doc["stages"][2]["table"][1][2] = 2.0
-
-
-def _vector_den_true(doc):
-    doc["stages"][2]["table"][1][2] = True
-
-
-def _vector_members_swapped(doc):
-    stage = doc["stages"][2]
-    for rows in (stage["members"], stage["table"]):
-        rows[3], rows[7] = rows[7], rows[3]
+ROW_EDITS = [(f"{kind}-{name}", edit(field, value), word)
+             for kind, edit in (("word", _word_row), ("vector", _vector_row))
+             for name, field, value, word in (
+                 ("den-0", 1, 0, "denominator"), ("den-negative", 1, -1, "denominator"),
+                 ("den-float", 1, 2.0, "denominator"), ("den-true", 1, True, "denominator"),
+                 ("num-negative", 0, -1, "numerator"), ("num-float", 0, 1.5, "numerator"),
+                 ("num-true", 0, True, "numerator"))]
 
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(_word_den_zero, "denominator"), (_vector_den_negative, "denominator"),
-     (_word_num_true, "numerator"), (_vector_num_negative, "numerator"),
-     (_vector_num_float, "numerator"), (_vector_den_float, "denominator"),
-     (_vector_den_true, "denominator"),
-     (_vector_members_swapped, r"stage 2: members off their digit-grid cells \[3, 7\]")],
-    ids=["word-den-0", "vector-den-negative", "word-num-true", "vector-num-negative",
-         "vector-num-float", "vector-den-float", "vector-den-true", "vector-members-swapped"],
+    [(edit, message) for _, edit, message in ROW_EDITS]
+    + [(_basis_swapped, r"stage 2: basis \[2, 1\], but the stages below give \[1, 2\]"),
+       (_not_lowest_terms, "lowest terms")],
+    ids=[name for name, _, _ in ROW_EDITS] + ["vector-basis-swapped", "vector-not-in-lowest-terms"],
 )
 def test_import_validates_tables_and_member_order(tmp_path, edit, message):
-    """A table value that is not a non-negative int over a positive int (a
-    bool or a float is not an int here), or a vector stage whose members
-    are not in digit-grid order, is a ConfigError (exit 2), not a
-    ZeroDivisionError, a bare TypeError, a negative norm, ``true`` read as 1
-    or a stage condition 5 would misread."""
+    """A table value that is not a non-negative int over a positive int in
+    lowest terms (a bool or a float is not an int here), or a vector stage
+    whose stated basis is not the one the stages below derive (so its
+    members would fall in other grid cells), is a ConfigError (exit 2), not
+    a ZeroDivisionError, a bare TypeError, a negative norm, ``true`` read as
+    1, a table that re-exports to other bytes or a stage condition 5 would
+    misread."""
     doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
     edit(doc)
-    path = tmp_path / "export.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=message):
-        import_universe(str(path), Config.exact_x2())
+        import_universe(_write(tmp_path, doc), Config.exact_x2())
 
 
-dyadic_coeffs = st.builds(Dyadic, st.integers(-(2**70), 2**70).filter(bool), st.integers(0, 80))
+def _delete(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
 
 
-@given(st.lists(dyadic_coeffs, min_size=1, max_size=6))
-def test_combo_term_document_round_trip(coeffs):
-    """A combination's document holds each coefficient as the Fraction's
-    own lowest-terms pair, and reads back as the same term."""
-    term = ComboTerm(tuple(enumerate(coeffs, start=1)))
-    doc = json.loads(json.dumps(_term_doc(term)))
-    assert doc[1] == [[b, c.as_fraction().numerator, c.as_fraction().denominator] for b, c in term.coeffs]
-    assert _term_from_doc(doc) == term
+def _set(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_delete("stages"), "fields"),
+     (_delete("stages", 1, "kind"), "stage 1: not a word stage with index 1"),
+     (_set("loop", "stages", 1, "kind"), "stage 1: not a word stage with index 1"),
+     (_set(["word"], "stages", 1, "kind"), "stage 1: not a word stage with index 1"),
+     (_set("vector", "stages", 1, "kind"), "stage 1: not a word stage with index 1"),
+     (_set(3, "stages", 2, "index"), "stage 2: not a vector stage with index 2"),
+     (_set(81, "stages", 2, "members"), "stage 2: not a vector stage with index 2"),
+     (_set("81", "stages", 2, "count"), "stage 2: count '81'"),
+     (_set(80, "stages", 2, "count"), "stage 2: count 80"),
+     (_set(2, "stages", 1, "word_cap"), "stage 1: word_cap 2"),
+     (_set([1], "stages", 2, "table", 0), r"stage 2: a table row is not a \[num, den\] list"),
+     (_set([1, 1, 1], "stages", 2, "table", 0), r"stage 2: a table row is not a \[num, den\] list"),
+     (_set({"1": 1}, "stages", 2, "table"), "stage 2: the table is not a list of 81 rows"),
+     (_delete("stages", 2, "table", 80), "stage 2: the table is not a list of 81 rows"),
+     (_set(-2, "stages", 2, "scalar_set", 0), "stage 2: scalar_set"),
+     (_set(-2, "config", "scalar_sets", 0, 0), "not exported under this config"),
+     (_set(1, "version"), r"version 1; only version 2 is read: rebuild it with `freebanach build`"),
+     (_set(3, "version"), "version 3; only version 2 is read"),
+     (_set(2.0, "version"), "version 2.0; only version 2 is read"),
+     (_set([], "stages"), "the config asks for 3 stages"),
+     (_set(0, "extra"), "fields")],
+    ids=["no-stages", "no-kind", "unknown-kind", "list-kind", "kind-for-index", "index-out-of-order",
+         "members-int", "count-string", "count-off", "word-cap-off", "short-row", "long-row",
+         "table-not-list", "table-short", "scalar-not-string", "config-off", "version-1", "version-3",
+         "version-float", "no-stage", "unknown-field"],
+)
+def test_import_refuses_malformed_documents(tmp_path, edit, message):
+    """Each malformed document is a ConfigError (exit 2) that names what is
+    wrong: never a bare KeyError, TypeError or ValueError, and never a
+    universe that re-exports to other bytes.  A version-1 document (every
+    member written out) is refused with the command that rebuilds it."""
+    doc = json.loads(export_bytes(Universe(Config.exact_x2()).build()))
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        import_universe(_write(tmp_path, doc), Config.exact_x2())
+
+
+def test_import_refuses_what_is_not_json(tmp_path):
+    path = tmp_path / "export.json"
+    for data in (b"{", b"\xff", b"[]"):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            import_universe(str(path))
+
+
+@st.composite
+def mutations(draw, doc):
+    """A copy of ``doc`` with one mutation: a key deleted, a field re-typed,
+    a table truncated, two basis ids swapped, or the version bumped."""
+    doc = json.loads(json.dumps(doc))
+    kind = draw(st.sampled_from(["delete", "retype", "truncate", "swap", "version"]))
+    if kind == "version":
+        doc["version"] += draw(st.integers(1, 3))
+        return doc
+    if kind in ("truncate", "swap"):
+        key = "table" if kind == "truncate" else "basis"
+        stage = draw(st.sampled_from([s for s in doc["stages"] if len(s.get(key, ())) >= 2]))
+        if kind == "truncate":
+            del stage[key][draw(st.integers(0, len(stage[key]) - 1)):]
+        else:
+            i, j = draw(st.lists(st.integers(0, len(stage[key]) - 1), min_size=2, max_size=2, unique=True))
+            stage[key][i], stage[key][j] = stage[key][j], stage[key][i]
+        return doc
+    places = []  # (container, key) of every field below the root
+
+    def walk(node):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            places.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    node, key = draw(st.sampled_from([p for p in places if kind == "retype" or isinstance(p[0], dict)]))
+    if kind == "delete":
+        del node[key]
+    else:
+        old = node[key]
+        node[key] = draw(st.sampled_from([v for v in (0, 1.0, True, None, "1", [], {}, [old])
+                                          if json.dumps(v) != json.dumps(old)]))
+    return doc
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_import_of_a_mutated_document_refuses_or_round_trips(tmp_path_factory, request, preset, data):
+    """Each mutation of an export is either refused with an error ``main``
+    maps to exit 2, or imported as a universe whose export is the mutated
+    document re-serialized; no other exception escapes."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    doc = data.draw(mutations(json.loads(export_bytes(u))))
+    text = (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    path = tmp_path_factory.getbasetemp() / f"mutated-{preset}.json"
+    path.write_bytes(text)
+    try:
+        v = import_universe(str(path), data.draw(st.sampled_from([u.cfg, None])))
+    except USAGE_ERRORS:
+        return
+    assert export_bytes(v) == text
 
 
 def test_export_byte_determinism(tmp_path):
@@ -260,7 +379,18 @@ def test_bench_runs(capsys):
     out = capsys.readouterr().out
     assert "build all stages" in out
     assert "stage 2 gamma_lp_pivots" in out
-    assert "\nconditions " in out and "\nuniversal " in out
+    assert "\nconditions " in out and "\nuniversal " in out and "\nround trip " in out
+
+
+def test_bench_round_trip_that_differs_exits_1(monkeypatch, capsys):
+    """``bench`` times export -> file -> import -> export, and a re-export
+    whose bytes differ is a failure (exit 1)."""
+    monkeypatch.setattr(cli, "import_universe",
+                        lambda path, cfg: Universe(Config.exact_x2(stage_count=1)).build())
+    assert run_cli("bench", "--preset", "exact-x2") == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert "\nround trip " in captured.out
+    assert captured.err == "error: the re-imported universe exports other bytes\n"
 
 
 def test_construction_error_exit(tmp_path, capsys):
@@ -467,12 +597,12 @@ def test_oracle_stage2_on_requested_preset(monkeypatch):
         assert ok and line.endswith(tail), line
 
 
-# SHA-256 of export_bytes(u, check_conditions(u)); the export format and
-# every table and report value are pinned by these digests.
+# SHA-256 of export_bytes(u, check_conditions(u)); the export format
+# (version 2) and every table and report value are pinned by these digests.
 EXPORT_DIGESTS = {
-    "desk": "0256a391db2e9e1ac2f69d912565db9bf12fde61bcbca812bc9657a0f3d641b4",
-    "exact": "94f460b7e8b5e92ff0eb370632013a7471123aaab6c4ba7603bd3b9c126b9418",
-    "rank": "c32ab993a14dfe1db8f6792508140067dc371489430b36de73959e7e87eda2e3",
+    "desk": "178ea53473b551fc68a072d0c47aff87bd73fd76d621af44e775f33da4c6b009",
+    "exact": "aa9f02f08f188b61fcf358c0782ac72e31d2dbdaa2a3a2eee2a844d9fc39a4e2",
+    "rank": "ec86ad38a866bfc5c001bed2365bf96dbe0ac229048e5189f1543b6c3ef36c24",
 }
 
 

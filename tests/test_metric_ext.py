@@ -126,7 +126,7 @@ def test_delta_cap2_upper_bound():
     only the auxiliary function is exercised."""
     cfg = Config(stage_count=2, word_caps=(1, 2), ambient_expansion=1)
     u = Universe(cfg).build()
-    stage3 = u._enumerate_word_stage(3)
+    stage3 = u._enumerate_word_stage(3, cfg.word_cap(1))
     s2 = u.stage(2)
     store = u.store
     x = u.x_id
