@@ -325,12 +325,14 @@ class MoleculeLP:
         self._T = T[[*range(m), m + 1]] * _ints([1] * n + signs + [1])
 
     def solve(self, target: Vec) -> Fraction:
-        return self.solve_full(target)[0]
+        return self.solve_full(target, certify=False)[0]
 
-    def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None):
+    def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None, certify: bool = True):
         """(value, signed molecule solution, dual certificate) for one target.
         ``reduced`` is the target's column of ``_reduce`` and its
-        denominator, when the caller has them already.
+        denominator, when the caller has them already.  With ``certify``
+        false only the value is computed, and the solution and the dual are
+        None.
 
         The dual certificate y satisfies |<y, molecule_j>| <= cost_j for all
         j and <y, target> = value, so it witnesses optimality by weak
@@ -375,15 +377,22 @@ class MoleculeLP:
             self.pivots += 1
 
         basis = OptimalBasis(tuple(basis), det, T[:m, n:-1])
-        return self._certificate(basis, T[:m, -1].tolist(), den)
+        xb = T[:m, -1].tolist()
+        if not certify:
+            return self._value(basis, xb, den), None, None
+        return self._certificate(basis, xb, den)
+
+    def _value(self, basis: OptimalBasis, xb: list[int], den: int) -> Fraction:
+        """c_B x_B on a basis, from xb = N * rhs = x_B * d * den."""
+        return Fraction(sum(self._cost[j] * x for j, x in zip(basis.columns, xb)),
+                        basis.det * den * self._cost_den)
 
     def _certificate(self, basis: OptimalBasis, xb: list[int], den: int):
         """(value, signed molecule solution, dual) on a basis, from
         xb = N * rhs = x_B * d * den, in Python ints."""
         J = self.ncols // 2
         scale = basis.det * den
-        value = Fraction(sum(self._cost[j] * x for j, x in zip(basis.columns, xb)),
-                         scale * self._cost_den)
+        value = self._value(basis, xb, den)
         # +m_j and -m_j are dependent, so a basis holds at most one of them
         beta = {j % J: Fraction(x if j < J else -x, scale) for x, j in zip(xb, basis.columns) if x}
         # lift the dual c_B N (times d) into original coordinates through the operator E
@@ -409,8 +418,8 @@ class MoleculeLP:
         covers every uncovered target with N r >= 0 at value
         c_B N r / (d * den * cost_den), in one exact product (``_matmul``);
         then the first target still uncovered is solved warm by
-        ``solve_full`` from its reduced column, its final basis is cached,
-        and the loop repeats.
+        ``solve_full`` from its reduced column, for its value alone, its
+        final basis is cached, and the loop repeats.
         Raises ``InfeasibleLP`` if any target leaves the molecule span."""
         out: list = [None] * len(targets)
         if not targets:
@@ -433,7 +442,7 @@ class MoleculeLP:
             if not uncovered.size:
                 return out
             first = int(uncovered[0])
-            value = self.solve_full(targets[first], (rhs[:, first], dens[first]))[0]
+            value = self.solve_full(targets[first], (rhs[:, first], dens[first]), certify=False)[0]
             N = np.ascontiguousarray(self._T[: self.m, self.ncols : -1])
             self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))
             out[first] = (value, tested)

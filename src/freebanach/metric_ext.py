@@ -125,6 +125,7 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
         engine.add_generator(*cell)
     closure, sweeps = engine.solve()
     stage.notes["delta_sweeps"] = sweeps
+    stage.notes["delta_entries"] = engine.entries
 
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
     # ||a - b|| = ||b - a||), so one order of each pair is read
@@ -263,8 +264,9 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     space = _closure_space(
         universe.store, members, [ambient_len, stage.word_cap], cfg, f"stage-{stage.index} metric members"
     )
-    table, sweeps = _rho_closure(universe, stage, delta, space)
+    table, sweeps, entries = _rho_closure(universe, stage, delta, space)
     stage.notes["rho_sweeps"] = sweeps
+    stage.notes["rho_entries"] = entries
     stage.notes["rho_mode"] = "ambient" if space.max_len == ambient_len else "members"
 
     for i, a in enumerate(members):
@@ -279,7 +281,8 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
 
 def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
     """The pair-composition closure of ``rho_extend``'s system over
-    ``space``; returns the member-pair table and the sweep count."""
+    ``space``; returns the member-pair table, the sweep count and the
+    source cells composed (``PairComposition.entries``)."""
     store = universe.store
     engine = PairComposition(space, inverse=True)
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
@@ -313,7 +316,7 @@ def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
             v = closure.get((word_idx[a], word_idx[b]))
             if v is not None:
                 table[DeltaTable.key(a, b)] = v
-    return table, sweeps
+    return table, sweeps, engine.entries
 
 
 # ---------------------------------------------------------------------------

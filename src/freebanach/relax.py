@@ -15,14 +15,17 @@ Three realizations share those semantics:
 * ``PairComposition``     -- the word-pair composition family
                              D(P.Q) <= D(P) + D(Q) used by the metric
                              extension (rank-0 delta and rho), over
-                             scaled integers and block-sparse: each
-                             generator side composes one dense block of
-                             the word pairs whose products stay in the
-                             word space (the injectivity of free-group
-                             multiplication makes the block write exact;
-                             see the class), plus the inverse mirror,
-                             explicit convex instances and a triangle
-                             pass over a registered member set;
+                             scaled integers and block-sparse: one
+                             (source, target) map per generator word and
+                             side, and each generator side composes one
+                             dense block of the word pairs whose products
+                             stay in the word space (the injectivity of
+                             free-group multiplication makes the block
+                             write exact), cut to the sources that can
+                             still lower a target (see the class); plus
+                             the inverse mirror, explicit convex instances
+                             and a triangle pass over a registered member
+                             set;
 * ``LatticeSystem``       -- coefficient-lattice step/homogeneity families,
                              same scaling.  The build no longer calls it:
                              the norm is the molecule gauge gamma, and a
@@ -32,8 +35,9 @@ Three realizations share those semantics:
 The bulk families are evaluated against the previous round's snapshot in a
 fixed order, so results are independent of rule order and bit-identical
 across runs.  ``PairComposition`` reads its generator costs live, in
-generator order; its block plan keeps that order and the snapshot, so its
-fixpoint and sweep counts are those of the per-cell scatter it replaced.
+generator order; its blocks keep that order and the snapshot and skip only
+candidates that cannot lower a target, so its fixpoint and sweep counts are
+those of the per-cell scatter it replaced.
 
 ``to_scaled`` is the one Fraction -> int64 conversion: it raises
 ``ScaleOverflowError`` unless the value is exact at the scale and below
@@ -252,22 +256,27 @@ class FractionRules:
 
     def __init__(self, scale: int):
         self.scale = scale
+        # terms name a source cell by its position among the distinct
+        # source cells, in first-use order (``_position``'s keys)
         self.rules: list[tuple[int, tuple[tuple[Fraction, int], ...]]] = []
+        self._position: dict[int, int] = {}
 
     def add(self, target: int, terms: Sequence[tuple[Fraction, int]]) -> None:
-        self.rules.append((target, tuple(terms)))
+        position = self._position
+        self.rules.append((target, tuple((c, position.setdefault(j, len(position))) for c, j in terms)))
 
     def apply(self, flat: np.ndarray) -> bool:
-        """One synchronous pass; returns True if anything changed."""
+        """One synchronous pass, reading every source from one gather taken
+        before the first write; returns True if anything changed."""
         if not self.rules:
             return False
-        snapshot = flat.copy()
+        snapshot = flat[list(self._position)].tolist()
         changed = False
         for target, terms in self.rules:
             total = Fraction(0)
             ok = True
             for c, j in terms:
-                v = int(snapshot[j])
+                v = snapshot[j]
                 if v >= _INT_INF:
                     ok = False
                     break
@@ -320,11 +329,12 @@ class PairComposition:
     cell list, which is complete for derivations whose left-to-right
     partial products stay inside the space.
 
-    Block plan.  For each generator word w the sources u with u.w in the
-    space, and their products, are read once off w's product lines (only
-    generator words' lines are built).  A generator (w, z) then composes as
-    one dense block per side,
-    D[tgt_w x tgt_z] = min(D[tgt_w x tgt_z], before[src_w x src_z] + D(w, z)),
+    Maps.  For each generator word w the sources u with u.w in the space,
+    and their products, are read once off w's product lines (only
+    generator words' lines are built) and kept as one (source, target) map
+    per side; nothing is kept per generator but its last applied cost.  A
+    generator (w, z) at cost g composes one dense block per side,
+    D[tgt_w x tgt_z] = min(D[tgt_w x tgt_z], before[src_w x src_z] + g),
     so only (cell, generator) pairs whose two products both land are ever
     touched.  The plain assignment is exact because right (and left)
     multiplication by a fixed element of a free group is injective: no two
@@ -338,13 +348,25 @@ class PairComposition:
     and row: a sum of two finite values stays below 2^63, so +inf never
     wraps.
 
-    Sweep order.  Each sweep reads sources from the snapshot taken at its
-    start and reads each generator's cost D(w, z) live, in generator order,
-    once for both sides; then applies the inverse mirror, the triangle
-    family and the convex instances.  A block touches exactly the targets a
-    per-cell scatter of the same sources would, with the same candidate
-    values, so every sweep leaves the same table and the fixpoint and sweep
-    count are those of the per-cell evaluation.
+    Sweeps.  Each sweep reads sources from the snapshot ``before`` taken at
+    its start and reads each generator's cost g = D(w, z) live, in generator
+    order, once for both sides; then applies the inverse mirror, the
+    triangle family and the convex instances.  A generator composes only the
+    rows of src_w and the columns of src_z that hold a source able to lower
+    a target (semi-naive evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986):
+    when g equals the cost the generator was last applied at, the cells that
+    changed over the previous sweep; otherwise (its first application, or
+    after its live cost dropped) the finite cells.  The cut maps are worked
+    out once per sweep and kind.  Skipping the rest is exact.  A skipped
+    candidate before[u, v] + g either has a +inf source, which lies above
+    every target (_INT_INF + g < 2^63), or has a source unchanged since the
+    previous sweep at an unchanged cost.  A finite cost never returns to
+    +inf, so the generator was applied in that sweep too, where the same
+    candidate was either composed or skipped by the same argument one sweep
+    earlier; and D has only fallen since.  So every sweep leaves the table
+    the unrestricted sweep would, and the fixpoint and the sweep count are
+    those of the per-cell evaluation.  ``entries`` counts the source cells
+    composed over all sweeps of the last ``solve``.
     """
 
     def __init__(self, space, inverse: bool = False):
@@ -355,6 +377,7 @@ class PairComposition:
         self.generators: list[tuple[int, int]] = []
         self.fraction_rules: list[tuple[tuple[int, int], tuple[tuple[Fraction, tuple[int, int]], ...]]] = []
         self.triangle = np.empty(0, dtype=np.intp)
+        self.entries = 0
 
     def seed(self, u: int, v: int, value: Fraction) -> None:
         key = (u, v)
@@ -371,38 +394,31 @@ class PairComposition:
     def add_triangle(self, words: Iterable[int]) -> None:
         self.triangle = np.fromiter(words, dtype=np.intp)
 
-    def _blocks(self) -> list[tuple[int, int, list]]:
-        """Per generator (w, z): its right and left blocks as (source,
-        target) broadcast index pairs (rows[:, None], cols), from maps built
-        once per word."""
+    def _maps(self) -> tuple[dict, dict]:
+        """Per generator word w, its right and left (source, target) maps,
+        read once off w's product lines."""
         right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for w in dict.fromkeys(word for gen in self.generators for word in gen):
             right_line, left_line = self.space.product_lines(w)
             right[w] = _shift_map(right_line, w, "right")
             left[w] = _shift_map(left_line, w, "left")
-        blocks = []
-        for w, z in self.generators:
-            sides = []
-            for maps in (right, left):
-                (src_w, tgt_w), (src_z, tgt_z) = maps[w], maps[z]
-                if src_w.size and src_z.size:
-                    sides.append(((src_w[:, None], src_z), (tgt_w[:, None], tgt_z)))
-            blocks.append((w, z, sides))
-        return blocks
+        return right, left
 
     def solve(self, sweep_cap: int = 200) -> tuple[PairTable, int]:
+        """The closure table and its sweep count; ``entries`` is then the
+        number of source cells the generators composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
         scale = _scale_for(self.seeds.values(), coeff_denoms)
-        blocks = self._blocks()
+        maps = self._maps()
         for attempt in range(6):
             try:
-                return self._solve_scaled(scale, sweep_cap, blocks)
+                return self._solve_scaled(scale, sweep_cap, maps)
             except ScaleOverflowError:
                 scale *= 4
         raise ScaleOverflowError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int, blocks) -> tuple[PairTable, int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, maps) -> tuple[PairTable, int]:
         n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
@@ -414,19 +430,38 @@ class PairComposition:
             frac.add(target[0] * n + target[1], [(c, j[0] * n + j[1]) for c, j in terms])
 
         flat = D.reshape(-1)
-        sweeps = 0
+        last = np.full(len(self.generators), _INT_INF, dtype=np.int64)
+        changed = None  # the rows and columns of the cells the last sweep changed
+        entries = sweeps = 0
         while True:
             if sweeps > sweep_cap:
                 raise NonConvergenceError(f"pair composition unstable after {sweeps - 1} sweeps")
             sweeps += 1
             before = D.copy()
-            for w, z, sides in blocks:
+            before_flat = before.reshape(-1)
+            # the maps cut to the changed cells' and the finite cells' lines,
+            # each built when a generator first needs them this sweep
+            cut: dict[bool, list] = {}
+            for k, (w, z) in enumerate(self.generators):
                 g = D[w, z]
                 if g >= _INT_INF:
                     continue
-                # +inf sources stay above every target: _INT_INF + g < 2^63
-                for src, tgt in sides:
-                    D[tgt] = np.minimum(D[tgt], before[src] + g)
+                same = bool(g == last[k])
+                last[k] = g
+                sides = cut.get(same)
+                if sides is None:
+                    sides = cut[same] = _cut_maps(maps, *(changed if same else _lines(before < _INT_INF)))
+                for rows, cols in sides:
+                    src_w, tgt_w = rows[w]
+                    src_z, tgt_z = cols[z]
+                    if src_w.size and src_z.size:
+                        block = before_flat.take(src_w + src_z)
+                        block += g  # +inf sources stay above every target: _INT_INF + g < 2^63
+                        tgt = tgt_w + tgt_z
+                        np.minimum(block, flat.take(tgt), out=block)
+                        flat[tgt] = block
+                        entries += block.size
+                        del block, tgt  # before the next block's temporaries
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
             for m in tri:
@@ -434,9 +469,33 @@ class PairComposition:
                 block = (a[:, None], b)
                 D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
             frac.apply(flat)
-            if np.array_equal(D, before):
+            changed = _lines(D != before)
+            if not changed[0].any():
                 break
+        self.entries = entries
         return PairTable(D, scale), sweeps
+
+
+def _lines(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns that hold a cell of the boolean ``cells``."""
+    return cells.any(axis=1), cells.any(axis=0)
+
+
+def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray) -> list[tuple[dict, dict]]:
+    """Per side, every word's map cut to the sources in a marked row, as
+    flat row offsets in a column vector, and to those in a marked column,
+    as column indices: a block's flat cells are then one broadcast sum."""
+    n = cols.size
+    sides = []
+    for side in maps:
+        by_row, by_col = {}, {}
+        for w, (src, tgt) in side.items():
+            keep = rows[src]
+            by_row[w] = (src[keep][:, None] * n, tgt[keep][:, None] * n)
+            keep = cols[src]
+            by_col[w] = (src[keep], tgt[keep])
+        sides.append((by_row, by_col))
+    return sides
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
 """The relaxation engine: spec examples, invariants, and oracle equality."""
 
+import copy
 import random
+import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freebanach.relax import (
+    _INT_INF,
     ConstraintSystem,
     Equality,
+    FractionRules,
     NonConvergenceError,
     PairComposition,
     RelaxError,
+    ScaleOverflowError,
     UpperCombo,
     brute_force_oracle,
     relax_fixpoint,
+    to_scaled,
 )
 from freebanach.oracles import check_relax_oracle, random_micro_system
 from freebanach.terms import WordSpace
@@ -275,6 +282,142 @@ def test_pair_composition_matches_relax_fixpoint(system):
     table, _ = engine.solve(sweep_cap=60)
     for cell in ref_system.indices:
         assert table.get(cell) == ref.values.get(cell), cell
+
+
+def _unrestricted_solve(engine, sweep_cap):
+    """The engine's sweep loop without source skipping: in every sweep each
+    generator with a finite cost composes its whole right and left blocks,
+    sources from the snapshot, costs read live in generator order.  Returns
+    the table as {cell: Fraction} (+inf cells absent) and the sweep count;
+    the scale grows fourfold while a value is not exact at it, as in
+    ``solve``."""
+    denoms = [c.denominator for _, terms in engine.fraction_rules for c, _ in terms]
+    scale = lcm(*(v.denominator for v in engine.seeds.values()), *denoms)
+    for _ in range(6):
+        try:
+            return _unrestricted_sweeps(engine, scale, sweep_cap)
+        except ScaleOverflowError:
+            scale *= 4
+    raise ScaleOverflowError("no workable scale")
+
+
+def _unrestricted_sweeps(engine, scale, sweep_cap):
+    n, inv, tri = engine.n, engine.inv, engine.triangle
+    prod = _product_table(engine.space)
+    D = np.full((n, n), _INT_INF, dtype=np.int64)
+    for (u, v), val in engine.seeds.items():
+        D[u, v] = min(D[u, v], to_scaled(val, scale))
+    frac = FractionRules(scale)
+    for target, terms in engine.fraction_rules:
+        frac.add(target[0] * n + target[1], [(c, j[0] * n + j[1]) for c, j in terms])
+    sweeps = 0
+    while True:
+        if sweeps > sweep_cap:
+            raise NonConvergenceError(f"unstable after {sweeps - 1} sweeps")
+        sweeps += 1
+        before = D.copy()
+        for w, z in engine.generators:
+            g = D[w, z]
+            if g >= _INT_INF:
+                continue
+            for line_w, line_z in ((prod[:, w], prod[:, z]), (prod[w], prod[z])):
+                rows, cols = np.nonzero(line_w >= 0)[0], np.nonzero(line_z >= 0)[0]
+                tgt = (line_w[rows][:, None], line_z[cols])
+                D[tgt] = np.minimum(D[tgt], before[rows[:, None], cols] + g)
+        if inv is not None:
+            np.minimum(D, D[inv][:, inv], out=D)
+        for m in tri:
+            a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
+            block = (a[:, None], b)
+            D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
+        frac.apply(D.reshape(-1))
+        if np.array_equal(D, before):
+            break
+    finite = zip(*np.nonzero(D < _INT_INF))
+    return {(int(u), int(v)): F(int(D[u, v]), scale) for u, v in finite}, sweeps
+
+
+@given(pair_systems())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_source_skipping_keeps_every_sweep(system):
+    """Composing only the sources that can still lower a target leaves the
+    table of the unrestricted sweep loop after every sweep: equal tables,
+    equal sweep counts, and the same error on the same draws (a contracting
+    convex cycle runs out of sweeps, or of scale first)."""
+    engine = _pair_engine(*system)
+    try:
+        want, want_sweeps = _unrestricted_solve(engine, sweep_cap=60)
+    except RelaxError as err:
+        with pytest.raises(type(err)):
+            engine.solve(sweep_cap=60)
+        return
+    table, sweeps = engine.solve(sweep_cap=60)
+    assert sweeps == want_sweeps
+    n = len(system[0])
+    got = {cell: table.get(cell) for cell in np.ndindex(n, n)}
+    assert {cell: v for cell, v in got.items() if v is not None} == want
+
+
+def test_a_dropped_cost_recomposes_unchanged_sources():
+    """Words e, x, X, xx, XX.  The generator (x, e) composes the source
+    (e, X) = 1 into (x, X) at its seeded cost 4, then a convex instance
+    lowers the cost to 1.  No cell of row e changes, so only the finite
+    cells, not the changed ones, bring the candidate 1 + 1 to (x, X)."""
+    space = WordSpace([(1, 1), (1, -1)], 2)
+    e, x, X, xx, XX = (space.idx(w) for w in ((), ((1, 1),), ((1, -1),), ((1, 1),) * 2, ((1, -1),) * 2))
+    seeds = [((x, e), F(4)), ((e, X), F(1)), ((xx, XX), F(1)), ((XX, xx), F(1))]
+    convex = [((x, e), ((F(1, 2), (xx, XX)), (F(1, 2), (XX, xx))))]
+    system = (space, seeds, [(x, e)], False, convex)
+    engine = _pair_engine(*system)
+    table, sweeps = engine.solve()
+    assert (table.get((x, e)), table.get((x, X))) == (F(1), F(2))
+    want, want_sweeps = _unrestricted_solve(engine, 200)
+    assert (want[x, X], want_sweeps) == (F(2), sweeps)
+    assert relax_fixpoint(_explicit_pair_system(*system)).values[(x, X)] == F(2)
+
+
+def test_fraction_rules_read_one_snapshot_per_pass():
+    """A pass reads every source as it was when the pass began, even one an
+    earlier rule of the same pass lowered, and skips a rule with a +inf
+    source."""
+    frac = FractionRules(1)
+    frac.add(0, [(F(1, 2), 1)])
+    frac.add(1, [(F(1, 2), 0)])
+    frac.add(2, [(F(1), 0), (F(1), 3)])
+    flat = np.array([8, 6, 100, _INT_INF], dtype=np.int64)
+    assert frac.apply(flat)
+    assert flat.tolist() == [3, 4, 100, _INT_INF]
+    assert not frac.apply(np.array([0, 0, 0, _INT_INF], dtype=np.int64))
+
+
+def test_solve_memory_is_quadratic_in_the_words():
+    """A closure with a generator on every one of the 53^2 = 2809 word pairs
+    of a 53-word space, the inverse mirror and a convex instance per word:
+    what ``solve`` allocates stays within 32 tables' worth (n^2 * 8 bytes
+    each).  Broadcast index pairs kept per generator came to about 125
+    tables here; the convex pass reads only the cells its instances name."""
+    space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)], 3)
+    n = len(space)
+    engine = PairComposition(space, inverse=True)
+    for u in range(n):
+        engine.seed(u, u, F(0))
+        engine.seed(0, u, F(len(space.words[u])))
+        engine.seed(u, 0, F(len(space.words[u])))
+    for u in range(n):
+        for v in range(n):
+            engine.add_generator(u, v)
+    for u in range(1, n):
+        engine.add_convex((u, 0), [(F(1, 2), (u, 1)), (F(1, 2), (u, 2))])
+    copy.deepcopy(engine).solve()  # numpy's lazily imported helpers load outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, sweeps = engine.solve()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sweeps >= 2 and len(engine.generators) == 2809
+    assert peak < 32 * n * n * 8, peak
 
 
 def test_triangle_family_keeps_infinite_pairs():
