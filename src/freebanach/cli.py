@@ -55,7 +55,10 @@ def _cells(stage: Stage) -> list:
 def export_document(universe, suite: SuiteReport | None = None) -> dict:
     """Format version 2: a stage is its generating data, its member count
     and its table as ``[num, den]`` rows over ``_cells``.  Members and ids
-    are not written: ``import_universe`` re-derives them."""
+    are not written: ``import_universe`` re-derives them.  ``suite``, if
+    given, must be the universe's ``check_conditions`` report, as ``build``
+    writes it: it becomes the last key, ``verification``, and import
+    re-runs ``check_conditions`` and refuses a section that differs."""
     stages = []
     for stage in universe.stages:
         if stage.sealed:
@@ -147,8 +150,10 @@ def import_universe(path: str, cfg: Config | None = None):
     Each stage is enumerated by the build's own enumeration from the word
     cap or scalar set the document states, so the store is the build's id
     for id; the stated generators, basis and member count must be the
-    derived ones.  Any other version, or any malformed document, is a
-    ConfigError (exit 2): a version-1 document has to be rebuilt."""
+    derived ones.  A ``verification`` section, if present, must be the last
+    key and the imported universe's ``check_conditions`` report.  Any other
+    version, or any malformed document, is a ConfigError (exit 2): a
+    version-1 document has to be rebuilt."""
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode())
@@ -159,8 +164,9 @@ def import_universe(path: str, cfg: Config | None = None):
     if not _same(doc.get("version"), FORMAT_VERSION):
         raise ConfigError(f"{path!r} has export format version {doc.get('version')!r}; only version "
                           f"{FORMAT_VERSION} is read: rebuild it with `freebanach build`")
-    if tuple(k for k in doc if k != "verification") != TOP_KEYS:
-        raise ConfigError(f"{path!r}: expected the fields {TOP_KEYS}, found {tuple(doc)}")
+    if tuple(doc) not in (TOP_KEYS, (*TOP_KEYS, "verification")):
+        raise ConfigError(f"{path!r}: expected the fields {TOP_KEYS}, then an optional 'verification', "
+                          f"found {tuple(doc)}")
     cfg = cfg if cfg is not None else Config.from_description(doc["config"])
     if not _same(doc["config"], cfg.describe()):
         raise ConfigError(f"{path!r} was not exported under this config")
@@ -169,6 +175,8 @@ def import_universe(path: str, cfg: Config | None = None):
     universe = Universe(cfg)
     for n, sdoc in enumerate(doc["stages"]):
         universe.stages.append(_stage_from_doc(universe, n, sdoc))
+    if "verification" in doc and not _same(doc["verification"], check_conditions(universe).describe()):
+        raise ConfigError(f"{path!r}: the verification section is not the tables' check_conditions report")
     return universe
 
 

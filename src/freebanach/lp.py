@@ -54,9 +54,9 @@ basis it ends on is new (an old one would have covered it).  The desk
 tower's 4-stage build resolves 3284 +- classes with 369 warm solves and
 1351 pivots (``pivots``).
 
-``Certifier`` checks a solution and its dual against the original
-molecules in integers, trusting none of the above; ``verify_certificate``
-is its one-target call.
+``certificate`` reads a target's solution and dual off a cached basis, and
+``Certifier`` checks them against the original molecules in integers,
+trusting none of the above.
 
 ``basic_solution_values`` is the cross-check required of the LP route: it
 enumerates every basis (every independent set of rank-many molecules; the
@@ -325,19 +325,14 @@ class MoleculeLP:
         self._T = T[[*range(m), m + 1]] * _ints([1] * n + signs + [1])
 
     def solve(self, target: Vec) -> Fraction:
-        return self.solve_full(target, certify=False)[0]
+        return self.solve_full(target)
 
-    def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None, certify: bool = True):
-        """(value, signed molecule solution, dual certificate) for one target.
-        ``reduced`` is the target's column of ``_reduce`` and its
-        denominator, when the caller has them already.  With ``certify``
-        false only the value is computed, and the solution and the dual are
-        None.
+    def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None) -> Fraction:
+        """The program's value at one target.  ``reduced`` is the target's
+        column of ``_reduce`` and its denominator, when the caller has them
+        already.  Warm-starts from the previous basis (dual feasibility is
+        independent of the target).
 
-        The dual certificate y satisfies |<y, molecule_j>| <= cost_j for all
-        j and <y, target> = value, so it witnesses optimality by weak
-        duality without trusting the pivoting path.  Warm-starts from the
-        previous basis (dual feasibility is independent of the target).
         Each dual-simplex pivot is one ``_pivot`` of the warm tableau, whose
         last column is set to N v and -c_B N v for the target v: the pivot
         row is row r of N A, the ratio test reads R, and N, R and
@@ -376,23 +371,19 @@ class MoleculeLP:
             basis[row_leave] = enter
             self.pivots += 1
 
-        basis = OptimalBasis(tuple(basis), det, T[:m, n:-1])
-        xb = T[:m, -1].tolist()
-        if not certify:
-            return self._value(basis, xb, den), None, None
-        return self._certificate(basis, xb, den)
+        return self._value(basis, det, T[:m, -1].tolist(), den)
 
-    def _value(self, basis: OptimalBasis, xb: list[int], den: int) -> Fraction:
-        """c_B x_B on a basis, from xb = N * rhs = x_B * d * den."""
-        return Fraction(sum(self._cost[j] * x for j, x in zip(basis.columns, xb)),
-                        basis.det * den * self._cost_den)
+    def _value(self, columns: Sequence[int], det: int, xb: list[int], den: int) -> Fraction:
+        """c_B x_B on the basis of these columns and d = det, from
+        xb = N * rhs = x_B * d * den."""
+        return Fraction(sum(self._cost[j] * x for j, x in zip(columns, xb)), det * den * self._cost_den)
 
     def _certificate(self, basis: OptimalBasis, xb: list[int], den: int):
         """(value, signed molecule solution, dual) on a basis, from
         xb = N * rhs = x_B * d * den, in Python ints."""
         J = self.ncols // 2
         scale = basis.det * den
-        value = self._value(basis, xb, den)
+        value = self._value(basis.columns, basis.det, xb, den)
         # +m_j and -m_j are dependent, so a basis holds at most one of them
         beta = {j % J: Fraction(x if j < J else -x, scale) for x, j in zip(xb, basis.columns) if x}
         # lift the dual c_B N (times d) into original coordinates through the operator E
@@ -401,9 +392,13 @@ class MoleculeLP:
         return value, beta, tuple(Fraction(x, basis.det * self._cost_den) for x in y)
 
     def certificate(self, k: int, target: Vec):
-        """``solve_full``'s (value, solution, dual) for a target on cached
+        """(value, signed molecule solution, dual) for a target on cached
         basis k, or None where B^-1 v has a negative entry: the basis is
-        then not primal feasible for the target and certifies nothing."""
+        then not primal feasible for the target and certifies nothing.
+
+        The dual y satisfies |<y, molecule_j>| <= cost_j for all j and
+        <y, target> = value, so it witnesses optimality by weak duality
+        without trusting the pivoting path (``Certifier`` checks both)."""
         basis = self.bases[k]
         image, [den] = self._reduce([target])
         xb = _matmul(basis.adj, image[:, 0])
@@ -418,8 +413,8 @@ class MoleculeLP:
         covers every uncovered target with N r >= 0 at value
         c_B N r / (d * den * cost_den), in one exact product (``_matmul``);
         then the first target still uncovered is solved warm by
-        ``solve_full`` from its reduced column, for its value alone, its
-        final basis is cached, and the loop repeats.
+        ``solve_full`` from its reduced column, its final basis is
+        cached, and the loop repeats.
         Raises ``InfeasibleLP`` if any target leaves the molecule span."""
         out: list = [None] * len(targets)
         if not targets:
@@ -442,7 +437,7 @@ class MoleculeLP:
             if not uncovered.size:
                 return out
             first = int(uncovered[0])
-            value = self.solve_full(targets[first], (rhs[:, first], dens[first]), certify=False)[0]
+            value = self.solve_full(targets[first], (rhs[:, first], dens[first]))
             N = np.ascontiguousarray(self._T[: self.m, self.ncols : -1])
             self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))
             out[first] = (value, tested)
@@ -491,21 +486,6 @@ class Certifier:
         y_den = lcm(*(y.denominator for y in dual))
         dot = sum(map(mul, _scaled(dual, y_den), v))
         return dot * value.denominator == value.numerator * y_den * v_den
-
-
-def verify_certificate(
-    molecules: Sequence[Vec],
-    costs: Sequence[Fraction],
-    target: Vec,
-    value: Fraction,
-    beta: dict[int, Fraction],
-    dual: Vec,
-) -> bool:
-    """Exact optimality proof: the primal solution reproduces the target at
-    the claimed cost, and the dual functional shows no decomposition can be
-    cheaper.  Independent of the pivoting that produced the solution."""
-    check = Certifier(molecules, costs)
-    return check.certifies(target, value, beta, dual) and check.dual_feasible(dual)
 
 
 def basic_solution_values(

@@ -163,7 +163,6 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
                 f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
             )
         gamma[m] = g
-    stage.gamma = gamma
     stage.notes["gamma_lp_calls"] = len(lp.bases)
     stage.notes["gamma_lp_pivots"] = lp.pivots
     # counters perfbench's tracer still reads on every norm stage
@@ -173,7 +172,7 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     for m, v in gamma.items():
         if v <= 0 and m != UNIT_ID:
             raise NormExtensionError(f"zero norm on non-unit member {m}")
-    return dict(gamma)
+    return gamma
 
 
 def check_extension_norm(universe, stage, prev):
@@ -210,9 +209,9 @@ def norm_decomposition_oracle(universe, stage, targets, box: Fraction) -> dict[i
     for m in stage.members:
         if m == UNIT_ID:
             continue
-        gammas.append((universe.store.vector_fractions(m, basis_pos, dim), stage.gamma[m]))
+        gammas.append((universe.store.vector_fractions(m, basis_pos, dim), stage.table[m]))
     wanted = set(targets)
-    cutoff = max(stage.gamma[m] for m in stage.members)
+    cutoff = max(stage.table[m] for m in stage.members)
     start = tuple(Fraction(0) for _ in range(dim))
     dist: dict[Vec, Fraction] = {start: Fraction(0)}
     heap: list = [(Fraction(0), start)]

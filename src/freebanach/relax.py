@@ -8,7 +8,7 @@ full sweep changes nothing.  Updates are monotone non-increasing and
 bounded below by zero; if the sweep cap is hit before stability the run
 fails hard rather than returning an unconverged table.
 
-Three realizations share those semantics:
+Two realizations share those semantics:
 
 * ``relax_fixpoint``      -- explicit ``Rule`` lists over arbitrary hashable
                              indices (exact ``Fraction`` arithmetic);
@@ -25,24 +25,21 @@ Three realizations share those semantics:
                              still lower a target (see the class); plus
                              the inverse mirror, explicit convex instances
                              and a triangle pass over a registered member
-                             set;
-* ``LatticeSystem``       -- coefficient-lattice step/homogeneity families,
-                             same scaling.  The build no longer calls it:
-                             the norm is the molecule gauge gamma, and a
-                             stage with an inverse-convex instance is
-                             refused (see ``norm_ext``).
+                             set.
 
-The bulk families are evaluated against the previous round's snapshot in a
-fixed order, so results are independent of rule order and bit-identical
-across runs.  ``PairComposition`` reads its generator costs live, in
-generator order; its blocks keep that order and the snapshot and skip only
-candidates that cannot lower a target, so its fixpoint and sweep counts are
-those of the per-cell scatter it replaced.
+``PairComposition`` evaluates its bulk families against the previous
+round's snapshot in a fixed order, so results are independent of rule
+order and bit-identical across runs.  It reads its generator costs live,
+in generator order; its blocks keep that order and the snapshot and skip
+only candidates that cannot lower a target, so its fixpoint and sweep
+counts are those of the per-cell scatter it replaced.  It runs at the
+common denominator of its seeds and convex coefficients, and retries at
+four times the scale, up to six attempts, while a value is not exact there.
 
 ``to_scaled`` is the one Fraction -> int64 conversion: it raises
 ``ScaleOverflowError`` unless the value is exact at the scale and below
 2^60 in magnitude, so a sum of two converted values cannot wrap in int64.
-The bulk engines here and the dense checks in ``verify`` all use it.
+``PairComposition`` and the dense checks in ``verify`` use it.
 """
 
 from __future__ import annotations
@@ -229,12 +226,8 @@ def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_00
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer helpers shared by the bulk engines
+# scaled-integer helpers
 # ---------------------------------------------------------------------------
-
-
-def _scale_for(values: Iterable[Fraction], extra_denoms: Iterable[int] = ()) -> int:
-    return lcm(common_denominator(values), *extra_denoms)
 
 
 def to_scaled(value: Fraction, scale: int) -> int:
@@ -251,8 +244,8 @@ def to_scaled(value: Fraction, scale: int) -> int:
 
 class FractionRules:
     """Explicit UpperCombo instances evaluated exactly against a scaled-int
-    snapshot; used for the convex-coefficient rule families inside the bulk
-    engines, which stay small enough to never need vectorizing."""
+    snapshot; used for the convex instances inside ``PairComposition``,
+    which stay small enough to never need vectorizing."""
 
     def __init__(self, scale: int):
         self.scale = scale
@@ -409,7 +402,7 @@ class PairComposition:
         """The closure table and its sweep count; ``entries`` is then the
         number of source cells the generators composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
-        scale = _scale_for(self.seeds.values(), coeff_denoms)
+        scale = lcm(common_denominator(self.seeds.values()), *coeff_denoms)
         maps = self._maps()
         for attempt in range(6):
             try:
@@ -499,124 +492,16 @@ def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray) -> list[tuple[dict, dict
 
 
 # ---------------------------------------------------------------------------
-# coefficient-lattice engine (norm side)
+# retired coefficient-lattice engine
 # ---------------------------------------------------------------------------
 
 
 class LatticeSystem:
-    """Relaxation over a uniform coefficient lattice: cells are coefficient
-    vectors with entries from one sorted dyadic value list per coordinate.
+    """A name without an engine.  The coefficient-lattice relaxation that
+    norms once needed is gone: every norm is the molecule gauge gamma (see
+    ``norm_ext``).  The stub keeps the benchmark tracer's row
+    ``relax.LatticeSystem.solve`` resolvable, at 0 calls, until the
+    benchmark's next revision retires that row."""
 
-    Families: step rules f(v) <= f(v - u) + f(u) for designated step cells u
-    (realizing unbounded-summand subadditivity by composition), two-sided
-    homogeneity maps f(alpha v) = |alpha| f(v) on in-lattice pairs, and
-    explicit convex instances.
-    """
-
-    def __init__(self, radix: int, dim: int):
-        self.radix = radix
-        self.dim = dim
-        self.size = radix**dim
-        self.shape = (radix,) * dim
-        self.seeds: dict[int, Fraction] = {}
-        self.steps: list[tuple[tuple[int, ...], int]] = []  # (digit offset, weight cell)
-        self.homogeneity: list[tuple[np.ndarray, np.ndarray, Fraction]] = []
-        self.fraction_rules: list[tuple[int, tuple[tuple[Fraction, int], ...]]] = []
-
-    def cell(self, digits: Sequence[int]) -> int:
-        idx = 0
-        for d in digits:
-            idx = idx * self.radix + d
-        return idx
-
-    def seed(self, cell: int, value: Fraction) -> None:
-        cur = self.seeds.get(cell)
-        if cur is None or value < cur:
-            self.seeds[cell] = value
-
-    def add_step(self, offset: Sequence[int], weight_cell: int) -> None:
-        """Step by a member vector: ``offset`` is its digit displacement from
-        the zero cell and ``weight_cell`` the cell holding its own (current)
-        value, which is the step weight."""
-        self.steps.append((tuple(offset), weight_cell))
-
-    def add_homogeneity(self, src_cells: np.ndarray, dst_cells: np.ndarray, factor: Fraction) -> None:
-        """f(dst) <= factor * f(src) entrywise (pair each map with its inverse
-        to encode the equality)."""
-        self.homogeneity.append((src_cells, dst_cells, factor))
-
-    def add_convex(self, target: int, terms: Sequence[tuple[Fraction, int]]) -> None:
-        self.fraction_rules.append((target, tuple(terms)))
-
-    def _apply_step(self, f: np.ndarray, offset: tuple[int, ...], weight: int) -> bool:
-        src: list[slice] = []
-        dst: list[slice] = []
-        for o in offset:
-            if o >= 0:
-                src.append(slice(0, self.radix - o))
-                dst.append(slice(o, self.radix))
-            else:
-                src.append(slice(-o, self.radix))
-                dst.append(slice(0, self.radix + o))
-        s = f[tuple(src)]
-        d = f[tuple(dst)]
-        finite = s < _INT_INF
-        if not finite.any():
-            return False
-        cand = np.where(finite, s + weight, _INT_INF)
-        improved = cand < d
-        if improved.any():
-            np.minimum(d, cand, out=d)
-            return True
-        return False
-
-    def solve(self, sweep_cap: int = 200) -> tuple[dict[int, Fraction], int]:
-        coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
-        coeff_denoms += [f.denominator for _, _, f in self.homogeneity]
-        scale = _scale_for(self.seeds.values(), coeff_denoms)
-        for attempt in range(6):
-            try:
-                return self._solve_scaled(scale, sweep_cap)
-            except ScaleOverflowError:
-                scale *= 4
-        raise ScaleOverflowError("could not find a workable common denominator")
-
-    def _solve_scaled(self, scale: int, sweep_cap: int) -> tuple[dict[int, Fraction], int]:
-        flat = np.full(self.size, _INT_INF, dtype=np.int64)
-        for cell, val in self.seeds.items():
-            s = to_scaled(val, scale)
-            if s < flat[cell]:
-                flat[cell] = s
-        frac = FractionRules(scale)
-        for target, terms in self.fraction_rules:
-            frac.add(target, terms)
-
-        f = flat.reshape(self.shape)
-        sweeps = 0
-        while True:
-            if sweeps > sweep_cap:
-                raise NonConvergenceError(f"lattice relax unstable after {sweeps - 1} sweeps")
-            sweeps += 1
-            before = flat.copy()
-            for off, cell in self.steps:
-                w = int(flat[cell])
-                if w >= _INT_INF:
-                    continue
-                self._apply_step(f, off, w)
-            for src, dst, factor in self.homogeneity:
-                vals = flat[src]
-                finite = vals < _INT_INF
-                if not finite.any():
-                    continue
-                num, den = factor.numerator, factor.denominator
-                scaled = vals[finite] * num
-                if np.any(scaled % den):
-                    raise ScaleOverflowError("homogeneity step not representable")
-                cand = scaled // den
-                tgt = dst[finite]
-                np.minimum.at(flat, tgt, cand)
-            frac.apply(flat)
-            if np.array_equal(flat, before):
-                break
-        out = {int(i): Fraction(int(flat[i]), scale) for i in np.nonzero(flat < _INT_INF)[0]}
-        return out, sweeps
+    def solve(self, *args, **kwargs):
+        raise NotImplementedError("the coefficient-lattice engine was removed: every norm is the molecule gauge")

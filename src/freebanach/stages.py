@@ -249,7 +249,6 @@ class Stage:
     generators: tuple[int, ...] = ()  # word stages: S_n
     basis: tuple[int, ...] = ()  # vector stages: B_n
     table: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)  # vector stages: the auxiliary bounds
     word_cap: int = 0
     scalar_set: tuple[Dyadic, ...] = ()
     sealed: bool = False

@@ -28,7 +28,7 @@ from freebanach.cli import (
     main,
 )
 from freebanach.stages import ConfigError
-from freebanach.verify import check_conditions
+from freebanach.verify import check_conditions, perturbed
 
 
 def run_cli(*argv):
@@ -87,6 +87,48 @@ def _write(tmp_path, doc):
     path = tmp_path / "export.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_import_checks_the_verification_section(tmp_path, monkeypatch, capsys):
+    """A document's ``verification`` section is ``check_conditions``'
+    report, and import re-runs it.  With ``main``'s universe imported from
+    a document, an honest ``build --out`` document passes (exit 0) and the
+    honest report of corrupted tables fails (exit 1).  That report edited
+    to pass, in its ``ok`` or in a section's ``passed``, or moved before
+    ``stages``, is a ConfigError (exit 2)."""
+    out = tmp_path / "export.json"
+    assert run_cli("build", "--preset", "exact-x2", "--out", str(out)) == EXIT_OK
+    monkeypatch.setattr(cli, "_build", lambda cfg: import_universe(str(out), cfg))
+    assert run_cli("verify", "--preset", "exact-x2", "--suite", "conditions") == EXIT_OK
+
+    u = Universe(Config.exact_x2()).build()
+    bad = perturbed(u, 2, u.stage(2).members[0], Fraction(1))
+    honest = json.loads(export_bytes(bad, check_conditions(bad)))
+    assert not honest["verification"]["ok"]
+    out.write_text(json.dumps(honest))
+    assert run_cli("verify", "--preset", "exact-x2", "--suite", "conditions") == EXIT_VERIFICATION
+    capsys.readouterr()
+
+    def forged_ok(doc):
+        doc["verification"]["ok"] = True
+
+    def forged_passed(doc):
+        section = next(s for s in doc["verification"]["sections"] if not s["ok"])
+        section["passed"] = section["attempted"]
+
+    def moved(doc):
+        stages = doc.pop("stages")
+        doc["verification"] = doc.pop("verification")
+        doc["stages"] = stages
+
+    for edit, message in ((forged_ok, "verification section"), (forged_passed, "verification section"),
+                          (moved, "fields")):
+        doc = json.loads(json.dumps(honest))
+        edit(doc)
+        out.write_text(json.dumps(doc))
+        assert run_cli("verify", "--preset", "exact-x2", "--suite", "conditions") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freebanach import lp as lp_module
 from freebanach.lp import (
+    Certifier,
     InexactDivision,
     InfeasibleLP,
     MoleculeLP,
@@ -16,7 +17,6 @@ from freebanach.lp import (
     _pivot,
     basic_solution_oracle,
     basic_solution_values,
-    verify_certificate,
 )
 from freebanach.oracles import check_lp_oracle, random_lp_instances
 
@@ -35,13 +35,14 @@ def test_stage1_molecule_values():
 
 def test_certificates():
     lp = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
-    for target in [(F(1), F(0)), (F(3, 2), F(-1, 2)), (F(-2), F(1))]:
-        value, beta, dual = lp.solve_full(target)
-        assert verify_certificate(STAGE1_MOLECULES, STAGE1_COSTS, target, value, beta, dual)
+    check = Certifier(STAGE1_MOLECULES, STAGE1_COSTS)
+    targets = [(F(1), F(0)), (F(3, 2), F(-1, 2)), (F(-2), F(1))]
+    for target, (v, k) in zip(targets, lp.solve_many(targets)):
+        value, beta, dual = lp.certificate(k, target)
+        assert value == v
+        assert check.dual_feasible(dual) and check.certifies(target, value, beta, dual)
         # a corrupted value must not verify
-        assert not verify_certificate(
-            STAGE1_MOLECULES, STAGE1_COSTS, target, value + 1, beta, dual
-        )
+        assert not check.certifies(target, value + 1, beta, dual)
 
 
 def test_infeasible_target():
@@ -146,16 +147,17 @@ def molecule_programs(draw):
 @settings(max_examples=200, deadline=None)
 def test_solve_matches_oracle_property(program):
     mols, costs, targets = program
-    lp = MoleculeLP(mols, costs)
+    lp, check = MoleculeLP(mols, costs), Certifier(mols, costs)
     for t in targets:
         want = basic_solution_oracle(mols, costs, t)
         if want is None:
             with pytest.raises(InfeasibleLP):
-                lp.solve_full(t)
+                lp.solve_many([t])
             continue
-        value, beta, dual = lp.solve_full(t)
-        assert value == want == lp.solve(t)
-        assert verify_certificate(mols, costs, t, value, beta, dual)
+        [(v, k)] = lp.solve_many([t])
+        value, beta, dual = lp.certificate(k, t)
+        assert value == v == want == lp.solve(t)
+        assert check.dual_feasible(dual) and check.certifies(t, value, beta, dual)
 
 
 @given(molecule_programs())
@@ -167,14 +169,14 @@ def test_solve_many_matches_solve_and_oracle_property(program):
     mols, costs, targets = program
     want = basic_solution_values(mols, costs, targets)
     feasible = [t for t, w in zip(targets, want) if w is not None]
-    single, batch = MoleculeLP(mols, costs), MoleculeLP(mols, costs)
+    single, batch, check = MoleculeLP(mols, costs), MoleculeLP(mols, costs), Certifier(mols, costs)
     solved = batch.solve_many(feasible)
     assert [v for v, _ in solved] == [w for w in want if w is not None]
     assert [v for v, _ in solved] == [single.solve(t) for t in feasible]
     for t, (v, k) in zip(feasible, solved):
         value, beta, dual = batch.certificate(k, t)
         assert value == v
-        assert verify_certificate(mols, costs, t, value, beta, dual)
+        assert check.dual_feasible(dual) and check.certifies(t, value, beta, dual)
     bases, pivots = len(batch.bases), batch.pivots
     assert batch.solve_many(feasible) == solved
     assert (len(batch.bases), batch.pivots) == (bases, pivots)

@@ -63,9 +63,9 @@ def test_gamma_base(exact_universe):
     store = u.store
     x = u.x_id
     xi = store.lookup(store.group_inv(x))
-    assert s2.gamma[store.combine_id(x, UNIT_ID)] == u.rho(s1, x, UNIT_ID) == 1
-    assert s2.gamma[store.combine_id(x, x)] == 0
-    assert s2.gamma[store.combine_id(x, xi)] == u.rho(s1, x, xi) == 2
+    assert s2.table[store.combine_id(x, UNIT_ID)] == u.rho(s1, x, UNIT_ID) == 1
+    assert s2.table[store.combine_id(x, x)] == 0
+    assert s2.table[store.combine_id(x, xi)] == u.rho(s1, x, xi) == 2
 
 
 def test_gamma_new_rank0_lp(exact_universe):
@@ -76,8 +76,8 @@ def test_gamma_new_rank0_lp(exact_universe):
     target = _elt(u, (Dyadic(1, 1), Dyadic(-1, 1)))  # (1/2)(x - x^-1)
     two_x = _elt(u, (Dyadic(2), Dyadic(0)))
     assert target not in u.stage(1).member_set and two_x not in u.stage(1).member_set
-    assert s2.gamma[target] == s2.table[target] == 1
-    assert s2.gamma[two_x] == s2.table[two_x] == 2
+    assert s2.table[target] == 1
+    assert s2.table[two_x] == 2
 
 
 def test_extension_norm_exact(exact_universe, desk_universe):
@@ -171,14 +171,13 @@ def test_gamma_lp_pivot_counts(exact_universe, rank_universe, desk_universe):
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
 def test_norm_is_gamma_without_instances(preset, request):
-    """No norm stage of a preset has an inverse-convex instance, and each
+    """No norm stage of a preset has an inverse-convex instance, so each
     norm table is gamma (the gauge argument in the norm_ext docstring)."""
     u = request.getfixturevalue(f"{preset}_universe")
     norm_stages = [s for s in u.stages if s.kind == "vector" and s.index > 0]
     assert norm_stages
     for s in norm_stages:
         assert u.store.convex_instances(s, inverse=True) == []
-        assert s.table == s.gamma
         assert s.notes["lattice_cells"] == s.notes["inverse_convex_instances"] == 0
 
 

@@ -15,6 +15,7 @@ from freebanach.relax import (
     ConstraintSystem,
     Equality,
     FractionRules,
+    LatticeSystem,
     NonConvergenceError,
     PairComposition,
     RelaxError,
@@ -374,6 +375,12 @@ def test_a_dropped_cost_recomposes_unchanged_sources():
     want, want_sweeps = _unrestricted_solve(engine, 200)
     assert (want[x, X], want_sweeps) == (F(2), sweeps)
     assert relax_fixpoint(_explicit_pair_system(*system)).values[(x, X)] == F(2)
+
+
+def test_lattice_system_is_a_name_only():
+    """The coefficient-lattice engine is gone; the stub's ``solve`` refuses."""
+    with pytest.raises(NotImplementedError):
+        LatticeSystem().solve()
 
 
 def test_fraction_rules_read_one_snapshot_per_pass():
