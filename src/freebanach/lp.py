@@ -324,9 +324,6 @@ class MoleculeLP:
         self._basis, self._det = basis, det
         self._T = T[[*range(m), m + 1]] * _ints([1] * n + signs + [1])
 
-    def solve(self, target: Vec) -> Fraction:
-        return self.solve_full(target)
-
     def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None) -> Fraction:
         """The program's value at one target.  ``reduced`` is the target's
         column of ``_reduce`` and its denominator, when the caller has them

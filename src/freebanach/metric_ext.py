@@ -2,17 +2,29 @@
 word stage.  Stage 1 has a closed form instead: rho(x^a, x^b) = |a - b|
 (``_base_case_table``).
 
-The auxiliary function delta gives per-pair initial upper bounds: rank-0
-pairs minimize sums of previous-stage norms of differences over aligned
-factorizations into previous-stage elements, pairs of previous-stage
-elements take the previous norm of their difference (rule (a)), and no
-other pair has a clause.  The metric itself is the greatest function
-below delta closed under simultaneous inversion, product splitting, the
-two convex inequalities and the triangle inequality; one pair-composition
-closure computes it, over the ambient word space or, when that exceeds
-``pair_cell_budget``, over the stage's own words, with the triangle
-family on member triples in either space (which ``rho_extend`` proves
-implied on an ambient space of at least twice the word cap).
+The metric is the greatest function below the auxiliary function delta
+closed under simultaneous inversion, product splitting, the two convex
+inequalities and the triangle inequality: one pair-composition closure
+over the ambient word space or, when that exceeds ``pair_cell_budget``,
+the stage's own words (``rho_extend``).  delta seeds rule (a) alone, the
+previous norm of a - b on pairs of previous-stage elements whose
+difference lies there; the rules value every other pair, and the final
+table is checked to be finite, symmetric and positive off the diagonal.
+
+The construction's rank-0 clause delta_0, the least sum of previous norms
+of differences over aligned factorizations into previous-stage elements
+(``delta_rank0_closure``), moves no greatest fixpoint on an ambient space.
+Each derivation of its closure is one of the rho closure: the atoms are
+rule-(a) seeds, which delta keeps, or diagonal generators at cost 0; each
+off-diagonal atom is a member pair, so a rho generator whose live cost is
+at most its seed; both closures compose on both sides; and its word space
+lies inside the ambient one (fewer letters, the same length bound).  So
+rho <= delta_0 already.  At ambient_expansion 1 the members space is the
+ambient space.  In the members space at expansion >= 2 (the rank preset)
+the table f is certified instead ("rank-0 dominance" in
+``verify.check_biinvariance``): the fixpoint g with the clause lies below
+f, and f <= delta_0 wherever delta_0 has a value makes f closed and below
+all of g's seeds, so f = g.
 
 No pair holding a positive-rank member needs a clause: each f closed
 under those rules and below delta lies below every clause such a pair
@@ -30,12 +42,6 @@ x, y of positive rank, each in the previous stage P or inverse to one:
   d(x, z_i) by induction on rank (rank z_i < rank y).  The instance exists
   since every z_i is a member: basis elements lie in the previous word
   stage, and word stages are closed under inversion.
-
-delta is genuinely partial: an element whose word contains a negative
-occurrence of a promoted-combination generator is not a product of
-previous-stage elements, so its rank-0 minimum runs over an empty set.
-The inversion rule restores finiteness at the fixpoint, and the final
-table is checked to be finite, symmetric and positive off the diagonal.
 """
 
 from __future__ import annotations
@@ -95,8 +101,11 @@ def _closure_space(store, members, lengths, cfg, what: str) -> WordSpace:
     raise MetricExtensionError(f"{what} space {size}^2 exceeds pair_cell_budget")
 
 
-def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
-    """Min-plus closure realizing the rank-0 factorization minimum.
+def delta_rank0_closure(universe, stage, prev, cfg):
+    """Min-plus closure realizing the rank-0 factorization minimum delta_0,
+    which the build does not seed (module docstring); the rank-0 dominance
+    certificate runs it.  Returns the table, the sweep count and the source
+    cells composed.
 
     Atoms are pairs (a, b) of prev-stage elements with a - b in the previous
     stage, at cost ||a - b||; composing atoms left-to-right enumerates all
@@ -108,46 +117,35 @@ def delta_rank0_closure(universe, stage, prev, cfg) -> DeltaTable:
     lengths = [cfg.ambient_expansion * stage.word_cap]
     space = _closure_space(store, prev.members, lengths, cfg, "rank-0 closure")
     engine = PairComposition(space)
-    prev_members = list(prev.members)
+    # every prev member's word lies in the space: its length is at most the stage's cap
+    atoms = {m: space.idx(store.word_of(m)) for m in prev.members}
     atom_cells = set()
-    for a in prev_members:
-        wa = space.idx(store.word_of(a))
-        for b in prev_members:
-            wb = space.idx(store.word_of(b))
-            if wa is None or wb is None:
-                continue
+    for a, wa in atoms.items():
+        for b, wb in atoms.items():
             val = Fraction(0) if a == b else _norm_of_diff(universe, prev, a, b)
-            if val is None:
-                continue
-            engine.seed(wa, wb, val)
-            atom_cells.add((wa, wb))
+            if val is not None:
+                engine.seed(wa, wb, val)
+                atom_cells.add((wa, wb))
     for cell in sorted(atom_cells):
         engine.add_generator(*cell)
     closure, sweeps = engine.solve()
-    stage.notes["delta_sweeps"] = sweeps
-    stage.notes["delta_entries"] = engine.entries
 
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
     # ||a - b|| = ||b - a||), so one order of each pair is read
     table = DeltaTable()
-    word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
-    for i, a in enumerate(stage.members):
-        wa = word_idx[a]
-        if wa is None:
-            continue
-        for b in stage.members[i:]:
-            wb = word_idx[b]
-            if wb is None:
-                continue
+    cells = [(m, space.idx(store.word_of(m))) for m in stage.members]
+    cells = [(m, w) for m, w in cells if w is not None]
+    for i, (a, wa) in enumerate(cells):
+        for b, wb in cells[i:]:
             val = closure.get((wa, wb))
             if val is not None:
                 table.put_min(a, b, val)
-    return table
+    return table, sweeps, engine.entries
 
 
 def delta_general(universe, rank0: DeltaTable) -> DeltaTable:
-    """delta's closure clauses: the rank-0 closure value on each pair of
-    distinct rank-0 members.  A pair holding a positive-rank member needs
+    """delta_0's cells: the rank-0 closure value on each pair of distinct
+    rank-0 members.  A pair holding a positive-rank member needs
     none (module docstring), so its closure cells are factor bookkeeping."""
     rank = universe.store.rank
     return DeltaTable(
@@ -155,10 +153,10 @@ def delta_general(universe, rank0: DeltaTable) -> DeltaTable:
     )
 
 
-def delta_bounds(universe, stage, prev, cfg) -> DeltaTable:
-    """delta, lowered by rule (a) to the previous norm of a - b on every
-    pair of previous-stage elements whose difference lies there."""
-    delta = delta_general(universe, delta_rank0_closure(universe, stage, prev, cfg))
+def delta_bounds(universe, prev) -> DeltaTable:
+    """delta: the rule-(a) seed, the previous norm of a - b, on every pair of
+    previous-stage elements whose difference lies there."""
+    delta = DeltaTable()
     for i, a in enumerate(prev.members):
         for b in prev.members[i + 1 :]:
             v = _norm_of_diff(universe, prev, a, b)
@@ -190,11 +188,8 @@ def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
       f(w, z) and f(a, b) <= f(a, m) + f(m, b).  It is 0 on the diagonal
       and 1 at (x, e), so it lies below the greatest such function.
     Distinct reduced words in x alone have distinct letter-sign sums, so the
-    table is positive off the diagonal.  Its n^2 cells must fit
-    ``pair_cell_budget``, as every other metric table's do."""
-    n = len(stage.members)
-    if n * n > cfg.pair_cell_budget:
-        raise MetricExtensionError(f"stage-1 metric members space {n}^2 exceeds pair_cell_budget")
+    table is positive off the diagonal.  Its n^2 cells fit
+    ``pair_cell_budget``: the stage's enumeration refuses it otherwise."""
     word_of = universe.store.word_of
     exponent = {m: sum(sign for _, sign in word_of(m)) for m in stage.members}
     return {
@@ -202,6 +197,13 @@ def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
         for i, a in enumerate(stage.members)
         for b in stage.members[i + 1 :]
     }
+
+
+def rho_space(universe, stage, cfg) -> WordSpace:
+    """The word space of ``rho_extend``'s closure: the ambient words when
+    their pairs fit ``pair_cell_budget``, else the stage's own words."""
+    lengths = [cfg.ambient_expansion * stage.word_cap, stage.word_cap]
+    return _closure_space(universe.store, stage.members, lengths, cfg, f"stage-{stage.index} metric members")
 
 
 def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
@@ -216,7 +218,7 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     whose words are exactly the stage's members in member order: the
     stage enumerates its members by the same ``WordSpace``.  The budget
     picks the space, not the rules; ``stage.notes["rho_mode"]`` names it.
-    When the members space exceeds the budget too, the stage is refused.
+    The stage's enumeration refuses a members space over the budget too.
 
     The system on W seeds delta on member pairs (both orders) and 0 on the
     diagonal.  Its rules are composition D(uw, vz) <= D(u, v) + D(w, z) for
@@ -258,16 +260,12 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     if stage.index == 1:
         return _base_case_table(universe, stage, cfg)
 
-    delta = delta_bounds(universe, stage, prev, cfg)
     members = stage.members
-    ambient_len = cfg.ambient_expansion * stage.word_cap
-    space = _closure_space(
-        universe.store, members, [ambient_len, stage.word_cap], cfg, f"stage-{stage.index} metric members"
-    )
-    table, sweeps, entries = _rho_closure(universe, stage, delta, space)
+    space = rho_space(universe, stage, cfg)
+    table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), space)
     stage.notes["rho_sweeps"] = sweeps
     stage.notes["rho_entries"] = entries
-    stage.notes["rho_mode"] = "ambient" if space.max_len == ambient_len else "members"
+    stage.notes["rho_mode"] = "ambient" if space.max_len == cfg.ambient_expansion * stage.word_cap else "members"
 
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
@@ -361,15 +359,16 @@ def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTa
     production closure.  Returns the table, in ``Fraction``, plus the
     largest factor count used on any optimal path.
 
-    delta is ``delta_bounds``, which leaves positive-rank members to the
-    closure's rules, so this is an oracle only for stages without them
-    (desk); a stage with them needs a per-value derivation check."""
+    delta is ``delta_bounds``, the rule-(a) seeds, which leave positive-rank
+    members to the closure's rules, so this is an oracle only for stages
+    without them (desk); a stage with them needs a per-value derivation
+    check."""
     import heapq
     from math import lcm
 
     store = universe.store
     if delta is None:
-        delta = delta_bounds(universe, stage, prev, cfg)
+        delta = delta_bounds(universe, prev)
     amb_len = cfg.ambient_expansion * stage.word_cap
     # factor words (one per distinct member word) and cost[i][j] for the
     # step by factor words i on the left and j on the right, None if delta

@@ -105,7 +105,7 @@ def check_lp_oracle(count: int = 40, seed: int = 1):
         lp = MoleculeLP(molecules, costs)
         for target, want in zip(targets, basic_solution_values(molecules, costs, targets)):
             try:
-                got = lp.solve(target)
+                got = lp.solve_full(target)
             except InfeasibleLP:
                 got = None
             if got != want:

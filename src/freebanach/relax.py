@@ -14,7 +14,8 @@ Two realizations share those semantics:
                              indices (exact ``Fraction`` arithmetic);
 * ``PairComposition``     -- the word-pair composition family
                              D(P.Q) <= D(P) + D(Q) used by the metric
-                             extension (rank-0 delta and rho), over
+                             extension (rho, and the rank-0 delta_0
+                             its verification certifies against), over
                              scaled integers and block-sparse: one
                              (source, target) map per generator word and
                              side, and each generator side composes one

@@ -25,9 +25,10 @@ Numbered conditions:
 
 Each invariant is checked in one section.  ``check_biinvariance`` adds the
 triangle inequality and two-sided translation invariance on each word stage;
-the splitting inequality they follow from is condition 3.  ``check_suites``
-is the one list of sections that ``run_suite`` and ``freebanach verify``
-report.
+the splitting inequality they follow from is condition 3; from stage 3 on
+it also certifies rho against the rank-0 clause the build does not seed.
+``check_suites`` is the one list of sections that ``run_suite`` and
+``freebanach verify`` report.
 """
 
 from __future__ import annotations
@@ -488,8 +489,9 @@ def check_conditions(universe, budget: Optional[int] = None, seed: Optional[int]
 
 def check_biinvariance(universe, stage) -> SuiteReport:
     """The triangle inequality and the two-sided translation-invariance
-    equalities on one word stage, both exhaustive.  The splitting inequality
-    they follow from is checked once, as condition 3."""
+    equalities on one word stage, both exhaustive, and from stage 3 on the
+    rank-0 dominance certificate (``_rank0_dominance``).  The splitting
+    inequality they follow from is checked once, as condition 3."""
     R, _ = _metric_matrix(universe, stage)
     n = len(stage.members)
     tri = VerificationReport(suite=f"triangle inequality stage {stage.index}")
@@ -517,7 +519,39 @@ def check_biinvariance(universe, stage) -> SuiteReport:
             for i, j in bad[:3]:
                 pair = (stage.members[idx[i]], stage.members[idx[j]])
                 trans.add_counterexample(g=stage.members[g], pair=pair, side=side)
-    return SuiteReport([tri, trans])
+    return SuiteReport([tri, trans] + ([_rank0_dominance(universe, stage)] if stage.index >= 3 else []))
+
+
+def _rank0_dominance(universe, stage) -> VerificationReport:
+    """rho <= delta_0 on every pair where delta_0, the construction's
+    rank-0 clause, has a value (``delta_general`` of the rank-0 closure).
+    That certifies the table as the fixpoint with the clause seeded
+    (``metric_ext`` docstring) where no proof covers it: the case is
+    ``rho_extend``'s own space rule, read off the config and the stage's
+    letters.  In the members space at ambient_expansion >= 2 every cell is
+    checked, with the closure's sweeps and entries in the meta; a delta_0
+    space over ``pair_cell_budget`` raises ``MetricExtensionError``.
+    Elsewhere (the ambient space, or expansion 1) the section is vacuous
+    and names the proof."""
+    from .metric_ext import delta_general, delta_rank0_closure, rho_space
+
+    cfg = universe.cfg
+    report = VerificationReport(suite=f"rank-0 dominance stage {stage.index}")
+    if rho_space(universe, stage, cfg).max_len == cfg.ambient_expansion * stage.word_cap:
+        report.vacuous = True
+        report.meta["proof"] = "metric_ext docstring: " + (
+            "ambient space" if cfg.ambient_expansion > 1 else "expansion 1")
+        return report
+    rank0, sweeps, entries = delta_rank0_closure(universe, stage, universe.stage(stage.index - 1), cfg)
+    report.meta.update(delta_sweeps=sweeps, delta_entries=entries)
+    for (a, b), bound in sorted(delta_general(universe, rank0).values.items()):
+        report.attempted += 1
+        rho = universe.rho(stage, a, b)
+        if rho <= bound:
+            report.passed += 1
+        else:
+            report.add_counterexample(pair=(a, b), rho=str(rho), delta0=str(bound))
+    return report
 
 
 # ---------------------------------------------------------------------------

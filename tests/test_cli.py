@@ -27,6 +27,7 @@ from freebanach.cli import (
     import_universe,
     main,
 )
+from freebanach.metric_ext import MetricExtensionError
 from freebanach.stages import ConfigError
 from freebanach.verify import check_conditions, perturbed
 
@@ -436,8 +437,10 @@ def test_bench_round_trip_that_differs_exits_1(monkeypatch, capsys):
 
 
 def test_construction_error_exit(tmp_path, capsys):
-    """A rank-0 closure over the pair-cell budget is a config error
-    (exit 2), not a traceback with the verification-failure code."""
+    """A metric members space over the pair-cell budget is a config error
+    (exit 2), not a traceback with the verification-failure code: desk
+    stage 3 has 15 words, and its members-space check (15^2 = 225 cells)
+    refuses the stage at a budget of 10."""
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = desk\npair_cell_budget = 10\n")
     assert run_cli("norm", "x", "--config", str(path)) == EXIT_USAGE
@@ -487,12 +490,13 @@ def _limit_memory():
 
 
 def test_closure_space_counted_before_it_is_built(tmp_path):
-    """3-stage desk at word cap 2 asks for a rank-0 closure over 37 459 269
-    words.  The budget check counts them instead of enumerating them, so
-    the whole process exits 2 within a second rather than after building
-    the space (about a minute and 6 GB).  The child's address space is
-    capped at 2 GiB, with one BLAS thread so that the cap does not depend
-    on the core count."""
+    """3-stage desk at word cap 2 has 23 717 stage-3 words, whose metric
+    members space exceeds the pair-cell budget.  The stage's enumeration
+    counts them and refuses the stage before interning any, so the whole
+    process exits 2 within a second, and in process the store keeps the
+    size it had after stage 2.  The child's address space is capped at
+    2 GiB, with one BLAS thread so that the cap does not depend on the core
+    count."""
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = desk\nstage_count = 3\nword_caps = 2\n")
     argv = [sys.executable, "-m", "freebanach.cli", "build", "--config", str(path),
@@ -503,8 +507,13 @@ def test_closure_space_counted_before_it_is_built(tmp_path):
                           preexec_fn=_limit_memory)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == EXIT_USAGE
-    assert proc.stderr == "error: rank-0 closure space 37459269^2 exceeds pair_cell_budget\n"
+    assert proc.stderr == "error: stage-3 metric members space 23717^2 exceeds pair_cell_budget\n"
     assert elapsed < 1.0
+    cfg = Config.from_file(str(path))
+    refused = Universe(cfg)
+    with pytest.raises(MetricExtensionError, match="stage-3 metric members space"):
+        refused.build()
+    assert len(refused.store) == len(Universe(dataclasses.replace(cfg, stage_count=2)).build().store)
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,11 @@ STAGE1_COSTS = [F(1), F(1), F(2)]
 
 def test_stage1_molecule_values():
     lp = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
-    assert lp.solve((F(1), F(0))) == 1          # gamma(x - e)
-    assert lp.solve((F(1, 2), F(-1, 2))) == 1   # half of x - x^-1
-    assert lp.solve((F(1), F(-1))) == 2
-    assert lp.solve((F(0), F(0))) == 0
-    assert lp.solve((F(2), F(2))) == 4
+    assert lp.solve_full((F(1), F(0))) == 1          # gamma(x - e)
+    assert lp.solve_full((F(1, 2), F(-1, 2))) == 1   # half of x - x^-1
+    assert lp.solve_full((F(1), F(-1))) == 2
+    assert lp.solve_full((F(0), F(0))) == 0
+    assert lp.solve_full((F(2), F(2))) == 4
 
 
 def test_certificates():
@@ -48,9 +48,9 @@ def test_certificates():
 def test_infeasible_target():
     mols = [(F(1), F(0), F(1)), (F(0), F(1), F(1))]
     lp = MoleculeLP(mols, [F(1), F(3)])
-    assert lp.solve((F(2), F(1), F(3))) == 5
+    assert lp.solve_full((F(2), F(1), F(3))) == 5
     with pytest.raises(InfeasibleLP):
-        lp.solve((F(1), F(0), F(0)))
+        lp.solve_full((F(1), F(0), F(0)))
     assert basic_solution_oracle(mols, [F(1), F(3)], (F(1), F(0), F(0))) is None
 
 
@@ -63,7 +63,7 @@ def test_warm_restart_many_targets():
     targets = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(3)) for _ in range(60)]
     for t, want in zip(targets, basic_solution_values(mols, costs, targets)):
         try:
-            got = lp.solve(t)
+            got = lp.solve_full(t)
         except InfeasibleLP:
             got = None
         assert got == want
@@ -82,7 +82,7 @@ def test_oracle_optimum_on_one_molecule_of_a_rank_3_set():
     costs = [F(1), F(1), F(1), F(1)]
     target = (F(2), F(2), F(2))
     assert basic_solution_oracle(mols, costs, target) == 2
-    assert MoleculeLP(mols, costs).solve(target) == 2
+    assert MoleculeLP(mols, costs).solve_full(target) == 2
 
 
 def test_oracle_on_a_proper_subspace():
@@ -93,7 +93,7 @@ def test_oracle_on_a_proper_subspace():
     costs = [F(1), F(3), F(3), F(1)]
     targets = [(F(2), F(1), F(3)), (F(1), F(0), F(0)), (F(0), F(0), F(0))]
     assert basic_solution_values(mols, costs, targets) == [F(7, 2), None, 0]
-    assert MoleculeLP(mols, costs).solve(targets[0]) == F(7, 2)
+    assert MoleculeLP(mols, costs).solve_full(targets[0]) == F(7, 2)
 
 
 def test_oracle_residual_check_refuses_a_faulty_elimination(monkeypatch):
@@ -156,14 +156,14 @@ def test_solve_matches_oracle_property(program):
             continue
         [(v, k)] = lp.solve_many([t])
         value, beta, dual = lp.certificate(k, t)
-        assert value == v == want == lp.solve(t)
+        assert value == v == want == lp.solve_full(t)
         assert check.dual_feasible(dual) and check.certifies(t, value, beta, dual)
 
 
 @given(molecule_programs())
 @settings(max_examples=150, deadline=None)
 def test_solve_many_matches_solve_and_oracle_property(program):
-    """The batch values equal per-target ``solve`` and the oracle, each
+    """The batch values equal per-target ``solve_full`` and the oracle, each
     target's cached basis certifies it, a second batch is served from the
     cache alone, and an infeasible target makes the batch raise."""
     mols, costs, targets = program
@@ -172,7 +172,7 @@ def test_solve_many_matches_solve_and_oracle_property(program):
     single, batch, check = MoleculeLP(mols, costs), MoleculeLP(mols, costs), Certifier(mols, costs)
     solved = batch.solve_many(feasible)
     assert [v for v, _ in solved] == [w for w in want if w is not None]
-    assert [v for v, _ in solved] == [single.solve(t) for t in feasible]
+    assert [v for v, _ in solved] == [single.solve_full(t) for t in feasible]
     for t, (v, k) in zip(feasible, solved):
         value, beta, dual = batch.certificate(k, t)
         assert value == v
@@ -260,7 +260,7 @@ def test_solve_many_python_int_path_matches_oracle(monkeypatch, case):
     got = MoleculeLP(mols, costs).solve_many(targets)
     assert object in products
     assert [v for v, _ in got] == want
-    assert want == [MoleculeLP(mols, costs).solve(t) for t in targets]
+    assert want == [MoleculeLP(mols, costs).solve_full(t) for t in targets]
 
 
 def test_warm_pivots_past_the_int64_bound_run_on_python_ints(monkeypatch):
@@ -282,7 +282,7 @@ def test_warm_pivots_past_the_int64_bound_run_on_python_ints(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_pivot", spy)
     lp = MoleculeLP(mols, costs)
-    first = lp.solve(targets[0])
+    first = lp.solve_full(targets[0])
     dtypes.clear()
     got = [first] + [v for v, _ in lp.solve_many(targets[1:])]
     assert lp.pivots > 0 and object in dtypes

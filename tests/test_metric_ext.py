@@ -1,4 +1,5 @@
-"""Metric extension: base case, delta seeds, extension equality, oracle."""
+"""Metric extension: base case, delta seeds, the rank-0 certificate,
+extension equality, oracle."""
 
 import dataclasses
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ from itertools import product
 import pytest
 
 from freebanach import Config, Universe, UNIT_ID
-from freebanach.cli import EXIT_USAGE, main
+from freebanach import cli
+from freebanach.cli import EXIT_USAGE, export_tables, import_universe, main
 from freebanach.metric_ext import (
+    MetricExtensionError,
     check_extension_metric,
     delta_general,
     delta_rank0_closure,
@@ -17,7 +20,7 @@ from freebanach.metric_ext import (
 from freebanach.oracles import check_rho_oracle, rho_oracle_mismatches
 from freebanach.relax import ConstraintSystem, Equality, UpperCombo, relax_fixpoint
 from freebanach.scalars import Dyadic
-from freebanach.verify import check_biinvariance, perturbed
+from freebanach.verify import check_biinvariance, check_suites, perturbed
 
 
 def test_rho1_base_case(exact_universe):
@@ -68,7 +71,7 @@ def test_delta_rank0_diagonal_and_direct(desk_universe):
     u = desk_universe
     s3, s2 = u.stage(3), u.stage(2)
     x = u.x_id
-    rank0 = delta_rank0_closure(u, s3, s2, u.cfg)
+    rank0, _, _ = delta_rank0_closure(u, s3, s2, u.cfg)
     assert rank0.get(x, x) == 0
     # m = 1 factorization bound: delta(x, e) <= ||x - e||_2 = 1, and the
     # closure cannot undercut the true distance 1
@@ -86,19 +89,19 @@ def test_delta_rank0_infeasible_cell(desk_universe):
     assert neg_x is not None and store.rank(neg_x) == 0
     neg_x_inv = store.lookup(store.group_inv(neg_x))
     assert neg_x_inv is not None
-    assert delta_rank0_closure(u, s3, s2, u.cfg).get(neg_x_inv, UNIT_ID) is None
+    assert delta_rank0_closure(u, s3, s2, u.cfg)[0].get(neg_x_inv, UNIT_ID) is None
     # yet the relaxed metric is finite there (inversion rule):
     assert u.rho(s3, neg_x_inv, UNIT_ID) == u.rho(s3, neg_x, UNIT_ID)
 
 
 def test_delta_has_no_positive_rank_clause(rank_universe):
-    """delta's closure clauses hold pairs of rank-0 members only: the rho
-    rules alone give a positive-rank pair its value.  They still reach 1 at
+    """delta_0's cells hold pairs of rank-0 members only: the rho rules
+    alone give a positive-rank pair its value.  They still reach 1 at
     (g, g^-1) and at (x, g), for g = 1/2 x + 1/2 x^-1."""
     u = rank_universe
     s3, s2 = u.stage(3), u.stage(2)
     store = u.store
-    table = delta_general(u, delta_rank0_closure(u, s3, s2, u.cfg))
+    table = delta_general(u, delta_rank0_closure(u, s3, s2, u.cfg)[0])
     positive = {m for m in s3.members if store.rank(m) > 0}
     assert positive and table.values
     assert not [k for k in table.values if positive.intersection(k)]
@@ -132,7 +135,7 @@ def test_delta_cap2_upper_bound():
     x = u.x_id
     xx = store.lookup(store.group_mul(x, x))
     assert xx in stage3.member_set
-    val = delta_rank0_closure(u, stage3, s2, u.cfg).get(xx, UNIT_ID)
+    val = delta_rank0_closure(u, stage3, s2, u.cfg)[0].get(xx, UNIT_ID)
     assert val is not None and val <= 2
 
 
@@ -201,12 +204,18 @@ def test_check_rho_oracle_line():
     assert check_rho_oracle() == ("stage-3 metric vs factorization oracle (105 pairs, depth 5)", True)
 
 
+def _dominance(universe):
+    """The rank-0 dominance section of stage 3."""
+    [report] = [r for r in check_biinvariance(universe, universe.stage(3)).reports if r.suite.startswith("rank-0")]
+    return report
+
+
 def test_closure_sweep_counts(desk_universe, rank_universe):
     """The pair closures keep the sweep semantics (snapshot sources, live
     generator costs in generator order), so their sweep counts are fixed:
-    ``bench`` shows them as ``delta_sweeps`` and ``rho_sweeps``."""
-    assert rank_universe.stage(3).notes["delta_sweeps"] == 5
-    assert desk_universe.stage(3).notes["delta_sweeps"] == 5
+    ``bench`` shows ``rho_sweeps``, and the rank dominance report's meta
+    ``delta_sweeps`` (desk runs no rank-0 closure)."""
+    assert _dominance(rank_universe).meta["delta_sweeps"] == 5
     desk3 = desk_universe.stage(3).notes
     assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)
     rank3 = rank_universe.stage(3).notes
@@ -214,14 +223,94 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
 
 
 def test_closure_entry_counts(desk_universe, rank_universe):
-    """The source cells each closure composed over its sweeps, which
-    ``bench`` shows as ``delta_entries`` and ``rho_entries``.  Every block
-    of every generator in every sweep comes to 13 620 250 and 115 926 on
-    rank, 213 010 and 3 102 968 on desk; the generators with a finite cost
-    alone, to 13 620 250, 112 230, 213 010 and 3 055 928."""
-    rank3, desk3 = rank_universe.stage(3).notes, desk_universe.stage(3).notes
-    assert (rank3["delta_entries"], rank3["rho_entries"]) == (7_505_606, 75_804)
-    assert (desk3["delta_entries"], desk3["rho_entries"]) == (107_006, 2_606_694)
+    """The source cells each closure composed over its sweeps: the rank
+    dominance report's meta ``delta_entries`` and the notes' ``rho_entries``,
+    which ``bench`` shows.  Every block of every generator in every sweep
+    comes to 13 620 250 and 115 926 on rank, 3 102 968 for desk's rho; the
+    generators with a finite cost alone, to 13 620 250, 112 230 and
+    3 055 928."""
+    assert _dominance(rank_universe).meta["delta_entries"] == 7_505_606
+    assert rank_universe.stage(3).notes["rho_entries"] == 75_804
+    assert desk_universe.stage(3).notes["rho_entries"] == 2_606_694
+
+
+def test_rank0_dominance_certifies_rank_and_catches_a_raised_entry(rank_universe):
+    """Rank stage 3 closes over its members space at expansion 2, so its
+    table is certified below delta_0 on all 276 of delta_0's cells.  One
+    entry raised above delta_0 on such a cell fails the section, which
+    names that pair and only it."""
+    u = rank_universe
+    report = _dominance(u)
+    assert report.ok and not report.vacuous and report.attempted == 276
+    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0]).values
+    (key, bound), *_ = sorted(delta0.items())
+    bad = _dominance(perturbed(u, 3, key, bound - u.rho(u.stage(3), *key) + F(1, 2)))
+    assert not bad.ok and bad.passed == 275
+    assert [ce["pair"] for ce in bad.counterexamples] == [key]
+
+
+def test_rank0_dominance_runs_on_an_imported_export(rank_universe, tmp_path):
+    """The case comes from the config and the stage's letters, not from the
+    build's notes, which an import does not have: an imported rank export
+    runs the certificate and passes on the same cells."""
+    path = tmp_path / "rank.json"
+    export_tables(rank_universe, str(path))
+    imported = import_universe(str(path))
+    assert not imported.stage(3).notes
+    report = _dominance(imported)
+    assert report.ok and report.attempted == _dominance(rank_universe).attempted == 276
+
+
+def test_rank0_dominance_vacuous_where_proved(desk_universe):
+    """Desk stage 3 closes over its ambient space: the section attempts
+    nothing and names the proof."""
+    report = _dominance(desk_universe)
+    assert report.ok and report.vacuous and report.attempted == 0
+    assert report.meta == {"proof": "metric_ext docstring: ambient space"}
+
+
+@pytest.fixture(scope="module")
+def desk_cap2_universes():
+    """3-stage desk with word caps (1, 2) at the default expansion and at
+    expansion 1: 197 stage-3 words."""
+    cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2))
+    return Universe(cfg).build(), Universe(dataclasses.replace(cfg, ambient_expansion=1)).build()
+
+
+def test_word_cap_two_builds_at_the_default_expansion(desk_cap2_universes):
+    """Without the rank-0 closure in the build, 3-stage desk at word caps
+    (1, 2) builds at the default expansion, over its members space, with
+    the expansion-1 table; at expansion 1 every suite passes."""
+    default, expansion_one = desk_cap2_universes
+    assert len(default.stage(3).members) == 197
+    assert default.stage(3).notes["rho_mode"] == "members"
+    assert default.stage(3).table == expansion_one.stage(3).table
+    suite = check_suites(expansion_one)
+    assert suite.ok, suite.render()
+    assert _dominance(expansion_one).vacuous
+
+
+def test_word_cap_two_certificate_over_budget_exits_2(desk_cap2_universes, tmp_path, monkeypatch, capsys):
+    """At the default expansion delta_0's space there is 4299 words, whose
+    pairs exceed the default budget: the certificate is refused with exit 2
+    naming pair_cell_budget, never passed."""
+    default, _ = desk_cap2_universes
+    with pytest.raises(MetricExtensionError, match=r"rank-0 closure space 4299\^2 exceeds pair_cell_budget"):
+        _dominance(default)
+    monkeypatch.setattr(cli, "_build", lambda cfg: default)
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = desk\nstage_count = 3\nword_caps = 1 2\n")
+    assert main(["verify", "--suite", "biinvariance", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: rank-0 closure space 4299^2 exceeds pair_cell_budget\n"
+
+
+def test_rank_word_cap_two_exits_2(tmp_path, capsys):
+    """Rank at word caps (1, 2) has 2117 stage-3 words; their members space
+    exceeds the default pair-cell budget, so the stage is refused (exit 2)."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[build]\npreset = rank\nword_caps = 1 2\n")
+    assert main(["norm", "x", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: stage-3 metric members space 2117^2 exceeds pair_cell_budget\n"
 
 
 def test_rho_at_expansion_one_ignores_the_budget(tmp_path, capsys):
@@ -237,8 +326,9 @@ def test_rho_at_expansion_one_ignores_the_budget(tmp_path, capsys):
     fitted = Universe(dataclasses.replace(cfg, pair_cell_budget=15**2)).build()
     assert fitted.stage(3).notes["rho_mode"] == "ambient"
     assert fitted.stage(3).table == default.stage(3).table
-    tri, _ = check_biinvariance(fitted, fitted.stage(3)).reports
+    tri, _, dominance = check_biinvariance(fitted, fitted.stage(3)).reports
     assert tri.ok and tri.attempted == 15**3
+    assert dominance.vacuous and dominance.meta["proof"] == "metric_ext docstring: expansion 1"
     path = tmp_path / "conf.ini"
     path.write_text(
         "[build]\npreset = desk\nstage_count = 3\nambient_expansion = 1\npair_cell_budget = 224\n"

@@ -64,8 +64,8 @@ def test_vacuous_sections_reported(desk_universe):
     "preset, sections, bound, preservation",
     [
         pytest.param("exact", 19, 85, 472, id="exact"),
-        pytest.param("rank", 27, 1110, 690, id="rank"),
-        pytest.param("desk", 32, 6679, 751, id="desk"),
+        pytest.param("rank", 28, 1110, 690, id="rank"),
+        pytest.param("desk", 33, 6679, 751, id="desk"),
     ],
 )
 def test_section_names_unique(preset, sections, bound, preservation, request):
