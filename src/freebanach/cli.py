@@ -3,7 +3,8 @@
 Subcommands: build, dist, norm, verify, oracle, bench.  Exit codes: 0 on
 success, 1 on verification failure (or a ``bench`` round trip whose bytes
 differ), 2 on usage, config, evaluation, construction (a relaxation or
-molecule program that cannot finish within the config) or export-document
+molecule program that cannot finish within the config, or a metric table
+that fails its rank-0 certificate, ``_certify``) or export-document
 errors.  Exports (format version 2, see ``export_document``) are
 deterministic byte-for-byte for a fixed config: values are integer pairs,
 never decimals, and field order is fixed.
@@ -23,7 +24,7 @@ from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
 from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
 from .terms import AlgebraError
-from .verify import SUITES, SuiteReport, check_conditions, check_suites
+from .verify import SUITES, SuiteReport, check_conditions, check_rank0_dominance, check_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -200,13 +201,36 @@ def _build(cfg: Config) -> Universe:
     return Universe(cfg).build()
 
 
+def _certify(universe) -> list:
+    """The rank-0 dominance section of each word stage from stage 3
+    (``verify.check_rank0_dominance``), which ``build``, ``dist`` and
+    ``norm`` run on their fresh build before they export or answer: a table
+    closed over the members space at ambient_expansion >= 2 is the
+    construction's only where it passes.  A failing section is a
+    construction error (exit 2), as is a delta_0 space over
+    ``pair_cell_budget``; either way nothing is exported.  ``verify`` runs
+    the same section in its biinvariance suite."""
+    reports = []
+    for stage in universe.stages:
+        if stage.kind == "word" and stage.index >= 3:
+            report = check_rank0_dominance(universe, stage)
+            if not report.ok:
+                from .metric_ext import MetricExtensionError
+
+                raise MetricExtensionError(f"stage-{stage.index} metric exceeds the rank-0 clause on "
+                                           f"{report.attempted - report.passed} of {report.attempted} delta_0 cells")
+            reports.append(report)
+    return reports
+
+
 def cmd_build(args) -> int:
     cfg = _load_config(args)
     universe = _build(cfg)
+    certificate = _certify(universe)
     suite = check_conditions(universe)
     export_tables(universe, args.out, suite)
     print(f"built stages 0..{universe.top.index}; export written to {args.out}")
-    print(suite.render())
+    print(SuiteReport(suite.reports + certificate).render())
     return EXIT_OK if suite.ok else EXIT_VERIFICATION
 
 
@@ -217,6 +241,7 @@ def _eval_arg(universe, text: str) -> int:
 def cmd_dist(args) -> int:
     cfg = _load_config(args)
     universe = _build(cfg)
+    _certify(universe)
     a = _eval_arg(universe, args.e1)
     b = _eval_arg(universe, args.e2)
     if a == b:
@@ -240,6 +265,7 @@ def cmd_dist(args) -> int:
 def cmd_norm(args) -> int:
     cfg = _load_config(args)
     universe = _build(cfg)
+    _certify(universe)
     eid = _eval_arg(universe, args.e)
     for stage in universe.stages:
         if stage.sealed and stage.kind == "vector" and eid in stage.member_set:

@@ -21,10 +21,10 @@ at most its seed; both closures compose on both sides; and its word space
 lies inside the ambient one (fewer letters, the same length bound).  So
 rho <= delta_0 already.  At ambient_expansion 1 the members space is the
 ambient space.  In the members space at expansion >= 2 (the rank preset)
-the table f is certified instead ("rank-0 dominance" in
-``verify.check_biinvariance``): the fixpoint g with the clause lies below
-f, and f <= delta_0 wherever delta_0 has a value makes f closed and below
-all of g's seeds, so f = g.
+the table f is certified instead (``verify.check_rank0_dominance``, which
+``cli._certify`` runs before a command exports or answers): the fixpoint
+g with the clause lies below f, and f <= delta_0 wherever delta_0 has a
+value makes f closed and below all of g's seeds, so f = g.
 
 No pair holding a positive-rank member needs a clause: each f closed
 under those rules and below delta lies below every clause such a pair
@@ -88,17 +88,24 @@ def _norm_of_diff(universe, prev, a: int, b: int) -> Optional[Fraction]:
     return prev.table[diff]
 
 
-def _closure_space(store, members, lengths, cfg, what: str) -> WordSpace:
-    """The words of the first of ``lengths`` whose pairs fit
-    ``pair_cell_budget``, over the signed letters of the members' words
-    (first-occurrence order).  Sizes are counted before any word is built,
-    and a typed error refuses the closure when no length fits."""
+def _closure_len(store, members, lengths, cfg, what: str) -> tuple[list, int]:
+    """The signed letters of the members' words (first-occurrence order)
+    and the first of ``lengths`` whose words' pairs fit
+    ``pair_cell_budget``.  Sizes are counted, no word is built, and a typed
+    error refuses the closure when no length fits."""
     alphabet = list(dict.fromkeys(letter for m in members for letter in store.word_of(m)))
     for max_len in lengths:
         size = count_words(alphabet, max_len)
         if size**2 <= cfg.pair_cell_budget:
-            return WordSpace(alphabet, max_len)
+            return alphabet, max_len
     raise MetricExtensionError(f"{what} space {size}^2 exceeds pair_cell_budget")
+
+
+def rho_space_len(universe, stage, cfg) -> tuple[list, int]:
+    """``rho_extend``'s closure space as ``_closure_len``: the ambient
+    length when its pairs fit ``pair_cell_budget``, else the word cap."""
+    lengths = [cfg.ambient_expansion * stage.word_cap, stage.word_cap]
+    return _closure_len(universe.store, stage.members, lengths, cfg, f"stage-{stage.index} metric members")
 
 
 def delta_rank0_closure(universe, stage, prev, cfg):
@@ -115,7 +122,7 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     """
     store = universe.store
     lengths = [cfg.ambient_expansion * stage.word_cap]
-    space = _closure_space(store, prev.members, lengths, cfg, "rank-0 closure")
+    space = WordSpace(*_closure_len(store, prev.members, lengths, cfg, "rank-0 closure"))
     engine = PairComposition(space)
     # every prev member's word lies in the space: its length is at most the stage's cap
     atoms = {m: space.idx(store.word_of(m)) for m in prev.members}
@@ -199,13 +206,6 @@ def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
     }
 
 
-def rho_space(universe, stage, cfg) -> WordSpace:
-    """The word space of ``rho_extend``'s closure: the ambient words when
-    their pairs fit ``pair_cell_budget``, else the stage's own words."""
-    lengths = [cfg.ambient_expansion * stage.word_cap, stage.word_cap]
-    return _closure_space(universe.store, stage.members, lengths, cfg, f"stage-{stage.index} metric members")
-
-
 def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     """The greatest symmetric function below delta satisfying inversion
     equality, product splitting, convexity and the triangle inequality;
@@ -261,11 +261,11 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
         return _base_case_table(universe, stage, cfg)
 
     members = stage.members
-    space = rho_space(universe, stage, cfg)
-    table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), space)
+    alphabet, max_len = rho_space_len(universe, stage, cfg)
+    table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), WordSpace(alphabet, max_len))
     stage.notes["rho_sweeps"] = sweeps
     stage.notes["rho_entries"] = entries
-    stage.notes["rho_mode"] = "ambient" if space.max_len == cfg.ambient_expansion * stage.word_cap else "members"
+    stage.notes["rho_mode"] = "ambient" if max_len == cfg.ambient_expansion * stage.word_cap else "members"
 
     for i, a in enumerate(members):
         for b in members[i + 1 :]:

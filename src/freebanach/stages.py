@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .lp import _absmax, _fit
-from .metric_ext import MetricExtensionError
 from .norm_ext import scalar_shift
 from .scalars import Dyadic, full_scalar_set
 from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words
@@ -368,6 +367,8 @@ class Universe:
                 f"(budget {self.cfg.member_budget})"
             )
         if count**2 > self.cfg.pair_cell_budget:  # the metric's members space, before any word is interned
+            from .metric_ext import MetricExtensionError
+
             raise MetricExtensionError(f"stage-{n} metric members space {count}^2 exceeds pair_cell_budget")
         members = store.intern_words(WordSpace(letters, cap).words)
         return Stage(

@@ -490,8 +490,8 @@ def check_conditions(universe, budget: Optional[int] = None, seed: Optional[int]
 def check_biinvariance(universe, stage) -> SuiteReport:
     """The triangle inequality and the two-sided translation-invariance
     equalities on one word stage, both exhaustive, and from stage 3 on the
-    rank-0 dominance certificate (``_rank0_dominance``).  The splitting
-    inequality they follow from is checked once, as condition 3."""
+    rank-0 dominance certificate (``check_rank0_dominance``).  The
+    splitting inequality they follow from is checked once, as condition 3."""
     R, _ = _metric_matrix(universe, stage)
     n = len(stage.members)
     tri = VerificationReport(suite=f"triangle inequality stage {stage.index}")
@@ -519,25 +519,26 @@ def check_biinvariance(universe, stage) -> SuiteReport:
             for i, j in bad[:3]:
                 pair = (stage.members[idx[i]], stage.members[idx[j]])
                 trans.add_counterexample(g=stage.members[g], pair=pair, side=side)
-    return SuiteReport([tri, trans] + ([_rank0_dominance(universe, stage)] if stage.index >= 3 else []))
+    return SuiteReport([tri, trans] + ([check_rank0_dominance(universe, stage)] if stage.index >= 3 else []))
 
 
-def _rank0_dominance(universe, stage) -> VerificationReport:
+def check_rank0_dominance(universe, stage) -> VerificationReport:
     """rho <= delta_0 on every pair where delta_0, the construction's
     rank-0 clause, has a value (``delta_general`` of the rank-0 closure).
     That certifies the table as the fixpoint with the clause seeded
-    (``metric_ext`` docstring) where no proof covers it: the case is
-    ``rho_extend``'s own space rule, read off the config and the stage's
-    letters.  In the members space at ambient_expansion >= 2 every cell is
-    checked, with the closure's sweeps and entries in the meta; a delta_0
-    space over ``pair_cell_budget`` raises ``MetricExtensionError``.
-    Elsewhere (the ambient space, or expansion 1) the section is vacuous
-    and names the proof."""
-    from .metric_ext import delta_general, delta_rank0_closure, rho_space
+    (``metric_ext`` docstring) where no proof covers it.  The case is
+    ``rho_extend``'s own space rule, counted from the config and the
+    stage's letters, so an imported stage runs it too.  In the members
+    space at ambient_expansion >= 2 every cell is checked, with the
+    closure's sweeps and entries in the meta; a delta_0 space over
+    ``pair_cell_budget`` raises ``MetricExtensionError``.  Elsewhere (the
+    ambient space, or expansion 1) the section is vacuous and names the
+    proof."""
+    from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
 
     cfg = universe.cfg
     report = VerificationReport(suite=f"rank-0 dominance stage {stage.index}")
-    if rho_space(universe, stage, cfg).max_len == cfg.ambient_expansion * stage.word_cap:
+    if rho_space_len(universe, stage, cfg)[1] == cfg.ambient_expansion * stage.word_cap:
         report.vacuous = True
         report.meta["proof"] = "metric_ext docstring: " + (
             "ambient space" if cfg.ambient_expansion > 1 else "expansion 1")

@@ -662,3 +662,13 @@ def test_export_bytes_pinned(preset, request):
     u = request.getfixturevalue(f"{preset}_universe")
     data = export_bytes(u, check_conditions(u))
     assert hashlib.sha256(data).hexdigest() == EXPORT_DIGESTS[preset]
+
+
+def test_build_certifies_rank_before_it_exports(tmp_path, capsys):
+    """``build`` on rank runs the stage-3 rank-0 dominance certificate and
+    prints it after the conditions; the export is the pinned one, whose
+    verification section stays the conditions report."""
+    out = tmp_path / "rank.json"
+    assert main(["build", "--preset", "rank", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\n[pass] rank-0 dominance stage 3: 276/276\noverall: pass\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS["rank"]

@@ -214,7 +214,9 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
     """The pair closures keep the sweep semantics (snapshot sources, live
     generator costs in generator order), so their sweep counts are fixed:
     ``bench`` shows ``rho_sweeps``, and the rank dominance report's meta
-    ``delta_sweeps`` (desk runs no rank-0 closure)."""
+    ``delta_sweeps`` (desk at the default budget runs no rank-0 closure;
+    ``test_rank0_dominance_certifies_desk_in_its_members_space`` pins one
+    that does)."""
     assert _dominance(rank_universe).meta["delta_sweeps"] == 5
     desk3 = desk_universe.stage(3).notes
     assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)
@@ -269,6 +271,36 @@ def test_rank0_dominance_vacuous_where_proved(desk_universe):
     assert report.meta == {"proof": "metric_ext docstring: ambient space"}
 
 
+def test_rank0_dominance_certifies_desk_in_its_members_space():
+    """At pair_cell_budget 38000 desk stage 3 closes over its members
+    space, so the certificate runs: all 36 delta_0 cells pass.  Its closure
+    keeps the sweep semantics, so its counts are fixed: 5 sweeps composing
+    107 006 source cells (213 010 over every block of every generator)."""
+    cfg = dataclasses.replace(Config.desk(stage_count=3), pair_cell_budget=38000)
+    u = Universe(cfg).build()
+    assert u.stage(3).notes["rho_mode"] == "members"
+    report = _dominance(u)
+    assert report.ok and not report.vacuous and report.attempted == 36
+    assert report.meta == {"delta_sweeps": 5, "delta_entries": 107_006}
+
+
+def test_cli_refuses_a_table_the_certificate_fails(rank_universe, tmp_path, monkeypatch, capsys):
+    """``build``, ``dist`` and ``norm`` certify their fresh build: a rank
+    stage-3 entry raised above delta_0 is a construction error (exit 2),
+    and ``build`` writes no export."""
+    u = rank_universe
+    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0]).values
+    (key, bound), *_ = sorted(delta0.items())
+    bad = perturbed(u, 3, key, bound - u.rho(u.stage(3), *key) + F(1, 2))
+    monkeypatch.setattr(cli, "_build", lambda cfg: bad)
+    out = tmp_path / "x.json"
+    message = "error: stage-3 metric exceeds the rank-0 clause on 1 of 276 delta_0 cells\n"
+    for argv in (["build", "--out", str(out)], ["dist", "x", "e"], ["norm", "x"]):
+        assert main([*argv, "--preset", "rank"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def desk_cap2_universes():
     """3-stage desk with word caps (1, 2) at the default expansion and at
@@ -293,15 +325,20 @@ def test_word_cap_two_builds_at_the_default_expansion(desk_cap2_universes):
 def test_word_cap_two_certificate_over_budget_exits_2(desk_cap2_universes, tmp_path, monkeypatch, capsys):
     """At the default expansion delta_0's space there is 4299 words, whose
     pairs exceed the default budget: the certificate is refused with exit 2
-    naming pair_cell_budget, never passed."""
+    naming pair_cell_budget, never passed, by ``verify`` and by every
+    command that certifies its build, so ``build`` writes no export."""
     default, _ = desk_cap2_universes
     with pytest.raises(MetricExtensionError, match=r"rank-0 closure space 4299\^2 exceeds pair_cell_budget"):
         _dominance(default)
     monkeypatch.setattr(cli, "_build", lambda cfg: default)
     path = tmp_path / "conf.ini"
     path.write_text("[build]\npreset = desk\nstage_count = 3\nword_caps = 1 2\n")
-    assert main(["verify", "--suite", "biinvariance", "--config", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: rank-0 closure space 4299^2 exceeds pair_cell_budget\n"
+    out = tmp_path / "x.json"
+    commands = (["verify", "--suite", "biinvariance"], ["build", "--out", str(out)], ["dist", "x", "e"], ["norm", "x"])
+    for argv in commands:
+        assert main([*argv, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: rank-0 closure space 4299^2 exceeds pair_cell_budget\n")
+    assert not out.exists()
 
 
 def test_rank_word_cap_two_exits_2(tmp_path, capsys):
