@@ -23,7 +23,7 @@ from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
 from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
-from .terms import AlgebraError
+from .terms import AlgebraError, pair_key
 from .verify import SUITES, SuiteReport, check_conditions, check_rank0_dominance, check_suites
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _cells(stage: Stage) -> list:
     members = stage.members
     if stage.kind == "vector":
         return list(members)
-    return [(a, b) if a < b else (b, a) for i, a in enumerate(members) for b in members[i + 1:]]
+    return [pair_key(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
 
 
 def export_document(universe, suite: SuiteReport | None = None) -> dict:
@@ -248,16 +248,12 @@ def cmd_dist(args) -> int:
         print("0 (identical elements)")
         return EXIT_OK
     for stage in universe.stages:
-        if not stage.sealed:
+        if not (stage.sealed and a in stage.member_set and b in stage.member_set):
             continue
-        if stage.kind == "word" and a in stage.member_set and b in stage.member_set:
-            print(f"{fraction_str(universe.rho(stage, a, b))} (stage {stage.index})")
+        value = universe.rho(stage, a, b) if stage.kind == "word" else universe.norm_of_diff(stage, a, b)
+        if value is not None:  # a vector stage carries the pair when a - b is a member
+            print(f"{fraction_str(value)} (stage {stage.index})")
             return EXIT_OK
-        if stage.kind == "vector" and a in stage.member_set and b in stage.member_set:
-            diff = universe.store.combine_id(a, b)
-            if diff is not None and diff in stage.member_set:
-                print(f"{fraction_str(stage.table[diff])} (stage {stage.index})")
-                return EXIT_OK
     print("no built stage carries this pair", file=sys.stderr)
     return EXIT_USAGE
 

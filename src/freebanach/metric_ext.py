@@ -1,6 +1,8 @@
 """Extending the norm on an even stage to a bi-invariant metric on the next
 word stage.  Stage 1 has a closed form instead: rho(x^a, x^b) = |a - b|
-(``_base_case_table``).
+(``_base_case_table``).  The extension check is
+``verify.check_extension_metric``, the factorization reference
+``oracles.rho_decomposition_oracle``.
 
 The metric is the greatest function below the auxiliary function delta
 closed under simultaneous inversion, product splitting, the two convex
@@ -46,46 +48,16 @@ x, y of positive rank, each in the previous stage P or inverse to one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .relax import PairComposition, RelaxError
-from .terms import Letters, WordSpace, count_words, reduce_concat
+from .terms import WordSpace, count_words, pair_key
+
+PairTable = dict[tuple[int, int], Fraction]  # keyed a < b, the diagonal not stored
 
 
 class MetricExtensionError(RelaxError):
     pass
-
-
-@dataclass
-class DeltaTable:
-    """Symmetric per-pair bounds; absent key means +infinity (no clause)."""
-
-    values: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    @staticmethod
-    def key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
-    def get(self, a: int, b: int) -> Optional[Fraction]:
-        if a == b:
-            return Fraction(0)
-        return self.values.get(self.key(a, b))
-
-    def put_min(self, a: int, b: int, value: Fraction) -> None:
-        k = self.key(a, b)
-        cur = self.values.get(k)
-        if cur is None or value < cur:
-            self.values[k] = value
-
-
-def _norm_of_diff(universe, prev, a: int, b: int) -> Optional[Fraction]:
-    """prev-stage norm of a - b when the difference lies in prev, else None."""
-    diff = universe.store.combine_id(a, b)
-    if diff is None or diff not in prev.member_set:
-        return None
-    return prev.table[diff]
 
 
 def _closure_len(store, members, lengths, cfg, what: str) -> tuple[list, int]:
@@ -129,7 +101,7 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     atom_cells = set()
     for a, wa in atoms.items():
         for b, wb in atoms.items():
-            val = Fraction(0) if a == b else _norm_of_diff(universe, prev, a, b)
+            val = Fraction(0) if a == b else universe.norm_of_diff(prev, a, b)
             if val is not None:
                 engine.seed(wa, wb, val)
                 atom_cells.add((wa, wb))
@@ -139,36 +111,34 @@ def delta_rank0_closure(universe, stage, prev, cfg):
 
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
     # ||a - b|| = ||b - a||), so one order of each pair is read
-    table = DeltaTable()
     cells = [(m, space.idx(store.word_of(m))) for m in stage.members]
     cells = [(m, w) for m, w in cells if w is not None]
+    table: PairTable = {}
     for i, (a, wa) in enumerate(cells):
-        for b, wb in cells[i:]:
+        for b, wb in cells[i + 1 :]:
             val = closure.get((wa, wb))
             if val is not None:
-                table.put_min(a, b, val)
+                table[pair_key(a, b)] = val
     return table, sweeps, engine.entries
 
 
-def delta_general(universe, rank0: DeltaTable) -> DeltaTable:
-    """delta_0's cells: the rank-0 closure value on each pair of distinct
-    rank-0 members.  A pair holding a positive-rank member needs
-    none (module docstring), so its closure cells are factor bookkeeping."""
+def delta_general(universe, rank0: PairTable) -> PairTable:
+    """delta_0's cells: the rank-0 closure value on each pair of rank-0
+    members.  A pair holding a positive-rank member needs none (module
+    docstring), so its closure cells are factor bookkeeping."""
     rank = universe.store.rank
-    return DeltaTable(
-        {(a, b): v for (a, b), v in rank0.values.items() if a != b and rank(a) == 0 == rank(b)}
-    )
+    return {(a, b): v for (a, b), v in rank0.items() if rank(a) == 0 == rank(b)}
 
 
-def delta_bounds(universe, prev) -> DeltaTable:
+def delta_bounds(universe, prev) -> PairTable:
     """delta: the rule-(a) seed, the previous norm of a - b, on every pair of
     previous-stage elements whose difference lies there."""
-    delta = DeltaTable()
+    delta: PairTable = {}
     for i, a in enumerate(prev.members):
         for b in prev.members[i + 1 :]:
-            v = _norm_of_diff(universe, prev, a, b)
+            v = universe.norm_of_diff(prev, a, b)
             if v is not None:
-                delta.put_min(a, b, v)
+                delta[pair_key(a, b)] = v
     return delta
 
 
@@ -177,7 +147,7 @@ def delta_bounds(universe, prev) -> DeltaTable:
 # ---------------------------------------------------------------------------
 
 
-def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
+def _base_case_table(universe, stage, cfg) -> PairTable:
     """Stage 1, the free group on x in words of length <= the first word
     cap, has rho(x^a, x^b) = |a - b|, where a is a word's letter-sign sum.
 
@@ -200,13 +170,13 @@ def _base_case_table(universe, stage, cfg) -> dict[tuple[int, int], Fraction]:
     word_of = universe.store.word_of
     exponent = {m: sum(sign for _, sign in word_of(m)) for m in stage.members}
     return {
-        DeltaTable.key(a, b): Fraction(abs(exponent[a] - exponent[b]))
+        pair_key(a, b): Fraction(abs(exponent[a] - exponent[b]))
         for i, a in enumerate(stage.members)
         for b in stage.members[i + 1 :]
     }
 
 
-def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
+def rho_extend(universe, stage, prev, cfg) -> PairTable:
     """The greatest symmetric function below delta satisfying inversion
     equality, product splitting, convexity and the triangle inequality;
     keys are unordered member pairs, the diagonal is implicitly zero.
@@ -269,7 +239,7 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
 
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            v = table.get(DeltaTable.key(a, b))
+            v = table.get(pair_key(a, b))
             if v is None:
                 raise MetricExtensionError(f"metric not finite on pair ({a}, {b})")
             if v <= 0:
@@ -277,7 +247,7 @@ def rho_extend(universe, stage, prev, cfg) -> dict[tuple[int, int], Fraction]:
     return table
 
 
-def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
+def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
     """The pair-composition closure of ``rho_extend``'s system over
     ``space``; returns the member-pair table, the sweep count and the
     source cells composed (``PairComposition.entries``)."""
@@ -285,7 +255,7 @@ def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
     engine = PairComposition(space, inverse=True)
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
 
-    for (a, b), val in delta.values.items():
+    for (a, b), val in delta.items():
         engine.seed(word_idx[a], word_idx[b], val)
         engine.seed(word_idx[b], word_idx[a], val)
     for i in range(len(space)):
@@ -308,133 +278,11 @@ def _rho_closure(universe, stage, delta: DeltaTable, space: WordSpace):
 
     # every family is transpose-symmetric (``rho_extend``), so one order of
     # each pair is read
-    table: dict[tuple[int, int], Fraction] = {}
+    table: PairTable = {}
     for i, a in enumerate(stage.members):
         for b in stage.members[i + 1 :]:
             v = closure.get((word_idx[a], word_idx[b]))
             if v is not None:
-                table[DeltaTable.key(a, b)] = v
+                table[pair_key(a, b)] = v
     return table, sweeps, engine.entries
 
-
-# ---------------------------------------------------------------------------
-# extension check and decomposition oracle
-# ---------------------------------------------------------------------------
-
-
-def check_extension_metric(universe, stage, prev):
-    """Condition: the new metric agrees exactly with the previous norm on
-    pairs whose difference lies in the previous stage."""
-    from .verify import VerificationReport
-
-    report = VerificationReport(suite=f"extension rho_{stage.index}")
-    for i, a in enumerate(prev.members):
-        for b in prev.members[i + 1 :]:
-            want = _norm_of_diff(universe, prev, a, b)
-            if want is None:
-                continue
-            got = stage.table.get(DeltaTable.key(a, b))
-            report.attempted += 1
-            if got == want:
-                report.passed += 1
-            else:
-                report.add_counterexample(
-                    pair=(a, b), expected=str(want), got=str(got)
-                )
-    return report
-
-
-def rho_decomposition_oracle(universe, stage, prev, cfg, delta: Optional[DeltaTable] = None):
-    """Independent minimization over aligned member factorizations.
-
-    Dijkstra from the empty pair over aligned prefix products kept within
-    the ambient length: appending a member pair (a, b) costs delta(a, b),
-    so settled distances are exactly the factorization minima.  Costs are
-    Python ints at the lcm of delta's denominators, and each distinct
-    prefix word memoizes its in-bound extensions by the distinct factor
-    words, so ``reduce_concat`` runs once per (prefix, factor) rather than
-    once per node and step.  The heap key (cost, depth, node) fixes the
-    settle order, and with it the reported depth.  Pure dict/heap/int code:
-    no word space, product table or scaled arrays shared with the
-    production closure.  Returns the table, in ``Fraction``, plus the
-    largest factor count used on any optimal path.
-
-    delta is ``delta_bounds``, the rule-(a) seeds, which leave positive-rank
-    members to the closure's rules, so this is an oracle only for stages
-    without them (desk); a stage with them needs a per-value derivation
-    check."""
-    import heapq
-    from math import lcm
-
-    store = universe.store
-    if delta is None:
-        delta = delta_bounds(universe, prev)
-    amb_len = cfg.ambient_expansion * stage.word_cap
-    # factor words (one per distinct member word) and cost[i][j] for the
-    # step by factor words i on the left and j on the right, None if delta
-    # has no clause; a repeated word pair keeps its least cost
-    factors: dict[Letters, int] = {}
-    for m in stage.members:
-        factors.setdefault(store.word_of(m), len(factors))
-    raw: dict[tuple[int, int], Fraction] = {}
-    for a in stage.members:
-        ia = factors[store.word_of(a)]
-        for b in stage.members:
-            v = delta.get(a, b)
-            k = (ia, factors[store.word_of(b)])
-            if v is not None and (k not in raw or v < raw[k]):
-                raw[k] = v
-    scale = lcm(*(v.denominator for v in raw.values()))
-    cost: list[list[Optional[int]]] = [[None] * len(factors) for _ in factors]
-    for (i, j), v in raw.items():
-        cost[i][j] = v.numerator * (scale // v.denominator)
-    words = list(factors)
-    extensions: dict[Letters, list[tuple[int, Letters]]] = {}
-
-    def extend(u: Letters) -> list[tuple[int, Letters]]:
-        ext = extensions.get(u)
-        if ext is None:
-            ext = extensions[u] = [
-                (i, w) for i, w in enumerate(reduce_concat(u, f) for f in words) if len(w) <= amb_len
-            ]
-        return ext
-
-    start = ((), ())
-    dist: dict[tuple[Letters, Letters], int] = {start: 0}
-    depth: dict[tuple[Letters, Letters], int] = {start: 0}
-    heap: list = [(0, 0, start)]
-    settled = set()
-    while heap:
-        d, k, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        u, v = node
-        right = extend(v)
-        for i, nu in extend(u):
-            row = cost[i]
-            for j, nv in right:
-                c = row[j]
-                if c is None:
-                    continue
-                nd = d + c
-                key = (nu, nv)
-                cur = dist.get(key)
-                if cur is None or nd < cur:
-                    dist[key] = nd
-                    depth[key] = k + 1
-                    heapq.heappush(heap, (nd, k + 1, key))
-    out: dict[tuple[int, int], Fraction] = {}
-    max_depth = 0
-    for i, a in enumerate(stage.members):
-        wa = store.word_of(a)
-        for b in stage.members[i + 1 :]:
-            wb = store.word_of(b)
-            candidates = [
-                (dist[k], depth[k]) for k in ((wa, wb), (wb, wa)) if k in dist
-            ]
-            if candidates:
-                val, dep = min(candidates)
-                out[DeltaTable.key(a, b)] = Fraction(val, scale)
-                max_depth = max(max_depth, dep)
-    return out, max_depth

@@ -8,7 +8,8 @@ function below gamma closed under subadditivity-with-homogeneity and the
 inverse-convex inequality.  Here gamma is computed once per stage, by
 ``norm_extend``, as the molecule gauge below; the convex recursion is never
 needed, because a stage where it would apply is refused (see the end of
-this docstring).
+this docstring).  The extension check is ``verify.check_extension_norm``,
+the Dijkstra reference ``oracles.norm_decomposition_oracle``.
 
 Molecules are the differences a - b of prev-stage pairs, each costing the
 least rho(a, b) that realizes it.  Their gauge
@@ -72,7 +73,6 @@ from .lp import MoleculeLP
 from .relax import RelaxError
 from .terms import UNIT_ID
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
@@ -174,65 +174,3 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
             raise NormExtensionError(f"zero norm on non-unit member {m}")
     return gamma
 
-
-def check_extension_norm(universe, stage, prev):
-    """The new norm agrees exactly with the previous metric on differences
-    of previous-stage elements that land in this stage."""
-    from .verify import VerificationReport
-
-    report = VerificationReport(suite=f"extension norm_{stage.index}")
-    members = prev.members
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            diff = universe.store.combine_id(a, b)
-            if diff is None or diff not in stage.member_set:
-                continue
-            want = universe.rho(prev, a, b)
-            got = stage.table.get(diff)
-            report.attempted += 1
-            if got == want:
-                report.passed += 1
-            else:
-                report.add_counterexample(pair=(a, b), expected=str(want), got=str(got))
-    return report
-
-
-def norm_decomposition_oracle(universe, stage, targets, box: Fraction) -> dict[int, Fraction]:
-    """Independent check: minimize the gamma-sum over decompositions of a
-    target into stage members whose partial sums stay inside the coordinate
-    box, by Dijkstra over partial sums (heap, dicts and Fractions only)."""
-    import heapq
-
-    basis_pos = {b: i for i, b in enumerate(stage.basis)}
-    dim = len(stage.basis)
-    gammas = []
-    for m in stage.members:
-        if m == UNIT_ID:
-            continue
-        gammas.append((universe.store.vector_fractions(m, basis_pos, dim), stage.table[m]))
-    wanted = set(targets)
-    cutoff = max(stage.table[m] for m in stage.members)
-    start = tuple(Fraction(0) for _ in range(dim))
-    dist: dict[Vec, Fraction] = {start: Fraction(0)}
-    heap: list = [(Fraction(0), start)]
-    settled: set[Vec] = set()
-    found = 0
-    while heap and found < len(wanted):
-        d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node in wanted:
-            found += 1
-        for mv, cost in gammas:
-            nd = d + cost
-            if nd > cutoff:
-                continue
-            nv = tuple(a + b for a, b in zip(node, mv))
-            if any(abs(x) > box for x in nv):
-                continue
-            cur = dist.get(nv)
-            if cur is None or nd < cur:
-                dist[nv] = nd
-                heapq.heappush(heap, (nd, nv))
-    return {i: dist[t] for i, t in enumerate(targets) if t in dist}

@@ -6,20 +6,28 @@ independent one.
 * the exact simplex against exhaustive basic-solution enumeration;
 * the second-stage norm table against the minimization over the stage-1
   pairs' differences;
-* the third-stage metric against Dijkstra over aligned factorizations;
+* the third-stage metric against Dijkstra over aligned factorizations
+  (``rho_decomposition_oracle``; ``norm_decomposition_oracle`` is its norm
+  side, Dijkstra over partial sums of members, which tests call);
 * the fourth-stage norm against exact LP optimality certificates.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 from .lp import Certifier, InfeasibleLP, MoleculeLP, basic_solution_values
+from .metric_ext import delta_bounds
+from .norm_ext import _dedupe_sign, molecule_table, scalar_shift, sign_class
 from .relax import ConstraintSystem, Equality, UpperCombo, brute_force_oracle, relax_fixpoint
 from .stages import Config, Universe
-from .terms import UNIT_ID
+from .terms import UNIT_ID, Letters, pair_key, reduce_concat
+
+Vec = tuple[Fraction, ...]
 
 
 def random_micro_system(rng: random.Random, max_indices: int = 40) -> ConstraintSystem:
@@ -128,11 +136,101 @@ def check_stage2_oracle(cfg: Config | None = None):
     return f"stage-2 norm table vs stage-1 pair oracle ({len(s2.members)} entries)", bad == 0
 
 
+def rho_decomposition_oracle(universe, stage, prev, cfg):
+    """Independent minimization over aligned member factorizations.
+
+    Dijkstra from the empty pair over aligned prefix products kept within
+    the ambient length: appending a member pair (a, b) costs delta(a, b),
+    0 when a = b, so settled distances are exactly the factorization
+    minima.  Costs are Python ints at the lcm of delta's denominators, and
+    each distinct prefix word memoizes its in-bound extensions by the
+    distinct factor words, so ``reduce_concat`` runs once per (prefix,
+    factor) rather than once per node and step.  The heap key (cost,
+    depth, node) fixes the settle order, and with it the reported depth.
+    Pure dict/heap/int code: no word space, product table or scaled arrays
+    shared with the production closure.  Returns the table, in
+    ``Fraction``, plus the largest factor count used on any optimal path.
+
+    delta is ``delta_bounds``, the rule-(a) seeds, which leave positive-rank
+    members to the closure's rules, so this is an oracle only for stages
+    without them (desk); a stage with them needs a per-value derivation
+    check."""
+    store = universe.store
+    delta = delta_bounds(universe, prev)
+    amb_len = cfg.ambient_expansion * stage.word_cap
+    # factor words (one per distinct member word) and cost[i][j] for the
+    # step by factor words i on the left and j on the right, None if delta
+    # has no clause; a repeated word pair keeps its least cost
+    factors: dict[Letters, int] = {}
+    for m in stage.members:
+        factors.setdefault(store.word_of(m), len(factors))
+    raw: dict[tuple[int, int], Fraction] = {}
+    for a in stage.members:
+        ia = factors[store.word_of(a)]
+        for b in stage.members:
+            v = Fraction(0) if a == b else delta.get(pair_key(a, b))
+            k = (ia, factors[store.word_of(b)])
+            if v is not None and (k not in raw or v < raw[k]):
+                raw[k] = v
+    scale = lcm(*(v.denominator for v in raw.values()))
+    cost: list[list[int | None]] = [[None] * len(factors) for _ in factors]
+    for (i, j), v in raw.items():
+        cost[i][j] = v.numerator * (scale // v.denominator)
+    words = list(factors)
+    extensions: dict[Letters, list[tuple[int, Letters]]] = {}
+
+    def extend(u: Letters) -> list[tuple[int, Letters]]:
+        ext = extensions.get(u)
+        if ext is None:
+            ext = extensions[u] = [
+                (i, w) for i, w in enumerate(reduce_concat(u, f) for f in words) if len(w) <= amb_len
+            ]
+        return ext
+
+    start = ((), ())
+    dist: dict[tuple[Letters, Letters], int] = {start: 0}
+    depth: dict[tuple[Letters, Letters], int] = {start: 0}
+    heap: list = [(0, 0, start)]
+    settled = set()
+    while heap:
+        d, k, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        u, v = node
+        right = extend(v)
+        for i, nu in extend(u):
+            row = cost[i]
+            for j, nv in right:
+                c = row[j]
+                if c is None:
+                    continue
+                nd = d + c
+                key = (nu, nv)
+                cur = dist.get(key)
+                if cur is None or nd < cur:
+                    dist[key] = nd
+                    depth[key] = k + 1
+                    heapq.heappush(heap, (nd, k + 1, key))
+    out: dict[tuple[int, int], Fraction] = {}
+    max_depth = 0
+    for i, a in enumerate(stage.members):
+        wa = store.word_of(a)
+        for b in stage.members[i + 1 :]:
+            wb = store.word_of(b)
+            candidates = [
+                (dist[k], depth[k]) for k in ((wa, wb), (wb, wa)) if k in dist
+            ]
+            if candidates:
+                val, dep = min(candidates)
+                out[pair_key(a, b)] = Fraction(val, scale)
+                max_depth = max(max_depth, dep)
+    return out, max_depth
+
+
 def rho_oracle_mismatches(universe):
     """The third-stage table's pairs whose value differs from the
     independent factorization search, sorted, and the search's depth."""
-    from .metric_ext import rho_decomposition_oracle
-
     s3 = universe.stage(3)
     oracle, depth = rho_decomposition_oracle(universe, s3, universe.stage(2), universe.cfg)
     return sorted(k for k, v in s3.table.items() if oracle.get(k) != v), depth
@@ -163,8 +261,6 @@ def certificate_mismatches(universe, n: int, members) -> int:
     on its class v.  Vectors and molecules are the int tuples of
     ``norm_extend``, scaled by 2^k, which leaves every value unchanged
     and scales the duals by 2^-k (``norm_ext`` docstring)."""
-    from .norm_ext import molecule_table, scalar_shift, sign_class, _dedupe_sign
-
     stage = universe.stage(n)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     dim, shift = len(stage.basis), scalar_shift(stage)
@@ -216,3 +312,42 @@ def run_all_oracles(cfg: Config):
     yield f"{line} on desk", passed
     line, passed = check_stage4_certificates(seed=cfg.seed + 2)
     yield f"{line} on desk", passed
+
+
+def norm_decomposition_oracle(universe, stage, targets, box: Fraction) -> dict[int, Fraction]:
+    """Independent check: minimize the gamma-sum over decompositions of a
+    target into stage members whose partial sums stay inside the coordinate
+    box, by Dijkstra over partial sums (heap, dicts and Fractions only)."""
+    basis_pos = {b: i for i, b in enumerate(stage.basis)}
+    dim = len(stage.basis)
+    gammas = []
+    for m in stage.members:
+        if m == UNIT_ID:
+            continue
+        gammas.append((universe.store.vector_fractions(m, basis_pos, dim), stage.table[m]))
+    wanted = set(targets)
+    cutoff = max(stage.table[m] for m in stage.members)
+    start = tuple(Fraction(0) for _ in range(dim))
+    dist: dict[Vec, Fraction] = {start: Fraction(0)}
+    heap: list = [(Fraction(0), start)]
+    settled: set[Vec] = set()
+    found = 0
+    while heap and found < len(wanted):
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node in wanted:
+            found += 1
+        for mv, cost in gammas:
+            nd = d + cost
+            if nd > cutoff:
+                continue
+            nv = tuple(a + b for a, b in zip(node, mv))
+            if any(abs(x) > box for x in nv):
+                continue
+            cur = dist.get(nv)
+            if cur is None or nd < cur:
+                dist[nv] = nd
+                heapq.heappush(heap, (nd, nv))
+    return {i: dist[t] for i, t in enumerate(targets) if t in dist}

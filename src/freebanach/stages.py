@@ -30,7 +30,7 @@ from fractions import Fraction
 from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
 from .scalars import Dyadic, full_scalar_set
-from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words
+from .terms import UNIT_ID, GenTerm, TermStore, WordSpace, count_words, pair_key
 from .universal import TargetSpace
 
 
@@ -315,9 +315,14 @@ class Universe:
         if a == b:
             return Fraction(0)
         try:
-            return stage.table[(a, b) if a <= b else (b, a)]
+            return stage.table[pair_key(a, b)]
         except KeyError:
             raise NotBuiltError(f"stage {stage.index} has no distance for the pair ({a}, {b})") from None
+
+    def norm_of_diff(self, stage: Stage, a: int, b: int) -> Fraction | None:
+        """The vector stage's norm of a - b, or None when a - b is not a member."""
+        diff = self.store.combine_id(a, b)
+        return stage.table[diff] if diff in stage.member_set else None
 
     # -- construction -----------------------------------------------------
 

@@ -109,6 +109,11 @@ def invert_word(w: Letters) -> Letters:
     return tuple((b, -s) for b, s in reversed(w))
 
 
+def pair_key(a: int, b: int) -> tuple[int, int]:
+    """The key of the unordered pair {a, b} in a word stage's table."""
+    return (a, b) if a <= b else (b, a)
+
+
 def count_words(alphabet: Iterable[tuple[int, int]], max_len: int) -> int:
     """``len(WordSpace(alphabet, max_len))`` without building the space: a
     letter whose inverse is in the alphabet has one follower fewer, so the

@@ -56,6 +56,7 @@ import numpy as np
 from .lp import InexactDivision, _absmax, _fit, _ints
 from .norm_ext import scalar_shift
 from .scalars import DY_ONE, fraction_str
+from .terms import pair_key
 
 Vec = tuple[Fraction, ...]
 
@@ -204,7 +205,7 @@ class SigmaTable:
     @cached_property
     def metric_sq(self) -> dict[int, dict[tuple[int, int], Fraction]]:
         return {
-            n: {(a, b) if a <= b else (b, a): Fraction(v, self.s_sq) for (a, b), v in zip(keys, lhs.tolist())}
+            n: {pair_key(a, b): Fraction(v, self.s_sq) for (a, b), v in zip(keys, lhs.tolist())}
             for n, (keys, lhs) in self.scaled["word"].items()
         }
 

@@ -17,6 +17,7 @@ Numbered conditions:
 1. metric zero exactly on the diagonal; norm zero exactly at the unit,
    each norm-stage member on its cell of the digit grid (``stages``)
 2. each table extends the previous one exactly on qualifying pairs
+   (``check_extension_metric``, ``check_extension_norm``)
 3. product splitting (the bi-invariance inequality) and inversion equality
 4. convexity of the metric in a convex-combination argument
 5. homogeneity and subadditivity of the norm, read off the digit grid
@@ -41,10 +42,11 @@ from typing import Optional
 
 import numpy as np
 
+from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
 from .relax import ScaleOverflowError, to_scaled
 from .scalars import common_denominator
 from .stages import NotBuiltError, off_grid_cells
-from .terms import UNIT_ID, invert_word, reduce_concat
+from .terms import UNIT_ID, invert_word, pair_key, reduce_concat
 
 COUNTEREXAMPLE_CAP = 25
 
@@ -155,7 +157,7 @@ def check_condition_1(universe) -> list[VerificationReport]:
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     report.attempted += 1
-                    v = stage.table.get((a, b) if a <= b else (b, a))
+                    v = stage.table.get(pair_key(a, b))
                     if v is not None and v > 0:
                         report.passed += 1
                     else:
@@ -175,18 +177,50 @@ def check_condition_1(universe) -> list[VerificationReport]:
     return out
 
 
-def check_condition_2(universe) -> list[VerificationReport]:
-    from .metric_ext import check_extension_metric
-    from .norm_ext import check_extension_norm
+def check_extension_metric(universe, stage, prev) -> VerificationReport:
+    """The new metric agrees exactly with the previous norm on pairs of
+    previous-stage elements whose difference lies in the previous stage."""
+    report = VerificationReport(suite=f"extension rho_{stage.index}")
+    for i, a in enumerate(prev.members):
+        for b in prev.members[i + 1 :]:
+            want = universe.norm_of_diff(prev, a, b)
+            if want is None:
+                continue
+            got = stage.table.get(pair_key(a, b))
+            report.attempted += 1
+            if got == want:
+                report.passed += 1
+            else:
+                report.add_counterexample(pair=(a, b), expected=str(want), got=str(got))
+    return report
 
+
+def check_extension_norm(universe, stage, prev) -> VerificationReport:
+    """The new norm agrees exactly with the previous metric on differences
+    of previous-stage elements that land in this stage."""
+    report = VerificationReport(suite=f"extension norm_{stage.index}")
+    for i, a in enumerate(prev.members):
+        for b in prev.members[i + 1 :]:
+            got = universe.norm_of_diff(stage, a, b)
+            if got is None:
+                continue
+            want = universe.rho(prev, a, b)
+            report.attempted += 1
+            if got == want:
+                report.passed += 1
+            else:
+                report.add_counterexample(pair=(a, b), expected=str(want), got=str(got))
+    return report
+
+
+def check_condition_2(universe) -> list[VerificationReport]:
     out = []
     for stage in universe.stages:
         if not stage.sealed or stage.index == 0:
             continue
         prev = universe.stages[stage.index - 1]
         if stage.index == 1:
-            report = VerificationReport(suite="extension rho_1", vacuous=True)
-            out.append(report)
+            out.append(VerificationReport(suite="extension rho_1", vacuous=True))
         elif stage.kind == "word":
             out.append(check_extension_metric(universe, stage, prev))
         else:
@@ -441,7 +475,6 @@ def check_condition_6(universe) -> list[VerificationReport]:
     members.  An instance there needs each z_i in that stage; on a built
     tower an interned z_i is a basis word, so it is, and none is lost."""
     out = []
-    store = universe.store
     for stage in universe.stages:
         if not stage.sealed or stage.index == 0:
             continue
@@ -450,15 +483,14 @@ def check_condition_6(universe) -> list[VerificationReport]:
             continue
         report = VerificationReport(suite=f"condition 6 even stage {stage.index}")
         prev = universe.stages[stage.index - 1]
-        for b, terms in store.convex_instances(prev, inverse=True):
+        for b, terms in universe.store.convex_instances(prev, inverse=True):
             for a in stage.members:
-                diff = store.combine_id(a, b)
-                diffs = [store.combine_id(a, z) for _, z in terms]
-                if any(d is None or d not in stage.member_set for d in (diff, *diffs)):
+                lhs = universe.norm_of_diff(stage, a, b)
+                norms = [universe.norm_of_diff(stage, a, z) for _, z in terms]
+                if lhs is None or None in norms:
                     continue
                 report.attempted += 1
-                lhs = stage.table[diff]
-                rhs = sum((alpha * stage.table[d] for (alpha, _), d in zip(terms, diffs)), Fraction(0))
+                rhs = sum((alpha * v for (alpha, _), v in zip(terms, norms)), Fraction(0))
                 if lhs <= rhs:
                     report.passed += 1
                 else:
@@ -524,7 +556,8 @@ def check_biinvariance(universe, stage) -> SuiteReport:
 
 def check_rank0_dominance(universe, stage) -> VerificationReport:
     """rho <= delta_0 on every pair where delta_0, the construction's
-    rank-0 clause, has a value (``delta_general`` of the rank-0 closure).
+    rank-0 clause, has a value: ``delta_general`` of the rank-0 closure, a
+    plain {(a, b): Fraction} dict keyed a < b like a word stage's table.
     That certifies the table as the fixpoint with the clause seeded
     (``metric_ext`` docstring) where no proof covers it.  The case is
     ``rho_extend``'s own space rule, counted from the config and the
@@ -534,8 +567,6 @@ def check_rank0_dominance(universe, stage) -> VerificationReport:
     ``pair_cell_budget`` raises ``MetricExtensionError``.  Elsewhere (the
     ambient space, or expansion 1) the section is vacuous and names the
     proof."""
-    from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
-
     cfg = universe.cfg
     report = VerificationReport(suite=f"rank-0 dominance stage {stage.index}")
     if rho_space_len(universe, stage, cfg)[1] == cfg.ambient_expansion * stage.word_cap:
@@ -545,7 +576,7 @@ def check_rank0_dominance(universe, stage) -> VerificationReport:
         return report
     rank0, sweeps, entries = delta_rank0_closure(universe, stage, universe.stage(stage.index - 1), cfg)
     report.meta.update(delta_sweeps=sweeps, delta_entries=entries)
-    for (a, b), bound in sorted(delta_general(universe, rank0).values.items()):
+    for (a, b), bound in sorted(delta_general(universe, rank0).items()):
         report.attempted += 1
         rho = universe.rho(stage, a, b)
         if rho <= bound:

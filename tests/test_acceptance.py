@@ -12,8 +12,6 @@ from fractions import Fraction as F
 from freebanach import Config, Universe, UNIT_ID
 from freebanach.cli import export_bytes
 from freebanach.lp import basic_solution_oracle
-from freebanach.metric_ext import check_extension_metric
-from freebanach.norm_ext import check_extension_norm
 from freebanach.oracles import check_lp_oracle, check_relax_oracle
 from freebanach.scalars import Dyadic
 from freebanach.universal import (
@@ -29,6 +27,8 @@ from freebanach.verify import (
     check_condition_5,
     check_condition_6,
     check_conditions,
+    check_extension_metric,
+    check_extension_norm,
     perturbed,
 )
 

@@ -1,26 +1,43 @@
 """Metric extension: base case, delta seeds, the rank-0 certificate,
 extension equality, oracle."""
 
+import ast
 import dataclasses
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from freebanach import Config, Universe, UNIT_ID
 from freebanach import cli
 from freebanach.cli import EXIT_USAGE, export_tables, import_universe, main
-from freebanach.metric_ext import (
-    MetricExtensionError,
-    check_extension_metric,
-    delta_general,
-    delta_rank0_closure,
-    rho_decomposition_oracle,
-)
-from freebanach.oracles import check_rho_oracle, rho_oracle_mismatches
+from freebanach.metric_ext import MetricExtensionError, delta_general, delta_rank0_closure
+from freebanach.oracles import check_rho_oracle, rho_decomposition_oracle, rho_oracle_mismatches
 from freebanach.relax import ConstraintSystem, Equality, UpperCombo, relax_fixpoint
 from freebanach.scalars import Dyadic
-from freebanach.verify import check_biinvariance, check_suites, perturbed
+from freebanach.terms import pair_key
+from freebanach.verify import check_biinvariance, check_extension_metric, check_suites, perturbed
+
+
+def test_extension_modules_hold_only_their_extension():
+    """``metric_ext`` and ``norm_ext`` import neither ``verify`` nor
+    ``oracles``, at module level or inside a function, and define no
+    extension check and no oracle: those live in ``verify`` and ``oracles``."""
+    from freebanach import metric_ext, norm_ext
+
+    for module in (metric_ext, norm_ext):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert not imported & {"verify", "oracles"}, module.__name__
+        defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        assert not [d for d in defined if d.endswith("_oracle") or d.startswith("check_")], module.__name__
 
 
 def test_rho1_base_case(exact_universe):
@@ -72,10 +89,10 @@ def test_delta_rank0_diagonal_and_direct(desk_universe):
     s3, s2 = u.stage(3), u.stage(2)
     x = u.x_id
     rank0, _, _ = delta_rank0_closure(u, s3, s2, u.cfg)
-    assert rank0.get(x, x) == 0
+    assert all(a < b for a, b in rank0)  # keyed like a word stage's table, no diagonal
     # m = 1 factorization bound: delta(x, e) <= ||x - e||_2 = 1, and the
     # closure cannot undercut the true distance 1
-    assert rank0.get(x, UNIT_ID) == 1
+    assert rank0[pair_key(x, UNIT_ID)] == 1
 
 
 def test_delta_rank0_infeasible_cell(desk_universe):
@@ -89,7 +106,7 @@ def test_delta_rank0_infeasible_cell(desk_universe):
     assert neg_x is not None and store.rank(neg_x) == 0
     neg_x_inv = store.lookup(store.group_inv(neg_x))
     assert neg_x_inv is not None
-    assert delta_rank0_closure(u, s3, s2, u.cfg)[0].get(neg_x_inv, UNIT_ID) is None
+    assert pair_key(neg_x_inv, UNIT_ID) not in delta_rank0_closure(u, s3, s2, u.cfg)[0]
     # yet the relaxed metric is finite there (inversion rule):
     assert u.rho(s3, neg_x_inv, UNIT_ID) == u.rho(s3, neg_x, UNIT_ID)
 
@@ -103,8 +120,8 @@ def test_delta_has_no_positive_rank_clause(rank_universe):
     store = u.store
     table = delta_general(u, delta_rank0_closure(u, s3, s2, u.cfg)[0])
     positive = {m for m in s3.members if store.rank(m) > 0}
-    assert positive and table.values
-    assert not [k for k in table.values if positive.intersection(k)]
+    assert positive and table
+    assert not [k for k in table if positive.intersection(k)]
     x = u.x_id
     xi = store.lookup(store.group_inv(x))
     g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
@@ -135,8 +152,7 @@ def test_delta_cap2_upper_bound():
     x = u.x_id
     xx = store.lookup(store.group_mul(x, x))
     assert xx in stage3.member_set
-    val = delta_rank0_closure(u, stage3, s2, u.cfg)[0].get(xx, UNIT_ID)
-    assert val is not None and val <= 2
+    assert delta_rank0_closure(u, stage3, s2, u.cfg)[0][pair_key(xx, UNIT_ID)] <= 2
 
 
 def test_extension_exact(desk_universe, rank_universe):
@@ -244,7 +260,7 @@ def test_rank0_dominance_certifies_rank_and_catches_a_raised_entry(rank_universe
     u = rank_universe
     report = _dominance(u)
     assert report.ok and not report.vacuous and report.attempted == 276
-    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0]).values
+    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0])
     (key, bound), *_ = sorted(delta0.items())
     bad = _dominance(perturbed(u, 3, key, bound - u.rho(u.stage(3), *key) + F(1, 2)))
     assert not bad.ok and bad.passed == 275
@@ -289,7 +305,7 @@ def test_cli_refuses_a_table_the_certificate_fails(rank_universe, tmp_path, monk
     stage-3 entry raised above delta_0 is a construction error (exit 2),
     and ``build`` writes no export."""
     u = rank_universe
-    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0]).values
+    delta0 = delta_general(u, delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)[0])
     (key, bound), *_ = sorted(delta0.items())
     bad = perturbed(u, 3, key, bound - u.rho(u.stage(3), *key) + F(1, 2))
     monkeypatch.setattr(cli, "_build", lambda cfg: bad)

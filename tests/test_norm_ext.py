@@ -9,14 +9,10 @@ import pytest
 
 from freebanach import UNIT_ID, Config, Universe, norm_ext
 from freebanach.lp import basic_solution_oracle
-from freebanach.norm_ext import (
-    NormExtensionError,
-    check_extension_norm,
-    norm_extend,
-    norm_decomposition_oracle,
-)
-from freebanach.oracles import certificate_mismatches
+from freebanach.norm_ext import NormExtensionError, norm_extend
+from freebanach.oracles import certificate_mismatches, norm_decomposition_oracle
 from freebanach.scalars import Dyadic
+from freebanach.verify import check_extension_norm
 
 
 def _elt(u, coeffs):

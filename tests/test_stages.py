@@ -51,6 +51,26 @@ def test_membership_examples(exact_universe):
         u.membership(x, 7)
 
 
+def test_norm_of_diff_is_the_member_difference_norm(exact_universe, rank_universe, desk_universe):
+    """On every ordered pair of previous-stage members, ``norm_of_diff`` is
+    the table value of the interned a - b when that id is a member of the
+    queried vector stage, and None otherwise.  Desk stage 2 queried on
+    stage-3 pairs meets differences interned (stage-4 members) outside it."""
+    cases = [(exact_universe, 2, 1), (rank_universe, 2, 1), (desk_universe, 4, 3), (desk_universe, 2, 3)]
+    outside = 0
+    for u, n, p in cases:
+        stage = u.stage(n)
+        for a, b in product(u.stage(p).members, repeat=2):
+            diff = u.store.combine_id(a, b)
+            got = u.norm_of_diff(stage, a, b)
+            if diff in stage.member_set:
+                assert got == stage.table[diff]
+            else:
+                assert got is None
+                outside += diff is not None
+    assert outside > 0
+
+
 def test_chain_monotone(desk_universe):
     stages = desk_universe.stages
     for prev, cur in zip(stages, stages[1:]):

@@ -31,6 +31,7 @@ from freebanach.verify import (
     check_condition_5,
     check_condition_6,
     check_conditions,
+    check_extension_metric,
     check_suites,
     perturbed,
 )
@@ -138,8 +139,6 @@ def test_fault_condition1_member_order(desk_universe):
 
 
 def test_fault_condition2_extension(desk_universe):
-    from freebanach.metric_ext import check_extension_metric
-
     u = desk_universe
     s3 = u.stage(3)
     # perturb a qualifying pair: both elements in X_2 with difference there
