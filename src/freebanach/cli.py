@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
@@ -187,13 +188,15 @@ def import_universe(path: str, cfg: Config | None = None):
 
 
 def _load_config(args) -> Config:
+    """The command's config.  It is not validated here: ``Config.from_file``
+    validates what it reads, the presets are valid, ``--seed`` changes no
+    validated field, and ``Universe`` validates its config again."""
     if args.config:
         cfg = Config.from_file(args.config)
     else:
         cfg = PRESETS[args.preset]()
     if args.seed is not None:
         cfg = Config(**{**vars(cfg), "seed": args.seed})
-    cfg.validate()
     return cfg
 
 
@@ -323,7 +326,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` parses each
+    argv into a fresh namespace, and the subcommands look their helpers up
+    at call time."""
     parser = argparse.ArgumentParser(
         prog="freebanach",
         description="finite-stage free uniform Banach group construction",
@@ -367,8 +374,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="timing table")
     common(p)
     p.set_defaults(func=cmd_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

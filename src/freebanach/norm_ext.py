@@ -6,10 +6,12 @@ weighted-l1 molecule program for the genuinely new elements, and recurses
 convexly through formal inverses of combinations; the norm is the greatest
 function below gamma closed under subadditivity-with-homogeneity and the
 inverse-convex inequality.  Here gamma is computed once per stage, by
-``norm_extend``, as the molecule gauge below; the convex recursion is never
-needed, because a stage where it would apply is refused (see the end of
-this docstring).  The extension check is ``verify.check_extension_norm``,
-the Dijkstra reference ``oracles.norm_decomposition_oracle``.
+``norm_extend``, as the molecule gauge below: in closed form on stage 2
+(``_line_norm``), by the molecule program on every later stage.  The
+convex recursion is never needed, because a stage where it would apply is
+refused (see below).  The extension check is
+``verify.check_extension_norm``, the Dijkstra reference
+``oracles.norm_decomposition_oracle``.
 
 Molecules are the differences a - b of prev-stage pairs, each costing the
 least rho(a, b) that realizes it.  Their gauge
@@ -31,6 +33,25 @@ instances the norm is G on every member:
   requires base(v) = G(v) there (the prev-member isometry check) and raises
   ``NormExtensionError`` otherwise.  So gamma, which is G(+-m) on every
   nonzero member, is the norm.
+
+Stage 2 is the free space of a subset of the line (Godard, "Tree metrics
+and their Lipschitz-free spaces", 2010), so G needs no program there.
+Stage 1 is the points x^a, |a| <= cap (its word cap), at rho_1(x^a, x^b)
+= |a - b| (``metric_ext._base_case_table``), with x^0 = e the zero
+vector, and the molecules are x^a - x^b at cost |a - b|.  A member is
+v = sum_a c_a x^a over the basis words x^a, a != 0 (a the letter-sign
+sum).  Its flow across the unit step k = -cap, ..., cap - 1 is
+F(k) = sum_{a > k} c_a for k >= 0 and -sum_{a <= k} c_a for k < 0, and
+G(v) = sum_k |F(k)|:
+
+* <=: the neighbour steps s_k = x^(k+1) - x^k are molecules of cost 1
+  between stage-1 members, and v = sum_k F(k) s_k (the coefficient of x^a
+  is F(a - 1) - F(a), with F(cap) = F(-cap - 1) = 0), at cost
+  sum_k |F(k)|.
+* >=: let phi(0) = 0 and phi(k + 1) - phi(k) = sign F(k), and L the linear
+  map with L(x^a) = phi(a).  phi is 1-Lipschitz, so |L(d)| <= c(d) on every
+  molecule, and L(v) <= sum_j |beta_j| c_j for every decomposition of v.
+  By summation by parts L(v) = sum_k F(k) sign F(k) = sum_k |F(k)|.
 
 An inverse-convex instance is a member y = c^-1, with c a convex
 combination (support >= 2) of basis elements whose inverses all lie in the
@@ -69,7 +90,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lp import MoleculeLP
+import numpy as np
+
+from .lp import MoleculeLP, _absmax, _fit
 from .relax import RelaxError
 from .terms import UNIT_ID
 
@@ -124,26 +147,36 @@ def _dedupe_sign(molecules: dict[IntVec, Fraction]) -> dict[IntVec, Fraction]:
     return out
 
 
-def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
-    """Norm table for a vector stage.
+def _line_norm(universe, stage, prev) -> dict[int, Fraction]:
+    """Stage 2's norm table in closed form, G(v) = sum_k |F(k)| (module
+    docstring).  F is one product of the member coordinates over 2^shift,
+    ``Stage.coordinates``, with the +-1/0 step matrix of the basis words'
+    letter-sign sums.  Each |F(k)| is at most dim * max|coordinate|, and
+    their sum over the 2 cap steps at most 2 cap times that: in int64 when
+    ``lp._fit``'s bound holds, else in Python ints.  Each distinct value
+    becomes one ``Fraction``.  On a prev member x^a the value must be
+    rho_1(x^a, e), as the metric's table gives it: otherwise the norm would
+    not extend the metric, and ``NormExtensionError`` is raised."""
+    word_of = universe.store.word_of
+    exponents = [sum(sign for _, sign in word_of(b)) for b in stage.basis]
+    cap, shift = prev.word_cap, scalar_shift(stage)
+    steps = np.array([[1 if a > k >= 0 else -1 if a <= k < 0 else 0 for k in range(-cap, cap)] for a in exponents],
+                     dtype=np.int64)
+    coords = stage.coordinates(shift)
+    coords, steps = _fit(2 * cap * len(exponents) * _absmax(coords), coords, steps)
+    sums = np.abs(coords @ steps).sum(axis=1).tolist()
+    den = 1 << shift
+    values = {s: Fraction(s, den) for s in set(sums)}
+    gamma = dict(zip(stage.members, map(values.__getitem__, sums)))
+    for m in prev.members:
+        rho = universe.rho(prev, m, UNIT_ID)
+        if gamma[m] != rho:
+            raise NormExtensionError(f"prev member {m}: the closed form gives {gamma[m]}, its metric value is {rho}")
+    return gamma
 
-    gamma(m) is the molecule gauge of m's +- class on every nonzero member.
-    All classes, {k, n - 1 - k} for member k, go to one
-    ``MoleculeLP.solve_many`` call in member order, which solves warm only
-    the classes its cached optimal bases do not cover; ``gamma_lp_calls``
-    counts those solves.  On a prev member the gauge must equal the
-    molecule cost of the member's own vector, its prev-metric value:
-    otherwise the norm would not extend the metric, and
-    ``NormExtensionError`` is raised.  Without an inverse-convex instance
-    the norm is gamma (module docstring); a stage with one would need at
-    least 5^24 members and is refused with ``NormExtensionError``.
-    """
-    instances = universe.store.convex_instances(stage, inverse=True)
-    if instances:
-        raise NormExtensionError(
-            f"stage {stage.index} has {len(instances)} inverse-convex instance(s), first at "
-            f"member {instances[0][0]}: not built (such a stage needs at least 5^24 members)"
-        )
+
+def _gauge_table(universe, stage, prev) -> tuple[dict[int, Fraction], MoleculeLP]:
+    """The molecule program's table for a stage after 2 (``norm_extend``)."""
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     shift = scalar_shift(stage)
     molecules = molecule_table(universe, prev, basis_pos, len(basis_pos), shift)
@@ -163,14 +196,43 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
                 f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
             )
         gamma[m] = g
-    stage.notes["gamma_lp_calls"] = len(lp.bases)
-    stage.notes["gamma_lp_pivots"] = lp.pivots
+    return gamma, lp
+
+
+def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
+    """Norm table for a vector stage.
+
+    gamma(m) is the molecule gauge of m's +- class on every nonzero member.
+    Stage 2 has it in closed form (``_line_norm``).  On a later stage all
+    classes, {k, n - 1 - k} for member k, go to one
+    ``MoleculeLP.solve_many`` call in member order, which solves warm only
+    the classes its cached optimal bases do not cover; ``gamma_lp_calls``
+    counts those solves (0 on stage 2).  On a prev member the gauge must
+    equal the member's prev-metric value, on stage 2 its distance to e and
+    later the molecule cost of its own vector: otherwise the norm would not
+    extend the metric, and ``NormExtensionError`` is raised.  Without an
+    inverse-convex instance the norm is gamma (module docstring); a stage
+    with one would need at least 5^24 members and is refused with
+    ``NormExtensionError`` before anything is solved.
+    """
+    instances = universe.store.convex_instances(stage, inverse=True)
+    if instances:
+        raise NormExtensionError(
+            f"stage {stage.index} has {len(instances)} inverse-convex instance(s), first at "
+            f"member {instances[0][0]}: not built (such a stage needs at least 5^24 members)"
+        )
+    if stage.index == 2:
+        gamma, calls, pivots = _line_norm(universe, stage, prev), 0, 0
+    else:
+        gamma, lp = _gauge_table(universe, stage, prev)
+        calls, pivots = len(lp.bases), lp.pivots
+    stage.notes["gamma_lp_calls"] = calls
+    stage.notes["gamma_lp_pivots"] = pivots
     # counters perfbench's tracer still reads on every norm stage
     stage.notes["lattice_cells"] = 0
     stage.notes["inverse_convex_instances"] = 0
 
     for m, v in gamma.items():
-        if v <= 0 and m != UNIT_ID:
+        if v.numerator <= 0 and m != UNIT_ID:  # the sign, read without a slower Fraction comparison
             raise NormExtensionError(f"zero norm on non-unit member {m}")
     return gamma
-

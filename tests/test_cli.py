@@ -417,6 +417,24 @@ def test_console_entrypoint():
     assert proc.stdout.strip() == "1 (stage 2)"
 
 
+def test_cli_calls_share_no_state(monkeypatch, capsys):
+    """``main`` keeps one parser per process, but each call parses into a
+    fresh namespace: a ``--seed`` does not carry over to the next call, and
+    each call prints its own answer."""
+    seeds = []
+
+    def build(cfg):
+        seeds.append(cfg.seed)
+        return Universe(cfg).build()
+
+    monkeypatch.setattr(cli, "_build", build)
+    assert run_cli("norm", "x", "--preset", "exact-x2", "--seed", "7") == EXIT_OK
+    assert capsys.readouterr().out == "1 (stage 2)\n"
+    assert run_cli("dist", "x", "inv(x)", "--preset", "exact-x2") == EXIT_OK
+    assert capsys.readouterr().out == "2 (stage 1)\n"
+    assert seeds == [7, Config.exact_x2().seed]
+
+
 def test_bench_runs(capsys):
     assert run_cli("bench", "--preset", "exact-x2") == EXIT_OK
     out = capsys.readouterr().out

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from freebanach import UNIT_ID, Config, Universe, norm_ext
-from freebanach.lp import basic_solution_oracle
+from freebanach import UNIT_ID, Config, Universe, metric_ext, norm_ext
+from freebanach.lp import MoleculeLP, basic_solution_oracle
 from freebanach.norm_ext import NormExtensionError, norm_extend
 from freebanach.oracles import certificate_mismatches, norm_decomposition_oracle
 from freebanach.scalars import Dyadic
+from freebanach.terms import pair_key
 from freebanach.verify import check_extension_norm
 
 
@@ -149,20 +150,21 @@ def test_homogeneity_negation(desk_universe):
 def test_gamma_lp_pivot_counts(exact_universe, rank_universe, desk_universe):
     """Dual-simplex pivots of the gamma programs, and the warm solves (one
     per cached optimal basis; the bases cover every +- class of nonzero
-    members), are deterministic."""
+    members), are deterministic.  Stage 2 is a closed form and solves
+    none."""
     def pivots(u):
         return sum(s.notes.get("gamma_lp_pivots", 0) for s in u.stages)
 
-    assert pivots(exact_universe) == 2
-    assert pivots(rank_universe) == 2
-    assert pivots(desk_universe) == 1351
+    assert pivots(exact_universe) == 0
+    assert pivots(rank_universe) == 0
+    assert pivots(desk_universe) == 1350
 
     def lp_calls(u):
         return [s.notes["gamma_lp_calls"] for s in u.stages if "gamma_lp_calls" in s.notes]
 
-    assert lp_calls(exact_universe) == [3]
-    assert lp_calls(rank_universe) == [3]
-    assert lp_calls(desk_universe) == [2, 367]
+    assert lp_calls(exact_universe) == [0]
+    assert lp_calls(rank_universe) == [0]
+    assert lp_calls(desk_universe) == [0, 367]
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
@@ -214,9 +216,10 @@ def test_vector_ints_are_the_coefficients_over_the_shift(preset, n, request):
 
 def test_prev_member_gauge_mismatch_raises(monkeypatch):
     """A molecule cheaper than a prev member's own metric value would make
-    the norm undercut the metric it extends; the build refuses it.  Halving
-    the cost of e - x alone leaves x's own molecule x - e at 1 while the
-    program reaches x at 1/2."""
+    the norm undercut the metric it extends; the build refuses it.  On desk
+    stage 4, the first stage the molecule program solves, halving the cost
+    of e - x alone leaves x's own molecule x - e at 1 while the program
+    reaches x at 1/2."""
     real = norm_ext.molecule_table
 
     def lowered(universe, prev, basis_pos, dim, shift):
@@ -228,4 +231,92 @@ def test_prev_member_gauge_mismatch_raises(monkeypatch):
 
     monkeypatch.setattr(norm_ext, "molecule_table", lowered)
     with pytest.raises(NormExtensionError, match="prev member"):
+        Universe(Config.desk()).build()
+
+
+def test_prev_member_closed_form_mismatch_raises(monkeypatch):
+    """Stage 2's closed form reads the letter-sign sums, not the metric
+    table, so it must meet the table on every stage-1 member: with
+    rho_1(x, e) halved, x's norm 1 would not extend its metric value 1/2."""
+    real = metric_ext._base_case_table
+
+    def halved(universe, stage, cfg):
+        table = real(universe, stage, cfg)
+        key = pair_key(universe.x_id, UNIT_ID)
+        table[key] = table[key] / 2
+        return table
+
+    monkeypatch.setattr(metric_ext, "_base_case_table", halved)
+    with pytest.raises(NormExtensionError, match="prev member"):
         Universe(Config.exact_x2()).build()
+
+
+@pytest.mark.parametrize("value", [F(0), F(-1, 2)])
+def test_nonpositive_norm_on_a_nonunit_member_raises(value, monkeypatch):
+    """The zero-norm check reads the sign of every value the table holds."""
+    real = norm_ext._line_norm
+
+    def lowered(universe, stage, prev):
+        gamma = real(universe, stage, prev)
+        gamma[universe.x_id] = value
+        return gamma
+
+    monkeypatch.setattr(norm_ext, "_line_norm", lowered)
+    with pytest.raises(NormExtensionError, match="zero norm"):
+        Universe(Config.exact_x2()).build()
+
+
+def _program_values(u):
+    """Stage 2's table as the molecule program solves it, member by member."""
+    stage, prev = u.stage(2), u.stage(1)
+    basis_pos = {b: i for i, b in enumerate(stage.basis)}
+    shift = norm_ext.scalar_shift(stage)
+    canon = norm_ext._dedupe_sign(norm_ext.molecule_table(u, prev, basis_pos, len(basis_pos), shift))
+    lp = MoleculeLP(list(canon), list(canon.values()))
+    members = [m for m in stage.members if m != UNIT_ID]
+    vecs = [u.store.vector_ints(m, basis_pos, len(basis_pos), shift) for m in members]
+    values = lp.solve_many([norm_ext.sign_class(v) for v in vecs])
+    return {m: value for m, (value, _) in zip(members, values)}
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "exact-cap2"])
+def test_stage2_closed_form_is_the_molecule_program(preset, request):
+    """The closed form equals the molecule program on every nonzero stage-2
+    member: 81, 25, 9 and (words of length <= 2) 6561 members."""
+    if preset == "exact-cap2":
+        u = Universe(dataclasses.replace(Config.exact_x2(), word_caps=(2,))).build()
+    else:
+        u = request.getfixturevalue(f"{preset}_universe")
+    s2 = u.stage(2)
+    assert len(s2.members) == {"exact": 81, "rank": 25, "desk": 9, "exact-cap2": 6561}[preset]
+    want = _program_values(u)
+    assert len(want) == len(s2.members) - 1
+    assert all(s2.table[m] == value for m, value in want.items())
+
+
+def test_stage2_solves_no_program(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stage 2 built a MoleculeLP")
+
+    monkeypatch.setattr(norm_ext, "MoleculeLP", refuse)
+    u = Universe(Config.exact_x2()).build()
+    assert u.stage(2).notes["gamma_lp_calls"] == 0
+
+
+def test_stage2_closed_form_past_the_int64_bound(monkeypatch):
+    """Scalars +-2^-70 make the coordinates 2^70 over 2^70: the products
+    run on Python ints, and the values are still the molecule program's."""
+    dtypes = []
+    real = norm_ext._fit
+
+    def spy(bound, *arrays):
+        fitted = real(bound, *arrays)
+        dtypes.extend(a.dtype for a in fitted)
+        return fitted
+
+    monkeypatch.setattr(norm_ext, "_fit", spy)
+    scalars = tuple(map(Dyadic.parse, f"-1 -1/{2**70} 0 1/{2**70} 1".split()))
+    u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
+    assert dtypes and all(d == object for d in dtypes)
+    want = _program_values(u)
+    assert all(u.stage(2).table[m] == value for m, value in want.items())
