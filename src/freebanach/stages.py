@@ -124,16 +124,16 @@ class Config:
             raise ConfigError("word caps must be >= 1")
         if list(self.word_caps) != sorted(self.word_caps):
             raise ConfigError("word caps must be non-decreasing (chain monotonicity)")
-        for s in self.scalar_sets:
-            values = {d.as_fraction() for d in s}
+        sets = [set(s) for s in self.scalar_sets]  # Dyadics are normalized: equal values, equal keys
+        for s, values in zip(self.scalar_sets, sets):
             if len(values) != len(s):
                 raise ConfigError("scalar sets must not repeat a value")
-            if not {Fraction(0), Fraction(1), Fraction(-1)} <= values:
+            if not {Dyadic(0), Dyadic(1), Dyadic(-1)} <= values:
                 raise ConfigError("scalar sets must contain 0, 1 and -1")
             if {-v for v in values} != values:
                 raise ConfigError("scalar sets must be symmetric under negation")
-        for a, b in zip(self.scalar_sets, self.scalar_sets[1:]):
-            if not {d.as_fraction() for d in a} <= {d.as_fraction() for d in b}:
+        for a, b in zip(sets, sets[1:]):
+            if not a <= b:
                 raise ConfigError("scalar sets must be non-decreasing (chain monotonicity)")
 
     # -- presets --------------------------------------------------------

@@ -597,7 +597,7 @@ def check_suites(universe, suites=SUITES) -> SuiteReport:
     """The sections of the named suites on a built tower, in this order: the
     numbered conditions; triangle and translation invariance on each word
     stage; per target, the morphism bound and operation preservation."""
-    from .universal import check_morphism_bound, check_operation_preservation
+    from .universal import TauMap, for_target
 
     suite = check_conditions(universe) if "conditions" in suites else SuiteReport()
     if "biinvariance" in suites:
@@ -605,9 +605,10 @@ def check_suites(universe, suites=SUITES) -> SuiteReport:
             if stage.sealed and stage.kind == "word":
                 suite.extend(check_biinvariance(universe, stage).reports)
     if "universal" in suites:
+        tau = TauMap(universe)
+        bound, sample = tau.bound_pass(), tau.preservation_sample(seed=universe.cfg.seed)
         for target in universe.cfg.targets:
-            suite.reports.append(check_morphism_bound(universe, target))
-            suite.reports.append(check_operation_preservation(universe, target, seed=universe.cfg.seed))
+            suite.reports += [for_target(bound, target), for_target(sample, target)]
     return suite
 
 

@@ -128,14 +128,28 @@ def test_determinism_two_builds():
 
 
 def test_scalar_set_validation():
-    with pytest.raises(ConfigError):
-        Config(scalar_sets=((Dyadic(0), Dyadic(1)),)).validate()  # not symmetric
-    with pytest.raises(ConfigError):
-        Config(scalar_sets=((Dyadic(-1), Dyadic(1)),)).validate()  # no zero
-    with pytest.raises(ConfigError):
-        Config(word_caps=(2, 1)).validate()  # decreasing caps break the chain
-    with pytest.raises(ConfigError):
-        Config(stage_count=0).validate()
+    """One invalid config per ``Config.validate`` message.  Scalars compare
+    by value: 1/2 written as 2/4 is a repeat, and 2/4 is the negation of
+    -1/2."""
+    half = Dyadic(1, 1)
+    desk = (Dyadic(-1), Dyadic(0), Dyadic(1))
+    for fields, message in [
+        ({"stage_count": 0}, "stage_count must be >= 1"),
+        ({"ambient_expansion": 0}, "ambient_expansion must be >= 1"),
+        ({"member_budget": 0}, "member_budget must be >= 1"),
+        ({"pair_cell_budget": 0}, "pair_cell_budget must be >= 1"),
+        ({"quantifier_budget": 0}, "quantifier_budget must be >= 1"),
+        ({"word_caps": (0,)}, "word caps must be >= 1"),
+        ({"word_caps": (2, 1)}, r"word caps must be non-decreasing \(chain"),
+        ({"scalar_sets": ((*desk, -half, half, Dyadic(2, 2)),)}, "must not repeat a value"),
+        ({"scalar_sets": ((Dyadic(0), Dyadic(1)),)}, "must contain 0, 1 and -1"),
+        ({"scalar_sets": ((Dyadic(-1), Dyadic(1)),)}, "must contain 0, 1 and -1"),
+        ({"scalar_sets": ((*desk, half),)}, "symmetric under negation"),
+        ({"scalar_sets": ((*desk, -half, half), desk)}, r"scalar sets must be non-decreasing \(chain"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            Config(**fields).validate()
+    Config(scalar_sets=(desk, (*desk, -half, Dyadic(2, 2)))).validate()
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])

@@ -1,5 +1,7 @@
-"""The freeness property: phi evaluation, norm bounds, sigma tables."""
+"""The freeness property: tau and phi evaluation, norm bounds, sigma tables."""
 
+import copy
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,10 +13,11 @@ from freebanach.scalars import Dyadic
 from freebanach.norm_ext import scalar_shift
 from freebanach.stages import NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm
-from freebanach.verify import VerificationReport, perturbed
+from freebanach import universal
+from freebanach.verify import VerificationReport, check_suites, perturbed
 from freebanach.universal import (
-    PhiMap,
     TargetSpace,
+    TauMap,
     _argmax_ratio,
     check_morphism_bound,
     check_operation_preservation,
@@ -95,7 +98,6 @@ def test_sigma_dominated_normalized(desk_universe):
 
 def test_euclidean_target_exact_squares(desk_universe):
     target = TargetSpace.euclidean((F(1), F(-1, 2)))
-    assert target.norm_exact((F(1), F(1))) is None
     assert target.norm_sq((F(3), F(4))) == 25
     rep = check_morphism_bound(desk_universe, target)
     assert rep.ok
@@ -110,27 +112,22 @@ def test_operation_preservation(desk_universe):
 
 
 def test_scaling_covariance(desk_universe):
-    """Replacing y by lambda*y scales every image by lambda.  PhiMap gives
-    S phi' in ints, and S depends on the denominators of y."""
+    """Replacing y by lambda*y scales every image by lambda."""
     u = desk_universe
     base = TargetSpace.maximum((F(1), F(-1, 2)))
-    phi0 = PhiMap(u, base)
-    for lam in (F(2), F(1, 2)):
-        scaled = TargetSpace.maximum(tuple(lam * c for c in base.image))
-        phi1 = PhiMap(u, scaled)
-        assert phi1.scale != phi0.scale
-        for m in list(u.stage(4).members)[:300]:
-            assert [F(v, phi1.scale) for v in phi1(m)] == [lam * F(v, phi0.scale) for v in phi0(m)]
+    for m in u.stage(4).members[:300:10]:
+        image = phi_eval(u, m, base)
+        for lam in (F(2), F(1, 2)):
+            scaled = TargetSpace.maximum(tuple(lam * c for c in base.image))
+            assert phi_eval(u, m, scaled) == tuple(lam * c for c in image)
 
 
-@pytest.mark.parametrize(
-    "preset, scales", [("desk", (1, 2, 2)), ("rank", (2, 4, 4)), ("exact", (2, 4, 4))]
-)
-def test_phi_scale(preset, scales, request):
-    """S per default target: the lcm of y's denominators times 2^K, with K
-    read off the scalar sets of the norm stages that have a basis."""
+@pytest.mark.parametrize("preset, scale", [("desk", 1), ("rank", 2), ("exact", 2)])
+def test_phi_scale(preset, scale, request):
+    """S = 2^K, with K read off the scalar sets of the norm stages that have
+    a basis; no target enters it."""
     u = request.getfixturevalue(f"{preset}_universe")
-    assert tuple(PhiMap(u, target).scale for target in u.cfg.targets) == scales
+    assert TauMap(u).scale == scale
 
 
 def _reference_phi(u, target):
@@ -204,14 +201,41 @@ def test_bound_pass_matches_entry_reference(preset, request):
 
 
 def test_bound_pass_past_int64(desk_universe):
-    """An image of 2^62 puts the stage-4 squares past int64, so the pass
-    runs on Python-int object arrays; it passes and the sigma entries are
-    the exact reference values."""
+    """An image of 2^62 puts the rendered stage-4 squares past int64; the
+    report passes and the sigma entries are the exact reference values."""
     table, report = _assert_matches_reference(desk_universe, TargetSpace.real(F(2**62)))
     assert report.ok and report.meta["worst_ratio_sq"] == "1"
-    keys, lhs = table.scaled["vector"][4]
-    assert lhs.dtype == object and max(lhs.tolist()) >= 2**124
+    assert max(table.norm_sq[4].values()) >= 2**124
     assert table.norm_sq[4][desk_universe.x_id] == 2**124
+
+
+@pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
+@pytest.mark.parametrize("faulty", [False, True], ids=["honest", "halved"])
+def test_suite_sections_are_the_per_target_reports(preset, faulty, request):
+    """The universal suite runs tau's bound pass and sample once and renders
+    two sections per target; each describes equal to that target's own
+    ``check_morphism_bound`` and ``check_operation_preservation`` report,
+    for the default targets, a Euclidean one and y = 0, on the honest
+    tables and with a stage-1 entry halved so the bound fails."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    if faulty:
+        key, value = next(iter(u.stage(1).table.items()))
+        u = perturbed(u, 1, key, -value / 2)
+    targets = (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2))), TargetSpace.real(F(0)))
+    u = copy.copy(u)
+    u.cfg = dataclasses.replace(u.cfg, targets=targets)
+    sections = check_suites(u, ("universal",)).reports
+    expected = [
+        report
+        for target in targets
+        for report in (check_morphism_bound(u, target), check_operation_preservation(u, target, seed=u.cfg.seed))
+    ]
+    assert [r.describe() for r in sections] == [r.describe() for r in expected]
+    assert not faulty or not sections[0].ok
+    zero_bound, zero_sample = expected[-2:]
+    assert zero_bound.ok and zero_bound.meta["worst_ratio_sq"] is None
+    assert zero_sample.ok and zero_sample.attempted > 0
+    _assert_matches_reference(u, targets[-1])
 
 
 @pytest.mark.parametrize("stage_index", [4, 3])
@@ -270,33 +294,41 @@ def test_argmax_ratio_is_exact(pairs):
     assert F(*small[_argmax_ratio(num, den)]) == max(F(n, d) for n, d in small)
 
 
+def _tau_times(tau, m, target):
+    """tau(m) y, exactly."""
+    return tuple(F(tau(m), tau.scale) * c for c in target.image)
+
+
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
 def test_phi_product_matches_member_reference(preset, request):
-    """PhiMap's one product per norm stage equals the per-member reference
-    on every vector-stage member, for the default targets and a Euclidean
-    one; rank's and the quarters' coefficients divide exactly."""
+    """TauMap's one product per norm stage, times y, equals the per-member
+    reference on every vector-stage member, for the default targets and a
+    Euclidean one; rank's and the quarters' coefficients divide exactly."""
     u = request.getfixturevalue(f"{preset}_universe")
     members = [m for s in u.stages if s.kind == "vector" for m in s.members]
+    tau = TauMap(u)
     for target in (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2)))):
-        phi, ref = PhiMap(u, target), _reference_phi(u, target)
+        ref = _reference_phi(u, target)
         for m in members:
-            assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+            assert _tau_times(tau, m, target) == ref(m)
 
 
 def test_phi_past_int64(desk_universe):
     """An image of 2^62 drives stage-4 images past 2^63; they stay exact."""
     target = TargetSpace.real(F(2**62))
-    phi, ref = PhiMap(desk_universe, target), _reference_phi(desk_universe, target)
+    tau, ref = TauMap(desk_universe), _reference_phi(desk_universe, target)
     members = desk_universe.stage(4).members
-    assert max(abs(phi(m)[0]) for m in members) >= 2**63
+    assert max(abs(_tau_times(tau, m, target)[0]) for m in members) >= 2**63
     for m in members:
-        assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+        assert _tau_times(tau, m, target) == ref(m)
 
 
-def test_coordinates_past_int64(desk_universe):
+def test_coordinates_past_int64(desk_universe, monkeypatch):
     """Coordinates are int64 on desk, but a scalar set holding +-2^70 keeps
     them exact Python ints in an object array: the stage-2 grid still
-    matches the store, and PhiMap's product agrees with the reference."""
+    matches the store, TauMap's product agrees with the reference, and the
+    bound pass runs on Python-int object arrays and matches the per-entry
+    reference."""
     big = 2**70
     scalars = tuple(map(Dyadic.parse, f"-{big} -1 0 1 {big}".split()))
     u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
@@ -305,18 +337,24 @@ def test_coordinates_past_int64(desk_universe):
     rows = s2.coordinates(scalar_shift(s2))
     assert rows.dtype == object and rows[0].tolist() == [-big, -big]
     assert off_grid_cells(u.store, s2) == []
+    tau = TauMap(u)
     for target in (*u.cfg.targets, TargetSpace.euclidean((F(3, 4), F(-1, 2)))):
-        phi, ref = PhiMap(u, target), _reference_phi(u, target)
+        ref = _reference_phi(u, target)
         for m in s2.members:
-            assert tuple(F(v, phi.scale) for v in phi(m)) == ref(m)
+            assert _tau_times(tau, m, target) == ref(m)
+        _assert_matches_reference(u, target)
+    fitted, fit = [], universal._fit
+    monkeypatch.setattr(universal, "_fit", lambda bound, *arrays: fitted.append(fit(bound, *arrays)) or fitted[-1])
+    assert tau.bound_pass().ok
+    assert [arrays[0].dtype for arrays in fitted] == [np.int64, np.int64, object]  # stages 0, 1, 2
 
 
 def test_phi_outside_the_tower_is_not_built(exact_universe):
-    """PhiMap is filled on the sealed stages only; another id is a typed
+    """TauMap is filled on the sealed stages only; another id is a typed
     LookupError, not a KeyError."""
-    phi = PhiMap(exact_universe, TargetSpace.real(F(1)))
+    tau = TauMap(exact_universe)
     with pytest.raises(NotBuiltError, match="no sealed stage"):
-        phi(len(exact_universe.store))
+        tau(len(exact_universe.store))
 
 
 def test_target_validation():
