@@ -49,6 +49,7 @@ x, y of positive rank, each in the previous stage P or inverse to one:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .relax import PairComposition, RelaxError
 from .terms import WordSpace, count_words, pair_key
@@ -110,16 +111,17 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     closure, sweeps = engine.solve()
 
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
-    # ||a - b|| = ||b - a||), so one order of each pair is read
-    cells = [(m, space.idx(store.word_of(m))) for m in stage.members]
-    cells = [(m, w) for m, w in cells if w is not None]
-    table: PairTable = {}
-    for i, (a, wa) in enumerate(cells):
-        for b, wb in cells[i + 1 :]:
-            val = closure.get((wa, wb))
-            if val is not None:
-                table[pair_key(a, b)] = val
-    return table, sweeps, engine.entries
+    # ||a - b|| = ||b - a||)
+    cells = [(m, w) for m in stage.members if (w := space.idx(store.word_of(m))) is not None]
+    return _member_pairs(closure, cells), sweeps, engine.entries
+
+
+def _member_pairs(closure, cells) -> PairTable:
+    """The finite values of a transpose-symmetric closure on the pairs i < j
+    of ``cells`` (member, word index), each read in one order and keyed
+    ``pair_key``."""
+    values = ((pair_key(a, b), closure.get((wa, wb))) for (a, wa), (b, wb) in combinations(cells, 2))
+    return {key: v for key, v in values if v is not None}
 
 
 def delta_general(universe, rank0: PairTable) -> PairTable:
@@ -275,14 +277,6 @@ def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
                     engine.add_convex((wa, wb), [(c, (wa, word_idx[z])) for c, z in terms])
                     engine.add_convex((wb, wa), [(c, (word_idx[z], wa)) for c, z in terms])
     closure, sweeps = engine.solve()
-
-    # every family is transpose-symmetric (``rho_extend``), so one order of
-    # each pair is read
-    table: PairTable = {}
-    for i, a in enumerate(stage.members):
-        for b in stage.members[i + 1 :]:
-            v = closure.get((word_idx[a], word_idx[b]))
-            if v is not None:
-                table[pair_key(a, b)] = v
-    return table, sweeps, engine.entries
+    # every family is transpose-symmetric (``rho_extend``)
+    return _member_pairs(closure, list(word_idx.items())), sweeps, engine.entries
 

@@ -37,10 +37,10 @@ counts are those of the per-cell scatter it replaced.  It runs at the
 common denominator of its seeds and convex coefficients, and retries at
 four times the scale, up to six attempts, while a value is not exact there.
 
-``to_scaled`` is the one Fraction -> int64 conversion: it raises
+``to_scaled`` is the closure's own Fraction -> int64 conversion: it raises
 ``ScaleOverflowError`` unless the value is exact at the scale and below
 2^60 in magnitude, so a sum of two converted values cannot wrap in int64.
-``PairComposition`` and the dense checks in ``verify`` use it.
+Only ``PairComposition`` uses it; the checks read ``Stage.scaled_table``.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ class FractionRules:
 # ---------------------------------------------------------------------------
 
 
-class PairTable:
+class ClosureTable:
     """Closure values by word pair, converted to ``Fraction`` only for the
     cells a caller reads: ``get((u, v))`` is the value, or None at +inf."""
 
@@ -399,7 +399,7 @@ class PairComposition:
             left[w] = _shift_map(left_line, w, "left")
         return right, left
 
-    def solve(self, sweep_cap: int = 200) -> tuple[PairTable, int]:
+    def solve(self, sweep_cap: int = 200) -> tuple[ClosureTable, int]:
         """The closure table and its sweep count; ``entries`` is then the
         number of source cells the generators composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
@@ -412,7 +412,7 @@ class PairComposition:
                 scale *= 4
         raise ScaleOverflowError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int, maps) -> tuple[PairTable, int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, maps) -> tuple[ClosureTable, int]:
         n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
@@ -467,7 +467,7 @@ class PairComposition:
             if not changed[0].any():
                 break
         self.entries = entries
-        return PairTable(D, scale), sweeps
+        return ClosureTable(D, scale), sweeps
 
 
 def _lines(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

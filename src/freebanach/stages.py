@@ -26,6 +26,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
@@ -269,6 +271,31 @@ class Stage:
         [digits] = _fit(_absmax(digits), digits)  # fitted before the gather: radix entries, not n x dim
         dim, radix = len(self.basis), len(digits)
         return digits[np.indices((radix,) * dim).reshape(dim, radix**dim).T]
+
+    def scaled_table(self):
+        """The table as exact integers, ``(ints, scale)``: ``scale`` is the
+        lcm of its denominators, ``ints`` a norm stage's member norms or a
+        word stage's member distances (a symmetric matrix, zero diagonal) in
+        member order, int64 while ``lp._fit``'s bound holds for the sum or
+        difference of two entries, else Python ints.  A member or pair with
+        no value raises ``NotBuiltError``."""
+        import numpy as np
+
+        members, n = self.members, len(self.members)
+        keys = members if self.kind == "vector" else [pair_key(a, b) for a, b in combinations(members, 2)]
+        try:
+            values = [self.table[k] for k in keys]
+        except KeyError as exc:
+            raise NotBuiltError(f"stage {self.index} has no table value for {exc.args[0]}") from None
+        dens = [v.denominator for v in values]
+        scale = lcm(*set(dens))
+        flat = np.array([v.numerator * (scale // q) for v, q in zip(values, dens)], dtype=object)
+        [flat] = _fit(2 * _absmax(flat), flat)
+        if self.kind == "vector":
+            return flat, scale
+        ints = np.zeros((n, n), dtype=flat.dtype)
+        ints[np.tri(n, k=-1, dtype=bool).T] = flat  # the cells i < j, row-major
+        return ints + ints.T, scale
 
 
 def off_grid_cells(store: TermStore, stage: Stage) -> list[int]:

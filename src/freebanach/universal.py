@@ -147,9 +147,9 @@ class TauMap:
     def bound_pass(self):
         """tau's bound on every entry of every sealed stage (a norm stage's
         members, a word stage's member pairs i < j in row-major order): for
-        a table value p/q and d = S tau, |d| q <= S |p|, in int64 or Python
-        ints by one ``lp._fit`` bound that covers the worst ratio's cross
-        products too.  Counterexample squares are tau's, as Fractions."""
+        an entry T/L of ``Stage.scaled_table`` and d = S tau, |d| L <= S |T|,
+        in int64 or Python ints by one ``lp._fit`` bound that covers the
+        worst ratio's cross products too.  Counterexample squares are tau's."""
         from .verify import VerificationReport
 
         s = self.scale
@@ -157,21 +157,21 @@ class TauMap:
         best = []  # per stage, a greatest S |tau| / |table value| over its passing entries
         for stage in self.stages:
             d, members = self.columns[stage.index], stage.members
+            table, scale = stage.scaled_table()
             if stage.kind == "vector":
-                field, keys, values = "element", members, [stage.table[z] for z in members]
+                field, keys = "element", members
             else:
                 field, keys = "pair", list(combinations(members, 2))
                 i, j = np.triu_indices(len(members), 1)
-                d, values = d[i] - d[j], [self.universe.rho(stage, a, b) for a, b in keys]
-            p, q = [abs(v.numerator) for v in values], [v.denominator for v in values]
-            bound = max(max(1, _absmax(d)) * max([1, *q]), s) * max([1, *p])
-            d, p, q = _fit(bound, d, np.array(p, dtype=object), np.array(q, dtype=object))
-            lhs = np.abs(d) * q
+                d, table = d[i] - d[j], table[i, j]
+            bound = max(max(1, _absmax(d)) * scale, s) * max(1, _absmax(table))
+            d, p = _fit(bound, d, table)
+            lhs, p = np.abs(d) * scale, np.abs(p)
             ok = lhs <= s * p
-            report.attempted += len(values)
+            report.attempted += len(keys)
             report.passed += int(ok.sum())
             for k in np.flatnonzero(~ok).tolist():
-                lhs_sq, rhs_sq = Fraction(int(d[k]) ** 2, s * s), values[k] ** 2
+                lhs_sq, rhs_sq = Fraction(int(d[k]) ** 2, s * s), Fraction(int(p[k]), scale) ** 2
                 report.add_counterexample(stage=stage.index, **{field: keys[k]}, lhs_sq=lhs_sq, rhs_sq=rhs_sq)
             live = np.flatnonzero(ok & (p > 0))
             if len(live):

@@ -1,16 +1,18 @@
 """Executable verification of every stated invariant, with counterexamples.
 
 Each checker is a pure function of sealed stage tables; two runs produce
-identical reports.  The word-stage sections read one product table and
-inverse map per stage, built from its member words.  Condition 3's
-splitting walks rows: each row is one product pair (c, d) against all k of
-them, every row while the k^2 instances fit the configured budget, else a
-seeded sample of rows, with the seed and row count recorded in the report
-so failures reproduce.  The other sections are exhaustive.  The metric
-sections take memory quadratic in the stage size.  Condition 5's
-subadditivity, on a grid of n axes with r digits each, takes blocks of
-r^(n - k) p^k entries, k = n // 2 and p <= r^2 the digit pairs of one
-axis, never all p^n pairs of the stage.
+identical reports.  The dense sections read each table through
+``Stage.scaled_table``, in Python ints past ``lp._fit``'s int64 bound, so
+no table is refused for its size.  The word-stage sections read one
+product table and inverse map per stage, built from its member words.
+Condition 3's splitting walks rows: each row is one product pair (c, d)
+against all k of them, every row while the k^2 instances fit the
+configured budget, else a seeded sample of rows, with the seed and row
+count recorded in the report so failures reproduce.  The other sections
+are exhaustive.  The metric sections take memory quadratic in the stage
+size.  Condition 5's subadditivity, on a grid of n axes with r digits
+each, takes blocks of r^(n - k) p^k entries, k = n // 2 and p <= r^2 the
+digit pairs of one axis, never all p^n pairs of the stage.
 
 Numbered conditions:
 
@@ -38,13 +40,13 @@ import copy
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
+from .lp import _absmax, _fit
 from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
-from .relax import ScaleOverflowError, to_scaled
-from .scalars import common_denominator
 from .stages import NotBuiltError, off_grid_cells
 from .terms import UNIT_ID, invert_word, pair_key, reduce_concat
 
@@ -112,22 +114,6 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _metric_matrix(universe, stage):
-    """Member-indexed metric as exact scaled integers.  A table that lacks
-    a pair of members is refused rather than read as distance 0."""
-    members, n = stage.members, len(stage.members)
-    pos = {m: i for i, m in enumerate(members)}
-    scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
-    if len(stage.table) != n * (n - 1) // 2:
-        raise NotBuiltError(
-            f"stage {stage.index} has {len(stage.table)} of the {n * (n - 1) // 2} distances of its members"
-        )
-    R = np.zeros((n, n), dtype=np.int64)
-    for (a, b), v in stage.table.items():
-        R[pos[a], pos[b]] = R[pos[b], pos[a]] = to_scaled(v, scale)
-    return R, scale
-
-
 def _group_law(universe, stage):
     """The group law that condition 3 and translation invariance read on a
     word stage, built from its member words: ``P[i, j]`` is the position of
@@ -152,27 +138,21 @@ def check_condition_1(universe) -> list[VerificationReport]:
         if not stage.sealed or stage.index == 0:
             continue
         report = VerificationReport(suite=f"condition 1 stage {stage.index}")
-        if stage.kind == "word":
-            members = stage.members
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    report.attempted += 1
-                    v = stage.table.get(pair_key(a, b))
-                    if v is not None and v > 0:
-                        report.passed += 1
-                    else:
-                        report.add_counterexample(pair=(a, b), value=str(v))
+        ints, scale = stage.scaled_table()
+        members, n = stage.members, len(stage.members)
+        if stage.kind == "word":  # member pairs i < j, row-major
+            keys, values, off = list(combinations(members, 2)), ints[np.tri(n, k=-1, dtype=bool).T], []
+            bad = values <= 0
         else:
-            off = set(off_grid_cells(universe.store, stage))
-            for k, m in enumerate(stage.members):
-                report.attempted += 1
-                v = stage.table.get(m)
-                if k not in off and v is not None and ((v == 0) == (m == UNIT_ID)) and v >= 0:
-                    report.passed += 1
-                else:
-                    report.add_counterexample(element=m, cell=k, value=str(v))
-            for k in sorted(off.difference(range(len(stage.members)))):  # cells with no member
-                report.add_counterexample(element=None, cell=k)
+            keys, values, off = members, ints, off_grid_cells(universe.store, stage)
+            bad = (values < 0) | ((values == 0) != (np.array(members, dtype=np.int64) == UNIT_ID))
+            bad[[k for k in off if k < n]] = True
+        report.attempted, report.passed = len(values), len(values) - int(bad.sum())
+        for k in np.flatnonzero(bad).tolist():
+            where = {"pair": keys[k]} if stage.kind == "word" else {"element": keys[k], "cell": k}
+            report.add_counterexample(**where, value=str(Fraction(int(values[k]), scale)))
+        for k in [k for k in off if k >= n]:  # cells with no member
+            report.add_counterexample(element=None, cell=k)
         out.append(report)
     return out
 
@@ -291,7 +271,7 @@ def check_condition_3(universe, budget: int, seed: int) -> list[VerificationRepo
     out = []
     for stage in universe.stages:
         if stage.sealed and stage.kind == "word" and stage.index >= 1:
-            R, scale = _metric_matrix(universe, stage)
+            R, scale = stage.scaled_table()
             P, inv = _group_law(universe, stage)
             out.append(_fact_inequality(stage, P, R, scale, budget, seed))
             out.append(_inverse_invariance(stage, inv, R, scale))
@@ -340,18 +320,17 @@ def check_condition_5(universe) -> list[VerificationReport]:
 
 
 def _member_lattice(stage):
-    """A norm stage's scaled norms and member ids in member order, reshaped
-    to the scalar-set grid (axis k for basis element k, digit d for the
-    d-th scalar of the sorted set; ``stages`` owns that order and condition
-    1 checks it, and a stage off the grid's size is refused), the scalars
-    and the scale."""
+    """A norm stage's ``Stage.scaled_table`` and member ids, reshaped to
+    the scalar-set grid (axis k for basis element k, digit d for the d-th
+    scalar of the sorted set; ``stages`` owns that order and condition 1
+    checks it, and a stage off the grid's size is refused), the scalars and
+    the scale."""
     values = [d.as_fraction() for d in stage.scalar_set]
     shape = (len(values),) * len(stage.basis)
     if len(stage.members) != len(values) ** len(shape):
         raise NotBuiltError(f"stage {stage.index} has {len(stage.members)} members, not the "
                             f"{len(values) ** len(shape)} cells of its digit grid (see condition 1)")
-    scale = common_denominator(list(stage.table.values()) or [Fraction(1)])
-    N = np.array([to_scaled(stage.table[m], scale) for m in stage.members], dtype=np.int64)
+    N, scale = stage.scaled_table()
     return N.reshape(shape), np.array(stage.members, dtype=np.int64).reshape(shape), values, scale
 
 
@@ -391,15 +370,14 @@ def _take(grid, runs):
 def _homogeneity_report(stage, lattice) -> VerificationReport:
     """||alpha v|| = |alpha| ||v||, as q N[alpha v] = |p| N[v], for each
     ratio alpha = p/q != 1 of nonzero scalars (the set is symmetric, so they
-    include -1) and each nonzero member v with alpha v a member.  A norm
-    large enough to wrap those int64 products raises ``ScaleOverflowError``."""
+    include -1) and each nonzero member v with alpha v a member.  The
+    products run in int64 while ``lp._fit``'s bound covers them, else in
+    Python ints."""
     report = VerificationReport(suite=f"condition 5 homogeneity stage {stage.index}")
     N, ids, values, scale = lattice
     nonzero = [v for v in values if v]
     ratios = sorted({a / b for a in nonzero for b in nonzero} - {1})
-    top = int(N.max())
-    if any(top * max(abs(r.numerator), r.denominator) >= 1 << 63 for r in ratios):
-        raise ScaleOverflowError(f"homogeneity of stage {stage.index} overflows int64")
+    [N] = _fit(_absmax(N) * max((max(abs(r.numerator), r.denominator) for r in ratios), default=1), N)
     for alpha in ratios:
         source, target = ((run,) * N.ndim for run in _digit_runs(values, alpha, Fraction(0)))
         s, t, m = _take(N, source), _take(N, target), _take(ids, source)
@@ -434,7 +412,7 @@ def _subadditivity_report(stage, lattice) -> VerificationReport:
     digits and p <= r^2 digit pairs per axis, ``NS``, ``NT`` and a block
     hold at most r^(n - n // 2) p^(n // 2) entries: 81 x 7^4 on desk stage
     4, never its 7^8 pairs.  A difference of two scaled norms cannot wrap
-    (``to_scaled``)."""
+    (``Stage.scaled_table``)."""
     report = VerificationReport(suite=f"condition 5 subadditivity stage {stage.index}")
     N, ids, values, _ = lattice
     radix, outer = len(values), N.ndim - N.ndim // 2
@@ -524,7 +502,7 @@ def check_biinvariance(universe, stage) -> SuiteReport:
     equalities on one word stage, both exhaustive, and from stage 3 on the
     rank-0 dominance certificate (``check_rank0_dominance``).  The
     splitting inequality they follow from is checked once, as condition 3."""
-    R, _ = _metric_matrix(universe, stage)
+    R, _ = stage.scaled_table()
     n = len(stage.members)
     tri = VerificationReport(suite=f"triangle inequality stage {stage.index}")
     nbad, first = 0, []

@@ -37,3 +37,19 @@ def uneven_universe():
 
     scalars = tuple(map(Dyadic.parse, "-4 -1 -1/4 0 1/4 1 4".split()))
     return Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
+
+
+@pytest.fixture
+def fit_spy(monkeypatch):
+    """``fit_spy(*modules)`` wraps ``lp._fit`` where each module binds it by
+    name and returns the list of every wrapped call's fitted arrays, in
+    call order."""
+
+    def spy(*modules):
+        fitted = []
+        for module in modules:
+            monkeypatch.setattr(module, "_fit",
+                                lambda bound, *arrays, fit=module._fit: fitted.append(fit(bound, *arrays)) or fitted[-1])
+        return fitted
+
+    return spy

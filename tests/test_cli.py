@@ -17,7 +17,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freebanach import Config, Universe, cli, oracles
+from freebanach import Config, Dyadic, Universe, cli, oracles, stages, verify
 from freebanach.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -29,7 +29,7 @@ from freebanach.cli import (
 )
 from freebanach.metric_ext import MetricExtensionError
 from freebanach.stages import ConfigError
-from freebanach.verify import check_conditions, perturbed
+from freebanach.verify import check_conditions, check_suites, perturbed
 
 
 def run_cli(*argv):
@@ -690,3 +690,37 @@ def test_build_certifies_rank_before_it_exports(tmp_path, capsys):
     assert main(["build", "--preset", "rank", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.endswith("\n[pass] rank-0 dominance stage 3: 276/276\noverall: pass\n")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS["rank"]
+
+
+@pytest.mark.parametrize("stage_count, k", [(2, -70), (2, 70), (3, -40)],
+                         ids=["2-stage-2^-70", "2-stage-2^70", "3-stage-2^-40"])
+def test_towers_past_int64(stage_count, k, tmp_path, fit_spy, capsys):
+    """A tower over the scalars {0, +-1, +-2^k} whose scaled tables or
+    products pass int64 is checked in Python ints, not refused: every
+    section of ``check_suites`` passes through ``lp._fit``'s object path,
+    ``build`` and ``verify`` exit 0, and the export re-imports (re-running
+    ``check_conditions`` on its verification section) to the same bytes.
+    The norm of 2^k x halved fails homogeneity with an exact counterexample."""
+    s = Fraction(2) ** k
+    config = tmp_path / "tower.ini"
+    config.write_text(f"[build]\nstage_count = {stage_count}\nscalar_sets = -{s} -1 0 1 {s}\n")
+    cfg = Config.from_file(str(config))
+    u = Universe(cfg).build()
+    fitted = fit_spy(stages, verify)
+    suite = check_suites(u)
+    assert suite.ok, suite.render()
+    assert object in [arrays[0].dtype for arrays in fitted]
+
+    out = tmp_path / "tower.json"
+    assert run_cli("build", "--config", str(config), "--out", str(out)) == EXIT_OK
+    imported = import_universe(str(out), cfg)
+    assert export_bytes(imported, check_conditions(imported)) == out.read_bytes()
+    assert run_cli("verify", "--config", str(config)) == EXIT_OK
+    assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    x = u.x_id
+    m = u.store.lookup(u.store.lin_combine([(Dyadic.from_fraction(s), x)]))
+    bad = {r.suite: r for r in check_suites(perturbed(u, 2, m, -s / 2)).reports}
+    homogeneity = bad["condition 5 homogeneity stage 2"]
+    assert not homogeneity.ok
+    assert {"element": x, "alpha": str(s), "lhs": str(s / 2), "rhs": str(s)} in homogeneity.counterexamples

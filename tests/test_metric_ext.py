@@ -20,6 +20,20 @@ from freebanach.terms import pair_key
 from freebanach.verify import check_biinvariance, check_extension_metric, check_suites, perturbed
 
 
+def _imported(module):
+    """The names ``module`` imports, at module level or inside a function
+    (each module's last dotted part and each imported name), and its tree."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return imported, tree
+
+
 def test_extension_modules_hold_only_their_extension():
     """``metric_ext`` and ``norm_ext`` import neither ``verify`` nor
     ``oracles``, at module level or inside a function, and define no
@@ -27,17 +41,25 @@ def test_extension_modules_hold_only_their_extension():
     from freebanach import metric_ext, norm_ext
 
     for module in (metric_ext, norm_ext):
-        tree = ast.parse(Path(module.__file__).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").rsplit(".", 1)[-1])
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        imported, tree = _imported(module)
         assert not imported & {"verify", "oracles"}, module.__name__
         defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         assert not [d for d in defined if d.endswith("_oracle") or d.startswith("check_")], module.__name__
+
+
+def test_checks_hold_one_overflow_policy():
+    """``verify`` and ``universal`` read tables as integers through
+    ``Stage.scaled_table`` and ``lp._fit`` alone: neither imports nor names
+    the pair closure's own int64 conversion ``to_scaled`` or its
+    ``ScaleOverflowError``, so no second overflow policy reaches a check."""
+    from freebanach import universal, verify
+
+    closure_only = {"to_scaled", "ScaleOverflowError"}
+    for module in (verify, universal):
+        imported, tree = _imported(module)
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not (imported | named) & closure_only, module.__name__
 
 
 def test_rho1_base_case(exact_universe):

@@ -13,7 +13,7 @@ from freebanach.scalars import Dyadic
 from freebanach.norm_ext import scalar_shift
 from freebanach.stages import NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm
-from freebanach import universal
+from freebanach import stages, universal
 from freebanach.verify import VerificationReport, check_suites, perturbed
 from freebanach.universal import (
     TargetSpace,
@@ -323,12 +323,14 @@ def test_phi_past_int64(desk_universe):
         assert _tau_times(tau, m, target) == ref(m)
 
 
-def test_coordinates_past_int64(desk_universe, monkeypatch):
+def test_coordinates_past_int64(desk_universe, fit_spy):
     """Coordinates are int64 on desk, but a scalar set holding +-2^70 keeps
     them exact Python ints in an object array: the stage-2 grid still
     matches the store, TauMap's product agrees with the reference, and the
     bound pass runs on Python-int object arrays and matches the per-entry
-    reference."""
+    reference.  Per stage, the pass fits ``Stage.scaled_table``'s integers
+    once and its own products once, each int64 on stages 0 and 1 and an
+    object array on stage 2."""
     big = 2**70
     scalars = tuple(map(Dyadic.parse, f"-{big} -1 0 1 {big}".split()))
     u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
@@ -343,10 +345,9 @@ def test_coordinates_past_int64(desk_universe, monkeypatch):
         for m in s2.members:
             assert _tau_times(tau, m, target) == ref(m)
         _assert_matches_reference(u, target)
-    fitted, fit = [], universal._fit
-    monkeypatch.setattr(universal, "_fit", lambda bound, *arrays: fitted.append(fit(bound, *arrays)) or fitted[-1])
+    fitted = fit_spy(stages, universal)
     assert tau.bound_pass().ok
-    assert [arrays[0].dtype for arrays in fitted] == [np.int64, np.int64, object]  # stages 0, 1, 2
+    assert [arrays[0].dtype for arrays in fitted] == [np.int64] * 4 + [object] * 2  # stages 0, 1, 2
 
 
 def test_phi_outside_the_tower_is_not_built(exact_universe):

@@ -4,6 +4,7 @@ detection for every condition checker."""
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -11,8 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from freebanach import Config, Dyadic, Universe, UNIT_ID
-from freebanach.relax import RelaxError, ScaleOverflowError, to_scaled
+from freebanach import Config, Dyadic, Universe, UNIT_ID, verify
 from freebanach.scalars import common_denominator
 from freebanach.stages import NotBuiltError
 from freebanach.terms import GenTerm, TermStore, WordSpace
@@ -354,15 +354,22 @@ def test_perturbed_leaves_original_intact(desk_universe):
 
 
 def test_scaled_overflow_is_typed(exact_universe):
-    """A table value too large for the int64 checks raises ScaleOverflowError,
-    a RelaxError that the CLI reports as exit 2, on a metric stage (the
-    condition 3 matrix) and on a norm stage (the condition 5 lattice)."""
+    """A table value past int64 is read in Python ints, not refused: one
+    entry raised by 2^64 on a metric stage (the condition 3 matrix) or on
+    a norm stage (condition 1's norms) fails with its exact value in the
+    counterexamples."""
     u = exact_universe
+    failed, raised = {}, {}
     for n in (1, 2):
         key = _first_key(u.stage(n).table)
-        with pytest.raises(ScaleOverflowError):
-            check_conditions(perturbed(u, n, key, F(2**64)))
-    assert issubclass(ScaleOverflowError, RelaxError)
+        raised[n] = str(u.stage(n).table[key] + 2**64)
+        suite = check_conditions(perturbed(u, n, key, F(2**64)))
+        failed[n] = {r.suite: r.counterexamples for r in suite.reports if not r.ok}
+    x, xi = u.x_id, u.store.lookup(u.store.group_inv(u.x_id))
+    splitting = failed[1]["condition 3 splitting stage 1"]
+    assert {"quadruple": (xi, x, UNIT_ID, x), "lhs": raised[1], "rhs": "1"} in splitting
+    assert failed[1]["condition 3 inversion stage 1"][0] == {"pair": (UNIT_ID, x), "lhs": raised[1], "rhs": "1"}
+    assert failed[2]["condition 1 stage 2"] == [{"element": UNIT_ID, "cell": 40, "value": raised[2]}]
 
 
 def _condition5_by_pairs(stage, vectors):
@@ -468,18 +475,39 @@ def test_subadditivity_faults_at_block_boundaries(desk_universe, digits):
         assert int(raised["meta"]["counterexample_count"]) > COUNTEREXAMPLE_CAP
 
 
-def test_homogeneity_overflow_is_typed():
-    """A norm scaled into [2^59, 2^60) passes ``to_scaled``, but 16 times it
-    wraps int64: the homogeneity check raises ScaleOverflowError."""
+def test_homogeneity_overflow_is_typed(fit_spy):
+    """A norm scaled into [2^59, 2^60) is int64 in ``Stage.scaled_table``,
+    but 16 times it is not: the homogeneity check refits its products to
+    Python ints and fails with exact counterexamples."""
     u = _two_stages(UNEVEN_SCALARS)
     s2 = u.stage(2)
     quarter_x = u.store.lookup(u.store.lin_combine([(Dyadic(1, 2), u.x_id)]))
     scale = common_denominator(s2.table.values())
     bad = perturbed(u, 2, quarter_x, F(2**59, scale) - s2.table[quarter_x])
-    table = bad.stage(2).table
-    assert 2**59 <= to_scaled(table[quarter_x], common_denominator(table.values())) < 2**60
-    with pytest.raises(ScaleOverflowError):
-        check_condition_5(bad)
+    ints, _ = bad.stage(2).scaled_table()
+    assert ints.dtype == np.int64 and 2**59 <= ints[s2.members.index(quarter_x)] < 2**60
+    fitted = fit_spy(verify)
+    homogeneity, _ = check_condition_5(bad)
+    assert [arrays[0].dtype for arrays in fitted] == [object]
+    assert not homogeneity.ok
+    assert homogeneity.counterexamples[0] == {"element": quarter_x, "alpha": "-16", "lhs": "4", "rhs": str(2**61)}
+
+
+def test_scaled_table_refuses_a_missing_entry(exact_universe):
+    """A sealed stage whose table lacks a member pair (word stage) or a
+    member (norm stage) is refused by ``Stage.scaled_table`` with a typed
+    ``NotBuiltError`` naming the entry, and so by every check reading it,
+    rather than read as 0 or failing with a bare ``KeyError``."""
+    u = exact_universe
+    for n, key in ((1, (UNIT_ID, u.x_id)), (2, u.x_id)):
+        forged = copy.copy(u)
+        forged.stages = list(u.stages)
+        table = {k: v for k, v in u.stage(n).table.items() if k != key}
+        forged.stages[n] = u.stage(n).clone_with_table(table)
+        with pytest.raises(NotBuiltError, match=re.escape(f"stage {n} has no table value for {key}")):
+            forged.stage(n).scaled_table()
+        with pytest.raises(NotBuiltError):
+            check_suites(forged)
 
 
 def test_inversion_missing_inverse(exact_universe):
