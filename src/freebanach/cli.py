@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -24,7 +25,7 @@ from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
 from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
-from .terms import AlgebraError, pair_key
+from .terms import AlgebraError
 from .verify import SUITES, SuiteReport, check_conditions, check_rank0_dominance, check_suites
 
 EXIT_OK = 0
@@ -45,30 +46,20 @@ STAGE_KEYS = {"word": ("index", "kind", "generators", "word_cap", "count", "tabl
               "vector": ("index", "kind", "basis", "scalar_set", "count", "table")}
 
 
-def _cells(stage: Stage) -> list:
-    """A stage's table keys in document order: a vector stage's members in
-    grid order, a word stage's member pairs i < j in ``WordSpace`` order."""
-    members = stage.members
-    if stage.kind == "vector":
-        return list(members)
-    return [pair_key(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
-
-
 def export_document(universe, suite: SuiteReport | None = None) -> dict:
     """Format version 2: a stage is its generating data, its member count
-    and its table as ``[num, den]`` rows over ``_cells``.  Members and ids
-    are not written: ``import_universe`` re-derives them.  ``suite``, if
-    given, must be the universe's ``check_conditions`` report, as ``build``
-    writes it: it becomes the last key, ``verification``, and import
-    re-runs ``check_conditions`` and refuses a section that differs."""
+    and its table as ``[num, den]`` rows over ``Stage.cells``.  Members and
+    ids are not written: ``import_universe`` re-derives them.  ``suite``,
+    if given, must be the universe's ``check_conditions`` report, as
+    ``build`` writes it: it becomes the last key, ``verification``, and
+    import re-runs ``check_conditions`` and refuses a section that differs."""
     stages = []
     for stage in universe.stages:
-        if stage.sealed:
-            data = ({"generators": list(stage.generators), "word_cap": stage.word_cap} if stage.kind == "word"
-                    else {"basis": list(stage.basis), "scalar_set": [str(d) for d in stage.scalar_set]})
-            values = map(stage.table.__getitem__, _cells(stage))
-            stages.append({"index": stage.index, "kind": stage.kind, **data, "count": len(stage.members),
-                           "table": [[v.numerator, v.denominator] for v in values]})
+        data = ({"generators": list(stage.generators), "word_cap": stage.word_cap} if stage.kind == "word"
+                else {"basis": list(stage.basis), "scalar_set": [str(d) for d in stage.scalar_set]})
+        values = map(stage.table.__getitem__, stage.cells())
+        stages.append({"index": stage.index, "kind": stage.kind, **data, "count": len(stage.members),
+                       "table": [[v.numerator, v.denominator] for v in values]})
     doc = {
         "format": "freebanach-export",
         "version": FORMAT_VERSION,
@@ -132,7 +123,7 @@ def _stage_from_doc(universe, n: int, sdoc) -> Stage:
     if not _same(sdoc[key], given):  # before the enumeration reads it
         raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the config gives {given!r}")
     if n == 0:
-        stage = universe._unit_stage()
+        stage = universe._unit_stage({})
     elif kind == "word":
         stage = universe._enumerate_word_stage(n, sdoc["word_cap"])
     else:
@@ -141,9 +132,7 @@ def _stage_from_doc(universe, n: int, sdoc) -> Stage:
     for key, derived in ((spanning, list(getattr(stage, spanning))), ("count", len(stage.members))):
         if not _same(sdoc[key], derived):
             raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the stages below give {derived!r}")
-    stage.table = _table(sdoc["table"], _cells(stage), where)
-    stage.sealed = True
-    return stage
+    return replace(stage, table=_table(sdoc["table"], stage.cells(), where))
 
 
 def import_universe(path: str, cfg: Config | None = None):
@@ -251,7 +240,7 @@ def cmd_dist(args) -> int:
         print("0 (identical elements)")
         return EXIT_OK
     for stage in universe.stages:
-        if not (stage.sealed and a in stage.member_set and b in stage.member_set):
+        if not (a in stage.member_set and b in stage.member_set):
             continue
         value = universe.rho(stage, a, b) if stage.kind == "word" else universe.norm_of_diff(stage, a, b)
         if value is not None:  # a vector stage carries the pair when a - b is a member
@@ -267,7 +256,7 @@ def cmd_norm(args) -> int:
     _certify(universe)
     eid = _eval_arg(universe, args.e)
     for stage in universe.stages:
-        if stage.sealed and stage.kind == "vector" and eid in stage.member_set:
+        if stage.kind == "vector" and eid in stage.member_set:
             print(f"{fraction_str(stage.table[eid])} (stage {stage.index})")
             return EXIT_OK
     print("no built norm stage contains this element", file=sys.stderr)

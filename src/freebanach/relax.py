@@ -38,7 +38,8 @@ common denominator of its seeds and convex coefficients, and retries at
 four times the scale, up to six attempts, while a value is not exact there.
 
 ``to_scaled`` is the closure's own Fraction -> int64 conversion: it raises
-``ScaleOverflowError`` unless the value is exact at the scale and below
+``ScaleInexactError`` unless the value is exact at the scale, and
+``ScaleOverflowError``, which no larger scale mends, unless it is below
 2^60 in magnitude, so a sum of two converted values cannot wrap in int64.
 Only ``PairComposition`` uses it; the checks read ``Stage.scaled_table``.
 """
@@ -70,6 +71,10 @@ class NonConvergenceError(RelaxError):
 
 class ScaleOverflowError(RelaxError):
     """Scaled-integer arithmetic would exceed the int64 safety margin."""
+
+
+class ScaleInexactError(RelaxError):
+    """A value is not a whole number at the scale; a larger one may fix it."""
 
 
 @dataclass(frozen=True)
@@ -233,10 +238,10 @@ def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_00
 
 def to_scaled(value: Fraction, scale: int) -> int:
     """value * scale as an int, exact and below 2^60 in magnitude, or
-    ScaleOverflowError."""
+    ScaleInexactError or ScaleOverflowError."""
     num = value.numerator * scale
     if num % value.denominator:
-        raise ScaleOverflowError(f"{value} not representable at scale {scale}")
+        raise ScaleInexactError(f"{value} not representable at scale {scale}")
     out = num // value.denominator
     if abs(out) >= _INT_INF // 4:
         raise ScaleOverflowError(f"scaled value {out} too large")
@@ -408,9 +413,9 @@ class PairComposition:
         for attempt in range(6):
             try:
                 return self._solve_scaled(scale, sweep_cap, maps)
-            except ScaleOverflowError:
+            except ScaleInexactError:
                 scale *= 4
-        raise ScaleOverflowError("could not find a workable common denominator")
+        raise ScaleInexactError("could not find a workable common denominator")
 
     def _solve_scaled(self, scale: int, sweep_cap: int, maps) -> tuple[ClosureTable, int]:
         n, tri = self.n, self.triangle

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .lp import _absmax, _fit
@@ -45,7 +45,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class NotBuiltError(LookupError):
-    """A stage, or an entry of a sealed stage (a pair's distance, an id's phi'), never built."""
+    """A stage, or an entry of a built stage (a pair's distance, an id's phi'), never built."""
 
 
 DESK_SCALARS = (Dyadic(-1), Dyadic(0), Dyadic(1))
@@ -242,22 +242,36 @@ class Config:
 PRESETS = {"desk": Config.desk, "rank": Config.rank, "exact-x2": Config.exact_x2}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stage:
+    """A stage built whole: the build and ``import_universe`` make it with
+    its table, and it is frozen, so ``member_set`` and the integer view
+    ``scaled_table`` are derived once, on first read.  ``dataclasses.replace``
+    (as ``perturbed`` uses) makes a new stage that derives its own."""
+
     index: int
     kind: str  # "word" | "vector"
     members: tuple[int, ...] = ()
-    member_set: frozenset[int] = frozenset()
     generators: tuple[int, ...] = ()  # word stages: S_n
     basis: tuple[int, ...] = ()  # vector stages: B_n
     table: dict = field(default_factory=dict)
     word_cap: int = 0
     scalar_set: tuple[Dyadic, ...] = ()
-    sealed: bool = False
     notes: dict = field(default_factory=dict)
 
-    def clone_with_table(self, table: dict) -> "Stage":
-        return replace(self, table=table)
+    sealed = True  # not a field: every stage has its table; the benchmark still filters on it
+
+    @cached_property
+    def member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
+    def cells(self) -> list:
+        """The table's keys in member order: a vector stage's members (grid
+        order), a word stage's member pairs i < j, row-major."""
+        members = self.members
+        if self.kind == "vector":
+            return list(members)
+        return [pair_key(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
 
     def coordinates(self, shift: int):
         """A vector stage's member coefficients as numerators over 2^shift,
@@ -272,30 +286,39 @@ class Stage:
         dim, radix = len(self.basis), len(digits)
         return digits[np.indices((radix,) * dim).reshape(dim, radix**dim).T]
 
+    @cached_property
+    def _view(self):
+        return _integer_view(self)
+
     def scaled_table(self):
         """The table as exact integers, ``(ints, scale)``: ``scale`` is the
         lcm of its denominators, ``ints`` a norm stage's member norms or a
         word stage's member distances (a symmetric matrix, zero diagonal) in
         member order, int64 while ``lp._fit``'s bound holds for the sum or
-        difference of two entries, else Python ints.  A member or pair with
-        no value raises ``NotBuiltError``."""
-        import numpy as np
+        difference of two entries, else Python ints; read-only, built on the
+        first call.  A member or pair with no value raises ``NotBuiltError``."""
+        return self._view
 
-        members, n = self.members, len(self.members)
-        keys = members if self.kind == "vector" else [pair_key(a, b) for a, b in combinations(members, 2)]
-        try:
-            values = [self.table[k] for k in keys]
-        except KeyError as exc:
-            raise NotBuiltError(f"stage {self.index} has no table value for {exc.args[0]}") from None
-        dens = [v.denominator for v in values]
-        scale = lcm(*set(dens))
-        flat = np.array([v.numerator * (scale // q) for v, q in zip(values, dens)], dtype=object)
-        [flat] = _fit(2 * _absmax(flat), flat)
-        if self.kind == "vector":
-            return flat, scale
-        ints = np.zeros((n, n), dtype=flat.dtype)
-        ints[np.tri(n, k=-1, dtype=bool).T] = flat  # the cells i < j, row-major
-        return ints + ints.T, scale
+
+def _integer_view(stage: Stage):
+    """``Stage.scaled_table``'s value, built from the table."""
+    import numpy as np
+
+    try:
+        values = [stage.table[k] for k in stage.cells()]
+    except KeyError as exc:
+        raise NotBuiltError(f"stage {stage.index} has no table value for {exc.args[0]}") from None
+    dens = [v.denominator for v in values]
+    scale = lcm(*set(dens))
+    ints = np.array([v.numerator * (scale // q) for v, q in zip(values, dens)], dtype=object)
+    [ints] = _fit(2 * _absmax(ints), ints)
+    if stage.kind == "word":
+        n = len(stage.members)
+        upper = np.zeros((n, n), dtype=ints.dtype)
+        upper[np.tri(n, k=-1, dtype=bool).T] = ints  # the cells i < j, row-major
+        ints = upper + upper.T
+    ints.flags.writeable = False
+    return ints, scale
 
 
 def off_grid_cells(store: TermStore, stage: Stage) -> list[int]:
@@ -327,7 +350,7 @@ class Universe:
     # -- queries ----------------------------------------------------------
 
     def stage(self, n: int) -> Stage:
-        if n >= len(self.stages) or not self.stages[n].sealed:
+        if n >= len(self.stages):
             raise NotBuiltError(f"stage {n} not built")
         return self.stages[n]
 
@@ -356,26 +379,22 @@ class Universe:
     def build(self) -> "Universe":
         from . import metric_ext, norm_ext
 
-        stage0 = self._unit_stage()
-        stage0.table, stage0.sealed = {UNIT_ID: Fraction(0)}, True
-        self.stages = [stage0]
+        self.stages = [self._unit_stage({UNIT_ID: Fraction(0)})]
         for n in range(1, self.cfg.stage_count + 1):
+            prev = self.stages[n - 1]
             if n % 2 == 1:
                 stage = self._enumerate_word_stage(n, self.cfg.word_cap((n - 1) // 2))
-                prev = self.stages[n - 1]
-                stage.table = metric_ext.rho_extend(self, stage, prev, self.cfg)
+                table = metric_ext.rho_extend(self, stage, prev, self.cfg)
             else:
                 stage = self._enumerate_vector_stage(n, self.cfg.scalar_set(n // 2))
-                prev = self.stages[n - 1]
-                stage.table = norm_ext.norm_extend(self, stage, prev, self.cfg)
-            stage.sealed = True
-            self.stages.append(stage)
+                table = norm_ext.norm_extend(self, stage, prev, self.cfg)
+            self.stages.append(replace(stage, table=table))
         return self
 
     @staticmethod
-    def _unit_stage() -> Stage:
+    def _unit_stage(table: dict) -> Stage:
         """X_0 = {e}, the vector stage over the empty basis."""
-        return Stage(index=0, kind="vector", members=(UNIT_ID,), member_set=frozenset({UNIT_ID}))
+        return Stage(index=0, kind="vector", members=(UNIT_ID,), table=table)
 
     # The build passes the config's word cap or scalar set, import_universe the document's.
     def _enumerate_word_stage(self, n: int, cap: int) -> Stage:
@@ -394,23 +413,13 @@ class Universe:
         letters = [(gid, sign) for gid in generators for sign in (1, -1)]
         count = count_words(letters, cap)
         if count > self.cfg.member_budget:
-            raise BudgetExceededError(
-                f"word stage {n} would have {count} members "
-                f"(budget {self.cfg.member_budget})"
-            )
+            raise BudgetExceededError(f"word stage {n} would have {count} members (budget {self.cfg.member_budget})")
         if count**2 > self.cfg.pair_cell_budget:  # the metric's members space, before any word is interned
             from .metric_ext import MetricExtensionError
 
             raise MetricExtensionError(f"stage-{n} metric members space {count}^2 exceeds pair_cell_budget")
         members = store.intern_words(WordSpace(letters, cap).words)
-        return Stage(
-            index=n,
-            kind="word",
-            members=tuple(members),
-            member_set=frozenset(members),
-            generators=generators,
-            word_cap=cap,
-        )
+        return Stage(index=n, kind="word", members=tuple(members), generators=generators, word_cap=cap)
 
     def _enumerate_vector_stage(self, n: int, scalars) -> Stage:
         store = self.store
@@ -423,18 +432,8 @@ class Universe:
 
         count = len(scalars) ** len(basis)
         if count > self.cfg.member_budget:
-            raise BudgetExceededError(
-                f"vector stage {n} would have {count} members "
-                f"(budget {self.cfg.member_budget})"
-            )
+            raise BudgetExceededError(f"vector stage {n} would have {count} members (budget {self.cfg.member_budget})")
 
         ordered = sorted(scalars, key=lambda d: d.as_fraction())
         members = tuple(store.intern_grid(basis, ordered))
-        return Stage(
-            index=n,
-            kind="vector",
-            members=members,
-            member_set=frozenset(members),
-            basis=basis,
-            scalar_set=tuple(ordered),
-        )
+        return Stage(index=n, kind="vector", members=members, basis=basis, scalar_set=tuple(ordered))

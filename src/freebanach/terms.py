@@ -190,7 +190,7 @@ class WordSpace:
 class TermStore:
     """Interning store mapping canonical terms to stable integer ids.
 
-    Single-writer during stage construction; once a stage is sealed all
+    Single-writer during stage construction; once a stage is built all
     reads are pure. Ids are assigned in insertion order, so a fixed
     enumeration order yields bit-identical stores across runs.
     """

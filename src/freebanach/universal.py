@@ -26,7 +26,7 @@ S tau is exact in Python ints, with S = 2^K and K the sum, over the norm
 stages with a basis, of the largest denominator exponent of their scalar
 set: every coefficient function into that set is a member, so member
 images have denominators dividing S.  ``TauMap`` holds one integer column
-per sealed stage: letter sums on a word stage; on a norm stage the
+per stage: letter sums on a word stage; on a norm stage the
 members' ``Stage.coordinates`` (numerators over 2^k) times the basis
 images, divided by 2^k exactly (a remainder raises ``InexactDivision``).
 Every array is int64 while ``lp._fit``'s explicit bound covers each
@@ -100,14 +100,14 @@ class TargetSpace:
 
 
 class TauMap:
-    """S tau, ``scale`` = S (module docstring): ``columns[n]`` holds sealed
-    stage n's members' values in member order.  A call reads an id's value
-    in the first sealed stage that holds it; an id in no sealed stage
-    raises ``NotBuiltError``."""
+    """S tau, ``scale`` = S (module docstring): ``columns[n]`` holds stage
+    n's members' values in member order.  A call reads an id's value in the
+    first stage that holds it; an id in no built stage raises
+    ``NotBuiltError``."""
 
     def __init__(self, universe):
         self.universe, store, x = universe, universe.store, universe.x_id
-        self.stages = [stage for stage in universe.stages if stage.sealed]
+        self.stages = list(universe.stages)
         self.scale = 1 << sum(scalar_shift(s) for s in self.stages if s.kind == "vector" and s.basis)
         self.columns: dict[int, np.ndarray] = {}
         self._of: dict[int, int] = {}
@@ -141,11 +141,11 @@ class TauMap:
         if eid not in self._of:
             from .stages import NotBuiltError
 
-            raise NotBuiltError(f"tau of {eid}: the id is in no sealed stage")
+            raise NotBuiltError(f"tau of {eid}: the id is in no built stage")
         return self._of[eid]
 
     def bound_pass(self):
-        """tau's bound on every entry of every sealed stage (a norm stage's
+        """tau's bound on every entry of every stage (a norm stage's
         members, a word stage's member pairs i < j in row-major order): for
         an entry T/L of ``Stage.scaled_table`` and d = S tau, |d| L <= S |T|,
         in int64 or Python ints by one ``lp._fit`` bound that covers the
@@ -246,7 +246,7 @@ def phi_eval(universe, eid: int, target: TargetSpace) -> Vec:
 
 @dataclass
 class SigmaTable:
-    """One target's pullback metric and norm per sealed stage, squared:
+    """One target's pullback metric and norm per stage, squared:
     ||y||^2 (tau(a) - tau(b))^2 per member pair of a word stage and
     ||y||^2 tau(z)^2 per member of a norm stage, built on first read."""
 

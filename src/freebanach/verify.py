@@ -1,10 +1,12 @@
 """Executable verification of every stated invariant, with counterexamples.
 
-Each checker is a pure function of sealed stage tables; two runs produce
-identical reports.  The dense sections read each table through
-``Stage.scaled_table``, in Python ints past ``lp._fit``'s int64 bound, so
-no table is refused for its size.  The word-stage sections read one
-product table and inverse map per stage, built from its member words.
+Each checker is a pure function of the stage tables; two runs produce
+identical reports.  A stage is built whole, table and all (``stages.Stage``),
+so the dense sections read each table through one integer view,
+``Stage.scaled_table``, built once per stage, in Python ints past
+``lp._fit``'s int64 bound, so no table is refused for its size.  The
+word-stage sections read one product table and inverse map per stage,
+built from its member words.
 Condition 3's splitting walks rows: each row is one product pair (c, d)
 against all k of them, every row while the k^2 instances fit the
 configured budget, else a seeded sample of rows, with the seed and row
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -135,7 +137,7 @@ def _group_law(universe, stage):
 def check_condition_1(universe) -> list[VerificationReport]:
     out = []
     for stage in universe.stages:
-        if not stage.sealed or stage.index == 0:
+        if stage.index == 0:
             continue
         report = VerificationReport(suite=f"condition 1 stage {stage.index}")
         ints, scale = stage.scaled_table()
@@ -196,7 +198,7 @@ def check_extension_norm(universe, stage, prev) -> VerificationReport:
 def check_condition_2(universe) -> list[VerificationReport]:
     out = []
     for stage in universe.stages:
-        if not stage.sealed or stage.index == 0:
+        if stage.index == 0:
             continue
         prev = universe.stages[stage.index - 1]
         if stage.index == 1:
@@ -270,7 +272,7 @@ def _inverse_invariance(stage, inv, R, scale) -> VerificationReport:
 def check_condition_3(universe, budget: int, seed: int) -> list[VerificationReport]:
     out = []
     for stage in universe.stages:
-        if stage.sealed and stage.kind == "word" and stage.index >= 1:
+        if stage.kind == "word":
             R, scale = stage.scaled_table()
             P, inv = _group_law(universe, stage)
             out.append(_fact_inequality(stage, P, R, scale, budget, seed))
@@ -301,7 +303,7 @@ def check_condition_4(universe) -> list[VerificationReport]:
     return [
         _convex_report(universe, stage, f"condition 4 stage {stage.index}", inverse=False)
         for stage in universe.stages
-        if stage.sealed and stage.kind == "word"
+        if stage.kind == "word"
     ]
 
 
@@ -311,7 +313,7 @@ def check_condition_5(universe) -> list[VerificationReport]:
     grid, so each law is a map of digit runs along every axis."""
     out = []
     for stage in universe.stages:
-        if not stage.sealed or stage.kind != "vector" or stage.index == 0:
+        if stage.kind != "vector" or stage.index == 0:
             continue
         lattice = _member_lattice(stage)
         out.append(_homogeneity_report(stage, lattice))
@@ -454,7 +456,7 @@ def check_condition_6(universe) -> list[VerificationReport]:
     tower an interned z_i is a basis word, so it is, and none is lost."""
     out = []
     for stage in universe.stages:
-        if not stage.sealed or stage.index == 0:
+        if stage.index == 0:
             continue
         if stage.kind == "word":
             out.append(_convex_report(universe, stage, f"condition 6 odd stage {stage.index}", inverse=True))
@@ -479,7 +481,7 @@ def check_condition_6(universe) -> list[VerificationReport]:
 
 
 def check_conditions(universe, budget: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
-    """All numbered conditions over every sealed stage."""
+    """All numbered conditions over every stage."""
     budget = universe.cfg.quantifier_budget if budget is None else budget
     seed = universe.cfg.seed if seed is None else seed
     suite = SuiteReport()
@@ -580,7 +582,7 @@ def check_suites(universe, suites=SUITES) -> SuiteReport:
     suite = check_conditions(universe) if "conditions" in suites else SuiteReport()
     if "biinvariance" in suites:
         for stage in universe.stages:
-            if stage.sealed and stage.kind == "word":
+            if stage.kind == "word":
                 suite.extend(check_biinvariance(universe, stage).reports)
     if "universal" in suites:
         tau = TauMap(universe)
@@ -608,5 +610,5 @@ def perturbed(universe, stage_index: int, key, delta: Fraction):
     if key not in table:
         raise KeyError(f"no table entry {key!r} in stage {stage_index}")
     table[key] = table[key] + delta
-    clone.stages[stage_index] = stage.clone_with_table(table)
+    clone.stages[stage_index] = replace(stage, table=table)
     return clone

@@ -2,24 +2,31 @@
 
 The benchmark's tracer reports a callable it cannot find, or a
 ``stage.notes`` key no stage carries, as ``null``, and a traced run with a
-``null`` row is malformed.  Its tables are read here, never changed.
+``null`` row is malformed.  Its correctness gate reads ``Stage.sealed``,
+``Stage.member_set``, the tables and ``Universe.rho``.  Its files are read
+here, never changed.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}_contract", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer_contract", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_trace_targets_resolve(tracer):
@@ -55,3 +62,12 @@ def test_universal_call_shapes(exact_universe):
         for report in reports:
             assert report.ok, report.summary_line()
             assert report.summary_line().startswith("[pass] ")
+
+
+@pytest.mark.parametrize("preset, fixture", [("exact-x2", "exact_universe"), ("rank", "rank_universe")])
+def test_gate_digest_matches(preset, fixture, request):
+    """The gate renders every member and table line of a preset as the
+    benchmark does and finds its recorded digest."""
+    universe = request.getfixturevalue(fixture)
+    reference = json.loads((PERFBENCH / "digests.json").read_text())[preset]
+    assert _load("gate").check_digest(universe, reference) == []

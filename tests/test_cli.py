@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from freebanach.cli import (
     main,
 )
 from freebanach.metric_ext import MetricExtensionError
+from freebanach.relax import PairComposition
 from freebanach.stages import ConfigError
 from freebanach.verify import check_conditions, check_suites, perturbed
 
@@ -178,7 +180,7 @@ def test_import_reproduces_the_build(tmp_path, request, preset):
             (theirs.index, theirs.kind, theirs.members, theirs.member_set)
         assert (mine.generators, mine.word_cap, mine.basis, mine.scalar_set) == \
             (theirs.generators, theirs.word_cap, theirs.basis, theirs.scalar_set)
-        assert mine.table == theirs.table and mine.sealed
+        assert mine.table == theirs.table
     assert export_bytes(v) == data
     if preset == "exact-cap2":
         assert [len(s.members) for s in v.stages] == [1, 5, 6561]
@@ -724,3 +726,21 @@ def test_towers_past_int64(stage_count, k, tmp_path, fit_spy, capsys):
     homogeneity = bad["condition 5 homogeneity stage 2"]
     assert not homogeneity.ok
     assert {"element": x, "alpha": str(s), "lhs": str(s / 2), "rhs": str(s)} in homogeneity.counterexamples
+
+
+def test_pair_closure_refuses_a_value_too_large_at_once(tmp_path, monkeypatch, capsys):
+    """On a 3-stage tower over {0, +-1, +-2^-70} the stage-3 pair closure
+    holds a seed past 2^60 at its first scale.  A larger scale only makes it
+    larger, so the closure runs once and ``build`` exits 2 naming it, with
+    no retry."""
+    s = Fraction(1, 2**70)
+    config = tmp_path / "tower.ini"
+    config.write_text(f"[build]\nstage_count = 3\nscalar_sets = -{s} -1 0 1 {s}\n")
+    scales = []
+    solve_scaled = PairComposition._solve_scaled
+    monkeypatch.setattr(PairComposition, "_solve_scaled",
+                        lambda self, scale, *args: scales.append(scale) or solve_scaled(self, scale, *args))
+    assert run_cli("build", "--config", str(config), "--out", str(tmp_path / "tower.json")) == EXIT_USAGE
+    assert len(scales) == 1
+    assert re.fullmatch(r"error: scaled value \d+ too large\n", capsys.readouterr().err)
+    assert not (tmp_path / "tower.json").exists()

@@ -164,7 +164,7 @@ def test_rank_rho_at_expansion_one(rank_universe):
 
 def test_delta_cap2_upper_bound():
     """delta(xx, e) is at most 2 ||x||_2 via the aligned factorization
-    (x)(x) against (e)(e).  The length-2 word stage is enumerated unsealed;
+    (x)(x) against (e)(e).  The length-2 word stage is enumerated without a table;
     only the auxiliary function is exercised."""
     cfg = Config(stage_count=2, word_caps=(1, 2), ambient_expansion=1)
     u = Universe(cfg).build()

@@ -112,7 +112,7 @@ def test_certificate_mismatch_detected(exact_universe):
     assert certificate_mismatches(u, 2, members) == 0
     table = dict(s2.table)
     table[members[0]] += 1
-    u.stages = u.stages[:2] + [s2.clone_with_table(table)]
+    u.stages = u.stages[:2] + [dataclasses.replace(s2, table=table)]
     assert certificate_mismatches(u, 2, members) == 1
 
 
@@ -191,9 +191,7 @@ def test_inverse_convex_instance_refused(rank_universe):
     gi = store.lookup(store.group_inv(g))
     assert gi in u.stage(3).member_set
     s2 = u.stage(2)
-    stage = dataclasses.replace(
-        s2, members=s2.members + (gi,), member_set=s2.member_set | {gi}, notes={}
-    )
+    stage = dataclasses.replace(s2, members=s2.members + (gi,), notes={})
     [(y, terms)] = store.convex_instances(stage, inverse=True)
     assert y == gi and sorted(terms) == sorted([(F(1, 2), x), (F(1, 2), xi)])
     with pytest.raises(NormExtensionError, match="inverse-convex"):

@@ -19,7 +19,7 @@ from freebanach.relax import (
     NonConvergenceError,
     PairComposition,
     RelaxError,
-    ScaleOverflowError,
+    ScaleInexactError,
     UpperCombo,
     brute_force_oracle,
     relax_fixpoint,
@@ -290,16 +290,16 @@ def _unrestricted_solve(engine, sweep_cap):
     generator with a finite cost composes its whole right and left blocks,
     sources from the snapshot, costs read live in generator order.  Returns
     the table as {cell: Fraction} (+inf cells absent) and the sweep count;
-    the scale grows fourfold while a value is not exact at it, as in
-    ``solve``."""
+    the scale grows fourfold while a value is not exact at it, and a value
+    too large at it is refused at once, as in ``solve``."""
     denoms = [c.denominator for _, terms in engine.fraction_rules for c, _ in terms]
     scale = lcm(*(v.denominator for v in engine.seeds.values()), *denoms)
     for _ in range(6):
         try:
             return _unrestricted_sweeps(engine, scale, sweep_cap)
-        except ScaleOverflowError:
+        except ScaleInexactError:
             scale *= 4
-    raise ScaleOverflowError("no workable scale")
+    raise ScaleInexactError("no workable scale")
 
 
 def _unrestricted_sweeps(engine, scale, sweep_cap):
@@ -375,6 +375,25 @@ def test_a_dropped_cost_recomposes_unchanged_sources():
     want, want_sweeps = _unrestricted_solve(engine, 200)
     assert (want[x, X], want_sweeps) == (F(2), sweeps)
     assert relax_fixpoint(_explicit_pair_system(*system)).values[(x, X)] == F(2)
+
+
+def test_an_inexact_value_retries_at_a_larger_scale(monkeypatch):
+    """Words e, x, X with seeds (e, x) = 1 and (e, X) = 2 and the convex
+    instances (x, X) <= 1/2 (e, x) + 1/2 (e, X) = 3/2 and (X, x) <=
+    1/2 (x, X) + 1/2 (e, x) = 5/4.  At the coefficients' scale 2, 5/4 is not
+    whole, so the closure runs again at 8; the unrestricted loop agrees."""
+    space = WordSpace([(1, 1), (1, -1)], 1)
+    convex = [((1, 2), ((F(1, 2), (0, 1)), (F(1, 2), (0, 2)))), ((2, 1), ((F(1, 2), (1, 2)), (F(1, 2), (0, 1))))]
+    engine = _pair_engine(space, [((0, 1), F(1)), ((0, 2), F(2))], [], False, convex)
+    scales = []
+    solve_scaled = PairComposition._solve_scaled
+    monkeypatch.setattr(PairComposition, "_solve_scaled",
+                        lambda self, scale, *args: scales.append(scale) or solve_scaled(self, scale, *args))
+    table, _ = engine.solve()
+    assert scales == [2, 8]
+    assert (table.get((1, 2)), table.get((2, 1))) == (F(3, 2), F(5, 4))
+    want, _ = _unrestricted_solve(engine, 200)
+    assert (want[1, 2], want[2, 1]) == (F(3, 2), F(5, 4))
 
 
 def test_lattice_system_is_a_name_only():

@@ -1,15 +1,17 @@
 """Tower construction: sizes, chain monotonicity, bookkeeping, determinism."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
 
-from freebanach import Config, Universe, UNIT_ID, BudgetExceededError
+from freebanach import Config, Universe, UNIT_ID, BudgetExceededError, stages
 from freebanach.scalars import Dyadic
 from freebanach.norm_ext import scalar_shift
 from freebanach.stages import ConfigError, NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm, TermStore
+from freebanach.universal import check_morphism_bound, check_operation_preservation, sigma_table
+from freebanach.verify import check_biinvariance, check_condition_1, check_suites, perturbed
 
 
 def test_stage1_construction_exact():
@@ -237,3 +239,47 @@ def test_grid_shares_one_pair_per_axis_and_scalar(desk_universe):
     terms = [store.term(m) for m in stage.members]
     pairs = {id(p) for t in terms if isinstance(t, ComboTerm) for p in t.coeffs}
     assert len(pairs) <= len(stage.basis) * len(stage.scalar_set) == 24
+
+
+@pytest.mark.parametrize("preset", [Config.exact_x2, Config.rank], ids=["exact-x2", "rank"])
+def test_one_integer_view_per_stage(preset, monkeypatch):
+    """Every section of ``check_suites``, then bi-invariance per word stage
+    and the three universal calls per target, read the stages' integer
+    views many times and build each once."""
+    u = Universe(preset()).build()
+    built = []
+    monkeypatch.setattr(stages, "_integer_view",
+                        lambda stage, view=stages._integer_view: built.append(stage.index) or view(stage))
+    assert check_suites(u).ok
+    for stage in u.stages:
+        if stage.kind == "word":
+            check_biinvariance(u, stage)
+    for target in u.cfg.targets:
+        check_morphism_bound(u, target)
+        sigma_table(u, target)
+        check_operation_preservation(u, target, seed=u.cfg.seed)
+    assert sorted(built) == [stage.index for stage in u.stages]
+
+
+def test_a_perturbed_stage_reads_its_own_view(exact_universe):
+    """A view read before ``perturbed`` stays the original's: condition 1
+    fails on the clone, whose stage derives its own view, and still passes
+    on the original."""
+    u, s1 = exact_universe, exact_universe.stage(1)
+    s1.scaled_table()
+    key = s1.cells()[0]
+    bad = perturbed(u, 1, key, -s1.table[key])
+    [clone] = [r for r in check_condition_1(bad) if r.suite == "condition 1 stage 1"]
+    [original] = [r for r in check_condition_1(u) if r.suite == "condition 1 stage 1"]
+    assert not clone.ok and clone.counterexamples[0]["pair"] == key
+    assert original.ok
+
+
+def test_a_built_stage_cannot_change(exact_universe):
+    """A stage's table cannot be rebound, nor its integer view written."""
+    for stage in exact_universe.stages:
+        ints, _ = stage.scaled_table()
+        with pytest.raises(ValueError, match="read-only"):
+            ints[(0,) * ints.ndim] = 1
+        with pytest.raises(FrozenInstanceError):
+            stage.table = {}

@@ -155,7 +155,7 @@ def _reference_bound(u, target):
     phi, y_sq = _reference_phi(u, target), target.y_norm_sq()
     report = VerificationReport(suite=f"morphism bound {target.label()}")
     metric_sq, norm_sq, worst = {}, {}, None
-    for stage in (s for s in u.stages if s.sealed):
+    for stage in u.stages:
         members = stage.members
         if stage.kind == "vector":
             table = norm_sq[stage.index] = {}
@@ -328,9 +328,9 @@ def test_coordinates_past_int64(desk_universe, fit_spy):
     them exact Python ints in an object array: the stage-2 grid still
     matches the store, TauMap's product agrees with the reference, and the
     bound pass runs on Python-int object arrays and matches the per-entry
-    reference.  Per stage, the pass fits ``Stage.scaled_table``'s integers
-    once and its own products once, each int64 on stages 0 and 1 and an
-    object array on stage 2."""
+    reference.  Per stage, the pass fits its own products once, reading
+    the view ``Stage.scaled_table`` the reference checks already built;
+    both are int64 on stages 0 and 1 and object arrays on stage 2."""
     big = 2**70
     scalars = tuple(map(Dyadic.parse, f"-{big} -1 0 1 {big}".split()))
     u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
@@ -347,14 +347,15 @@ def test_coordinates_past_int64(desk_universe, fit_spy):
         _assert_matches_reference(u, target)
     fitted = fit_spy(stages, universal)
     assert tau.bound_pass().ok
-    assert [arrays[0].dtype for arrays in fitted] == [np.int64] * 4 + [object] * 2  # stages 0, 1, 2
+    assert [arrays[0].dtype for arrays in fitted] == [np.int64] * 2 + [object]  # stages 0, 1, 2
+    assert [s.scaled_table()[0].dtype for s in u.stages] == [np.int64] * 2 + [object]
 
 
 def test_phi_outside_the_tower_is_not_built(exact_universe):
-    """TauMap is filled on the sealed stages only; another id is a typed
+    """TauMap is filled on the tower's stages only; another id is a typed
     LookupError, not a KeyError."""
     tau = TauMap(exact_universe)
-    with pytest.raises(NotBuiltError, match="no sealed stage"):
+    with pytest.raises(NotBuiltError, match="no built stage"):
         tau(len(exact_universe.store))
 
 

@@ -235,7 +235,7 @@ def test_condition6_even_clause_instance(rank_universe):
     x_gi = store.intern(store.lin_combine([(Dyadic(1), x), (Dyadic(-1), gi)]))
     members = (UNIT_ID, x, x_xi, x_gi)
     table = {UNIT_ID: F(0), x: F(1), x_xi: F(2), x_gi: F(1)}
-    s4 = Stage(index=4, kind="vector", members=members, member_set=frozenset(members), table=table, sealed=True)
+    s4 = Stage(index=4, kind="vector", members=members, table=table)
     u.stages = list(rank_universe.stages) + [s4]
 
     def even(universe):
@@ -494,7 +494,7 @@ def test_homogeneity_overflow_is_typed(fit_spy):
 
 
 def test_scaled_table_refuses_a_missing_entry(exact_universe):
-    """A sealed stage whose table lacks a member pair (word stage) or a
+    """A stage whose table lacks a member pair (word stage) or a
     member (norm stage) is refused by ``Stage.scaled_table`` with a typed
     ``NotBuiltError`` naming the entry, and so by every check reading it,
     rather than read as 0 or failing with a bare ``KeyError``."""
@@ -503,7 +503,7 @@ def test_scaled_table_refuses_a_missing_entry(exact_universe):
         forged = copy.copy(u)
         forged.stages = list(u.stages)
         table = {k: v for k, v in u.stage(n).table.items() if k != key}
-        forged.stages[n] = u.stage(n).clone_with_table(table)
+        forged.stages[n] = dataclasses.replace(u.stage(n), table=table)
         with pytest.raises(NotBuiltError, match=re.escape(f"stage {n} has no table value for {key}")):
             forged.stage(n).scaled_table()
         with pytest.raises(NotBuiltError):
@@ -522,9 +522,7 @@ def test_inversion_missing_inverse(exact_universe):
     table = {k: v for k, v in s1.table.items() if xi not in k}
     forged = copy.copy(u)
     forged.stages = list(u.stages)
-    forged.stages[1] = dataclasses.replace(
-        s1, members=members, member_set=frozenset(members), table=table
-    )
+    forged.stages[1] = dataclasses.replace(s1, members=members, table=table)
     [inversion] = [r for r in check_condition_3(forged, 10**7, 0) if "inversion" in r.suite]
     assert not inversion.ok
     assert (inversion.attempted, inversion.passed) == (1, 0)
@@ -541,7 +539,7 @@ def test_condition5_refuses_an_off_size_norm_stage(exact_universe, monkeypatch):
     u.stages = list(exact_universe.stages)
     s2 = u.stage(2)
     members = s2.members[:-1]
-    u.stages[2] = dataclasses.replace(s2, members=members, member_set=frozenset(members))
+    u.stages[2] = dataclasses.replace(s2, members=members)
     with pytest.raises(NotBuiltError, match="stage 2 has 80 members, not the 81 cells"):
         check_condition_5(u)
     [r] = [r for r in check_condition_1(u) if r.suite == "condition 1 stage 2"]
@@ -560,7 +558,7 @@ def test_group_law_matches_the_store(exact_universe, rank_universe, desk_univers
     s1 = exact_universe.stage(1)
     xi = exact_universe.store.lookup(exact_universe.store.group_inv(exact_universe.x_id))
     members = tuple(m for m in s1.members if m != xi)
-    forged = dataclasses.replace(s1, members=members, member_set=frozenset(members))
+    forged = dataclasses.replace(s1, members=members)
     cases = [(u, s) for u in (exact_universe, rank_universe, desk_universe, long_words)
              for s in u.stages if s.kind == "word"]
     cases.append((exact_universe, forged))
