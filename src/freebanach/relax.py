@@ -56,7 +56,6 @@ import numpy as np
 from .scalars import common_denominator
 
 Index = Hashable
-INF = None  # +infinity bound is represented as None in explicit systems
 
 _INT_INF = 1 << 62
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
@@ -245,9 +246,10 @@ PRESETS = {"desk": Config.desk, "rank": Config.rank, "exact-x2": Config.exact_x2
 @dataclass(frozen=True)
 class Stage:
     """A stage built whole: the build and ``import_universe`` make it with
-    its table, and it is frozen, so ``member_set`` and the integer view
-    ``scaled_table`` are derived once, on first read.  ``dataclasses.replace``
-    (as ``perturbed`` uses) makes a new stage that derives its own."""
+    its table, frozen, its table read-only (a ``MappingProxyType``), so
+    ``member_set`` and the integer view ``scaled_table`` are derived once, on
+    first read, and never go stale.  ``dataclasses.replace`` (as
+    ``perturbed`` uses) makes a new stage that derives its own."""
 
     index: int
     kind: str  # "word" | "vector"
@@ -260,6 +262,10 @@ class Stage:
     notes: dict = field(default_factory=dict)
 
     sealed = True  # not a field: every stage has its table; the benchmark still filters on it
+
+    def __post_init__(self):
+        if not isinstance(self.table, MappingProxyType):
+            object.__setattr__(self, "table", MappingProxyType(self.table))
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -357,9 +363,6 @@ class Universe:
     @property
     def top(self) -> Stage:
         return self.stages[-1]
-
-    def membership(self, eid: int, n: int) -> bool:
-        return eid in self.stage(n).member_set
 
     def rho(self, stage: Stage, a: int, b: int) -> Fraction:
         if a == b:

@@ -201,6 +201,7 @@ class TermStore:
         self._generators: set[int] = set()
         self._basis: set[int] = set()
         self._rank_memo: dict[int, int] = {UNIT_ID: 0}
+        self._laws: dict[tuple[int, ...], tuple] = {}  # group_law's memo
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -374,11 +375,23 @@ class TermStore:
     def group_inv(self, a: int) -> ElementTerm:
         return self.reduce_word(invert_word(self.word_of(a)))
 
-    def mul_id(self, a: int, b: int) -> int:
-        return self.intern(self.group_mul(a, b))
+    def group_law(self, members: tuple[int, ...]):
+        """The group law of a word stage's members, built from their words
+        once per member tuple (an id's term never changes): ``P[i, j]`` is
+        the position of members[i] . members[j] and ``inv[i]`` that of
+        members[i]^-1, each -1 off the tuple, both read-only.  A product is
+        ``reduce_concat`` of two member words and one lookup."""
+        law = self._laws.get(members)
+        if law is None:
+            import numpy as np
 
-    def inv_id(self, a: int) -> int:
-        return self.intern(self.group_inv(a))
+            words = [self.word_of(m) for m in members]
+            at, n = {w: i for i, w in enumerate(words)}, len(words)
+            P = np.array([[at.get(reduce_concat(a, b), -1) for b in words] for a in words], dtype=np.int64)
+            inv = np.array([at.get(invert_word(w), -1) for w in words], dtype=np.int64)
+            law = self._laws[members] = P.reshape(n, n), inv
+            law[0].flags.writeable = inv.flags.writeable = False
+        return law
 
     # -- vector-space structure ------------------------------------------
 

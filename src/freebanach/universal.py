@@ -31,12 +31,18 @@ members' ``Stage.coordinates`` (numerators over 2^k) times the basis
 images, divided by 2^k exactly (a remainder raises ``InexactDivision``).
 Every array is int64 while ``lp._fit``'s explicit bound covers each
 partial result, and Python ints past it, so nothing wraps.
+
+tau is derived once per built tower: the checks and ``phi_eval`` read one
+``TauMap`` per universe, its bound pass and its sample per (samples, seed),
+rebuilt only when the universe holds other stage objects or another store;
+stages are frozen with read-only tables, and no id's term ever changes.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -106,14 +112,14 @@ class TauMap:
     ``NotBuiltError``."""
 
     def __init__(self, universe):
-        self.universe, store, x = universe, universe.store, universe.x_id
+        self.store, x = universe.store, universe.x_id
         self.stages = list(universe.stages)
         self.scale = 1 << sum(scalar_shift(s) for s in self.stages if s.kind == "vector" and s.basis)
         self.columns: dict[int, np.ndarray] = {}
         self._of: dict[int, int] = {}
         for stage in self.stages:
             if stage.kind == "word":  # each word's letters' images, signed and summed
-                words = map(store.word_of, stage.members)
+                words = map(self.store.word_of, stage.members)
                 column = _ints([sum(sign * (self.scale if b == x else self(b)) for b, sign in w) for w in words])
             elif stage.basis:
                 column = self._product(stage)
@@ -186,7 +192,7 @@ class TauMap:
         stage, then sums on each norm stage."""
         from .verify import VerificationReport
 
-        store, rng = self.universe.store, random.Random(seed)
+        store, rng = self.store, random.Random(seed)
         report = VerificationReport(suite="operation preservation")
 
         def sample(stage, op: str, arity: int, operate, image) -> None:
@@ -238,9 +244,25 @@ def for_target(tau_report, target: TargetSpace):
     return replace(tau_report, suite=suite, counterexamples=scaled, meta=dict(tau_report.meta))
 
 
+_TAUS = weakref.WeakKeyDictionary()  # universe -> (its TauMap, tau's reports by key)
+
+
+def _tau(universe, key=None, make=None):
+    """The universe's one ``TauMap`` (module docstring), or with ``key``
+    tau's report ``make(tau)`` under that key, made once.  The memo holds
+    the store and stages, never the universe, and reports leave it only
+    through ``for_target``, which copies them."""
+    tau, reports = _TAUS.get(universe, (None, None))
+    if tau is None or tau.store is not universe.store or list(map(id, tau.stages)) != list(map(id, universe.stages)):
+        tau, reports = _TAUS[universe] = TauMap(universe), {}
+    if key is not None and key not in reports:
+        reports[key] = make(tau)
+    return tau if key is None else reports[key]
+
+
 def phi_eval(universe, eid: int, target: TargetSpace) -> Vec:
     """phi'(eid) = tau(eid) y, exactly."""
-    tau = TauMap(universe)
+    tau = _tau(universe)
     return tuple(Fraction(tau(eid), tau.scale) * c for c in target.image)
 
 
@@ -274,15 +296,15 @@ class SigmaTable:
 def check_morphism_bound(universe, target: TargetSpace):
     """||phi(z)|| <= ||y|| ||z|| and sigma(a, b) <= ||y|| rho(a, b), with the
     worst squared ratio: tau's bound pass, rendered for the target."""
-    return for_target(TauMap(universe).bound_pass(), target)
+    return for_target(_tau(universe, "bound", TauMap.bound_pass), target)
 
 
 def sigma_table(universe, target: TargetSpace):
     """The sigma tables, and the morphism-bound report of the same map."""
-    tau = TauMap(universe)
-    return SigmaTable(target=target, tau=tau), for_target(tau.bound_pass(), target)
+    return SigmaTable(target=target, tau=_tau(universe)), for_target(_tau(universe, "bound", TauMap.bound_pass), target)
 
 
 def check_operation_preservation(universe, target: TargetSpace, samples: int = 200, seed: int = 0):
     """phi preserves both structures: tau's sample, rendered for the target."""
-    return for_target(TauMap(universe).preservation_sample(samples, seed), target)
+    sample = _tau(universe, (samples, seed), lambda tau: tau.preservation_sample(samples, seed))
+    return for_target(sample, target)

@@ -5,8 +5,8 @@ identical reports.  A stage is built whole, table and all (``stages.Stage``),
 so the dense sections read each table through one integer view,
 ``Stage.scaled_table``, built once per stage, in Python ints past
 ``lp._fit``'s int64 bound, so no table is refused for its size.  The
-word-stage sections read one product table and inverse map per stage,
-built from its member words.
+word-stage sections read one group law per stage (product table and
+inverse map), built once from its member words by ``TermStore.group_law``.
 Condition 3's splitting walks rows: each row is one product pair (c, d)
 against all k of them, every row while the k^2 instances fit the
 configured budget, else a seeded sample of rows, with the seed and row
@@ -32,8 +32,8 @@ Each invariant is checked in one section.  ``check_biinvariance`` adds the
 triangle inequality and two-sided translation invariance on each word stage;
 the splitting inequality they follow from is condition 3; from stage 3 on
 it also certifies rho against the rank-0 clause the build does not seed.
-``check_suites`` is the one list of sections that ``run_suite`` and
-``freebanach verify`` report.
+``check_suites`` is the one list of sections that ``freebanach verify``
+reports.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ import numpy as np
 from .lp import _absmax, _fit
 from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
 from .stages import NotBuiltError, off_grid_cells
-from .terms import UNIT_ID, invert_word, pair_key, reduce_concat
+from .terms import UNIT_ID, pair_key
+from .universal import check_morphism_bound, check_operation_preservation
 
 COUNTEREXAMPLE_CAP = 25
 
@@ -109,24 +110,6 @@ class SuiteReport:
         lines = [r.summary_line() for r in self.reports]
         lines.append(f"overall: {'pass' if self.ok else 'FAIL'}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# dense helpers
-# ---------------------------------------------------------------------------
-
-
-def _group_law(universe, stage):
-    """The group law that condition 3 and translation invariance read on a
-    word stage, built from its member words: ``P[i, j]`` is the position of
-    members[i] . members[j] and ``inv[i]`` that of members[i]^-1, each -1 off
-    the stage.  A product is ``reduce_concat`` of two member words and one
-    lookup; neither member order nor the build's closure tables are read."""
-    words = [universe.store.word_of(m) for m in stage.members]
-    at, n = {w: i for i, w in enumerate(words)}, len(words)
-    P = np.array([[at.get(reduce_concat(a, b), -1) for b in words] for a in words], dtype=np.int64)
-    inv = np.array([at.get(invert_word(w), -1) for w in words], dtype=np.int64)
-    return P.reshape(n, n), inv
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +257,7 @@ def check_condition_3(universe, budget: int, seed: int) -> list[VerificationRepo
     for stage in universe.stages:
         if stage.kind == "word":
             R, scale = stage.scaled_table()
-            P, inv = _group_law(universe, stage)
+            P, inv = universe.store.group_law(stage.members)
             out.append(_fact_inequality(stage, P, R, scale, budget, seed))
             out.append(_inverse_invariance(stage, inv, R, scale))
     return out
@@ -519,7 +502,7 @@ def check_biinvariance(universe, stage) -> SuiteReport:
     if nbad:
         tri.meta["counterexample_count"] = nbad
 
-    P, _ = _group_law(universe, stage)
+    P, _ = universe.store.group_law(stage.members)
     trans = VerificationReport(suite=f"translation invariance stage {stage.index}")
     for g in range(n):
         for side, moved in (("left", P[g]), ("right", P[:, g])):  # g . a, a . g
@@ -577,27 +560,16 @@ def check_suites(universe, suites=SUITES) -> SuiteReport:
     """The sections of the named suites on a built tower, in this order: the
     numbered conditions; triangle and translation invariance on each word
     stage; per target, the morphism bound and operation preservation."""
-    from .universal import TauMap, for_target
-
     suite = check_conditions(universe) if "conditions" in suites else SuiteReport()
     if "biinvariance" in suites:
         for stage in universe.stages:
             if stage.kind == "word":
                 suite.extend(check_biinvariance(universe, stage).reports)
     if "universal" in suites:
-        tau = TauMap(universe)
-        bound, sample = tau.bound_pass(), tau.preservation_sample(seed=universe.cfg.seed)
         for target in universe.cfg.targets:
-            suite.reports += [for_target(bound, target), for_target(sample, target)]
+            suite.reports += [check_morphism_bound(universe, target),
+                              check_operation_preservation(universe, target, seed=universe.cfg.seed)]
     return suite
-
-
-def run_suite(cfg) -> tuple[SuiteReport, "object"]:
-    """Build the whole tower for a config and run every check."""
-    from .stages import Universe
-
-    universe = Universe(cfg).build()
-    return check_suites(universe), universe
 
 
 def perturbed(universe, stage_index: int, key, delta: Fraction):

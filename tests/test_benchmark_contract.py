@@ -7,12 +7,19 @@ The benchmark's tracer reports a callable it cannot find, or a
 here, never changed.
 """
 
+import gc
 import importlib
 import importlib.util
 import json
+import weakref
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from freebanach import Config, Universe, UNIT_ID, universal
+from freebanach.terms import pair_key
+from freebanach.verify import check_suites, perturbed
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,22 +53,67 @@ def test_note_counters_on_every_norm_stage(tracer, exact_universe, rank_universe
                 assert type(stage.notes.get(key)) is int, (stage.index, key)
 
 
+def _targets_step(u):
+    """The benchmark's targets step: its nine calls on three targets."""
+    return [
+        report
+        for target in u.cfg.targets
+        for report in (
+            universal.check_morphism_bound(u, target),
+            universal.sigma_table(u, target)[1],
+            universal.check_operation_preservation(u, target, seed=u.cfg.seed),
+        )
+    ]
+
+
 def test_universal_call_shapes(exact_universe):
     """The benchmark's targets step calls the universal checks with these
     arguments and reads ``.ok`` and ``.summary_line()`` of each report,
     ``sigma_table``'s as its second item."""
-    from freebanach import universal
+    for report in _targets_step(exact_universe):
+        assert report.ok, report.summary_line()
+        assert report.summary_line().startswith("[pass] ")
 
+
+@pytest.mark.parametrize("preset", [Config.exact_x2, Config.rank], ids=["exact-x2", "rank"])
+def test_one_tau_per_tower(preset, monkeypatch):
+    """The targets step and ``check_suites`` build one ``TauMap`` per tower,
+    and the suite's universal sections are, in order, what the step's
+    ``check_morphism_bound`` and ``check_operation_preservation`` return."""
+    u, built = Universe(preset()).build(), []
+    init = universal.TauMap.__init__
+    monkeypatch.setattr(universal.TauMap, "__init__", lambda tau, universe: built.append(universe) or init(tau, universe))
+    reports = _targets_step(u)
+    assert all(report.ok for report in reports)
+    sections = check_suites(u, ("universal",)).reports
+    assert [r.describe() for r in sections] == [r.describe() for k, r in enumerate(reports) if k % 3 != 1]
+    assert check_suites(u).ok
+    assert built == [u]
+
+
+def test_a_clone_lowered_after_tau_was_read_fails(exact_universe):
+    """The original's reports read first, a clone with rho(e, x) lowered
+    from 1 to 1/2 (tau differs by 1 there) fails the bound, and the
+    original still passes; the original's stage put back into the clone in
+    place makes it pass again."""
     u = exact_universe
-    for target in u.cfg.targets:
-        reports = [
-            universal.check_morphism_bound(u, target),
-            universal.sigma_table(u, target)[1],
-            universal.check_operation_preservation(u, target, seed=u.cfg.seed),
-        ]
-        for report in reports:
-            assert report.ok, report.summary_line()
-            assert report.summary_line().startswith("[pass] ")
+    target = u.cfg.targets[0]
+    assert universal.check_morphism_bound(u, target).ok
+    bad = perturbed(u, 1, pair_key(UNIT_ID, u.x_id), -F(1, 2))
+    assert not universal.check_morphism_bound(bad, target).ok
+    assert universal.check_morphism_bound(u, target).ok
+    bad.stages[1] = u.stage(1)
+    assert universal.check_morphism_bound(bad, target).ok
+
+
+def test_tau_keeps_no_universe_alive():
+    """A built universe whose tau was read is collected once dropped."""
+    u = Universe(Config.exact_x2()).build()
+    assert all(report.ok for report in _targets_step(u))
+    ref = weakref.ref(u)
+    del u
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("preset, fixture", [("exact-x2", "exact_universe"), ("rank", "rank_universe")])

@@ -52,7 +52,7 @@ def test_eval_examples(exact_universe):
     u = exact_universe
     assert eval_expr(parse_expr("x . inv(x)"), u) == UNIT_ID
     gid = eval_expr(parse_expr("1/2 x + 1/2 inv(x)"), u)
-    assert u.membership(gid, 2) and not u.membership(gid, 1)
+    assert gid in u.stage(2).member_set and gid not in u.stage(1).member_set
     assert eval_expr(parse_expr("e"), u) == UNIT_ID
     assert eval_expr(parse_expr("x . e"), u) == u.x_id
 

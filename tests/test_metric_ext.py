@@ -91,11 +91,11 @@ def test_stage1_formula_is_the_greatest_closed_function(cap):
     bounds[(u.x_id, UNIT_ID)] = F(1)
     rules = []
     for (a, b), (c, d) in product(cells, repeat=2):
-        ac = member_of.get(store.word_of(store.mul_id(a, c)))
-        bd = member_of.get(store.word_of(store.mul_id(b, d)))
+        ac = member_of.get(store.word_of(store.intern(store.group_mul(a, c))))
+        bd = member_of.get(store.word_of(store.intern(store.group_mul(b, d))))
         if ac is not None and bd is not None:
             rules.append(UpperCombo((ac, bd), ((F(1), (a, b)), (F(1), (c, d)))))
-    rules += [Equality((a, b), (store.inv_id(a), store.inv_id(b))) for a, b in cells]
+    rules += [Equality((a, b), (store.intern(store.group_inv(a)), store.intern(store.group_inv(b)))) for a, b in cells]
     rules += [UpperCombo((a, b), ((F(1), (a, m)), (F(1), (m, b)))) for a, b in cells for m in members]
     out = relax_fixpoint(ConstraintSystem(indices=tuple(cells), bounds=bounds, rules=rules))
     assert not out.unconstrained

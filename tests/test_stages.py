@@ -1,6 +1,7 @@
 """Tower construction: sizes, chain monotonicity, bookkeeping, determinism."""
 
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from freebanach.norm_ext import scalar_shift
 from freebanach.stages import ConfigError, NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm, TermStore
 from freebanach.universal import check_morphism_bound, check_operation_preservation, sigma_table
-from freebanach.verify import check_biinvariance, check_condition_1, check_suites, perturbed
+from freebanach.verify import check_biinvariance, check_condition_1, check_conditions, check_suites, perturbed
 
 
 def test_stage1_construction_exact():
@@ -43,14 +44,14 @@ def test_budget_error():
 def test_membership_examples(exact_universe):
     u = exact_universe
     x = u.x_id
-    assert u.membership(x, 1)
-    assert u.membership(UNIT_ID, 0)
+    assert x in u.stage(1).member_set
+    assert UNIT_ID in u.stage(0).member_set
     store = u.store
-    g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), store.inv_id(x))]))
-    assert not u.membership(g, 1)
-    assert u.membership(g, 2)
+    g = store.lookup(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), store.intern(store.group_inv(x)))]))
+    assert g not in u.stage(1).member_set
+    assert g in u.stage(2).member_set
     with pytest.raises(NotBuiltError):
-        u.membership(x, 7)
+        u.stage(7)
 
 
 def test_norm_of_diff_is_the_member_difference_norm(exact_universe, rank_universe, desk_universe):
@@ -98,10 +99,10 @@ def test_rank_bounded_by_stage(rank_universe):
 
 
 def test_run_suite_budget_error_no_partial_report():
-    from freebanach.verify import run_suite
+    from freebanach.verify import check_suites
 
     with pytest.raises(BudgetExceededError):
-        run_suite(Config(stage_count=3, member_budget=10))
+        check_suites(Universe(Config(stage_count=3, member_budget=10)).build())
 
 
 def test_rank_positive_implies_prev_stage(rank_universe):
@@ -273,6 +274,19 @@ def test_a_perturbed_stage_reads_its_own_view(exact_universe):
     [original] = [r for r in check_condition_1(u) if r.suite == "condition 1 stage 1"]
     assert not clone.ok and clone.counterexamples[0]["pair"] == key
     assert original.ok
+
+
+def test_a_built_table_is_read_only():
+    """An in-place write into a built table raises, so no view read before
+    it can go stale and pass a changed table; ``perturbed`` still makes a
+    clone that fails."""
+    u = Universe(Config.exact_x2()).build()
+    assert check_conditions(u).ok
+    s2, member = u.stage(2), u.stage(2).members[1]
+    with pytest.raises(TypeError):
+        s2.table[member] = F(0)
+    assert s2.table[member] > 0 and check_conditions(u).ok
+    assert not check_conditions(perturbed(u, 2, member, -s2.table[member])).ok
 
 
 def test_a_built_stage_cannot_change(exact_universe):

@@ -145,12 +145,12 @@ def test_group_laws():
     for a in sample:
         assert store.group_mul(a, UNIT_ID) == store.term(a)
         assert store.group_mul(UNIT_ID, a) == store.term(a)
-        assert store.group_mul(a, store.inv_id(a)) == UNIT
-        assert store.inv_id(store.inv_id(a)) == a
+        assert store.group_mul(a, store.intern(store.group_inv(a))) == UNIT
+        assert store.group_inv(store.intern(store.group_inv(a))) == store.term(a)
         for b in sample:
             for c in sample:
-                ab_c = store.mul_id(store.mul_id(a, b), c)
-                a_bc = store.mul_id(a, store.mul_id(b, c))
+                ab_c = store.group_mul(store.intern(store.group_mul(a, b)), c)
+                a_bc = store.group_mul(a, store.intern(store.group_mul(b, c)))
                 assert ab_c == a_bc
 
 
@@ -165,7 +165,7 @@ def test_group_inv_examples():
 def test_opaque_combo_letter():
     """A combination promoted to a generator multiplies without distributing."""
     store, (x, *_) = four_gen_store()
-    xi = store.inv_id(x)
+    xi = store.intern(store.group_inv(x))
     store.register_basis(x)
     store.register_basis(xi)
     g = store.intern(store.lin_combine([(Dyadic(1, 1), x), (Dyadic(1, 1), xi)]))
@@ -177,7 +177,7 @@ def basis_store():
     store = TermStore()
     x = store.intern(GenTerm(0))
     store.register_generator(x)
-    xi = store.inv_id(x)
+    xi = store.intern(store.group_inv(x))
     store.register_basis(x)
     store.register_basis(xi)
     return store, x, xi
@@ -236,11 +236,11 @@ def test_word_space_enumeration():
     assert [store.word_of(i) for i in ids] == space.words
     inv = space.inverse_map()
     for j, b in enumerate(ids):
-        assert ids[inv[j]] == store.inv_id(b)
+        assert ids[inv[j]] == store.intern(store.group_inv(b))
         right, left = space.product_lines(j)
         for i, a in enumerate(ids):
-            for line, product in ((right, store.mul_id(a, b)), (left, store.mul_id(b, a))):
-                k = space.idx(store.word_of(product))
+            for line, product in ((right, store.group_mul(a, b)), (left, store.group_mul(b, a))):
+                k = space.idx(store.word_of(store.intern(product)))
                 assert line[i] == (-1 if k is None else k)
 
 

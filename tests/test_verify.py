@@ -20,7 +20,6 @@ from freebanach.verify import (
     COUNTEREXAMPLE_CAP,
     VerificationReport,
     _digit_runs,
-    _group_law,
     _member_lattice,
     _subadditivity_report,
     _take,
@@ -547,6 +546,28 @@ def test_condition5_refuses_an_off_size_norm_stage(exact_universe, monkeypatch):
     assert r.counterexamples == [{"element": None, "cell": 80}]
 
 
+@pytest.mark.parametrize("preset", [Config.exact_x2, Config.rank], ids=["exact-x2", "rank"])
+def test_one_group_law_per_word_stage(preset):
+    """``check_suites``, then condition 3 and bi-invariance per word stage as
+    the benchmark calls them, build each word stage's group law once, and
+    it is read-only."""
+    u = Universe(preset()).build()
+    built = []
+
+    class Spy(dict):
+        def __setitem__(self, members, law):
+            built.append(members)
+            super().__setitem__(members, law)
+
+    u.store._laws = Spy()
+    assert check_suites(u).ok and check_conditions(u).ok
+    words = [s for s in u.stages if s.kind == "word"]
+    for stage in words:
+        assert check_biinvariance(u, stage).ok
+        assert not any(a.flags.writeable for a in u.store.group_law(stage.members))
+    assert built == [s.members for s in words]
+
+
 def test_group_law_matches_the_store(exact_universe, rank_universe, desk_universe):
     """The product table and inverse map read off the member words agree
     with the store's ``group_mul`` and ``group_inv`` on every pair of every
@@ -575,7 +596,7 @@ def test_group_law_matches_the_store(exact_universe, rank_universe, desk_univers
         def at(term):
             return pos.get(store.lookup(term), -1)
 
-        P, inv = _group_law(u, stage)
+        P, inv = u.store.group_law(stage.members)
         assert inv.tolist() == [at(store.group_inv(a)) for a in stage.members]
         assert P.tolist() == [[at(store.group_mul(a, b)) for b in stage.members] for a in stage.members]
     assert len(long_words.stage(1).members) == 81
