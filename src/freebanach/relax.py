@@ -16,13 +16,12 @@ Two realizations share those semantics:
                              D(P.Q) <= D(P) + D(Q) used by the metric
                              extension (rho, and the rank-0 delta_0
                              its verification certifies against), over
-                             scaled integers and block-sparse: one
-                             (source, target) map per generator word and
-                             side, and each generator side composes one
-                             dense block of the word pairs whose products
-                             stay in the word space (the injectivity of
-                             free-group multiplication makes the block
-                             write exact), cut to the sources that can
+                             scaled integers and block-sparse: per
+                             generator word and side one dense block of
+                             the word pairs whose products stay in the
+                             word space, against all of the word's
+                             generators at once and written by a minimum
+                             per target, cut to the sources that can
                              still lower a target (see the class); plus
                              the inverse mirror, explicit convex instances
                              and a triangle pass over a registered member
@@ -31,11 +30,10 @@ Two realizations share those semantics:
 ``PairComposition`` evaluates its bulk families against the previous
 round's snapshot in a fixed order, so results are independent of rule
 order and bit-identical across runs.  It reads its generator costs live,
-in generator order; its blocks keep that order and the snapshot and skip
-only candidates that cannot lower a target, so its fixpoint and sweep
-counts are those of the per-cell scatter it replaced.  It runs at the
-common denominator of its seeds and convex coefficients, and retries at
-four times the scale, up to six attempts, while a value is not exact there.
+once per generator word; the order in which values fall depends on that,
+the greatest fixpoint does not.  It runs at the common denominator of its
+seeds and convex coefficients, and retries at four times the scale, up to
+six attempts, while a value is not exact there.
 
 ``to_scaled`` is the closure's own Fraction -> int64 conversion: it raises
 ``ScaleInexactError`` unless the value is exact at the scale, and
@@ -58,6 +56,7 @@ from .scalars import common_denominator
 Index = Hashable
 
 _INT_INF = 1 << 62
+_CHUNK_CELLS = 1 << 16  # cells in a composed chunk, at most (``PairComposition``)
 
 
 class RelaxError(RuntimeError):
@@ -238,10 +237,14 @@ def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_00
 def to_scaled(value: Fraction, scale: int) -> int:
     """value * scale as an int, exact and below 2^60 in magnitude, or
     ScaleInexactError or ScaleOverflowError."""
-    num = value.numerator * scale
-    if num % value.denominator:
-        raise ScaleInexactError(f"{value} not representable at scale {scale}")
-    out = num // value.denominator
+    return _whole(value.numerator * scale, value.denominator)
+
+
+def _whole(num: int, den: int) -> int:
+    """num / den under ``to_scaled``'s two refusals."""
+    out, rem = divmod(num, den)
+    if rem:
+        raise ScaleInexactError(f"{num}/{den} is not whole at the scale")
     if abs(out) >= _INT_INF // 4:
         raise ScaleOverflowError(f"scaled value {out} too large")
     return out
@@ -250,18 +253,22 @@ def to_scaled(value: Fraction, scale: int) -> int:
 class FractionRules:
     """Explicit UpperCombo instances evaluated exactly against a scaled-int
     snapshot; used for the convex instances inside ``PairComposition``,
-    which stay small enough to never need vectorizing."""
+    which stay small enough to never need vectorizing.  An instance keeps
+    its coefficients as integers over their lcm, so a pass sums Python ints
+    and divides once per instance."""
 
     def __init__(self, scale: int):
         self.scale = scale
-        # terms name a source cell by its position among the distinct
-        # source cells, in first-use order (``_position``'s keys)
-        self.rules: list[tuple[int, tuple[tuple[Fraction, int], ...]]] = []
+        # (target, lcm, terms): terms name a source cell by its position
+        # among the distinct source cells, in first-use order (``_position``'s keys)
+        self.rules: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
         self._position: dict[int, int] = {}
 
     def add(self, target: int, terms: Sequence[tuple[Fraction, int]]) -> None:
         position = self._position
-        self.rules.append((target, tuple((c, position.setdefault(j, len(position))) for c, j in terms)))
+        den = lcm(*(c.denominator for c, _ in terms))
+        ints = tuple((c.numerator * (den // c.denominator), position.setdefault(j, len(position))) for c, j in terms)
+        self.rules.append((target, den, ints))
 
     def apply(self, flat: np.ndarray) -> bool:
         """One synchronous pass, reading every source from one gather taken
@@ -270,21 +277,18 @@ class FractionRules:
             return False
         snapshot = flat[list(self._position)].tolist()
         changed = False
-        for target, terms in self.rules:
-            total = Fraction(0)
-            ok = True
+        for target, den, terms in self.rules:
+            total = 0
             for c, j in terms:
                 v = snapshot[j]
                 if v >= _INT_INF:
-                    ok = False
                     break
-                total += c * Fraction(v, self.scale)
-            if not ok:
-                continue
-            new = to_scaled(total, self.scale)
-            if new < flat[target]:
-                flat[target] = new
-                changed = True
+                total += c * v
+            else:
+                new = _whole(total, den)
+                if new < flat[target]:
+                    flat[target] = new
+                    changed = True
         return changed
 
 
@@ -308,7 +312,8 @@ class ClosureTable:
 
 def _shift_map(line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Sources whose product with ``word`` stays in the word space, and
-    their products; RelaxError unless no two sources share a product."""
+    their products; RelaxError if two sources share a product, which a
+    free group's multiplication never does."""
     src = np.nonzero(line >= 0)[0]
     tgt = line[src]
     if np.unique(tgt).size != tgt.size:
@@ -327,18 +332,18 @@ class PairComposition:
     cell list, which is complete for derivations whose left-to-right
     partial products stay inside the space.
 
-    Maps.  For each generator word w the sources u with u.w in the space,
-    and their products, are read once off w's product lines (only
-    generator words' lines are built) and kept as one (source, target) map
-    per side; nothing is kept per generator but its last applied cost.  A
-    generator (w, z) at cost g composes one dense block per side,
-    D[tgt_w x tgt_z] = min(D[tgt_w x tgt_z], before[src_w x src_z] + g),
-    so only (cell, generator) pairs whose two products both land are ever
-    touched.  The plain assignment is exact because right (and left)
-    multiplication by a fixed element of a free group is injective: no two
-    sources of a block share a target, so no candidate is overwritten.  The
-    maps are checked to be injective when they are built (RelaxError
-    otherwise), so a malformed product line cannot lose a candidate.
+    Blocks.  Each word's (source, target) map per side is read once off its
+    product lines; a line that is not injective is no free group's product
+    and is refused (RelaxError).  Per generator word w and side, one block
+    puts w's sources against the concatenated sources of w's z's, each
+    column at its own cost D(w, z).  v.z = v'.z' can hold across z's, so
+    the block is written by ``np.minimum.at``, which keeps the least
+    candidate of each target whatever the column order: the block is exact
+    as the per-generator blocks were.  It is written in chunks of whole
+    rows, at most min(n^2, ``_CHUNK_CELLS``) cells, so each of a chunk's
+    three 8-byte temporaries (source index, block, target index) is at most
+    512 KiB; or one row when a row is longer, and a row holds at most n
+    cells per z, so at most n^2.
 
     Triangle family.  ``add_triangle(words)`` adds D(a, b) <= D(a, m) +
     D(m, b) for a, b and m among those words only, applied in place, one
@@ -347,24 +352,23 @@ class PairComposition:
     wraps.
 
     Sweeps.  Each sweep reads sources from the snapshot ``before`` taken at
-    its start and reads each generator's cost g = D(w, z) live, in generator
-    order, once for both sides; then applies the inverse mirror, the
-    triangle family and the convex instances.  A generator composes only the
-    rows of src_w and the columns of src_z that hold a source able to lower
-    a target (semi-naive evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986):
-    when g equals the cost the generator was last applied at, the cells that
-    changed over the previous sweep; otherwise (its first application, or
-    after its live cost dropped) the finite cells.  The cut maps are worked
-    out once per sweep and kind.  Skipping the rest is exact.  A skipped
-    candidate before[u, v] + g either has a +inf source, which lies above
-    every target (_INT_INF + g < 2^63), or has a source unchanged since the
-    previous sweep at an unchanged cost.  A finite cost never returns to
-    +inf, so the generator was applied in that sweep too, where the same
-    candidate was either composed or skipped by the same argument one sweep
-    earlier; and D has only fallen since.  So every sweep leaves the table
-    the unrestricted sweep would, and the fixpoint and the sweep count are
-    those of the per-cell evaluation.  ``entries`` counts the source cells
-    composed over all sweeps of the last ``solve``.
+    its start, and a word's costs D(w, z) live, once per word, in
+    first-generator order; then applies the inverse mirror, the triangle
+    family and the convex instances.  A generator composes only the rows of
+    src_w and the columns of src_z that hold a source able to lower a target
+    (semi-naive evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986): when its
+    cost equals the cost it was last applied at, the lines that changed over
+    the previous sweep; otherwise (its first application, or after its cost
+    dropped) the finite lines.  So a word has at most two blocks per side,
+    and the cut maps are worked out once per sweep and kind.  Skipping the
+    rest is exact.  A skipped candidate before[u, v] + g either has a +inf
+    source, which lies above every target (_INT_INF + g < 2^63), or has a
+    source unchanged since the previous sweep at an unchanged cost.  A
+    finite cost never returns to +inf, so the generator was applied in that
+    sweep too, where the same candidate was either composed or skipped by
+    the same argument one sweep earlier; and D has only fallen since.
+    ``entries`` counts the block cells (candidates) composed over all
+    sweeps of the last ``solve``.
     """
 
     def __init__(self, space, inverse: bool = False):
@@ -392,9 +396,16 @@ class PairComposition:
     def add_triangle(self, words: Iterable[int]) -> None:
         self.triangle = np.fromiter(words, dtype=np.intp)
 
+    def _words(self) -> dict[int, list[int]]:
+        """Per generator word w, its z's in generator order."""
+        words: dict[int, list[int]] = {}
+        for w, z in self.generators:
+            words.setdefault(w, []).append(z)
+        return words
+
     def _maps(self) -> tuple[dict, dict]:
-        """Per generator word w, its right and left (source, target) maps,
-        read once off w's product lines."""
+        """Per word of a generator, its right and left (source, target)
+        maps, read once off its product lines."""
         right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for w in dict.fromkeys(word for gen in self.generators for word in gen):
@@ -405,18 +416,18 @@ class PairComposition:
 
     def solve(self, sweep_cap: int = 200) -> tuple[ClosureTable, int]:
         """The closure table and its sweep count; ``entries`` is then the
-        number of source cells the generators composed over all sweeps."""
+        number of block cells composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
         scale = lcm(common_denominator(self.seeds.values()), *coeff_denoms)
-        maps = self._maps()
+        maps, words = self._maps(), self._words()
         for attempt in range(6):
             try:
-                return self._solve_scaled(scale, sweep_cap, maps)
+                return self._solve_scaled(scale, sweep_cap, maps, words)
             except ScaleInexactError:
                 scale *= 4
         raise ScaleInexactError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int, maps) -> tuple[ClosureTable, int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, maps, words) -> tuple[ClosureTable, int]:
         n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
@@ -428,7 +439,8 @@ class PairComposition:
             frac.add(target[0] * n + target[1], [(c, j[0] * n + j[1]) for c, j in terms])
 
         flat = D.reshape(-1)
-        last = np.full(len(self.generators), _INT_INF, dtype=np.int64)
+        limit = min(n * n, _CHUNK_CELLS)
+        last = {w: [_INT_INF] * len(zs) for w, zs in words.items()}
         changed = None  # the rows and columns of the cells the last sweep changed
         entries = sweeps = 0
         while True:
@@ -438,28 +450,27 @@ class PairComposition:
             before = D.copy()
             before_flat = before.reshape(-1)
             # the maps cut to the changed cells' and the finite cells' lines,
-            # each built when a generator first needs them this sweep
+            # each built when a word first needs them this sweep
             cut: dict[bool, list] = {}
-            for k, (w, z) in enumerate(self.generators):
-                g = D[w, z]
-                if g >= _INT_INF:
-                    continue
-                same = bool(g == last[k])
-                last[k] = g
-                sides = cut.get(same)
-                if sides is None:
-                    sides = cut[same] = _cut_maps(maps, *(changed if same else _lines(before < _INT_INF)))
-                for rows, cols in sides:
-                    src_w, tgt_w = rows[w]
-                    src_z, tgt_z = cols[z]
-                    if src_w.size and src_z.size:
-                        block = before_flat.take(src_w + src_z)
-                        block += g  # +inf sources stay above every target: _INT_INF + g < 2^63
-                        tgt = tgt_w + tgt_z
-                        np.minimum(block, flat.take(tgt), out=block)
-                        flat[tgt] = block
-                        entries += block.size
-                        del block, tgt  # before the next block's temporaries
+            for w, zs in words.items():
+                costs = D[w, zs].tolist()
+                # the finite-cost z's and their costs, split by whether the
+                # cost is the one the generator was last applied at
+                split: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
+                for z, g, g_last in zip(zs, costs, last[w]):
+                    if g < _INT_INF:
+                        picked, picked_costs = split[g == g_last]
+                        picked.append(z)
+                        picked_costs.append(g)
+                last[w] = costs
+                for same, (picked, picked_costs) in split.items():
+                    if not picked:
+                        continue
+                    sides = cut.get(same)
+                    if sides is None:
+                        sides = cut[same] = _cut_maps(maps, *(changed if same else _lines(before < _INT_INF)))
+                    for rows, cols in sides:
+                        entries += _compose(before_flat, flat, rows[w], [cols[z] for z in picked], picked_costs, limit)
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
             for m in tri:
@@ -472,6 +483,29 @@ class PairComposition:
                 break
         self.entries = entries
         return ClosureTable(D, scale), sweeps
+
+
+def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_maps: list, costs: list[int], limit: int) -> int:
+    """One word's block on one side: flat[tgt] = min(flat[tgt], before[src]
+    + cost) over its row map against the concatenated column maps, each at
+    its cost, in chunks of whole rows (the class); returns the block cells
+    composed."""
+    src_w, tgt_w = row_map
+    if len(col_maps) == 1:  # no copy: most words of an ambient space have one z
+        [(src_z, tgt_z)], [cost] = col_maps, costs
+    else:
+        src_z = np.concatenate([src for src, _ in col_maps])
+        tgt_z = np.concatenate([tgt for _, tgt in col_maps])
+        cost = np.repeat(costs, [src.size for src, _ in col_maps])
+    if not (src_w.size and src_z.size):
+        return 0
+    step = max(1, limit // src_z.size)
+    for r in range(0, src_w.size, step):
+        block = before.take(src_w[r : r + step] + src_z)
+        block += cost  # +inf sources stay above every target: _INT_INF + g < 2^63
+        np.minimum.at(flat, (tgt_w[r : r + step] + tgt_z).reshape(-1), block.reshape(-1))
+        del block  # before the next chunk's temporaries
+    return src_w.size * src_z.size
 
 
 def _lines(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

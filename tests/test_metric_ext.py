@@ -263,15 +263,16 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
 
 
 def test_closure_entry_counts(desk_universe, rank_universe):
-    """The source cells each closure composed over its sweeps: the rank
+    """The block cells each closure composed over its sweeps: the rank
     dominance report's meta ``delta_entries`` and the notes' ``rho_entries``,
-    which ``bench`` shows.  Every block of every generator in every sweep
-    comes to 13 620 250 and 115 926 on rank, 3 102 968 for desk's rho; the
-    generators with a finite cost alone, to 13 620 250, 112 230 and
-    3 055 928."""
+    which ``bench`` shows.  Costs are read once per generator word, so a
+    cost lowered by its own word's block is applied from the next sweep.
+    Without the semi-naive cut (every finite-cost generator against its
+    finite lines in every sweep) they come to 11 347 450 and 99 646 on
+    rank, 2 839 208 for desk's rho."""
     assert _dominance(rank_universe).meta["delta_entries"] == 7_505_606
-    assert rank_universe.stage(3).notes["rho_entries"] == 75_804
-    assert desk_universe.stage(3).notes["rho_entries"] == 2_606_694
+    assert rank_universe.stage(3).notes["rho_entries"] == 63_220
+    assert desk_universe.stage(3).notes["rho_entries"] == 2_389_974
 
 
 def test_rank0_dominance_certifies_rank_and_catches_a_raised_entry(rank_universe):
@@ -313,7 +314,7 @@ def test_rank0_dominance_certifies_desk_in_its_members_space():
     """At pair_cell_budget 38000 desk stage 3 closes over its members
     space, so the certificate runs: all 36 delta_0 cells pass.  Its closure
     keeps the sweep semantics, so its counts are fixed: 5 sweeps composing
-    107 006 source cells (213 010 over every block of every generator)."""
+    107 006 block cells (178 346 without the semi-naive cut)."""
     cfg = dataclasses.replace(Config.desk(stage_count=3), pair_cell_budget=38000)
     u = Universe(cfg).build()
     assert u.stage(3).notes["rho_mode"] == "members"

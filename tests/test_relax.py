@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freebanach import Universe, relax
+from freebanach.metric_ext import delta_rank0_closure
 from freebanach.relax import (
     _INT_INF,
     ConstraintSystem,
@@ -377,6 +379,61 @@ def test_a_dropped_cost_recomposes_unchanged_sources():
     assert relax_fixpoint(_explicit_pair_system(*system)).values[(x, X)] == F(2)
 
 
+@pytest.mark.parametrize("zs", [("x", "e"), ("e", "x")])
+def test_two_generators_of_one_word_share_a_target(zs):
+    """Words e, x, X.  The generators (e, x) and (e, e) share the word e, so
+    they compose in one block, and both send a candidate to (X, x):
+    (X, e) + (e, x) = 1 + 1 and (X, x) + (e, e) = 5 + 0.  The lower one
+    wins in either generator order, and the table is the explicit rules'."""
+    space = WordSpace([(1, 1), (1, -1)], 1)
+    e, x, X = (space.idx(w) for w in ((), ((1, 1),), ((1, -1),)))
+    word = {"e": e, "x": x}
+    seeds = [((e, x), F(1)), ((e, e), F(0)), ((X, e), F(1)), ((X, x), F(5))]
+    system = (space, seeds, [(e, word[z]) for z in zs], False, [])
+    table, _ = _pair_engine(*system).solve()
+    assert table.get((X, x)) == F(2)
+    ref = relax_fixpoint(_explicit_pair_system(*system))
+    for cell in np.ndindex(len(space), len(space)):
+        assert table.get(cell) == ref.values.get(cell), cell
+
+
+def _solved(engine):
+    table, sweeps = engine.solve(sweep_cap=60)
+    return table._values.tolist(), sweeps, engine.entries
+
+
+@given(pair_systems())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_row_chunks_change_no_closure(system):
+    """With the chunk bound cut to one cell, every chunk is one row of its
+    block: the tables, sweep counts and entries equal the default's, or
+    both runs fail alike."""
+    try:
+        want = _solved(_pair_engine(*system))
+    except RelaxError as err:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(type(err)):
+            mp.setattr(relax, "_CHUNK_CELLS", 1)
+            _solved(_pair_engine(*system))
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relax, "_CHUNK_CELLS", 1)
+        assert _solved(_pair_engine(*system)) == want
+
+
+def test_one_row_chunks_keep_rank_closures(rank_universe, monkeypatch):
+    """Rank's stage-3 rho (members space) and its delta_0 certificate
+    closure, rebuilt with one-row chunks: the same tables, sweeps and
+    entries as at the default chunk bound."""
+    u = rank_universe
+    want_delta = delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)
+    monkeypatch.setattr(relax, "_CHUNK_CELLS", 1)
+    rebuilt = Universe(u.cfg).build()
+    assert rebuilt.stage(3).table == u.stage(3).table
+    notes = ("rho_mode", "rho_sweeps", "rho_entries")
+    assert [rebuilt.stage(3).notes[k] for k in notes] == [u.stage(3).notes[k] for k in notes]
+    assert delta_rank0_closure(rebuilt, rebuilt.stage(3), rebuilt.stage(2), u.cfg) == want_delta
+
+
 def test_an_inexact_value_retries_at_a_larger_scale(monkeypatch):
     """Words e, x, X with seeds (e, x) = 1 and (e, X) = 2 and the convex
     instances (x, X) <= 1/2 (e, x) + 1/2 (e, X) = 3/2 and (X, x) <=
@@ -468,8 +525,8 @@ def test_triangle_family_keeps_infinite_pairs():
 
 
 def test_pair_composition_rejects_non_injective_products():
-    """Two sources with one product would make the block write drop a
-    candidate: the forged product lines are refused, not solved."""
+    """Two sources with one product is no free group's multiplication: the
+    forged product lines are refused, not solved."""
 
     class ForgedSpace(WordSpace):
         def product_lines(self, w):
