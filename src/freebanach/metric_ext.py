@@ -18,7 +18,7 @@ of differences over aligned factorizations into previous-stage elements
 (``delta_rank0_closure``), moves no greatest fixpoint on an ambient space.
 Each derivation of its closure is one of the rho closure: the atoms are
 rule-(a) seeds, which delta keeps, or diagonal generators at cost 0; each
-off-diagonal atom is a member pair, so a rho generator whose live cost is
+off-diagonal atom is a member pair, so a rho generator whose cost is
 at most its seed; both closures compose on both sides; and its word space
 lies inside the ambient one (fewer letters, the same length bound).  So
 rho <= delta_0 already.  At ambient_expansion 1 the members space is the
@@ -49,7 +49,7 @@ x, y of positive rank, each in the previous stage P or inverse to one:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .relax import PairComposition, RelaxError
 from .terms import WordSpace, count_words, pair_key
@@ -84,8 +84,8 @@ def rho_space_len(universe, stage, cfg) -> tuple[list, int]:
 def delta_rank0_closure(universe, stage, prev, cfg):
     """Min-plus closure realizing the rank-0 factorization minimum delta_0,
     which the build does not seed (module docstring); the rank-0 dominance
-    certificate runs it.  Returns the table, the sweep count and the source
-    cells composed.
+    certificate runs it.  Returns the table, the sweep count and the
+    candidate cells composed (``PairComposition.entries``).
 
     Atoms are pairs (a, b) of prev-stage elements with a - b in the previous
     stage, at cost ||a - b||; composing atoms left-to-right enumerates all
@@ -113,15 +113,14 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
     # ||a - b|| = ||b - a||)
     cells = [(m, w) for m in stage.members if (w := space.idx(store.word_of(m))) is not None]
-    return _member_pairs(closure, cells), sweeps, engine.entries
+    values, _ = closure.pairs([w for _, w in cells])
+    return _member_pairs([m for m, _ in cells], values), sweeps, engine.entries
 
 
-def _member_pairs(closure, cells) -> PairTable:
-    """The finite values of a transpose-symmetric closure on the pairs i < j
-    of ``cells`` (member, word index), each read in one order and keyed
-    ``pair_key``."""
-    values = ((pair_key(a, b), closure.get((wa, wb))) for (a, wa), (b, wb) in combinations(cells, 2))
-    return {key: v for key, v in values if v is not None}
+def _member_pairs(members, values) -> PairTable:
+    """The finite ``values`` of a transpose-symmetric closure on the pairs
+    i < j of ``members``, in ``combinations`` order, keyed ``pair_key``."""
+    return {pair_key(a, b): v for (a, b), v in zip(combinations(members, 2), values) if v is not None}
 
 
 def delta_general(universe, rank0: PairTable) -> PairTable:
@@ -232,27 +231,19 @@ def rho_extend(universe, stage, prev, cfg) -> PairTable:
     if stage.index == 1:
         return _base_case_table(universe, stage, cfg)
 
-    members = stage.members
     alphabet, max_len = rho_space_len(universe, stage, cfg)
     table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), WordSpace(alphabet, max_len))
     stage.notes["rho_sweeps"] = sweeps
     stage.notes["rho_entries"] = entries
     stage.notes["rho_mode"] = "ambient" if max_len == cfg.ambient_expansion * stage.word_cap else "members"
-
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            v = table.get(pair_key(a, b))
-            if v is None:
-                raise MetricExtensionError(f"metric not finite on pair ({a}, {b})")
-            if v <= 0:
-                raise MetricExtensionError(f"zero off-diagonal metric value at ({a}, {b})")
     return table
 
 
 def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
     """The pair-composition closure of ``rho_extend``'s system over
     ``space``; returns the member-pair table, the sweep count and the
-    source cells composed (``PairComposition.entries``)."""
+    candidate cells composed (``PairComposition.entries``), or refuses a
+    table that is not finite and positive off the diagonal."""
     store = universe.store
     engine = PairComposition(space, inverse=True)
     word_idx = {m: space.idx(store.word_of(m)) for m in stage.members}
@@ -278,5 +269,12 @@ def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
                     engine.add_convex((wb, wa), [(c, (word_idx[z], wa)) for c, z in terms])
     closure, sweeps = engine.solve()
     # every family is transpose-symmetric (``rho_extend``)
-    return _member_pairs(closure, list(word_idx.items())), sweeps, engine.entries
+    values, ints = closure.pairs(list(word_idx.values()))
+    missing, nonpositive = ints >= closure.inf, ints <= 0
+    if (missing | nonpositive).any():  # the first such pair in member order
+        i = int((missing | nonpositive).argmax())
+        a, b = next(islice(combinations(stage.members, 2), i, None))
+        raise MetricExtensionError(f"metric not finite on pair ({a}, {b})" if missing[i]
+                                   else f"zero off-diagonal metric value at ({a}, {b})")
+    return _member_pairs(stage.members, values), sweeps, engine.entries
 

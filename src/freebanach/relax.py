@@ -16,24 +16,25 @@ Two realizations share those semantics:
                              D(P.Q) <= D(P) + D(Q) used by the metric
                              extension (rho, and the rank-0 delta_0
                              its verification certifies against), over
-                             scaled integers and block-sparse: per
-                             generator word and side one dense block of
-                             the word pairs whose products stay in the
-                             word space, against all of the word's
-                             generators at once and written by a minimum
-                             per target, cut to the sources that can
-                             still lower a target (see the class); plus
-                             the inverse mirror, explicit convex instances
-                             and a triangle pass over a registered member
-                             set.
+                             scaled integers and block-sparse: the
+                             generator words that share a z-set compose
+                             together, per side in dense blocks of the
+                             word pairs whose products stay in the word
+                             space, each cell at its own generator's cost
+                             and written by a minimum per target, cut to
+                             the sources that can still lower a target
+                             (see the class); plus the inverse mirror,
+                             explicit convex instances and a triangle pass
+                             over a registered member set.
 
 ``PairComposition`` evaluates its bulk families against the previous
 round's snapshot in a fixed order, so results are independent of rule
-order and bit-identical across runs.  It reads its generator costs live,
-once per generator word; the order in which values fall depends on that,
-the greatest fixpoint does not.  It runs at the common denominator of its
-seeds and convex coefficients, and retries at four times the scale, up to
-six attempts, while a value is not exact there.
+order and bit-identical across runs.  It reads its generator costs from
+that snapshot too, so a sweep depends on the snapshot alone: how the
+generators are ordered, grouped or chunked changes no table, sweep count
+or candidate count.  It runs at the common denominator of its seeds and
+convex coefficients, and retries at four times the scale, up to six
+attempts, while a value is not exact there.
 
 ``to_scaled`` is the closure's own Fraction -> int64 conversion: it raises
 ``ScaleInexactError`` unless the value is exact at the scale, and
@@ -44,6 +45,7 @@ Only ``PairComposition`` uses it; the checks read ``Stage.scaled_table``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -56,6 +58,7 @@ from .scalars import common_denominator
 Index = Hashable
 
 _INT_INF = 1 << 62
+_INT_MIN = -(1 << 63)
 _CHUNK_CELLS = 1 << 16  # cells in a composed chunk, at most (``PairComposition``)
 
 
@@ -299,7 +302,10 @@ class FractionRules:
 
 class ClosureTable:
     """Closure values by word pair, converted to ``Fraction`` only for the
-    cells a caller reads: ``get((u, v))`` is the value, or None at +inf."""
+    cells a caller reads: ``get((u, v))`` is the value, or None at +inf, and
+    ``pairs(words)`` reads every pair of some words at once."""
+
+    inf = _INT_INF  # the scaled value that stands for +inf
 
     def __init__(self, values: np.ndarray, scale: int):
         self._values = values
@@ -308,6 +314,17 @@ class ClosureTable:
     def get(self, cell: tuple[int, int]) -> Optional[Fraction]:
         v = int(self._values[cell])
         return None if v >= _INT_INF else Fraction(v, self._scale)
+
+    def pairs(self, words: Sequence[int]) -> tuple[list[Optional[Fraction]], np.ndarray]:
+        """The cells (words[i], words[j]) for i < j, in ``combinations``
+        order, read in one gather: their values, one ``Fraction`` per
+        distinct value and None at +inf, and their scaled values."""
+        idx = np.asarray(words, dtype=np.intp)
+        i, j = np.triu_indices(idx.size, 1)
+        ints = self._values[idx[i], idx[j]]
+        cells = ints.tolist()
+        values = {v: None if v >= _INT_INF else Fraction(v, self._scale) for v in set(cells)}
+        return [values[v] for v in cells], ints
 
 
 def _shift_map(line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -334,16 +351,29 @@ class PairComposition:
 
     Blocks.  Each word's (source, target) map per side is read once off its
     product lines; a line that is not injective is no free group's product
-    and is refused (RelaxError).  Per generator word w and side, one block
-    puts w's sources against the concatenated sources of w's z's, each
-    column at its own cost D(w, z).  v.z = v'.z' can hold across z's, so
-    the block is written by ``np.minimum.at``, which keeps the least
-    candidate of each target whatever the column order: the block is exact
-    as the per-generator blocks were.  It is written in chunks of whole
-    rows, at most min(n^2, ``_CHUNK_CELLS``) cells, so each of a chunk's
-    three 8-byte temporaries (source index, block, target index) is at most
-    512 KiB; or one row when a row is longer, and a row holds at most n
-    cells per z, so at most n^2.
+    and is refused (RelaxError).  Once per ``solve`` the generator words
+    are grouped by their z-set.  A group's block on one side puts its words'
+    sources (rows, in word order) against its z's sources (columns, in z
+    order), and the cell of source (u, v), word w and z is the candidate
+    before[u, v] + D(w, z).  u.w = u'.w' and v.z = v'.z' can hold across
+    words and z's, so a block is written by ``np.minimum.at``, which keeps
+    the least candidate of each target whatever the order: it is exact as
+    per-generator blocks were.  A group is composed in chunks of
+    consecutive words:
+    - several words whose rows fit a chunk: one 2-D block over the columns
+      of the z's those words pick, its costs the group's k x m cost table
+      spread over the rows and columns (``np.repeat``).  A cell whose
+      (w, z) is not picked is no candidate and is lifted to +inf by
+      ``np.maximum``; that also keeps a +inf cost against a +inf source,
+      which would wrap int64, from reaching the write.
+    - one word (each word alone in its group, and each word whose rows
+      alone fill a chunk): only the columns of its picked z's,
+      concatenated, at one cost per column, in chunks of whole rows.
+    A chunk holds at most min(4 n^2, ``_CHUNK_CELLS``) cells, or one row of
+    one word when a row is longer; a row holds at most n cells per z, so
+    at most n^2.  So each of a chunk's 8-byte temporaries (source index,
+    block, target index, spread table; at most four live at once) is at
+    most min(32 n^2 bytes, 512 KiB), or 8 n^2 bytes for one long row.
 
     Triangle family.  ``add_triangle(words)`` adds D(a, b) <= D(a, m) +
     D(m, b) for a, b and m among those words only, applied in place, one
@@ -351,24 +381,26 @@ class PairComposition:
     and row: a sum of two finite values stays below 2^63, so +inf never
     wraps.
 
-    Sweeps.  Each sweep reads sources from the snapshot ``before`` taken at
-    its start, and a word's costs D(w, z) live, once per word, in
-    first-generator order; then applies the inverse mirror, the triangle
-    family and the convex instances.  A generator composes only the rows of
-    src_w and the columns of src_z that hold a source able to lower a target
-    (semi-naive evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986): when its
-    cost equals the cost it was last applied at, the lines that changed over
+    Sweeps.  Each sweep reads sources and generator costs D(w, z) alike from
+    the snapshot ``before`` taken at its start, composes every group, then
+    applies the inverse mirror, the triangle family and the convex
+    instances.  A generator composes only the rows of src_w and the columns
+    of src_z that hold a source able to lower a target (semi-naive
+    evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986): when its cost equals
+    its cost at the previous sweep's snapshot, the lines that changed over
     the previous sweep; otherwise (its first application, or after its cost
-    dropped) the finite lines.  So a word has at most two blocks per side,
+    dropped) the finite lines.  So a group has at most two kinds per side,
     and the cut maps are worked out once per sweep and kind.  Skipping the
     rest is exact.  A skipped candidate before[u, v] + g either has a +inf
     source, which lies above every target (_INT_INF + g < 2^63), or has a
-    source unchanged since the previous sweep at an unchanged cost.  A
-    finite cost never returns to +inf, so the generator was applied in that
-    sweep too, where the same candidate was either composed or skipped by
-    the same argument one sweep earlier; and D has only fallen since.
-    ``entries`` counts the block cells (candidates) composed over all
-    sweeps of the last ``solve``.
+    source unchanged since the previous snapshot at the cost g it had
+    there.  A finite cost never returns to +inf, so the generator composed
+    at cost g in the previous sweep too, where the same candidate was
+    either composed or skipped by the same argument one sweep earlier; and
+    D has only fallen since.  ``entries`` counts the candidate cells of
+    generators at a finite cost composed over all sweeps of the last
+    ``solve``; a chunk's unpicked cells are not counted, so chunking does
+    not move it.
     """
 
     def __init__(self, space, inverse: bool = False):
@@ -396,12 +428,20 @@ class PairComposition:
     def add_triangle(self, words: Iterable[int]) -> None:
         self.triangle = np.fromiter(words, dtype=np.intp)
 
-    def _words(self) -> dict[int, list[int]]:
-        """Per generator word w, its z's in generator order."""
-        words: dict[int, list[int]] = {}
+    def _groups(self, maps) -> tuple[list, list]:
+        """The generator words grouped by their z-set, once per ``solve``:
+        a word alone in its group as (w, its z's), a group of several words
+        as (its words, its z's, their maps per side as ``_group_maps``).
+        Words keep their first-generator order, and a group's z's ascend."""
+        zsets: dict[int, dict[int, None]] = {}
         for w, z in self.generators:
-            words.setdefault(w, []).append(z)
-        return words
+            zsets.setdefault(w, {})[z] = None
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for w, zs in zsets.items():
+            groups.setdefault(tuple(sorted(zs)), []).append(w)
+        lone = [(ws[0], list(zs)) for zs, ws in groups.items() if len(ws) == 1]
+        shared = [(np.array(ws), np.array(zs), _group_maps(maps, ws, zs)) for zs, ws in groups.items() if len(ws) > 1]
+        return lone, shared
 
     def _maps(self) -> tuple[dict, dict]:
         """Per word of a generator, its right and left (source, target)
@@ -416,18 +456,19 @@ class PairComposition:
 
     def solve(self, sweep_cap: int = 200) -> tuple[ClosureTable, int]:
         """The closure table and its sweep count; ``entries`` is then the
-        number of block cells composed over all sweeps."""
+        number of candidate cells composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
         scale = lcm(common_denominator(self.seeds.values()), *coeff_denoms)
-        maps, words = self._maps(), self._words()
+        maps = self._maps()
+        groups = self._groups(maps)
         for attempt in range(6):
             try:
-                return self._solve_scaled(scale, sweep_cap, maps, words)
+                return self._solve_scaled(scale, sweep_cap, maps, groups)
             except ScaleInexactError:
                 scale *= 4
         raise ScaleInexactError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int, maps, words) -> tuple[ClosureTable, int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, maps, groups) -> tuple[ClosureTable, int]:
         n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
@@ -439,8 +480,12 @@ class PairComposition:
             frac.add(target[0] * n + target[1], [(c, j[0] * n + j[1]) for c, j in terms])
 
         flat = D.reshape(-1)
-        limit = min(n * n, _CHUNK_CELLS)
-        last = {w: [_INT_INF] * len(zs) for w, zs in words.items()}
+        limit = min(4 * n * n, _CHUNK_CELLS)
+        lone, shared = groups
+        lone_rows, lone_cols = [w for w, _ in lone], list(dict.fromkeys(z for _, zs in lone for z in zs))
+        # each generator's cost at the previous sweep's snapshot
+        lone_last = [[_INT_INF] * len(zs) for _, zs in lone]
+        shared_last = [np.full((ws.size, zs.size), _INT_INF) for ws, zs, _ in shared]
         changed = None  # the rows and columns of the cells the last sweep changed
         entries = sweeps = 0
         while True:
@@ -449,28 +494,38 @@ class PairComposition:
             sweeps += 1
             before = D.copy()
             before_flat = before.reshape(-1)
-            # the maps cut to the changed cells' and the finite cells' lines,
-            # each built when a word first needs them this sweep
+            # per kind (True: a cost unchanged since the previous snapshot)
+            # the lines its sources are cut to, and the lone words' maps cut
+            # to them, built when a word first needs them this sweep
+            lines = {True: changed, False: _lines(before < _INT_INF)}
             cut: dict[bool, list] = {}
-            for w, zs in words.items():
-                costs = D[w, zs].tolist()
-                # the finite-cost z's and their costs, split by whether the
-                # cost is the one the generator was last applied at
+            for i, (w, zs) in enumerate(lone):
+                costs = before[w, zs].tolist()
+                # the finite-cost z's and their costs, split by kind
                 split: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
-                for z, g, g_last in zip(zs, costs, last[w]):
+                for z, g, g_last in zip(zs, costs, lone_last[i]):
                     if g < _INT_INF:
                         picked, picked_costs = split[g == g_last]
                         picked.append(z)
                         picked_costs.append(g)
-                last[w] = costs
+                lone_last[i] = costs
                 for same, (picked, picked_costs) in split.items():
                     if not picked:
                         continue
                     sides = cut.get(same)
                     if sides is None:
-                        sides = cut[same] = _cut_maps(maps, *(changed if same else _lines(before < _INT_INF)))
+                        sides = cut[same] = _cut_maps(maps, *lines[same], lone_rows, lone_cols)
                     for rows, cols in sides:
-                        entries += _compose(before_flat, flat, rows[w], [cols[z] for z in picked], picked_costs, limit)
+                        entries += _compose(before_flat, flat, rows[w], *_columns([cols[z] for z in picked], picked_costs), limit)
+            for i, (ws, zs, sides) in enumerate(shared):
+                costs = before[ws[:, None], zs]
+                finite = costs < _INT_INF
+                same = finite & (costs == shared_last[i])
+                shared_last[i] = costs
+                for kind, picked in ((True, same), (False, finite & ~same)):
+                    if picked.any():
+                        for side in sides:
+                            entries += _compose_group(before_flat, flat, side, *lines[kind], costs, picked, limit)
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
             for m in tri:
@@ -485,18 +540,12 @@ class PairComposition:
         return ClosureTable(D, scale), sweeps
 
 
-def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_maps: list, costs: list[int], limit: int) -> int:
+def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_map, cost, limit: int) -> int:
     """One word's block on one side: flat[tgt] = min(flat[tgt], before[src]
-    + cost) over its row map against the concatenated column maps, each at
-    its cost, in chunks of whole rows (the class); returns the block cells
+    + cost) over its row map against a column map, at one cost or a cost
+    per column, in chunks of whole rows (the class); returns the block cells
     composed."""
-    src_w, tgt_w = row_map
-    if len(col_maps) == 1:  # no copy: most words of an ambient space have one z
-        [(src_z, tgt_z)], [cost] = col_maps, costs
-    else:
-        src_z = np.concatenate([src for src, _ in col_maps])
-        tgt_z = np.concatenate([tgt for _, tgt in col_maps])
-        cost = np.repeat(costs, [src.size for src, _ in col_maps])
+    (src_w, tgt_w), (src_z, tgt_z) = row_map, col_map
     if not (src_w.size and src_z.size):
         return 0
     step = max(1, limit // src_z.size)
@@ -508,24 +557,106 @@ def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_maps: list, cost
     return src_w.size * src_z.size
 
 
+def _columns(col_maps: list, costs: list[int]) -> tuple[tuple[np.ndarray, np.ndarray], object]:
+    """A lone word's picked z's as one column map and its cost: one z's map
+    and cost as they are (most words of an ambient space have one z), or
+    the maps concatenated with a cost per column."""
+    if len(col_maps) == 1:
+        return col_maps[0], costs[0]
+    src = np.concatenate([src for src, _ in col_maps])
+    tgt = np.concatenate([tgt for _, tgt in col_maps])
+    return (src, tgt), np.repeat(costs, [src.size for src, _ in col_maps])
+
+
+def _compose_group(before: np.ndarray, flat: np.ndarray, side, rows: np.ndarray, cols: np.ndarray,
+                   costs: np.ndarray, picked: np.ndarray, limit: int) -> int:
+    """One kind of a word group's blocks on one side: flat[tgt] =
+    min(flat[tgt], before[src] + costs[w, z]) for every picked (w, z), over
+    w's sources in a marked row against z's sources in a marked column, in
+    chunks of consecutive words (the class); returns the candidate cells of
+    the picked (w, z)."""
+    r_src, r_tgt, r_word, c_src, c_tgt, c_z = side
+    keep = rows[r_src] & picked.any(axis=1)[r_word]
+    r_src, r_tgt, r_word = r_src[keep], r_tgt[keep], r_word[keep]
+    keep = cols[c_src] & picked.any(axis=0)[c_z]
+    c_src, c_tgt, c_z = c_src[keep], c_tgt[keep], c_z[keep]
+    if not (r_src.size and c_src.size):
+        return 0
+    k, m = picked.shape
+    row_counts, col_counts = np.bincount(r_word, minlength=k), np.bincount(c_z, minlength=m)
+    candidates = int(row_counts @ picked @ col_counts)
+    n = cols.size
+    r_src, r_tgt = r_src[:, None] * n, r_tgt[:, None] * n
+    ends = np.cumsum(row_counts).tolist()  # one past each word's last row
+    step = max(1, limit // c_src.size)  # rows in a chunk of several words
+    r = 0
+    while r < r_src.size:
+        w = int(r_word[r])
+        last = bisect_right(ends, r + step)  # one past the last word that fits
+        if last > w + 1 and ends[last - 1] > ends[w]:  # several words: the columns of their picked z's
+            ws, rs = slice(w, last), slice(r, ends[last - 1])
+            zs = picked[ws].any(axis=0)
+            sel = zs[c_z]
+            block = before.take(r_src[rs] + c_src[sel])
+            tgt = r_tgt[rs] + c_tgt[sel]
+            counts = row_counts[ws], col_counts[zs]
+            on = picked[ws][:, zs]
+            block += _spread(np.where(on, costs[ws][:, zs], 0), *counts)
+            if not on.all():  # an unpicked (w, z) is no candidate: it is lifted to +inf
+                np.maximum(block, _spread(np.where(on, _INT_MIN, _INT_INF), *counts), out=block)
+            np.minimum.at(flat, tgt.reshape(-1), block.reshape(-1))
+            del block, tgt  # before the next chunk's temporaries
+            r = rs.stop
+        else:  # one word: its picked columns, one cost each, as ``_compose``
+            sel = picked[w][c_z]
+            _compose(before, flat, (r_src[r : ends[w]], r_tgt[r : ends[w]]), (c_src[sel], c_tgt[sel]), costs[w][c_z[sel]], limit)
+            r = ends[w]
+    return candidates
+
+
+def _spread(table: np.ndarray, row_counts: np.ndarray, col_counts: np.ndarray) -> np.ndarray:
+    """A table over a chunk's words and z's spread over the chunk's block,
+    whose rows and columns run in word and z order: each row repeated as
+    often as its word has rows, each column as its z has columns."""
+    return table.repeat(col_counts, axis=1).repeat(row_counts, axis=0)
+
+
 def _lines(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows and the columns that hold a cell of the boolean ``cells``."""
     return cells.any(axis=1), cells.any(axis=0)
 
 
-def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray) -> list[tuple[dict, dict]]:
-    """Per side, every word's map cut to the sources in a marked row, as
-    flat row offsets in a column vector, and to those in a marked column,
-    as column indices: a block's flat cells are then one broadcast sum."""
+def _group_maps(maps, words: list[int], zs: tuple[int, ...]) -> list[tuple]:
+    """Per side, a word group's row maps concatenated in word order, and its
+    column maps in z order, each source with its word's or z's position:
+    (row sources, row targets, row words, column sources, column targets,
+    column z's)."""
+    return [_concat([side[w] for w in words]) + _concat([side[z] for z in zs]) for side in maps]
+
+
+def _concat(maps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sizes = [src.size for src, _ in maps]
+    return (np.concatenate([src for src, _ in maps]), np.concatenate([tgt for _, tgt in maps]),
+            np.repeat(np.arange(len(maps)), sizes))
+
+
+def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray, row_words, col_words) -> list[tuple[dict, dict]]:
+    """Per side, each of ``row_words``' maps cut to the sources in a marked
+    row, as flat row offsets in a column vector, and each of ``col_words``'
+    to those in a marked column, as column indices: a block's flat cells
+    are then one broadcast sum."""
     n = cols.size
     sides = []
     for side in maps:
         by_row, by_col = {}, {}
-        for w, (src, tgt) in side.items():
+        for w in row_words:
+            src, tgt = side[w]
             keep = rows[src]
             by_row[w] = (src[keep][:, None] * n, tgt[keep][:, None] * n)
+        for z in col_words:
+            src, tgt = side[z]
             keep = cols[src]
-            by_col[w] = (src[keep], tgt[keep])
+            by_col[z] = (src[keep], tgt[keep])
         sides.append((by_row, by_col))
     return sides
 

@@ -249,8 +249,9 @@ def _dominance(universe):
 
 
 def test_closure_sweep_counts(desk_universe, rank_universe):
-    """The pair closures keep the sweep semantics (snapshot sources, live
-    generator costs in generator order), so their sweep counts are fixed:
+    """The pair closures keep the sweep semantics (sources and generator
+    costs read from the snapshot taken at a sweep's start), so their sweep
+    counts are fixed:
     ``bench`` shows ``rho_sweeps``, and the rank dominance report's meta
     ``delta_sweeps`` (desk at the default budget runs no rank-0 closure;
     ``test_rank0_dominance_certifies_desk_in_its_members_space`` pins one
@@ -263,16 +264,17 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
 
 
 def test_closure_entry_counts(desk_universe, rank_universe):
-    """The block cells each closure composed over its sweeps: the rank
-    dominance report's meta ``delta_entries`` and the notes' ``rho_entries``,
-    which ``bench`` shows.  Costs are read once per generator word, so a
-    cost lowered by its own word's block is applied from the next sweep.
-    Without the semi-naive cut (every finite-cost generator against its
-    finite lines in every sweep) they come to 11 347 450 and 99 646 on
-    rank, 2 839 208 for desk's rho."""
+    """The candidate cells each closure composed over its sweeps, counted
+    for generators at a finite cost only: the rank dominance report's meta
+    ``delta_entries`` and the notes' ``rho_entries``, which ``bench`` shows.
+    Costs are read from the sweep's snapshot, so a cost lowered in a sweep
+    is applied from the next one, and how blocks are grouped or chunked
+    moves no count.  Without the semi-naive cut (every finite-cost
+    generator against its finite lines in every sweep) they come to
+    11 347 450 and 93 398 on rank, 2 722 840 for desk's rho."""
     assert _dominance(rank_universe).meta["delta_entries"] == 7_505_606
-    assert rank_universe.stage(3).notes["rho_entries"] == 63_220
-    assert desk_universe.stage(3).notes["rho_entries"] == 2_389_974
+    assert rank_universe.stage(3).notes["rho_entries"] == 56_972
+    assert desk_universe.stage(3).notes["rho_entries"] == 2_273_606
 
 
 def test_rank0_dominance_certifies_rank_and_catches_a_raised_entry(rank_universe):
@@ -314,7 +316,7 @@ def test_rank0_dominance_certifies_desk_in_its_members_space():
     """At pair_cell_budget 38000 desk stage 3 closes over its members
     space, so the certificate runs: all 36 delta_0 cells pass.  Its closure
     keeps the sweep semantics, so its counts are fixed: 5 sweeps composing
-    107 006 block cells (178 346 without the semi-naive cut)."""
+    107 006 candidate cells (178 346 without the semi-naive cut)."""
     cfg = dataclasses.replace(Config.desk(stage_count=3), pair_cell_budget=38000)
     u = Universe(cfg).build()
     assert u.stage(3).notes["rho_mode"] == "members"

@@ -222,6 +222,18 @@ def pair_systems(draw):
     return space, seeds, generators, inverse, convex, triangle
 
 
+@st.composite
+def shared_pair_systems(draw):
+    """``pair_systems`` plus every generator (w, z) of a few words w and a
+    few z's, so that words share a z-set and compose in one block, often
+    with some of their (w, z) at +inf."""
+    space, seeds, generators, inverse, convex, triangle = draw(pair_systems())
+    word = st.integers(0, len(space) - 1)
+    ws = draw(st.lists(word, min_size=2, max_size=4, unique=True))
+    zs = draw(st.lists(word, min_size=1, max_size=3, unique=True))
+    return space, seeds, generators + [(w, z) for w in ws for z in zs], inverse, convex, triangle
+
+
 def _product_table(space):
     """prod[u, w]: the index of the reduced product u.w, or -1, assembled
     from the engine's product lines (row w of ``prod`` is w's left line)."""
@@ -274,6 +286,19 @@ def test_pair_composition_matches_relax_fixpoint(system):
     """The block-sparse closure equals the explicit-rule fixpoint on every
     cell.  A convex instance can close a contracting cycle, whose fixpoint
     is only approached; then the engine must fail as the reference does."""
+    _assert_matches_relax_fixpoint(system)
+
+
+@given(shared_pair_systems())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_shared_z_sets_match_relax_fixpoint(system):
+    """Words that share a z-set compose in one block per chunk, side and
+    kind, each cell at its own (w, z)'s cost: the closure is still the
+    explicit-rule fixpoint, or both fail."""
+    _assert_matches_relax_fixpoint(system)
+
+
+def _assert_matches_relax_fixpoint(system):
     engine = _pair_engine(*system)
     ref_system = _explicit_pair_system(*system)
     try:
@@ -290,7 +315,8 @@ def test_pair_composition_matches_relax_fixpoint(system):
 def _unrestricted_solve(engine, sweep_cap):
     """The engine's sweep loop without source skipping: in every sweep each
     generator with a finite cost composes its whole right and left blocks,
-    sources from the snapshot, costs read live in generator order.  Returns
+    sources and costs read from the snapshot taken at the sweep's start, so
+    a sweep does not depend on the generators' order.  Returns
     the table as {cell: Fraction} (+inf cells absent) and the sweep count;
     the scale grows fourfold while a value is not exact at it, and a value
     too large at it is refused at once, as in ``solve``."""
@@ -320,7 +346,7 @@ def _unrestricted_sweeps(engine, scale, sweep_cap):
         sweeps += 1
         before = D.copy()
         for w, z in engine.generators:
-            g = D[w, z]
+            g = before[w, z]
             if g >= _INT_INF:
                 continue
             for line_w, line_z in ((prod[:, w], prod[:, z]), (prod[w], prod[z])):
@@ -347,6 +373,17 @@ def test_source_skipping_keeps_every_sweep(system):
     table of the unrestricted sweep loop after every sweep: equal tables,
     equal sweep counts, and the same error on the same draws (a contracting
     convex cycle runs out of sweeps, or of scale first)."""
+    _assert_keeps_every_sweep(system)
+
+
+@given(shared_pair_systems())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_source_skipping_keeps_every_sweep_on_shared_z_sets(system):
+    """The same as the unrestricted loop where words share a z-set."""
+    _assert_keeps_every_sweep(system)
+
+
+def _assert_keeps_every_sweep(system):
     engine = _pair_engine(*system)
     try:
         want, want_sweeps = _unrestricted_solve(engine, sweep_cap=60)
@@ -397,37 +434,104 @@ def test_two_generators_of_one_word_share_a_target(zs):
         assert table.get(cell) == ref.values.get(cell), cell
 
 
+def test_two_words_of_one_z_set_compose_both_kinds_in_one_chunk():
+    """Words e, x, X, y, Y.  The generators (e, e), (e, x), (x, e) and
+    (x, x) give the words e and x the one z-set {e, x}.  Convex instances
+    lower (e, x) and (x, e) from 4 to 2 in the first sweep, so in the second
+    e's cost at e and x's at x are unchanged while e's at x and x's at e are
+    new: each kind's block holds both words, with half its (w, z) unpicked.
+    An unpicked cell must compose nothing (as a cost of 0 it would bring
+    (e, x) down to 0), and the table is the explicit rules'."""
+    space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)], 1)
+    e, x, X, y, Y = (space.idx(w) for w in ((), ((1, 1),), ((1, -1),), ((2, 1),), ((2, -1),)))
+    seeds = [((e, e), F(0)), ((x, x), F(0)), ((e, x), F(4)), ((x, e), F(4)),
+             ((y, Y), F(2)), ((Y, y), F(2)), ((X, y), F(1)), ((y, X), F(1))]
+    half = ((F(1, 2), (y, Y)), (F(1, 2), (Y, y)))
+    system = (space, seeds, [(e, e), (e, x), (x, e), (x, x)], False, [((e, x), half), ((x, e), half)])
+    engine = _pair_engine(*system)
+    table, sweeps = engine.solve()
+    ref = relax_fixpoint(_explicit_pair_system(*system))
+    for cell in np.ndindex(len(space), len(space)):
+        assert table.get(cell) == ref.values.get(cell), cell
+    assert table.get((e, x)) == F(2)
+    assert sweeps == _unrestricted_solve(engine, 200)[1]
+
+
+def test_an_infinite_cost_in_a_shared_block_stays_infinite():
+    """Words e, x, X.  The generators (e, e), (e, x), (x, e) and (x, x) give
+    e and x the one z-set {e, x}, and (e, x) is never finite.  In the first
+    sweep e's block against x holds the source (x, X), +inf though its row
+    and column hold finite cells; +inf plus the +inf cost would wrap int64
+    to a negative value.  No cell turns negative, (e, x) stays +inf, and
+    the table is the explicit rules'."""
+    space = WordSpace([(1, 1), (1, -1)], 1)
+    e, x, X = (space.idx(w) for w in ((), ((1, 1),), ((1, -1),)))
+    seeds = [((e, e), F(0)), ((x, x), F(0)), ((x, e), F(1)), ((e, X), F(1))]
+    system = (space, seeds, [(e, e), (e, x), (x, e), (x, x)], False, [])
+    table, _ = _pair_engine(*system).solve()
+    assert (table._values >= 0).all()
+    assert table.get((e, x)) is None
+    ref = relax_fixpoint(_explicit_pair_system(*system))
+    for cell in np.ndindex(len(space), len(space)):
+        assert table.get(cell) == ref.values.get(cell), cell
+
+
 def _solved(engine):
     table, sweeps = engine.solve(sweep_cap=60)
     return table._values.tolist(), sweeps, engine.entries
 
 
-@given(pair_systems())
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_one_row_chunks_change_no_closure(system):
-    """With the chunk bound cut to one cell, every chunk is one row of its
-    block: the tables, sweep counts and entries equal the default's, or
-    both runs fail alike."""
+def _assert_chunks_change_nothing(system, cells):
+    """With the chunk bound cut to ``cells``, the tables, sweep counts and
+    entries equal the default's, or both runs fail alike."""
     try:
         want = _solved(_pair_engine(*system))
     except RelaxError as err:
         with pytest.MonkeyPatch.context() as mp, pytest.raises(type(err)):
-            mp.setattr(relax, "_CHUNK_CELLS", 1)
+            mp.setattr(relax, "_CHUNK_CELLS", cells)
             _solved(_pair_engine(*system))
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relax, "_CHUNK_CELLS", 1)
+        mp.setattr(relax, "_CHUNK_CELLS", cells)
         assert _solved(_pair_engine(*system)) == want
 
 
+@given(pair_systems())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_row_chunks_change_no_closure(system):
+    """With the chunk bound cut to one cell, every chunk is one row of one
+    word: the tables, sweep counts and entries equal the default's, or
+    both runs fail alike."""
+    _assert_chunks_change_nothing(system, 1)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 40])
+@given(system=shared_pair_systems())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_chunk_bounds_change_no_shared_closure(cells, system):
+    """Words that share a z-set, at chunk bounds that cut their blocks into
+    one-row chunks (1), chunks of a few words or rows (5) and chunks of
+    many words (40): the tables, sweep counts and entries do not move."""
+    _assert_chunks_change_nothing(system, cells)
+
+
 def test_one_row_chunks_keep_rank_closures(rank_universe, monkeypatch):
-    """Rank's stage-3 rho (members space) and its delta_0 certificate
-    closure, rebuilt with one-row chunks: the same tables, sweeps and
-    entries as at the default chunk bound."""
+    """Rank's stage-3 rho (members space: one group of 47 words sharing a
+    z-set) and its delta_0 certificate closure, rebuilt with one-row
+    chunks: the same tables, sweeps and entries as at the default chunk
+    bound.  The engine reads the bound when it solves: at the default, rho
+    composes chunks of several words, and at one cell it composes none."""
     u = rank_universe
     want_delta = delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)
+    spread = relax._spread
+    calls = []
+    monkeypatch.setattr(relax, "_spread", lambda *args: calls.append(1) or spread(*args))
+    Universe(u.cfg).build()
+    assert calls
+    calls.clear()
     monkeypatch.setattr(relax, "_CHUNK_CELLS", 1)
     rebuilt = Universe(u.cfg).build()
+    assert not calls
     assert rebuilt.stage(3).table == u.stage(3).table
     notes = ("rho_mode", "rho_sweeps", "rho_entries")
     assert [rebuilt.stage(3).notes[k] for k in notes] == [u.stage(3).notes[k] for k in notes]
