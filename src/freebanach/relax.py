@@ -363,9 +363,9 @@ class PairComposition:
     - several words whose rows fit a chunk: one 2-D block over the columns
       of the z's those words pick, its costs the group's k x m cost table
       spread over the rows and columns (``np.repeat``).  A cell whose
-      (w, z) is not picked is no candidate and is lifted to +inf by
-      ``np.maximum``; that also keeps a +inf cost against a +inf source,
-      which would wrap int64, from reaching the write.
+      (w, z) is not picked (the other kind's, or at a +inf cost) adds 0 and
+      is lifted to +inf by ``np.maximum``, so it is no candidate, and a
+      +inf cost never meets a +inf source (their sum would wrap int64).
     - one word (each word alone in its group, and each word whose rows
       alone fill a chunk): only the columns of its picked z's,
       concatenated, at one cost per column, in chunks of whole rows.
@@ -602,7 +602,7 @@ def _compose_group(before: np.ndarray, flat: np.ndarray, side, rows: np.ndarray,
             counts = row_counts[ws], col_counts[zs]
             on = picked[ws][:, zs]
             block += _spread(np.where(on, costs[ws][:, zs], 0), *counts)
-            if not on.all():  # an unpicked (w, z) is no candidate: it is lifted to +inf
+            if not on.all():  # an unpicked (w, z) added 0 and is no candidate: lift it to +inf
                 np.maximum(block, _spread(np.where(on, _INT_MIN, _INT_INF), *counts), out=block)
             np.minimum.at(flat, tgt.reshape(-1), block.reshape(-1))
             del block, tgt  # before the next chunk's temporaries
@@ -635,9 +635,9 @@ def _group_maps(maps, words: list[int], zs: tuple[int, ...]) -> list[tuple]:
 
 
 def _concat(maps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sizes = [src.size for src, _ in maps]
+    """(source, target) maps concatenated, with each source's map position."""
     return (np.concatenate([src for src, _ in maps]), np.concatenate([tgt for _, tgt in maps]),
-            np.repeat(np.arange(len(maps)), sizes))
+            np.repeat(np.arange(len(maps)), [src.size for src, _ in maps]))
 
 
 def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray, row_words, col_words) -> list[tuple[dict, dict]]:
