@@ -6,9 +6,10 @@ independent one.
 * the exact simplex against exhaustive basic-solution enumeration;
 * the second-stage norm table against the minimization over the stage-1
   pairs' differences;
-* the third-stage metric against Dijkstra over aligned factorizations
-  (``rho_decomposition_oracle``; ``norm_decomposition_oracle`` is its norm
-  side, Dijkstra over partial sums of members, which tests call);
+* the third-stage metric against Dijkstra over aligned factorizations,
+  stopped once every member pair is settled (``rho_decomposition_oracle``;
+  ``norm_decomposition_oracle`` is its norm side, Dijkstra over partial
+  sums of members, which tests call);
 * the fourth-stage norm against exact LP optimality certificates.
 """
 
@@ -49,11 +50,13 @@ def random_micro_system(rng: random.Random, max_indices: int = 40) -> Constraint
             bounds[i] = Fraction(rng.randint(0, 24), 2)
     rules: list = []
     uppers = [i for i in indices if layer[i] > 0]
+    # per layer, the indices below it (read by ``rng.sample``, never changed)
+    below_layer = [[j for j in indices if layer[j] < lay] for lay in range(layers)]
     for _ in range(rng.randint(n, 3 * n)):
         if not uppers:
             break
         t = rng.choice(uppers)
-        below = [j for j in indices if layer[j] < layer[t]]
+        below = below_layer[layer[t]]
         if not below:
             continue
         k = rng.randint(1, min(3, len(below)))
@@ -147,9 +150,14 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
     distinct factor words, so ``reduce_concat`` runs once per (prefix,
     factor) rather than once per node and step.  The heap key (cost,
     depth, node) fixes the settle order, and with it the reported depth.
-    Pure dict/heap/int code: no word space, product table or scaled arrays
-    shared with the production closure.  Returns the table, in
-    ``Fraction``, plus the largest factor count used on any optimal path.
+    The search stops once every node the table reads, both orders of
+    each pair of distinct member words, is settled, or when the heap is
+    empty.  That is exact: the run so far is a prefix of the full run, and
+    as every cost is >= 0 a settled node's distance is final, so its depth,
+    written only when its distance falls, is final too.  Pure dict/heap/int
+    code: no word space, product table or scaled arrays shared with the
+    production closure.  Returns the table, in ``Fraction``, plus the
+    largest factor count used on any optimal path.
 
     delta is ``delta_bounds``, the rule-(a) seeds, which leave positive-rank
     members to the closure's rules, so this is an oracle only for stages
@@ -161,15 +169,16 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
     # factor words (one per distinct member word) and cost[i][j] for the
     # step by factor words i on the left and j on the right, None if delta
     # has no clause; a repeated word pair keeps its least cost
+    member_words = [store.word_of(m) for m in stage.members]
     factors: dict[Letters, int] = {}
-    for m in stage.members:
-        factors.setdefault(store.word_of(m), len(factors))
+    for w in member_words:
+        factors.setdefault(w, len(factors))
     raw: dict[tuple[int, int], Fraction] = {}
-    for a in stage.members:
-        ia = factors[store.word_of(a)]
-        for b in stage.members:
+    for a, wa in zip(stage.members, member_words):
+        ia = factors[wa]
+        for b, wb in zip(stage.members, member_words):
             v = Fraction(0) if a == b else delta.get(pair_key(a, b))
-            k = (ia, factors[store.word_of(b)])
+            k = (ia, factors[wb])
             if v is not None and (k not in raw or v < raw[k]):
                 raw[k] = v
     scale = lcm(*(v.denominator for v in raw.values()))
@@ -187,16 +196,24 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
             ]
         return ext
 
+    # the nodes the table reads: both orders of every pair of distinct members
+    wanted = {
+        key
+        for i, wa in enumerate(member_words)
+        for wb in member_words[i + 1 :]
+        for key in ((wa, wb), (wb, wa))
+    }
     start = ((), ())
     dist: dict[tuple[Letters, Letters], int] = {start: 0}
     depth: dict[tuple[Letters, Letters], int] = {start: 0}
     heap: list = [(0, 0, start)]
     settled = set()
-    while heap:
+    while heap and wanted:
         d, k, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
+        wanted.discard(node)
         u, v = node
         right = extend(v)
         for i, nu in extend(u):
@@ -214,10 +231,8 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
                     heapq.heappush(heap, (nd, k + 1, key))
     out: dict[tuple[int, int], Fraction] = {}
     max_depth = 0
-    for i, a in enumerate(stage.members):
-        wa = store.word_of(a)
-        for b in stage.members[i + 1 :]:
-            wb = store.word_of(b)
+    for i, (a, wa) in enumerate(zip(stage.members, member_words)):
+        for b, wb in zip(stage.members[i + 1 :], member_words[i + 1 :]):
             candidates = [
                 (dist[k], depth[k]) for k in ((wa, wb), (wb, wa)) if k in dist
             ]

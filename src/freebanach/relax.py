@@ -27,6 +27,16 @@ Two realizations share those semantics:
                              explicit convex instances and a triangle pass
                              over a registered member set.
 
+``relax_fixpoint`` is semi-naive too (Bancilhon & Ramakrishnan, SIGMOD
+1986): each sweep sets f_k = min(f_(k-1), R(f_(k-1))) over the rules R,
+and after the first sweep it evaluates only the rules with a source that
+the previous sweep changed.  That is exact: a rule whose sources did not
+change gives the value it gave one sweep earlier, which f already lies
+below, so values and sweep counts are those of evaluating every rule.
+``brute_force_oracle``, its reference, enumerates rule trees in Python
+ints at one scale at which every value of the recursion is whole (its
+docstring proves it), and builds ``Fraction``s only for its answer.
+
 ``PairComposition`` evaluates its bulk families against the previous
 round's snapshot in a fixed order, so results are independent of rule
 order and bit-identical across runs.  It reads its generator costs from
@@ -145,6 +155,14 @@ def _combo_value(rule: UpperCombo, f: dict) -> Optional[Fraction]:
     return total
 
 
+def _sources(rule: Rule) -> tuple:
+    """The indices a rule's value reads: both sides of an Equality, the
+    terms of an UpperCombo with a nonzero coefficient."""
+    if isinstance(rule, Equality):
+        return (rule.left, rule.right)
+    return tuple(j for c, j in rule.terms if c != 0)
+
+
 def relax_fixpoint(sys: ConstraintSystem, sweep_cap: Optional[int] = None) -> RelaxResult:
     """Greatest f <= bounds satisfying every rule, by sweeping to stability.
 
@@ -152,11 +170,20 @@ def relax_fixpoint(sys: ConstraintSystem, sweep_cap: Optional[int] = None) -> Re
     them, but convergence in finitely many sweeps is asserted, not proved:
     after ``sweep_cap`` sweeps (default 10 * |indices|) a NonConvergenceError
     is raised so that a counterexample is visible instead of silent.
+
+    Semi-naive (see the module docstring): after the first sweep only the
+    rules with a source that the previous sweep changed are evaluated.
     """
     sys.validate()
     if sweep_cap is None:
         sweep_cap = max(10, 10 * len(sys.indices))
+    rules = sys.rules
+    readers: dict = {}  # index -> positions of the rules that read it
+    for k, rule in enumerate(rules):
+        for j in _sources(rule):
+            readers.setdefault(j, []).append(k)
     f: dict = {i: v for i, v in sys.bounds.items() if v is not None}
+    due: Iterable[int] = range(len(rules))
     sweeps = 0
     while True:
         if sweeps > sweep_cap:
@@ -164,26 +191,26 @@ def relax_fixpoint(sys: ConstraintSystem, sweep_cap: Optional[int] = None) -> Re
                 f"no stable fixpoint after {sweeps - 1} sweeps over {len(sys.indices)} indices"
             )
         sweeps += 1
-        snapshot = dict(f)
-        for rule in sys.rules:
+        # f is this sweep's snapshot: rules read it, and lowered values wait
+        # in ``new`` until the sweep ends
+        new: dict = {}
+        for k in due:
+            rule = rules[k]
             if isinstance(rule, Equality):
-                a = snapshot.get(rule.left)
-                b = snapshot.get(rule.right)
-                for tgt, other in ((rule.left, b), (rule.right, a)):
-                    if other is None:
-                        continue
-                    cur = f.get(tgt)
-                    if cur is None or other < cur:
-                        f[tgt] = other
+                pairs = ((rule.left, f.get(rule.right)), (rule.right, f.get(rule.left)))
             else:
-                v = _combo_value(rule, snapshot)
+                pairs = ((rule.target, _combo_value(rule, f)),)
+            for tgt, v in pairs:
                 if v is None:
                     continue
-                cur = f.get(rule.target)
+                cur = new.get(tgt, f.get(tgt))
                 if cur is None or v < cur:
-                    f[rule.target] = v
-        if f == snapshot:
+                    new[tgt] = v
+        if not new:
             break
+        f.update(new)
+        # in rule order, so that f gains its keys in a full sweep's order
+        due = sorted({k for i in new for k in readers.get(i, ())})
     unconstrained = tuple(i for i in sys.indices if i not in f)
     return RelaxResult(values=f, unconstrained=unconstrained, sweeps=sweeps)
 
@@ -191,19 +218,40 @@ def relax_fixpoint(sys: ConstraintSystem, sweep_cap: Optional[int] = None) -> Re
 def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_000) -> dict:
     """Minimum bound reachable per index by rule-application trees of the
     given depth; equals relax_fixpoint output once depth covers the rule
-    dependency diameter.  Exhaustive and memoized; small systems only."""
+    dependency diameter.  Exhaustive and memoized; small systems only.
+
+    The recursion runs in Python ints at the scale S = L_b * L_c^depth,
+    where L_b is the lcm of the finite bounds' denominators and L_c that of
+    the coefficients' (1 for an Equality).  A value at depth d' <= depth is
+    a bound, or a sum of c * (a value at depth d' - 1), so by induction its
+    denominator divides L_b * L_c^d'.  Write c = a / L_c with a an int.  A
+    value y at depth d' - 1 has S * y = x, a multiple of L_c^(depth - d' +
+    1) and so of L_c, hence S * c * y = a * x / L_c is an int, and so is a
+    sum of them.  Each such sum is divided by L_c with its remainder
+    checked (RelaxError if it is not 0), and the ``Fraction``s x / S are
+    built only for the returned dict.  ``budget`` caps the calls of the
+    recursion, memo hits included (RelaxError past it)."""
     sys.validate()
     by_target: dict = {}
     for rule in sys.rules:
         if isinstance(rule, Equality):
-            by_target.setdefault(rule.left, []).append(UpperCombo(rule.left, ((Fraction(1), rule.right),)))
-            by_target.setdefault(rule.right, []).append(UpperCombo(rule.right, ((Fraction(1), rule.left),)))
+            by_target.setdefault(rule.left, []).append(((Fraction(1), rule.right),))
+            by_target.setdefault(rule.right, []).append(((Fraction(1), rule.left),))
         else:
-            by_target.setdefault(rule.target, []).append(rule)
+            by_target.setdefault(rule.target, []).append(rule.terms)
+    lc = lcm(*(c.denominator for rules in by_target.values() for terms in rules for c, _ in terms))
+    lb = lcm(*(b.denominator for b in sys.bounds.values() if b is not None))
+    scale = lb * lc**depth
+    bounds = {i: b.numerator * (scale // b.denominator) for i, b in sys.bounds.items() if b is not None}
+    # per target its rules, each as (a, source) for the nonzero c = a / L_c
+    scaled = {
+        i: [tuple((c.numerator * (lc // c.denominator), j) for c, j in terms if c != 0) for terms in rules]
+        for i, rules in by_target.items()
+    }
     memo: dict = {}
     calls = 0
 
-    def best(i: Index, d: int) -> Optional[Fraction]:
+    def best(i: Index, d: int) -> Optional[int]:
         nonlocal calls
         calls += 1
         if calls > budget:
@@ -211,25 +259,25 @@ def brute_force_oracle(sys: ConstraintSystem, depth: int, budget: int = 2_000_00
         key = (i, d)
         if key in memo:
             return memo[key]
-        out = sys.bounds.get(i)
+        out = bounds.get(i)
         if d > 0:
-            for rule in by_target.get(i, ()):
-                total = Fraction(0)
-                ok = True
-                for c, j in rule.terms:
-                    if c == 0:
-                        continue
+            for terms in scaled.get(i, ()):
+                total = 0
+                for a, j in terms:
                     sub = best(j, d - 1)
                     if sub is None:
-                        ok = False
                         break
-                    total += c * sub
-                if ok and (out is None or total < out):
-                    out = total
+                    total += a * sub
+                else:
+                    value, rem = divmod(total, lc)
+                    if rem:
+                        raise RelaxError(f"{total}/{lc} is not whole at depth {d} of {depth}")
+                    if out is None or value < out:
+                        out = value
         memo[key] = out
         return out
 
-    return {i: v for i in sys.indices if (v := best(i, depth)) is not None}
+    return {i: Fraction(x, scale) for i in sys.indices if (x := best(i, depth)) is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from freebanach import Config, Universe, UNIT_ID
-from freebanach import cli
+from freebanach import cli, metric_ext, oracles
 from freebanach.cli import EXIT_USAGE, export_tables, import_universe, main
 from freebanach.metric_ext import MetricExtensionError, delta_general, delta_rank0_closure
 from freebanach.oracles import check_rho_oracle, rho_decomposition_oracle, rho_oracle_mismatches
 from freebanach.relax import ConstraintSystem, Equality, UpperCombo, relax_fixpoint
 from freebanach.scalars import Dyadic
-from freebanach.terms import pair_key
+from freebanach.terms import WordSpace, pair_key, reduce_concat
 from freebanach.verify import check_biinvariance, check_extension_metric, check_suites, perturbed
 
 
@@ -240,6 +240,54 @@ def test_rho_oracle_counts_faults(desk_universe):
 
 def test_check_rho_oracle_line():
     assert check_rho_oracle() == ("stage-3 metric vs factorization oracle (105 pairs, depth 5)", True)
+
+
+def test_rho_oracle_drains_its_heap_past_an_unreachable_pair(desk_universe, monkeypatch):
+    """The search stops early only once every wanted pair is settled.  On
+    desk's stage 3 cut to e, x and the generators 3, 4, 6 and 7, without
+    delta's clause (e, 6) no factorization reaches (e, 6): the search runs
+    until its heap is empty, that pair stays absent, and every other value
+    and the depth are those of the search with the clause."""
+    u = desk_universe
+    s3, s2 = u.stage(3), u.stage(2)
+    cut = dataclasses.replace(s3, members=tuple(m for m in s3.members if m in (UNIT_ID, 1, 3, 4, 6, 7)))
+    full, depth = rho_decomposition_oracle(u, cut, s2, u.cfg)
+    assert (len(full), depth) == (15, 2)
+    dropped = pair_key(UNIT_ID, 6)
+    delta = {k: v for k, v in metric_ext.delta_bounds(u, s2).items() if k != dropped}
+    monkeypatch.setattr(oracles, "delta_bounds", lambda universe, prev: delta)
+    out, depth_out = rho_decomposition_oracle(u, cut, s2, u.cfg)
+    assert dropped not in out
+    assert out == {k: v for k, v in full.items() if k != dropped}
+    assert depth_out == depth
+
+
+def test_product_lines_match_reduce_concat(monkeypatch):
+    """The step-table product lines equal the per-pair rule (the index of
+    ``reduce_concat`` of the two words, or -1) for every word of the
+    closure spaces: desk's ambient and rank's stage-3 spaces, rank's
+    delta_0 space and item 21's (3-stage desk at word caps (1, 2),
+    expansion 1)."""
+    spaces = []
+
+    class Recorded(WordSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    monkeypatch.setattr(metric_ext, "WordSpace", Recorded)
+    Universe(Config.desk(stage_count=3)).build()
+    rank = Universe(Config.rank()).build()
+    delta_rank0_closure(rank, rank.stage(3), rank.stage(2), rank.cfg)
+    cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2), ambient_expansion=1)
+    Universe(cfg).build()
+    assert [len(s) for s in spaces] == [197, 47, 599, 197]
+    for space in spaces:
+        words, index = space.words, space.index
+        for w, word in enumerate(words):
+            right, left = space.product_lines(w)
+            assert right.tolist() == [index.get(reduce_concat(u, word), -1) for u in words]
+            assert left.tolist() == [index.get(reduce_concat(word, u), -1) for u in words]
 
 
 def _dominance(universe):

@@ -110,6 +110,88 @@ def test_oracle_depths():
     assert brute_force_oracle(sys_, 1) == {"a": F(2), "b": F(1)}
 
 
+def test_oracle_budget_refuses():
+    """The budget counts the recursion's calls: on a chain of 4 rules at
+    depth 4, index i reaches down its chain in i + 1 calls, 15 in all."""
+    sys_ = ConstraintSystem(
+        indices=tuple(range(5)),
+        bounds={0: F(1)},
+        rules=[UpperCombo(i + 1, ((F(1), i),)) for i in range(4)],
+    )
+    assert brute_force_oracle(sys_, 4, budget=15) == {i: F(1) for i in range(5)}
+    with pytest.raises(RelaxError, match="budget 14 exceeded"):
+        brute_force_oracle(sys_, 4, budget=14)
+
+
+def test_oracle_non_dyadic_values_by_hand():
+    """Thirds in the coefficients and fifths and sevenths in the bounds, so
+    the integer scale is no power of 2; every value is checked against one
+    worked out by hand, and each is a ``Fraction``."""
+    sys_ = ConstraintSystem(
+        indices=("a", "b", "c", "z", "t"),
+        bounds={"a": F(2, 5), "b": F(1, 7), "c": None, "z": None, "t": None},
+        rules=[
+            UpperCombo("c", ((F(1, 3), "a"), (F(2, 3), "b"))),
+            UpperCombo("a", ((F(2, 3), "c"),)),
+            UpperCombo("b", ((F(1, 3), "a"),)),
+            UpperCombo("z", ((F(0), "a"), (F(0), "c"))),  # all zero: 0, whatever the sources
+            UpperCombo("t", ((F(0), "c"), (F(1, 3), "b"))),  # a zero term reads nothing
+        ],
+    )
+    # depth 1: c = 2/15 + 2/21, b = min(1/7, 2/15); a's rule reads c, still +inf
+    # depth 2: c = 2/15 + 4/45, a = 2/3 * 8/35, b = min(1/7, 1/3 * 2/5)
+    # depth 3: c = 16/315 + 4/45, a = 2/3 * 2/9, b = 1/3 * 16/105
+    want = [
+        {"a": F(2, 5), "b": F(1, 7)},
+        {"a": F(2, 5), "b": F(2, 15), "c": F(8, 35), "z": F(0), "t": F(1, 21)},
+        {"a": F(16, 105), "b": F(2, 15), "c": F(2, 9), "z": F(0), "t": F(2, 45)},
+        {"a": F(4, 27), "b": F(16, 315), "c": F(44, 315), "z": F(0), "t": F(2, 45)},
+    ]
+    for depth, values in enumerate(want):
+        got = brute_force_oracle(sys_, depth)
+        assert got == values, depth
+        assert all(type(v) is F for v in got.values())
+
+
+def test_oracle_equality_only_system():
+    """Equalities alone carry the least bound across a chain, one link per
+    depth."""
+    sys_ = ConstraintSystem(
+        indices=("p", "q", "r"),
+        bounds={"p": F(2, 5), "q": None, "r": F(1, 7)},
+        rules=[Equality("p", "q"), Equality("q", "r")],
+    )
+    assert brute_force_oracle(sys_, 0) == {"p": F(2, 5), "r": F(1, 7)}
+    assert brute_force_oracle(sys_, 1) == {"p": F(2, 5), "q": F(1, 7), "r": F(1, 7)}
+    for depth in (2, 3):
+        assert brute_force_oracle(sys_, depth) == {"p": F(1, 7), "q": F(1, 7), "r": F(1, 7)}
+
+
+def test_sweep_count_is_first_stable_depth():
+    """Both engines compute the same iterate: sweep k's table is the
+    depth-k brute force, f_k = min(f_(k-1), R(f_(k-1))) = min(bounds,
+    R(b_(k-1))) = b_k since R is monotone and b_(k-1) <= b_(k-2).  So the
+    sweep count is the first depth k >= 1 whose table equals depth k - 1's."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        for _ in range(100):
+            sys_ = random_micro_system(rng)
+            out = relax_fixpoint(sys_)
+            k, last = 1, brute_force_oracle(sys_, 0)
+            while (now := brute_force_oracle(sys_, k)) != last:
+                k, last = k + 1, now
+            assert (out.sweeps, out.values) == (k, now)
+
+
+def test_relax_oracle_sweep_and_rule_totals():
+    """The seed-0 systems of ``check_relax_oracle`` (the benchmark's traced
+    ``relax.relax_fixpoint`` rows): 361 sweeps over 4827 rules."""
+    rng = random.Random(0)
+    systems = [random_micro_system(rng) for _ in range(100)]
+    assert sum(relax_fixpoint(s).sweeps for s in systems) == 361
+    assert sum(len(s.rules) for s in systems) == 4827
+
+
 def _sweep_trace(sys_):
     """Re-implements one Jacobi sweep to observe monotonicity from outside."""
     f = {i: v for i, v in sys_.bounds.items() if v is not None}
