@@ -178,15 +178,11 @@ def import_universe(path: str, cfg: Config | None = None):
 
 def _load_config(args) -> Config:
     """The command's config.  It is not validated here: ``Config.from_file``
-    validates what it reads, the presets are valid, ``--seed`` changes no
-    validated field, and ``Universe`` validates its config again."""
+    validates what it reads, the presets are valid, and ``Universe``
+    validates its config again."""
     if args.config:
-        cfg = Config.from_file(args.config)
-    else:
-        cfg = PRESETS[args.preset]()
-    if args.seed is not None:
-        cfg = Config(**{**vars(cfg), "seed": args.seed})
-    return cfg
+        return Config.from_file(args.config)
+    return PRESETS[args.preset]()
 
 
 def _build(cfg: Config) -> Universe:
@@ -272,6 +268,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:  # the oracles' random instances are the config's only reader of seed
+        cfg = replace(cfg, seed=args.seed)
     ok = True
     from .oracles import run_all_oracles
 
@@ -329,7 +327,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="config file (key/value format)")
         p.add_argument("--preset", default="desk", choices=sorted(PRESETS))
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("build", help="construct stages and write the export document")
     common(p)
@@ -358,6 +355,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="seed of the random oracle instances")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="timing table")

@@ -59,8 +59,7 @@ DEFAULT_TARGETS = (
 )
 
 
-INT_KEYS = ("stage_count", "ambient_expansion", "member_budget", "pair_cell_budget",
-            "quantifier_budget", "seed")
+INT_KEYS = ("stage_count", "ambient_expansion", "member_budget", "pair_cell_budget", "seed")
 BUILD_KEYS = ("preset", "scalar_sets", "word_caps") + INT_KEYS
 
 
@@ -86,13 +85,14 @@ class Config:
     relaxation to a fixpoint.  ``ambient_expansion`` bounds the partial
     products the metric minimizations may pass through (words of length up
     to ``ambient_expansion`` times the stage's word cap).  The budgets bound
-    stage sizes (``member_budget``), the pair space of every metric-side
-    closure (``pair_cell_budget``) and the exhaustive verification
-    quantifiers (``quantifier_budget``; sampled with ``seed`` beyond it).
-    A budget is never truncated silently: exceeding one is an error.  For
-    the metric closure ``pair_cell_budget`` picks the word space, not a
-    second engine: the ambient words when their pairs fit, else the stage's
-    own words, under the rules ``metric_ext.rho_extend`` lists.
+    stage sizes (``member_budget``) and the pair space of every metric-side
+    closure (``pair_cell_budget``); a budget is never truncated silently:
+    exceeding one is an error.  Verification has no budget: every section
+    is exhaustive.  ``seed`` draws the random instances of
+    ``oracles.run_all_oracles`` and nothing else.  For the metric closure
+    ``pair_cell_budget`` picks the word space, not a second engine: the
+    ambient words when their pairs fit, else the stage's own words, under
+    the rules ``metric_ext.rho_extend`` lists.
     """
 
     stage_count: int = 4
@@ -101,7 +101,6 @@ class Config:
     ambient_expansion: int = 2
     member_budget: int = 500_000
     pair_cell_budget: int = 400_000
-    quantifier_budget: int = 10_000_000
     seed: int = 0
     targets: tuple[TargetSpace, ...] = DEFAULT_TARGETS
 
@@ -120,7 +119,7 @@ class Config:
             raise ConfigError("stage_count must be >= 1")
         if self.ambient_expansion < 1:
             raise ConfigError("ambient_expansion must be >= 1")
-        for key in ("member_budget", "pair_cell_budget", "quantifier_budget"):
+        for key in ("member_budget", "pair_cell_budget"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if any(c < 1 for c in self.word_caps):
@@ -221,7 +220,6 @@ class Config:
             "ambient_expansion": self.ambient_expansion,
             "member_budget": self.member_budget,
             "pair_cell_budget": self.pair_cell_budget,
-            "quantifier_budget": self.quantifier_budget,
             "seed": self.seed,
             "targets": [t.describe() for t in self.targets],
         }

@@ -7,14 +7,13 @@ so the dense sections read each table through one integer view,
 ``lp._fit``'s int64 bound, so no table is refused for its size.  The
 word-stage sections read one group law per stage (product table and
 inverse map), built once from its member words by ``TermStore.group_law``.
-Condition 3's splitting walks rows: each row is one product pair (c, d)
-against all k of them, every row while the k^2 instances fit the
-configured budget, else a seeded sample of rows, with the seed and row
-count recorded in the report so failures reproduce.  The other sections
-are exhaustive.  The metric sections take memory quadratic in the stage
-size.  Condition 5's subadditivity, on a grid of n axes with r digits
-each, takes blocks of r^(n - k) p^k entries, k = n // 2 and p <= r^2 the
-digit pairs of one axis, never all p^n pairs of the stage.
+Every section is exhaustive; none samples.  Condition 3's splitting walks
+rows, each one product pair (c, d) against all k of them, so it holds
+O(k) memory at a time over all k^2 instances.  The metric sections take
+memory quadratic in the stage size.  Condition 5's subadditivity, on a
+grid of n axes with r digits each, takes blocks of r^(n - k) p^k entries,
+k = n // 2 and p <= r^2 the digit pairs of one axis, never all p^n pairs
+of the stage.
 
 Numbered conditions:
 
@@ -39,11 +38,9 @@ reports.
 from __future__ import annotations
 
 import copy
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -193,36 +190,23 @@ def check_condition_2(universe) -> list[VerificationReport]:
     return out
 
 
-def _fact_inequality(stage, P, R, scale, budget: int, seed: int) -> VerificationReport:
+def _fact_inequality(stage, P, R, scale) -> VerificationReport:
     """rho(ab, cd) <= rho(a, c) + rho(b, d) over the k pairs (a, b) whose
     product is a member, one row (c, d) at a time against all k pairs:
-    every row when the k^2 instances fit ``budget``, else the rows of a
-    seeded sample of max(1, budget // k) of them."""
+    all k^2 instances."""
     report = VerificationReport(suite=f"condition 3 splitting stage {stage.index}")
     ab = np.argwhere(P >= 0)  # pairs with in-stage product
-    k = len(ab)
-    if k * k <= budget:
-        rows = range(k)
-        report.meta["mode"] = "exhaustive"
-    else:
-        rows = sorted(random.Random(seed).sample(range(k), max(1, budget // k)))
-        report.meta.update(mode="sampled", seed=seed, rows=len(rows))
-    pa = P[ab[:, 0], ab[:, 1]]
-    for idx in rows:
-        c, d = ab[idx, 0], ab[idx, 1]
+    a, b = ab.T
+    pa, k = P[a, b], len(ab)
+    for c, d in ab:
         lhs = R[pa, P[c, d]]
-        rhs = R[ab[:, 0], c] + R[ab[:, 1], d]
+        rhs = R[a, c] + R[b, d]
         report.attempted += k
         bad = np.nonzero(lhs > rhs)[0]
         report.passed += k - len(bad)
         for t in bad[:3]:
             report.add_counterexample(
-                quadruple=(
-                    stage.members[ab[t, 0]],
-                    stage.members[ab[t, 1]],
-                    stage.members[c],
-                    stage.members[d],
-                ),
+                quadruple=tuple(stage.members[i] for i in (a[t], b[t], c, d)),
                 lhs=str(Fraction(int(lhs[t]), scale)),
                 rhs=str(Fraction(int(rhs[t]), scale)),
             )
@@ -252,13 +236,13 @@ def _inverse_invariance(stage, inv, R, scale) -> VerificationReport:
     return report
 
 
-def check_condition_3(universe, budget: int, seed: int) -> list[VerificationReport]:
+def check_condition_3(universe) -> list[VerificationReport]:
     out = []
     for stage in universe.stages:
         if stage.kind == "word":
             R, scale = stage.scaled_table()
             P, inv = universe.store.group_law(stage.members)
-            out.append(_fact_inequality(stage, P, R, scale, budget, seed))
+            out.append(_fact_inequality(stage, P, R, scale))
             out.append(_inverse_invariance(stage, inv, R, scale))
     return out
 
@@ -463,14 +447,12 @@ def check_condition_6(universe) -> list[VerificationReport]:
     return out
 
 
-def check_conditions(universe, budget: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
+def check_conditions(universe) -> SuiteReport:
     """All numbered conditions over every stage."""
-    budget = universe.cfg.quantifier_budget if budget is None else budget
-    seed = universe.cfg.seed if seed is None else seed
     suite = SuiteReport()
     suite.extend(check_condition_1(universe))
     suite.extend(check_condition_2(universe))
-    suite.extend(check_condition_3(universe, budget, seed))
+    suite.extend(check_condition_3(universe))
     suite.extend(check_condition_4(universe))
     suite.extend(check_condition_5(universe))
     suite.extend(check_condition_6(universe))
@@ -568,7 +550,7 @@ def check_suites(universe, suites=SUITES) -> SuiteReport:
     if "universal" in suites:
         for target in universe.cfg.targets:
             suite.reports += [check_morphism_bound(universe, target),
-                              check_operation_preservation(universe, target, seed=universe.cfg.seed)]
+                              check_operation_preservation(universe, target)]
     return suite
 
 

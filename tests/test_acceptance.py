@@ -118,7 +118,8 @@ def test_criterion_5_biinvariance(desk_universe):
     by = {r.suite.split(" stage")[0]: r for r in suite.reports}
     fact = {r.suite: r for r in check_conditions(desk_universe).reports}["condition 3 splitting stage 3"]
     assert fact.ok
-    assert fact.meta.get("mode") == "exhaustive"
+    P, _ = desk_universe.store.group_law(desk_universe.stage(3).members)
+    assert fact.attempted == int((P >= 0).sum()) ** 2  # every (ab, cd) with both products in the stage
     report(
         "5 bi-invariance",
         f"fact {fact.attempted} quadruples, triangle "
@@ -149,7 +150,7 @@ def test_criterion_7_universal(desk_universe):
         lhs = target.norm_sq(phi_eval(u, u.x_id, target))
         rhs = target.y_norm_sq() * u.stage(2).table[u.x_id] ** 2
         assert lhs == rhs
-        pres = check_operation_preservation(u, target, seed=u.cfg.seed)
+        pres = check_operation_preservation(u, target)
         assert pres.ok
         checked += bound.attempted + pres.attempted
     report("7 universal property", f"3 targets, {checked} instances, bound tight at x")
@@ -167,7 +168,7 @@ def test_criterion_8_fault_detection(desk_universe, rank_universe):
     bad = perturbed(u, 3, ((UNIT_ID, u.x_id)), EPS)
     detected.append(not check_extension_metric(bad, bad.stage(3), bad.stage(2)).ok)
     bad = perturbed(u, 3, mkey, F(3))
-    detected.append(not all(r.ok for r in check_condition_3(bad, 10**7, 0)))
+    detected.append(not all(r.ok for r in check_condition_3(bad)))
     bad = perturbed(u, 4, nkey, F(5))
     detected.append(not all(r.ok for r in check_condition_5(bad)))
     bad = perturbed(u, 3, mkey, F(5))

@@ -134,6 +134,27 @@ def test_import_checks_the_verification_section(tmp_path, monkeypatch, capsys):
         assert err.startswith("error:") and message in err, err
 
 
+def test_import_refuses_the_removed_quantifier_budget(tmp_path, monkeypatch, capsys):
+    """Export format version 2 is kept, and a config carries no
+    ``quantifier_budget`` since verification became exhaustive.  A
+    document whose config still has the key, as one written before its
+    removal does, is not this config's export: import refuses it with a
+    ConfigError, given the config or reading the document's, and a
+    command whose universe it would be exits 2."""
+    u = Universe(Config.exact_x2()).build()
+    doc = json.loads(export_bytes(u, check_conditions(u)))
+    items = list(doc["config"].items())
+    at = [key for key, _ in items].index("pair_cell_budget") + 1
+    doc["config"] = dict(items[:at] + [("quantifier_budget", 10_000_000)] + items[at:])
+    path = _write(tmp_path, doc)
+    for cfg in (Config.exact_x2(), None):
+        with pytest.raises(ConfigError, match="was not exported under this config"):
+            import_universe(path, cfg)
+    monkeypatch.setattr(cli, "_build", lambda cfg: import_universe(path, cfg))
+    assert run_cli("verify", "--preset", "exact-x2") == EXIT_USAGE
+    assert "was not exported under this config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     ["1/0", "1/3", "1/-2", "true/2", "1/true", "1.0/2", "1/2.0"],
@@ -421,20 +442,43 @@ def test_console_entrypoint():
 
 def test_cli_calls_share_no_state(monkeypatch, capsys):
     """``main`` keeps one parser per process, but each call parses into a
-    fresh namespace: a ``--seed`` does not carry over to the next call, and
-    each call prints its own answer."""
-    seeds = []
+    fresh namespace: a ``--preset`` does not carry over to the next call,
+    and each call prints its own answer.  (The build is cut to two stages:
+    the answers lie in stages 1 and 2.)"""
+    configs = []
 
     def build(cfg):
-        seeds.append(cfg.seed)
-        return Universe(cfg).build()
+        configs.append(cfg)
+        return Universe(dataclasses.replace(cfg, stage_count=2)).build()
 
     monkeypatch.setattr(cli, "_build", build)
-    assert run_cli("norm", "x", "--preset", "exact-x2", "--seed", "7") == EXIT_OK
+    assert run_cli("norm", "x", "--preset", "exact-x2") == EXIT_OK
     assert capsys.readouterr().out == "1 (stage 2)\n"
-    assert run_cli("dist", "x", "inv(x)", "--preset", "exact-x2") == EXIT_OK
+    assert run_cli("dist", "x", "inv(x)") == EXIT_OK
     assert capsys.readouterr().out == "2 (stage 1)\n"
+    assert configs == [Config.exact_x2(), Config.desk()]
+
+
+def test_seed_is_an_oracle_option(monkeypatch, capsys):
+    """``--seed`` picks the oracles' random instances, the one reader of the
+    config's ``seed``, so ``oracle`` alone takes it; on any other
+    subcommand it is a usage error (exit 2)."""
+    seeds = []
+
+    def run_all_oracles(cfg):
+        seeds.append(cfg.seed)
+        yield "stub", True
+
+    monkeypatch.setattr(oracles, "run_all_oracles", run_all_oracles)
+    assert run_cli("oracle", "--preset", "exact-x2", "--seed", "7") == EXIT_OK
+    assert run_cli("oracle", "--preset", "exact-x2") == EXIT_OK
+    assert capsys.readouterr().out == "[pass] stub\n" * 2
     assert seeds == [7, Config.exact_x2().seed]
+    for argv in (["build"], ["dist", "x", "e"], ["norm", "x"], ["verify"], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", "7")
+        assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_bench_runs(capsys):
@@ -547,20 +591,22 @@ def test_closure_space_counted_before_it_is_built(tmp_path):
         "[build]\nlattice_cell_budget = 1000000\n",
         "[build]\nstage_count = 2\n[target.a]\nkind = foo\nimage = 1\n",
         "[build]\nstage_count = 2\n[target.a]\nkind = abs\n",
-        "[build]\npreset = exact-x2\nquantifier_budget = 0\n",
+        "[build]\npreset = exact-x2\nquantifier_budget = 10000000\n",
         "[build]\npreset = exact-x2\nmember_budget = 0\n",
         "[build]\npreset = exact-x2\npair_cell_budget = 0\n",
         "[build]\nstage_count = 2\nscalar_sets = -1 0 1 1\n",
         "[build]\nstage_count = 2\nscalar_sets = -1 0 1 2/2\n",
     ],
     ids=["malformed-int", "unknown-key", "unknown-section", "decomp_cap", "sum_cap",
-         "lattice_cell_budget", "unknown-kind", "no-image", "quantifier_budget-0",
+         "lattice_cell_budget", "unknown-kind", "no-image", "quantifier_budget",
          "member_budget-0", "pair_cell_budget-0", "repeated-scalar", "repeated-scalar-by-value"],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, text):
     """Config files are outside input: an unknown section, an unknown or
-    removed key, or a malformed value is an error line and exit 2, never a
-    traceback or a silently ignored setting."""
+    removed key (``decomp_cap``, ``sum_cap``, ``lattice_cell_budget``,
+    ``quantifier_budget``, even at its old default), or a malformed value
+    is an error line and exit 2, never a traceback or a silently ignored
+    setting."""
     path = tmp_path / "conf.ini"
     path.write_text(text)
     with pytest.raises(ConfigError):
@@ -627,16 +673,6 @@ def test_every_valid_config_builds_or_exits_2(text):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
-def test_small_quantifier_budget_still_samples(tmp_path, capsys):
-    """A quantifier budget below the row length still walks one sampled
-    splitting row (exact-x2's 7 product pairs against one of them) rather
-    than reporting a pass over nothing."""
-    path = tmp_path / "conf.ini"
-    path.write_text("[build]\npreset = exact-x2\nquantifier_budget = 5\n")
-    assert run_cli("verify", "--config", str(path), "--suite", "conditions") == EXIT_OK
-    assert "[pass] condition 3 splitting stage 1: 7/7\n" in capsys.readouterr().out
-
-
 def test_stage1_obeys_pair_cell_budget(tmp_path, capsys):
     """Stage 1 at word cap c has 2c + 1 members, and its table must fit
     ``pair_cell_budget`` like every other metric table: at the default
@@ -671,9 +707,9 @@ def test_oracle_stage2_on_requested_preset(monkeypatch):
 # SHA-256 of export_bytes(u, check_conditions(u)); the export format
 # (version 2) and every table and report value are pinned by these digests.
 EXPORT_DIGESTS = {
-    "desk": "178ea53473b551fc68a072d0c47aff87bd73fd76d621af44e775f33da4c6b009",
-    "exact": "aa9f02f08f188b61fcf358c0782ac72e31d2dbdaa2a3a2eee2a844d9fc39a4e2",
-    "rank": "ec86ad38a866bfc5c001bed2365bf96dbe0ac229048e5189f1543b6c3ef36c24",
+    "desk": "0599df6adb482d00764870e800d6199581aec055153eb0357f6fd0c20662e3d9",
+    "exact": "4aab224eb4b07821416e8f5ce8cd72358c59db48c03dc75ae51d8cf4ef3216ef",
+    "rank": "1c837973323a101e360d6c3cf6bd82d47e7c688b06e03db7eb2ff152be37d3c9",
 }
 
 

@@ -401,13 +401,16 @@ def desk_cap2_universes():
 def test_word_cap_two_builds_at_the_default_expansion(desk_cap2_universes):
     """Without the rank-0 closure in the build, 3-stage desk at word caps
     (1, 2) builds at the default expansion, over its members space, with
-    the expansion-1 table; at expansion 1 every suite passes."""
+    the expansion-1 table; at expansion 1 every suite passes, condition 3's
+    splitting on all 3319^2 instances of stage 3's 3319 in-stage products."""
     default, expansion_one = desk_cap2_universes
     assert len(default.stage(3).members) == 197
     assert default.stage(3).notes["rho_mode"] == "members"
     assert default.stage(3).table == expansion_one.stage(3).table
     suite = check_suites(expansion_one)
     assert suite.ok, suite.render()
+    [split] = [r for r in suite.reports if r.suite == "condition 3 splitting stage 3"]
+    assert split.summary_line() == "[pass] condition 3 splitting stage 3: 11015761/11015761"
     assert _dominance(expansion_one).vacuous
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freebanach import Config, Universe, UNIT_ID
-from freebanach.scalars import Dyadic
+from freebanach.scalars import DY_ONE, Dyadic
 from freebanach.norm_ext import scalar_shift
 from freebanach.stages import NotBuiltError, off_grid_cells
 from freebanach.terms import ComboTerm
@@ -105,10 +105,57 @@ def test_euclidean_target_exact_squares(desk_universe):
     assert rep2.ok
 
 
-def test_operation_preservation(desk_universe):
-    for target in desk_universe.cfg.targets:
-        rep = check_operation_preservation(desk_universe, target)
-        assert rep.ok and rep.attempted > 100
+def test_operation_preservation(request):
+    """Operation preservation checks every in-stage product and inverse of
+    each word stage, as its group law lists them, on every target, and its
+    meta names the proof that covers sums on norm stages."""
+    for preset, count in (("exact", 10), ("rank", 196), ("desk", 68), ("uneven", 10)):
+        u = request.getfixturevalue(f"{preset}_universe")
+        laws = [u.store.group_law(s.members) for s in u.stages if s.kind == "word"]
+        assert sum(int((P >= 0).sum()) + int((inv >= 0).sum()) for P, inv in laws) == count
+        for target in u.cfg.targets:
+            rep = check_operation_preservation(u, target)
+            assert rep.ok and rep.attempted == count
+            assert "universal docstring" in rep.meta["proof"]
+
+
+def test_preservation_fault_names_the_forged_product(rank_universe, monkeypatch):
+    """A stage-3 group law whose product x . x^-1 points at x instead of e
+    fails operation preservation on every default target, at that one
+    instance, named by its stage, the ``mul`` op and the pair."""
+    u = copy.copy(rank_universe)  # its own entry in tau's memo
+    s3, store, x = u.stage(3), u.store, u.x_id
+    xi = store.lookup(store.group_inv(x))
+    pos = {m: i for i, m in enumerate(s3.members)}
+    law = store.group_law
+    P, inv = law(s3.members)
+    assert P[pos[x], pos[xi]] == pos[UNIT_ID]
+    forged = P.copy()
+    forged[pos[x], pos[xi]] = pos[x]
+    monkeypatch.setattr(store, "group_law", lambda members: (forged, inv) if members == s3.members else law(members))
+    for target in u.cfg.targets:
+        rep = check_operation_preservation(u, target)
+        assert (rep.attempted, rep.passed) == (196, 195)
+        assert rep.counterexamples == [{"stage": 3, "op": "mul", "pair": (x, xi)}]
+
+
+@pytest.mark.parametrize("preset, count", [("exact", 61**2), ("rank", 19**2), ("desk", 7**2), ("uneven", 19**2)])
+def test_norm_stage_sums_go_to_sums(preset, count, request):
+    """The test behind the norm-stage proof of the ``universal`` docstring:
+    on stage 2, for every pair of members whose sum (``TermStore.lin_combine``)
+    is a member, tau of the sum is the sum of their taus.  Stage 2 has two
+    axes, so those pairs are the square of one axis's scalar pairs whose
+    sum is a scalar: 61 on D_1, 19 on the rank and uneven sets, 7 on desk's."""
+    u = request.getfixturevalue(f"{preset}_universe")
+    store, tau, s2 = u.store, TauMap(u), u.stage(2)
+    checked = 0
+    for a in s2.members:
+        for b in s2.members:
+            total = store.lookup(store.lin_combine([(DY_ONE, a), (DY_ONE, b)]))
+            if total in s2.member_set:
+                assert tau(total) == tau(a) + tau(b), (a, b)
+                checked += 1
+    assert checked == count
 
 
 def test_scaling_covariance(desk_universe):
@@ -212,11 +259,11 @@ def test_bound_pass_past_int64(desk_universe):
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk", "uneven"])
 @pytest.mark.parametrize("faulty", [False, True], ids=["honest", "halved"])
 def test_suite_sections_are_the_per_target_reports(preset, faulty, request):
-    """The universal suite runs tau's bound pass and sample once and renders
-    two sections per target; each describes equal to that target's own
-    ``check_morphism_bound`` and ``check_operation_preservation`` report,
-    for the default targets, a Euclidean one and y = 0, on the honest
-    tables and with a stage-1 entry halved so the bound fails."""
+    """The universal suite runs tau's bound pass and preservation pass once
+    and renders two sections per target; each describes equal to that
+    target's own ``check_morphism_bound`` and ``check_operation_preservation``
+    report, for the default targets, a Euclidean one and y = 0, on the
+    honest tables and with a stage-1 entry halved so the bound fails."""
     u = request.getfixturevalue(f"{preset}_universe")
     if faulty:
         key, value = next(iter(u.stage(1).table.items()))
@@ -228,7 +275,7 @@ def test_suite_sections_are_the_per_target_reports(preset, faulty, request):
     expected = [
         report
         for target in targets
-        for report in (check_morphism_bound(u, target), check_operation_preservation(u, target, seed=u.cfg.seed))
+        for report in (check_morphism_bound(u, target), check_operation_preservation(u, target))
     ]
     assert [r.describe() for r in sections] == [r.describe() for r in expected]
     assert not faulty or not sections[0].ok
