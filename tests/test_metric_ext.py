@@ -3,6 +3,7 @@ extension equality, oracle."""
 
 import ast
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,7 @@ from freebanach.oracles import check_rho_oracle, rho_decomposition_oracle, rho_o
 from freebanach.relax import ConstraintSystem, Equality, UpperCombo, relax_fixpoint
 from freebanach.scalars import Dyadic
 from freebanach.terms import WordSpace, pair_key, reduce_concat
-from freebanach.verify import check_biinvariance, check_extension_metric, check_suites, perturbed
+from freebanach.verify import check_biinvariance, check_conditions, check_extension_metric, check_suites, perturbed
 
 
 def _imported(module):
@@ -396,6 +397,18 @@ def desk_cap2_universes():
     expansion 1: 197 stage-3 words."""
     cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2))
     return Universe(cfg).build(), Universe(dataclasses.replace(cfg, ambient_expansion=1)).build()
+
+
+# sha256 of item 21's export (expansion 1, with its conditions report): 118 639 bytes
+CAP2_EXPORT_DIGEST = "87d979f16847a6aca5160656f579ff31abcb16a920ca56bd3656f820106027d5"
+
+
+def test_word_cap_two_export_bytes_pinned(desk_cap2_universes):
+    """The export of the largest word table, 197 stage-3 words, is byte-for-byte
+    the pinned one."""
+    _, expansion_one = desk_cap2_universes
+    data = cli.export_bytes(expansion_one, check_conditions(expansion_one))
+    assert hashlib.sha256(data).hexdigest() == CAP2_EXPORT_DIGEST
 
 
 def test_word_cap_two_builds_at_the_default_expansion(desk_cap2_universes):
