@@ -24,7 +24,7 @@ from .exprs import ExprSyntaxError, OutOfUniverseError, eval_expr, parse_expr
 from .lp import InfeasibleLP
 from .relax import RelaxError
 from .scalars import Dyadic, ScalarDomainError, fraction_str
-from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe
+from .stages import PRESETS, BudgetExceededError, Config, ConfigError, NotBuiltError, Stage, Universe, fraction_ints
 from .terms import AlgebraError
 from .verify import SUITES, SuiteReport, check_conditions, check_rank0_dominance, check_suites
 
@@ -57,9 +57,13 @@ def export_document(universe, suite: SuiteReport | None = None) -> dict:
     for stage in universe.stages:
         data = ({"generators": list(stage.generators), "word_cap": stage.word_cap} if stage.kind == "word"
                 else {"basis": list(stage.basis), "scalar_set": [str(d) for d in stage.scalar_set]})
-        values = map(stage.table.__getitem__, stage.cells())
+        ints, scale = stage.scaled_table()  # rows from the integers: one pair per distinct value
+        cells = ints.tolist()
+        if stage.kind == "word":  # the cells i < j, row-major
+            cells = [v for i, row in enumerate(cells) for v in row[i + 1:]]
+        rows = {v: Fraction(v, scale).as_integer_ratio() for v in set(cells)}  # a tuple, written as a list
         stages.append({"index": stage.index, "kind": stage.kind, **data, "count": len(stage.members),
-                       "table": [[v.numerator, v.denominator] for v in values]})
+                       "table": [rows[v] for v in cells]})
     doc = {
         "format": "freebanach-export",
         "version": FORMAT_VERSION,
@@ -87,13 +91,16 @@ def _same(value, expected) -> bool:
     return json.dumps(value) == json.dumps(expected)
 
 
-def _table(rows, cells: list, where: str) -> dict:
-    """A table from one ``[num, den]`` row per cell: an int numerator >= 0
-    over a positive int denominator, in lowest terms.  Each distinct pair
-    is read once, but only once every field is known to be an int: a bool
-    or a float equals and hashes like the int it would pass for."""
-    if type(rows) is not list or len(rows) != len(cells):
-        raise ConfigError(f"{where}: the table is not a list of {len(cells)} rows")
+def _table(rows, stage: Stage, where: str) -> Stage:
+    """``stage`` with its table read from one ``[num, den]`` row per cell:
+    an int numerator >= 0 over a positive int denominator, in lowest terms.
+    Each distinct pair is read once, but only once every field is known to
+    be an int: a bool or a float equals and hashes like the int it would
+    pass for."""
+    n = len(stage.members)
+    count = n * (n - 1) // 2 if stage.kind == "word" else n
+    if type(rows) is not list or len(rows) != count:
+        raise ConfigError(f"{where}: the table is not a list of {count} rows")
     if not all(type(row) is list and len(row) == 2 for row in rows):
         raise ConfigError(f"{where}: a table row is not a [num, den] list")
     pairs = list(map(tuple, rows))
@@ -107,7 +114,9 @@ def _table(rows, cells: list, where: str) -> dict:
         value = values[num, den] = Fraction(num, den)
         if value.denominator != den:
             raise ConfigError(f"{where}: table value {num}/{den} is not in lowest terms")
-    return dict(zip(cells, map(values.__getitem__, pairs)))
+    numerators, scale = fraction_ints(list(values.values()))
+    scaled = dict(zip(values, numerators))
+    return stage.with_ints([scaled[pair] for pair in pairs], scale)
 
 
 def _stage_from_doc(universe, n: int, sdoc) -> Stage:
@@ -123,7 +132,7 @@ def _stage_from_doc(universe, n: int, sdoc) -> Stage:
     if not _same(sdoc[key], given):  # before the enumeration reads it
         raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the config gives {given!r}")
     if n == 0:
-        stage = universe._unit_stage({})
+        stage = universe._unit_stage()
     elif kind == "word":
         stage = universe._enumerate_word_stage(n, sdoc["word_cap"])
     else:
@@ -132,7 +141,7 @@ def _stage_from_doc(universe, n: int, sdoc) -> Stage:
     for key, derived in ((spanning, list(getattr(stage, spanning))), ("count", len(stage.members))):
         if not _same(sdoc[key], derived):
             raise ConfigError(f"{where}: {key} {sdoc[key]!r}, but the stages below give {derived!r}")
-    return replace(stage, table=_table(sdoc["table"], stage.cells(), where))
+    return _table(sdoc["table"], stage, where)
 
 
 def import_universe(path: str, cfg: Config | None = None):

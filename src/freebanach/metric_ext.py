@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .relax import PairComposition, RelaxError
+from .relax import ClosureTable, PairComposition, RelaxError
 from .terms import WordSpace, count_words, pair_key
 
 PairTable = dict[tuple[int, int], Fraction]  # keyed a < b, the diagonal not stored
@@ -113,14 +113,15 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     # the closure is transpose-symmetric (a - b in P iff b - a in P, and
     # ||a - b|| = ||b - a||)
     cells = [(m, w) for m in stage.members if (w := space.idx(store.word_of(m))) is not None]
-    values, _ = closure.pairs([w for _, w in cells])
-    return _member_pairs([m for m, _ in cells], values), sweeps, engine.entries
+    return _member_pairs([m for m, _ in cells], *closure.pairs([w for _, w in cells])), sweeps, engine.entries
 
 
-def _member_pairs(members, values) -> PairTable:
-    """The finite ``values`` of a transpose-symmetric closure on the pairs
-    i < j of ``members``, in ``combinations`` order, keyed ``pair_key``."""
-    return {pair_key(a, b): v for (a, b), v in zip(combinations(members, 2), values) if v is not None}
+def _member_pairs(members, ints, scale) -> PairTable:
+    """The finite values ``ints / scale`` of a transpose-symmetric closure on
+    the pairs i < j of ``members`` (``ClosureTable.pairs``), keyed ``pair_key``."""
+    cells = ints.tolist()
+    values = {v: Fraction(v, scale) for v in set(cells) if v < ClosureTable.inf}
+    return {pair_key(a, b): values[v] for (a, b), v in zip(combinations(members, 2), cells) if v in values}
 
 
 def delta_general(universe, rank0: PairTable) -> PairTable:
@@ -148,9 +149,10 @@ def delta_bounds(universe, prev) -> PairTable:
 # ---------------------------------------------------------------------------
 
 
-def _base_case_table(universe, stage, cfg) -> PairTable:
+def _base_case_table(universe, stage, cfg):
     """Stage 1, the free group on x in words of length <= the first word
-    cap, has rho(x^a, x^b) = |a - b|, where a is a word's letter-sign sum.
+    cap, has rho(x^a, x^b) = |a - b|, where a is a word's letter-sign sum
+    (as ``rho_extend`` returns it, at scale 1).
 
     rho_1 is the greatest function closed under the metric's rules
     (inversion, product splitting, the triangle inequality) that is 0 on
@@ -169,18 +171,15 @@ def _base_case_table(universe, stage, cfg) -> PairTable:
     table is positive off the diagonal.  Its n^2 cells fit
     ``pair_cell_budget``: the stage's enumeration refuses it otherwise."""
     word_of = universe.store.word_of
-    exponent = {m: sum(sign for _, sign in word_of(m)) for m in stage.members}
-    return {
-        pair_key(a, b): Fraction(abs(exponent[a] - exponent[b]))
-        for i, a in enumerate(stage.members)
-        for b in stage.members[i + 1 :]
-    }
+    exponent = [sum(sign for _, sign in word_of(m)) for m in stage.members]
+    return [abs(a - b) for i, a in enumerate(exponent) for b in exponent[i + 1 :]], 1
 
 
-def rho_extend(universe, stage, prev, cfg) -> PairTable:
+def rho_extend(universe, stage, prev, cfg):
     """The greatest symmetric function below delta satisfying inversion
-    equality, product splitting, convexity and the triangle inequality;
-    keys are unordered member pairs, the diagonal is implicitly zero.
+    equality, product splitting, convexity and the triangle inequality, as
+    ``(ints, scale)``: its values ``ints / scale`` on the member pairs
+    i < j, a list in ``Stage.cells`` order; the diagonal is zero.
 
     One closure computes it: ``_rho_closure`` over the word space W of the
     words of length <= L over the stage's letters.  W is the ambient space
@@ -241,8 +240,8 @@ def rho_extend(universe, stage, prev, cfg) -> PairTable:
 
 def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
     """The pair-composition closure of ``rho_extend``'s system over
-    ``space``; returns the member-pair table, the sweep count and the
-    candidate cells composed (``PairComposition.entries``), or refuses a
+    ``space``; returns the table as ``rho_extend`` does, the sweep count and
+    the candidate cells composed (``PairComposition.entries``), or refuses a
     table that is not finite and positive off the diagonal."""
     store = universe.store
     engine = PairComposition(space, inverse=True)
@@ -269,12 +268,12 @@ def _rho_closure(universe, stage, delta: PairTable, space: WordSpace):
                     engine.add_convex((wb, wa), [(c, (word_idx[z], wa)) for c, z in terms])
     closure, sweeps = engine.solve()
     # every family is transpose-symmetric (``rho_extend``)
-    values, ints = closure.pairs(list(word_idx.values()))
+    ints, scale = closure.pairs(list(word_idx.values()))
     missing, nonpositive = ints >= closure.inf, ints <= 0
     if (missing | nonpositive).any():  # the first such pair in member order
         i = int((missing | nonpositive).argmax())
         a, b = next(islice(combinations(stage.members, 2), i, None))
         raise MetricExtensionError(f"metric not finite on pair ({a}, {b})" if missing[i]
                                    else f"zero off-diagonal metric value at ({a}, {b})")
-    return _member_pairs(stage.members, values), sweeps, engine.entries
+    return (ints.tolist(), scale), sweeps, engine.entries
 

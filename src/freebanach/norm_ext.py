@@ -147,16 +147,16 @@ def _dedupe_sign(molecules: dict[IntVec, Fraction]) -> dict[IntVec, Fraction]:
     return out
 
 
-def _line_norm(universe, stage, prev) -> dict[int, Fraction]:
+def _line_norm(universe, stage, prev):
     """Stage 2's norm table in closed form, G(v) = sum_k |F(k)| (module
-    docstring).  F is one product of the member coordinates over 2^shift,
-    ``Stage.coordinates``, with the +-1/0 step matrix of the basis words'
-    letter-sign sums.  Each |F(k)| is at most dim * max|coordinate|, and
-    their sum over the 2 cap steps at most 2 cap times that: in int64 when
-    ``lp._fit``'s bound holds, else in Python ints.  Each distinct value
-    becomes one ``Fraction``.  On a prev member x^a the value must be
-    rho_1(x^a, e), as the metric's table gives it: otherwise the norm would
-    not extend the metric, and ``NormExtensionError`` is raised."""
+    docstring), as ``norm_extend`` returns it.  F is one product of the
+    member coordinates over 2^shift, ``Stage.coordinates``, with the +-1/0
+    step matrix of the basis words' letter-sign sums.  Each |F(k)| is at
+    most dim * max|coordinate|, and their sum over the 2 cap steps at most
+    2 cap times that: in int64 when ``lp._fit``'s bound holds, else in
+    Python ints.  On a prev member x^a the value must be rho_1(x^a, e), as
+    the metric's table gives it: otherwise the norm would not extend the
+    metric, and ``NormExtensionError`` is raised."""
     word_of = universe.store.word_of
     exponents = [sum(sign for _, sign in word_of(b)) for b in stage.basis]
     cap, shift = prev.word_cap, scalar_shift(stage)
@@ -166,17 +166,18 @@ def _line_norm(universe, stage, prev) -> dict[int, Fraction]:
     coords, steps = _fit(2 * cap * len(exponents) * _absmax(coords), coords, steps)
     sums = np.abs(coords @ steps).sum(axis=1).tolist()
     den = 1 << shift
-    values = {s: Fraction(s, den) for s in set(sums)}
-    gamma = dict(zip(stage.members, map(values.__getitem__, sums)))
     for m in prev.members:
-        rho = universe.rho(prev, m, UNIT_ID)
-        if gamma[m] != rho:
-            raise NormExtensionError(f"prev member {m}: the closed form gives {gamma[m]}, its metric value is {rho}")
-    return gamma
+        value, rho = Fraction(sums[stage.members.index(m)], den), universe.rho(prev, m, UNIT_ID)
+        if value != rho:
+            raise NormExtensionError(f"prev member {m}: the closed form gives {value}, its metric value is {rho}")
+    return sums, den
 
 
-def _gauge_table(universe, stage, prev) -> tuple[dict[int, Fraction], MoleculeLP]:
-    """The molecule program's table for a stage after 2 (``norm_extend``)."""
+def _gauge_table(universe, stage, prev):
+    """The molecule program's table for a stage after 2, as ``norm_extend``
+    returns it, and the program: one value per class, the centre 0."""
+    from .stages import fraction_ints
+
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     shift = scalar_shift(stage)
     molecules = molecule_table(universe, prev, basis_pos, len(basis_pos), shift)
@@ -186,21 +187,20 @@ def _gauge_table(universe, stage, prev) -> tuple[dict[int, Fraction], MoleculeLP
     vecs = list(map(tuple, stage.coordinates(shift).tolist()))
     last = len(vecs) - 1
     gauge = [value for value, _ in lp.solve_many([sign_class(v) for v in vecs[: last // 2]])]
-    gamma: dict[int, Fraction] = {UNIT_ID: Fraction(0)}
     for k, (m, v) in enumerate(zip(stage.members, vecs)):
-        if 2 * k == last:
-            continue
-        g = gauge[min(k, last - k)]
-        if m in prev.member_set and molecules.get(v) != g:
-            raise NormExtensionError(
-                f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
-            )
-        gamma[m] = g
-    return gamma, lp
+        if m in prev.member_set and 2 * k != last:
+            g = gauge[min(k, last - k)]
+            if molecules.get(v) != g:
+                raise NormExtensionError(
+                    f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
+                )
+    ints, scale = fraction_ints(gauge)
+    return (ints + [0] + ints[::-1], scale), lp
 
 
-def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
-    """Norm table for a vector stage.
+def norm_extend(universe, stage, prev, cfg):
+    """Norm table for a vector stage, as ``(ints, scale)``: the member norms
+    ``ints / scale``, a list in member order.
 
     gamma(m) is the molecule gauge of m's +- class on every nonzero member.
     Stage 2 has it in closed form (``_line_norm``).  On a later stage all
@@ -232,7 +232,7 @@ def norm_extend(universe, stage, prev, cfg) -> dict[int, Fraction]:
     stage.notes["lattice_cells"] = 0
     stage.notes["inverse_convex_instances"] = 0
 
-    for m, v in gamma.items():
-        if v.numerator <= 0 and m != UNIT_ID:  # the sign, read without a slower Fraction comparison
+    for m, v in zip(stage.members, gamma[0]):
+        if v <= 0 and m != UNIT_ID:
             raise NormExtensionError(f"zero norm on non-unit member {m}")
     return gamma

@@ -50,7 +50,8 @@ attempts, while a value is not exact there.
 ``ScaleInexactError`` unless the value is exact at the scale, and
 ``ScaleOverflowError``, which no larger scale mends, unless it is below
 2^60 in magnitude, so a sum of two converted values cannot wrap in int64.
-Only ``PairComposition`` uses it; the checks read ``Stage.scaled_table``.
+Only ``PairComposition`` uses it; a word stage stores its closure's
+integers, reduced by one gcd (``Stage.with_ints``).
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ class FractionRules:
 class ClosureTable:
     """Closure values by word pair, converted to ``Fraction`` only for the
     cells a caller reads: ``get((u, v))`` is the value, or None at +inf, and
-    ``pairs(words)`` reads every pair of some words at once."""
+    ``pairs(words)`` reads every pair of some words at once, as integers."""
 
     inf = _INT_INF  # the scaled value that stands for +inf
 
@@ -363,16 +364,13 @@ class ClosureTable:
         v = int(self._values[cell])
         return None if v >= _INT_INF else Fraction(v, self._scale)
 
-    def pairs(self, words: Sequence[int]) -> tuple[list[Optional[Fraction]], np.ndarray]:
+    def pairs(self, words: Sequence[int]) -> tuple[np.ndarray, int]:
         """The cells (words[i], words[j]) for i < j, in ``combinations``
-        order, read in one gather: their values, one ``Fraction`` per
-        distinct value and None at +inf, and their scaled values."""
+        order, read in one gather: their scaled values (``inf`` at +inf)
+        and the scale."""
         idx = np.asarray(words, dtype=np.intp)
         i, j = np.triu_indices(idx.size, 1)
-        ints = self._values[idx[i], idx[j]]
-        cells = ints.tolist()
-        values = {v: None if v >= _INT_INF else Fraction(v, self._scale) for v in set(cells)}
-        return [values[v] for v in cells], ints
+        return self._values[idx[i], idx[j]], self._scale
 
 
 def _shift_map(line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:

@@ -24,11 +24,13 @@ by construction: import re-derives each stage by the build's enumeration).
 from __future__ import annotations
 
 import configparser
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from types import MappingProxyType
+from math import gcd, lcm
+
+import numpy as np
 
 from .lp import _absmax, _fit
 from .norm_ext import scalar_shift
@@ -241,41 +243,78 @@ class Config:
 PRESETS = {"desk": Config.desk, "rank": Config.rank, "exact-x2": Config.exact_x2}
 
 
-@dataclass(frozen=True)
+class TableView(Mapping):
+    """A stage's table read off its integer array: ``view[m]`` is a norm
+    stage's member norm, ``view[pair_key(a, b)]`` a word stage's distance
+    (a != b), each a ``Fraction``, one per distinct value.  The keys are
+    ``Stage.cells()``, in that order; the view has no write method."""
+
+    def __init__(self, stage: "Stage"):
+        self._word = stage.kind == "word"
+        self._members = stage.members
+        self._pos = {m: i for i, m in enumerate(stage.members)}
+        self._ints, self._scale = stage.ints, stage.scale
+        self._fractions: dict[int, Fraction] = {}
+
+    def _pair(self, a: int, b: int) -> tuple[int, int]:
+        if a < b:
+            return self._pos[a], self._pos[b]
+        raise KeyError((a, b))
+
+    def __getitem__(self, key) -> Fraction:
+        try:
+            v = self._ints.item(self._pair(*key) if self._word else self._pos[key])
+        except (KeyError, TypeError, ValueError):  # no member, or a word stage's key that is no pair
+            raise KeyError(key) from None
+        value = self._fractions.get(v)
+        if value is None:
+            value = self._fractions[v] = Fraction(v, self._scale)
+        return value
+
+    def __iter__(self):
+        members = self._members
+        if not self._word:
+            return iter(members)
+        return (pair_key(a, b) for i, a in enumerate(members) for b in members[i + 1:])
+
+    def __len__(self) -> int:
+        n = len(self._members)
+        return n * (n - 1) // 2 if self._word else n
+
+
+@dataclass(frozen=True, eq=False)
 class Stage:
-    """A stage built whole: the build and ``import_universe`` make it with
-    its table, frozen, its table read-only (a ``MappingProxyType``), so
-    ``member_set`` and the integer view ``scaled_table`` are derived once, on
-    first read, and never go stale.  ``dataclasses.replace`` (as
-    ``perturbed`` uses) makes a new stage that derives its own."""
+    """A stage built whole, frozen with its table (``with_ints``): exact
+    integers over one scale in a read-only array (``scaled_table``), of
+    which ``table`` is a read-only ``Mapping`` view.  A stage given other
+    members by ``dataclasses.replace`` needs its table again.  Stages
+    compare by identity: the generated ``__eq__`` cannot compare arrays."""
 
     index: int
     kind: str  # "word" | "vector"
     members: tuple[int, ...] = ()
     generators: tuple[int, ...] = ()  # word stages: S_n
     basis: tuple[int, ...] = ()  # vector stages: B_n
-    table: dict = field(default_factory=dict)
+    ints: np.ndarray | None = None  # None until ``with_ints`` gives the table
+    scale: int = 1
     word_cap: int = 0
     scalar_set: tuple[Dyadic, ...] = ()
     notes: dict = field(default_factory=dict)
 
     sealed = True  # not a field: every stage has its table; the benchmark still filters on it
 
-    def __post_init__(self):
-        if not isinstance(self.table, MappingProxyType):
-            object.__setattr__(self, "table", MappingProxyType(self.table))
-
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
+    @cached_property
+    def table(self) -> TableView:
+        return TableView(self)
+
     def cells(self) -> list:
         """The table's keys in member order: a vector stage's members (grid
         order), a word stage's member pairs i < j, row-major."""
-        members = self.members
-        if self.kind == "vector":
-            return list(members)
-        return [pair_key(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+        return list(self.table)
 
     def coordinates(self, shift: int):
         """A vector stage's member coefficients as numerators over 2^shift,
@@ -283,46 +322,54 @@ class Stage:
         docstring): int64 when ``lp._fit``'s bound holds for every digit,
         else an object array of Python ints.  ``shift`` must cover every
         scalar's exponent."""
-        import numpy as np
-
         digits = np.array([d.num << (shift - d.log2den) for d in self.scalar_set], dtype=object)
         [digits] = _fit(_absmax(digits), digits)  # fitted before the gather: radix entries, not n x dim
         dim, radix = len(self.basis), len(digits)
         return digits[np.indices((radix,) * dim).reshape(dim, radix**dim).T]
 
-    @cached_property
-    def _view(self):
-        return _integer_view(self)
-
     def scaled_table(self):
-        """The table as exact integers, ``(ints, scale)``: ``scale`` is the
-        lcm of its denominators, ``ints`` a norm stage's member norms or a
-        word stage's member distances (a symmetric matrix, zero diagonal) in
-        member order, int64 while ``lp._fit``'s bound holds for the sum or
-        difference of two entries, else Python ints; read-only, built on the
-        first call.  A member or pair with no value raises ``NotBuiltError``."""
-        return self._view
+        """The table as stored, ``(ints, scale)``: ``ints / scale`` are a
+        norm stage's member norms or a word stage's member distances (a
+        symmetric matrix, zero diagonal) in member order, int64 while
+        ``lp._fit``'s bound holds for the sum or difference of two entries,
+        else Python ints; read-only.  Nothing is converted."""
+        return self.ints, self.scale
+
+    def with_ints(self, cells: list[int], scale: int) -> "Stage":
+        """This stage with the table ``cells / scale``, one int per cell in
+        ``cells()`` order, stored as ``scaled_table`` returns it: over the
+        lcm of the reduced denominators, by one gcd.  The gcd and the bound
+        are taken in Python, so a small stage costs a few array calls."""
+        g = gcd(scale, *cells)
+        if g > 1:
+            cells, scale = [v // g for v in cells], scale // g
+        bound = 2 * max(max(cells, default=0), -min(cells, default=0))
+        [ints] = _fit(bound, np.array(cells, dtype=object))
+        if self.kind == "word":
+            n, flat = len(self.members), ints
+            upper = np.arange(n)[:, None] < np.arange(n)  # the cells i < j, row-major
+            ints = np.zeros((n, n), dtype=flat.dtype)
+            ints[upper] = ints.T[upper] = flat
+        ints.flags.writeable = False
+        return replace(self, ints=ints, scale=scale)
+
+    def with_table(self, table) -> "Stage":
+        """This stage with the table ``table``, a mapping from each of
+        ``cells()`` to a ``Fraction``, through ``fraction_ints``.  A cell
+        with no value raises ``NotBuiltError`` naming it."""
+        try:
+            values = [table[k] for k in self.cells()]
+        except KeyError as exc:
+            raise NotBuiltError(f"stage {self.index} has no table value for {exc.args[0]}") from None
+        return self.with_ints(*fraction_ints(values))
 
 
-def _integer_view(stage: Stage):
-    """``Stage.scaled_table``'s value, built from the table."""
-    import numpy as np
-
-    try:
-        values = [stage.table[k] for k in stage.cells()]
-    except KeyError as exc:
-        raise NotBuiltError(f"stage {stage.index} has no table value for {exc.args[0]}") from None
-    dens = [v.denominator for v in values]
-    scale = lcm(*set(dens))
-    ints = np.array([v.numerator * (scale // q) for v, q in zip(values, dens)], dtype=object)
-    [ints] = _fit(2 * _absmax(ints), ints)
-    if stage.kind == "word":
-        n = len(stage.members)
-        upper = np.zeros((n, n), dtype=ints.dtype)
-        upper[np.tri(n, k=-1, dtype=bool).T] = ints  # the cells i < j, row-major
-        ints = upper + upper.T
-    ints.flags.writeable = False
-    return ints, scale
+def fraction_ints(values) -> tuple[list[int], int]:
+    """The one conversion of ``Fraction`` table values to integers: their
+    numerators over ``scale``, the lcm of their denominators, in the order
+    given (``Stage.with_ints`` stores them)."""
+    scale = lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def off_grid_cells(store: TermStore, stage: Stage) -> list[int]:
@@ -372,15 +419,14 @@ class Universe:
 
     def norm_of_diff(self, stage: Stage, a: int, b: int) -> Fraction | None:
         """The vector stage's norm of a - b, or None when a - b is not a member."""
-        diff = self.store.combine_id(a, b)
-        return stage.table[diff] if diff in stage.member_set else None
+        return stage.table.get(self.store.combine_id(a, b))
 
     # -- construction -----------------------------------------------------
 
     def build(self) -> "Universe":
         from . import metric_ext, norm_ext
 
-        self.stages = [self._unit_stage({UNIT_ID: Fraction(0)})]
+        self.stages = [self._unit_stage()]
         for n in range(1, self.cfg.stage_count + 1):
             prev = self.stages[n - 1]
             if n % 2 == 1:
@@ -389,13 +435,15 @@ class Universe:
             else:
                 stage = self._enumerate_vector_stage(n, self.cfg.scalar_set(n // 2))
                 table = norm_ext.norm_extend(self, stage, prev, self.cfg)
-            self.stages.append(replace(stage, table=table))
+            self.stages.append(stage.with_ints(*table))
         return self
 
     @staticmethod
-    def _unit_stage(table: dict) -> Stage:
-        """X_0 = {e}, the vector stage over the empty basis."""
-        return Stage(index=0, kind="vector", members=(UNIT_ID,), table=table)
+    def _unit_stage() -> Stage:
+        """X_0 = {e}, the vector stage over the empty basis, with its zero norm."""
+        zero = np.zeros(1, dtype=np.int64)
+        zero.flags.writeable = False
+        return Stage(index=0, kind="vector", members=(UNIT_ID,), ints=zero)
 
     # The build passes the config's word cap or scalar set, import_universe the document's.
     def _enumerate_word_stage(self, n: int, cap: int) -> Stage:

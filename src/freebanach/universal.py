@@ -48,7 +48,7 @@ partial result, and Python ints past it, so nothing wraps.
 tau is derived once per built tower: the checks and ``phi_eval`` read one
 ``TauMap`` per universe, its bound pass and its preservation pass, rebuilt
 only when the universe holds other stage objects or another store;
-stages are frozen with read-only tables, and no id's term ever changes.
+stages hold read-only integer tables, and no id's term ever changes.
 """
 
 from __future__ import annotations

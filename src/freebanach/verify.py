@@ -1,10 +1,10 @@
 """Executable verification of every stated invariant, with counterexamples.
 
 Each checker is a pure function of the stage tables; two runs produce
-identical reports.  A stage is built whole, table and all (``stages.Stage``),
-so the dense sections read each table through one integer view,
-``Stage.scaled_table``, built once per stage, in Python ints past
-``lp._fit``'s int64 bound, so no table is refused for its size.  The
+identical reports.  A stage holds its table as it was built, exact
+integers over one scale (``stages.Stage``), in Python ints past
+``lp._fit``'s int64 bound, so no table is refused for its size; the dense
+sections read that array, ``Stage.scaled_table``, and convert nothing.  The
 word-stage sections read one group law per stage (product table and
 inverse map), built once from its member words by ``TermStore.group_law``.
 Every section is exhaustive; none samples.  Condition 3's splitting walks
@@ -38,7 +38,7 @@ reports.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -502,7 +502,7 @@ def check_biinvariance(universe, stage) -> SuiteReport:
 def check_rank0_dominance(universe, stage) -> VerificationReport:
     """rho <= delta_0 on every pair where delta_0, the construction's
     rank-0 clause, has a value: ``delta_general`` of the rank-0 closure, a
-    plain {(a, b): Fraction} dict keyed a < b like a word stage's table.
+    plain {(a, b): Fraction} dict keyed a < b, like a word stage's ``table``.
     That certifies the table as the fixpoint with the clause seeded
     (``metric_ext`` docstring) where no proof covers it.  The case is
     ``rho_extend``'s own space rule, counted from the config and the
@@ -564,5 +564,5 @@ def perturbed(universe, stage_index: int, key, delta: Fraction):
     if key not in table:
         raise KeyError(f"no table entry {key!r} in stage {stage_index}")
     table[key] = table[key] + delta
-    clone.stages[stage_index] = replace(stage, table=table)
+    clone.stages[stage_index] = stage.with_table(table)
     return clone

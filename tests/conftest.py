@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -27,6 +28,14 @@ def rank_universe():
     """Half-integer scalars: positive ranks (no delta clause, valued by the
     metric's rules), convex rules; three stages."""
     return Universe(Config.rank()).build()
+
+
+@pytest.fixture(scope="session")
+def desk_cap2_universes():
+    """3-stage desk with word caps (1, 2) at the default expansion and at
+    expansion 1: 197 stage-3 words."""
+    cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2))
+    return Universe(cfg).build(), Universe(dataclasses.replace(cfg, ambient_expansion=1)).build()
 
 
 @pytest.fixture(scope="session")

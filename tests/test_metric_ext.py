@@ -391,14 +391,6 @@ def test_cli_refuses_a_table_the_certificate_fails(rank_universe, tmp_path, monk
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def desk_cap2_universes():
-    """3-stage desk with word caps (1, 2) at the default expansion and at
-    expansion 1: 197 stage-3 words."""
-    cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2))
-    return Universe(cfg).build(), Universe(dataclasses.replace(cfg, ambient_expansion=1)).build()
-
-
 # sha256 of item 21's export (expansion 1, with its conditions report): 118 639 bytes
 CAP2_EXPORT_DIGEST = "87d979f16847a6aca5160656f579ff31abcb16a920ca56bd3656f820106027d5"
 

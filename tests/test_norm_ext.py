@@ -112,7 +112,7 @@ def test_certificate_mismatch_detected(exact_universe):
     assert certificate_mismatches(u, 2, members) == 0
     table = dict(s2.table)
     table[members[0]] += 1
-    u.stages = u.stages[:2] + [dataclasses.replace(s2, table=table)]
+    u.stages = u.stages[:2] + [s2.with_table(table)]
     assert certificate_mismatches(u, 2, members) == 1
 
 
@@ -239,10 +239,10 @@ def test_prev_member_closed_form_mismatch_raises(monkeypatch):
     real = metric_ext._base_case_table
 
     def halved(universe, stage, cfg):
-        table = real(universe, stage, cfg)
-        key = pair_key(universe.x_id, UNIT_ID)
-        table[key] = table[key] / 2
-        return table
+        ints, scale = real(universe, stage, cfg)
+        doubled = [2 * v for v in ints]
+        doubled[stage.cells().index(pair_key(universe.x_id, UNIT_ID))] //= 2
+        return doubled, 2 * scale
 
     monkeypatch.setattr(metric_ext, "_base_case_table", halved)
     with pytest.raises(NormExtensionError, match="prev member"):
@@ -255,9 +255,10 @@ def test_nonpositive_norm_on_a_nonunit_member_raises(value, monkeypatch):
     real = norm_ext._line_norm
 
     def lowered(universe, stage, prev):
-        gamma = real(universe, stage, prev)
-        gamma[universe.x_id] = value
-        return gamma
+        ints, scale = real(universe, stage, prev)
+        doubled = [2 * v for v in ints]
+        doubled[stage.members.index(universe.x_id)] = int(2 * scale * value)
+        return doubled, 2 * scale
 
     monkeypatch.setattr(norm_ext, "_line_norm", lowered)
     with pytest.raises(NormExtensionError, match="zero norm"):

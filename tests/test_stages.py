@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
 from freebanach import Config, Universe, UNIT_ID, BudgetExceededError, stages
@@ -244,12 +245,13 @@ def test_grid_shares_one_pair_per_axis_and_scalar(desk_universe):
 @pytest.mark.parametrize("preset", [Config.exact_x2, Config.rank], ids=["exact-x2", "rank"])
 def test_one_integer_view_per_stage(preset, monkeypatch):
     """Every section of ``check_suites``, then bi-invariance per word stage
-    and the three universal calls per target, read the stages' integer
-    views many times and build each once."""
+    and the three universal calls per target, read the integer arrays the
+    build stored: none of them converts a table (``stages.fraction_ints``
+    is never called), and every stage keeps its own arrays."""
     u = Universe(preset()).build()
-    built = []
-    monkeypatch.setattr(stages, "_integer_view",
-                        lambda stage, view=stages._integer_view: built.append(stage.index) or view(stage))
+    stored = [stage.scaled_table() for stage in u.stages]
+    calls = []
+    monkeypatch.setattr(stages, "fraction_ints", lambda values, f=stages.fraction_ints: calls.append(1) or f(values))
     assert check_suites(u).ok
     for stage in u.stages:
         if stage.kind == "word":
@@ -258,7 +260,68 @@ def test_one_integer_view_per_stage(preset, monkeypatch):
         check_morphism_bound(u, target)
         sigma_table(u, target)
         check_operation_preservation(u, target)
-    assert sorted(built) == [stage.index for stage in u.stages]
+    assert calls == []
+    assert all(s.scaled_table()[0] is ints for s, (ints, _) in zip(u.stages, stored))
+
+
+BIG = 2**70
+VIEW_TOWERS = {  # config, and each stage's scale and dtype as built
+    "exact-x2": (Config.exact_x2(), [1, 1, 2], [np.int64] * 3),
+    "rank": (Config.rank(), [1, 1, 2, 2], [np.int64] * 4),
+    "desk": (None, [1] * 5, [np.int64] * 5),
+    "desk-cap2": (None, [1] * 4, [np.int64] * 4),
+    "2-stage-2^70": (Config(stage_count=2, scalar_sets=(tuple(map(Dyadic.parse, f"-{BIG} -1 0 1 {BIG}".split())),)),
+                     [1, 1, 1], [np.int64, np.int64, object]),
+}
+
+
+@pytest.mark.parametrize("name", list(VIEW_TOWERS))
+def test_table_view_reads_the_stored_integers(name, request):
+    """``stage.table`` is a read-only view of the stored ``(ints, scale)``:
+    its keys are ``cells()`` in order, each value is the integer over the
+    scale, ``scaled_table()`` returns the same objects on every call with
+    the scales and dtypes of the tables as built, a write into the view or
+    the array raises, and ``Universe.rho`` on a non-member raises
+    ``NotBuiltError``."""
+    cfg, scales, dtypes = VIEW_TOWERS[name]
+    if name == "desk":
+        u = request.getfixturevalue("desk_universe")
+    elif name == "desk-cap2":
+        u = request.getfixturevalue("desk_cap2_universes")[1]
+    else:
+        u = Universe(cfg).build()
+    assert [s.scale for s in u.stages] == scales
+    assert [s.ints.dtype for s in u.stages] == dtypes
+    for stage in u.stages:
+        ints, scale = stage.scaled_table()
+        assert stage.scaled_table()[0] is ints and not ints.flags.writeable
+        cells = stage.cells()
+        assert list(stage.table) == cells and len(stage.table) == len(cells)
+        pos = {m: i for i, m in enumerate(stage.members)}
+        for key, value in stage.table.items():
+            at = tuple(pos[m] for m in key) if stage.kind == "word" else pos[key]
+            assert value == F(int(ints[at]), scale)
+        with pytest.raises(TypeError):
+            stage.table[cells[0]] = F(0)
+    word = u.stage(1)
+    assert word.table.get((word.members[1], word.members[1])) is None  # the diagonal is no cell
+    with pytest.raises(NotBuiltError):
+        u.rho(word, word.members[1], max(word.members) + 1)
+
+
+def test_with_ints_divides_by_one_gcd():
+    """A table is stored over the least scale: ints [0, 4, 8] at scale 4
+    are [0, 1, 2] at scale 1; a table with no common factor is kept, in
+    Python ints once twice an entry passes ``lp._fit``'s bound; and a word
+    stage's pairs fill its symmetric matrix."""
+    vector = stages.Stage(index=2, kind="vector", members=(0, 1, 2))
+    stage = vector.with_ints([0, 4, 8], 4)
+    assert (stage.ints.tolist(), stage.scale, stage.ints.dtype) == ([0, 1, 2], 1, np.int64)
+    stage = vector.with_ints([-3, 6, 2**62], 4)
+    assert (stage.ints.tolist(), stage.scale, stage.ints.dtype) == ([-3, 6, 2**62], 4, object)
+    assert not stage.ints.flags.writeable
+    word = stages.Stage(index=1, kind="word", members=(0, 1, 2)).with_ints([6, 2, 4], 2)
+    assert (word.ints.tolist(), word.scale) == ([[0, 3, 1], [3, 0, 2], [1, 2, 0]], 1)
 
 
 def test_a_perturbed_stage_reads_its_own_view(exact_universe):
@@ -276,8 +339,8 @@ def test_a_perturbed_stage_reads_its_own_view(exact_universe):
 
 
 def test_a_built_table_is_read_only():
-    """An in-place write into a built table raises, so no view read before
-    it can go stale and pass a changed table; ``perturbed`` still makes a
+    """An in-place write into a built table's view raises, so no check can
+    read a table other than the stored one; ``perturbed`` still makes a
     clone that fails."""
     u = Universe(Config.exact_x2()).build()
     assert check_conditions(u).ok
@@ -289,7 +352,7 @@ def test_a_built_table_is_read_only():
 
 
 def test_a_built_stage_cannot_change(exact_universe):
-    """A stage's table cannot be rebound, nor its integer view written."""
+    """A stage's table cannot be rebound, nor its integer array written."""
     for stage in exact_universe.stages:
         ints, _ = stage.scaled_table()
         with pytest.raises(ValueError, match="read-only"):

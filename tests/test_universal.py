@@ -376,8 +376,9 @@ def test_coordinates_past_int64(desk_universe, fit_spy):
     matches the store, TauMap's product agrees with the reference, and the
     bound pass runs on Python-int object arrays and matches the per-entry
     reference.  Per stage, the pass fits its own products once, reading
-    the view ``Stage.scaled_table`` the reference checks already built;
-    both are int64 on stages 0 and 1 and object arrays on stage 2."""
+    the arrays ``Stage.scaled_table`` returns, which the build fitted, so
+    no fit of a table is left to a check; both are int64 on stages 0 and 1
+    and object arrays on stage 2."""
     big = 2**70
     scalars = tuple(map(Dyadic.parse, f"-{big} -1 0 1 {big}".split()))
     u = Universe(Config(stage_count=2, scalar_sets=(scalars,))).build()
