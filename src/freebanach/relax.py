@@ -70,6 +70,7 @@ Index = Hashable
 
 _INT_INF = 1 << 62
 _INT_MIN = -(1 << 63)
+_CLIP = _INT_INF - 1  # +inf in the triangle pass: 2 * _CLIP < 2^63 (``PairComposition``)
 _CHUNK_CELLS = 1 << 16  # cells in a composed chunk, at most (``PairComposition``)
 
 
@@ -369,17 +370,20 @@ class ClosureTable:
         order, read in one gather: their scaled values (``inf`` at +inf)
         and the scale."""
         idx = np.asarray(words, dtype=np.intp)
-        i, j = np.triu_indices(idx.size, 1)
+        pos = np.arange(idx.size)
+        i, j = np.nonzero(pos[:, None] < pos)
         return self._values[idx[i], idx[j]], self._scale
 
 
 def _shift_map(line: np.ndarray, word: int, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Sources whose product with ``word`` stays in the word space, and
     their products; RelaxError if two sources share a product, which a
-    free group's multiplication never does."""
+    free group's multiplication never does.  The repeat test counts the
+    targets (``np.bincount``) rather than sorting them: ``np.unique`` sorts,
+    and its first call in a process imports ``numpy.ma`` (about 13 ms)."""
     src = np.nonzero(line >= 0)[0]
     tgt = line[src]
-    if np.unique(tgt).size != tgt.size:
+    if np.bincount(tgt).max(initial=0) > 1:
         raise RelaxError(f"{side} product with word {word} is not injective")
     return src, tgt
 
@@ -422,10 +426,26 @@ class PairComposition:
     most min(32 n^2 bytes, 512 KiB), or 8 n^2 bytes for one long row.
 
     Triangle family.  ``add_triangle(words)`` adds D(a, b) <= D(a, m) +
-    D(m, b) for a, b and m among those words only, applied in place, one
-    pivot m at a time (O(n^2) memory), over the finite entries of m's column
-    and row: a sum of two finite values stays below 2^63, so +inf never
-    wraps.
+    D(m, b) for a, b and m among those n_m words only.  Once per sweep it
+    is one complete Floyd-Warshall pass (Floyd, "Algorithm 97: Shortest
+    path", CACM 5(6), 1962) over the words' submatrix M of D: M is
+    gathered, +inf is clipped to C = 2^62 - 1, and for each pivot m in word
+    order M = min(M, M[:, m] + M[m]) in place, the sums written into one
+    n_m x n_m buffer allocated per solve; then every entry >= C is +inf
+    again and M is scattered back.  A sum of two clipped entries is at most
+    2C < 2^63, so nothing wraps.  Reading a sum >= C as +inf is exact when
+    every finite entry of M lies in [0, top] with max(n_m - 1, 1) top < C.
+    With nonnegative entries, after each pivot an entry is the least length
+    of a path between its ends through the pivots so far (in place too: row
+    and column m do not change at pivot m, as D(m, m) >= 0), and a least
+    path is simple, so it has at most n_m - 1 edges of at most top each.
+    So every finite entry stays below C, a sum >= C lowers no entry, and
+    the pass equals a per-pivot loop over the finite entries of m's column
+    and row with +inf at 2^62.  The seeds alone do not bound top: a
+    composed value is a sum along its derivation, and convex instances
+    mix values with coefficients below 1.  So the pass checks the bound
+    on M, and raises ScaleOverflowError where it fails (or an entry is
+    negative) rather than reading a finite value as +inf.
 
     Sweeps.  Each sweep reads sources and generator costs D(w, z) alike from
     the snapshot ``before`` taken at its start, composes every group, then
@@ -532,6 +552,7 @@ class PairComposition:
         # each generator's cost at the previous sweep's snapshot
         lone_last = [[_INT_INF] * len(zs) for _, zs in lone]
         shared_last = [np.full((ws.size, zs.size), _INT_INF) for ws, zs, _ in shared]
+        buf = np.empty((tri.size, tri.size), dtype=np.int64)  # the triangle pass's candidates
         changed = None  # the rows and columns of the cells the last sweep changed
         entries = sweeps = 0
         while True:
@@ -574,16 +595,33 @@ class PairComposition:
                             entries += _compose_group(before_flat, flat, side, *lines[kind], costs, picked, limit)
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
-            for m in tri:
-                a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
-                block = (a[:, None], b)
-                D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
+            if tri.size:
+                _triangle_pass(D, tri, buf)
             frac.apply(flat)
             changed = _lines(D != before)
             if not changed[0].any():
                 break
         self.entries = entries
         return ClosureTable(D, scale), sweeps
+
+
+def _triangle_pass(D: np.ndarray, tri: np.ndarray, buf: np.ndarray) -> None:
+    """The triangle family over the words ``tri`` as one Floyd-Warshall
+    pass on their submatrix of D, in place, ``buf`` holding a pivot's sums;
+    the class states the clip and the bound it checks."""
+    block = (tri[:, None], tri)
+    M = D[block]
+    edges = max(tri.size - 1, 1)  # of a simple path, at most
+    low, top = int(M.min(initial=0)), int(M.max(initial=0, where=M < _INT_INF))
+    if low < 0 or edges * top >= _CLIP:
+        raise ScaleOverflowError(f"triangle pass over {tri.size} words: finite values {low}..{top}, "
+                                 f"not all in [0, (2^62 - 1) / {edges})")
+    np.minimum(M, _CLIP, out=M)
+    for m in range(tri.size):
+        np.add(M[:, m, None], M[m], out=buf)
+        np.minimum(M, buf, out=M)
+    M[M >= _CLIP] = _INT_INF
+    D[block] = M
 
 
 def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_map, cost, limit: int) -> int:

@@ -179,7 +179,8 @@ class TauMap:
                 field, keys = "element", members
             else:
                 field, keys = "pair", list(combinations(members, 2))
-                i, j = np.triu_indices(len(members), 1)
+                pos = np.arange(len(members))
+                i, j = np.nonzero(pos[:, None] < pos)
                 d, table = d[i] - d[j], table[i, j]
             bound = max(max(1, _absmax(d)) * scale, s) * max(1, _absmax(table))
             d, p = _fit(bound, d, table)

@@ -1,14 +1,17 @@
 """The relaxation engine: spec examples, invariants, and oracle equality."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freebanach import Universe, relax
 from freebanach.metric_ext import delta_rank0_closure
@@ -22,6 +25,7 @@ from freebanach.relax import (
     PairComposition,
     RelaxError,
     ScaleInexactError,
+    ScaleOverflowError,
     UpperCombo,
     brute_force_oracle,
     relax_fixpoint,
@@ -437,15 +441,21 @@ def _unrestricted_sweeps(engine, scale, sweep_cap):
                 D[tgt] = np.minimum(D[tgt], before[rows[:, None], cols] + g)
         if inv is not None:
             np.minimum(D, D[inv][:, inv], out=D)
-        for m in tri:
-            a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
-            block = (a[:, None], b)
-            D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
+        _per_pivot_triangle(D, tri)
         frac.apply(D.reshape(-1))
         if np.array_equal(D, before):
             break
     finite = zip(*np.nonzero(D < _INT_INF))
     return {(int(u), int(v)): F(int(D[u, v]), scale) for u, v in finite}, sweeps
+
+
+def _per_pivot_triangle(D, tri):
+    """The triangle family in place, one pivot m at a time over the finite
+    entries of its column and row, so two +inf entries are never summed."""
+    for m in tri:
+        a, b = tri[D[tri, m] < _INT_INF], tri[D[m, tri] < _INT_INF]
+        block = (a[:, None], b)
+        D[block] = np.minimum(D[block], D[a, m][:, None] + D[m, b])
 
 
 @given(pair_systems())
@@ -661,10 +671,12 @@ def test_fraction_rules_read_one_snapshot_per_pass():
 
 def test_solve_memory_is_quadratic_in_the_words():
     """A closure with a generator on every one of the 53^2 = 2809 word pairs
-    of a 53-word space, the inverse mirror and a convex instance per word:
-    what ``solve`` allocates stays within 32 tables' worth (n^2 * 8 bytes
-    each).  Broadcast index pairs kept per generator came to about 125
-    tables here; the convex pass reads only the cells its instances name."""
+    of a 53-word space, the inverse mirror, a convex instance per word and
+    the triangle family over every word: what ``solve`` allocates, the
+    triangle pass's submatrix and buffer included, stays within 32 tables'
+    worth (n^2 * 8 bytes each).  Broadcast index pairs kept per generator
+    came to about 125 tables here; the convex pass reads only the cells its
+    instances name."""
     space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)], 3)
     n = len(space)
     engine = PairComposition(space, inverse=True)
@@ -677,6 +689,7 @@ def test_solve_memory_is_quadratic_in_the_words():
             engine.add_generator(u, v)
     for u in range(1, n):
         engine.add_convex((u, 0), [(F(1, 2), (u, 1)), (F(1, 2), (u, 2))])
+    engine.add_triangle(range(n))
     copy.deepcopy(engine).solve()  # numpy's lazily imported helpers load outside the trace
     tracemalloc.start()
     try:
@@ -712,15 +725,90 @@ def test_triangle_family_keeps_infinite_pairs():
 
 def test_pair_composition_rejects_non_injective_products():
     """Two sources with one product is no free group's multiplication: the
-    forged product lines are refused, not solved."""
+    forged product lines are refused, not solved, whether or not the
+    repeated targets are adjacent.  A line of -1 alone (no product stays in
+    the space) is an empty map, and the closure solves."""
 
-    class ForgedSpace(WordSpace):
-        def product_lines(self, w):
-            line = np.array([0, 0, -1], dtype=np.intp)
-            return line, line
+    def engine_over(line):
+        class ForgedSpace(WordSpace):
+            def product_lines(self, w):
+                forged = np.array(line, dtype=np.intp)
+                return forged, forged
 
-    engine = PairComposition(ForgedSpace([(1, 1)], 1))
-    engine.seed(0, 0, F(1))
-    engine.add_generator(0, 0)
-    with pytest.raises(RelaxError, match="not injective"):
-        engine.solve()
+        engine = PairComposition(ForgedSpace([(1, 1)], 1))
+        engine.seed(0, 0, F(1))
+        engine.add_generator(0, 0)
+        return engine
+
+    for line in ([0, 0, -1], [1, 0, 1]):
+        with pytest.raises(RelaxError, match="not injective"):
+            engine_over(line).solve()
+    engine = engine_over([-1, -1, -1])
+    table, _ = engine.solve()
+    assert table.get((0, 0)) == F(1) and engine.entries == 0
+
+
+def test_a_rank_build_and_check_import_no_numpy_ma():
+    """A fresh process that builds rank and runs every check never imports
+    ``numpy.ma``: its first import costs about 13 ms, and ``np.unique``
+    triggers it."""
+    src = os.path.dirname(os.path.dirname(relax.__file__))
+    code = ("import sys\n"
+            "from freebanach import Config, Universe\n"
+            "from freebanach.verify import check_suites\n"
+            "assert check_suites(Universe(Config.rank()).build()).ok\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@st.composite
+def triangle_matrices(draw):
+    """An int64 matrix of up to 8 x 8 words, about 30 % +inf, finite
+    entries small (many ties) or up to 2^59, so that a path of 7 edges
+    stays below the clip; and a pivot order over some of the words."""
+    n = draw(st.integers(1, 8))
+    high = draw(st.sampled_from([20, 1 << 59]))
+    cells = st.tuples(st.integers(0, 9), st.integers(0, high))
+    D = np.array([_INT_INF if k < 3 else v for k, v in draw(st.lists(cells, min_size=n * n, max_size=n * n))],
+                 dtype=np.int64).reshape(n, n)
+    order = draw(st.permutations(range(n)))
+    tri = np.array(order[: draw(st.integers(1, n))], dtype=np.intp)
+    return D, tri
+
+
+@given(triangle_matrices())
+@example((np.array([[0, _INT_INF, 5], [_INT_INF, _INT_INF, _INT_INF], [7, _INT_INF, 0]], dtype=np.int64),
+          np.array([1, 0, 2], dtype=np.intp)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_dense_triangle_pass_matches_per_pivot_loop(case):
+    """The dense pass (clip, one buffer, reset) leaves the matrix of the
+    per-pivot loop over finite entries, cell for cell, also where a pivot's
+    column and row are both +inf (the example: pivot 1)."""
+    D, tri = case
+    want = D.copy()
+    _per_pivot_triangle(want, tri)
+    relax._triangle_pass(D, tri, np.empty((tri.size, tri.size), dtype=np.int64))
+    assert (D == want).all()
+
+
+def test_dense_triangle_pass_refuses_values_that_reach_the_clip():
+    """Over three words a path has two edges, so finite entries up to
+    (2^62 - 2) / 2 are exact (their sums are written as the per-pivot loop
+    writes them), and one entry of 2^61 or a negative entry is refused
+    rather than read as +inf."""
+    top = (relax._CLIP - 1) // 2
+    seeded = np.array([[0, top, _INT_INF], [_INT_INF, 0, top], [_INT_INF, _INT_INF, 0]], dtype=np.int64)
+    tri, buf = np.arange(3), np.empty((3, 3), dtype=np.int64)
+    D, want = seeded.copy(), seeded.copy()
+    _per_pivot_triangle(want, tri)
+    relax._triangle_pass(D, tri, buf)
+    assert (D == want).all() and D[0, 2] == 2 * top
+    for value in (top + 1, -1):
+        D = seeded.copy()
+        D[0, 1] = value
+        with pytest.raises(ScaleOverflowError, match="triangle pass over 3 words"):
+            relax._triangle_pass(D, tri, buf)
+        assert D[0, 1] == value and D[0, 2] == _INT_INF  # refused before any write
