@@ -25,15 +25,25 @@ the cost row included, so N, R and N v come out updated together.  The
 new d is |det B'| and the new entries are minors of the integer system,
 so each division is exact; a remainder means the invariant broke and
 raises ``InexactDivision``.  Every denominator is d > 0 (times positive
-scales), so signs and ratios are compared by integer cross-multiplication
-and Fractions are built only for the returned value, solution and dual.
+scales), so signs and ratios are compared by integer cross-multiplication;
+``solve_many`` returns integer numerators over their denominators, and
+Fractions are built only for ``solve_full``'s value and a certificate.
 
-The tableaux are numpy arrays.  Each product runs in int64 while an
-explicit bound on its entries and partial results holds (``_fit``: for a
-pivot, 2 max|col| max|T| and d below 2^62; for a matrix product, inner
-length * max|a| * max|b|), and past the bound the same code runs on object
-arrays of Python ints, which never wrap.  Arrays leave for Python ints
-through ``tolist`` or ``int``, so no numpy scalar reaches a Fraction.
+The tableaux are numpy arrays: int64 while one bound, proven per batch of
+targets, covers every entry and partial result, else Python ints (object
+arrays, which never wrap), on the same code.  By Cramer's rule every entry
+of N A, N and N v, and d, is +- an m x m minor of the reduced system
+[A | I | v], and every cost-row entry +- one bordered by a cost row,
+d (c_j - c_B B^-1 a_j) = +-det [B a_j; c_B c_j] (phase one negates rows, and
+its cost row is 1 on the artificials).  By Hadamard's inequality all are at
+most H, the product of the m + 1 largest column norms of [A | I | v] under
+both cost rows, rounded up (``hadamard_bound``), so pivot numerators are at
+most 2 H^2 and the partial sums of N v and c_B (N v) at most
+m H max(|v|, |c|).  ``_prepare`` takes that bound once per batch for the
+pivots and products; a basis cached before the batch (perhaps from outside)
+has its max|N| measured instead.  Ratio tests cross-multiply Python ints.
+Arrays leave for Python ints through ``tolist`` or ``int``, so no numpy
+scalar reaches a Fraction.
 
 A two-phase simplex with Bland's rule, pivoting the same tableau with one
 more cost row for phase one, finds the first basis; it is dual feasible
@@ -51,8 +61,8 @@ so every covering basis gives a target the value a warm solve would.  Each
 cached basis is tested against all uncovered targets in one exact integer
 matrix product; the first target left uncovered is solved warm, and the
 basis it ends on is new (an old one would have covered it).  The desk
-tower's 4-stage build resolves 3284 +- classes with 369 warm solves and
-1351 pivots (``pivots``).
+tower's 4-stage build resolves 3280 +- classes with 367 warm solves and
+1350 pivots (``pivots``).
 
 ``certificate`` reads a target's solution and dual off a cached basis, and
 ``Certifier`` checks them against the original molecules in integers,
@@ -71,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -124,38 +134,54 @@ def _ints(x) -> np.ndarray:
     return _fit(_absmax(a), a)[0]
 
 
-def _matmul(a, b) -> np.ndarray:
-    """a @ b exactly, for integer arrays (or lists, see ``_ints``): in
-    int64 when inner length * max|a| * max|b| < 2^62 bounds every partial
-    sum, else in Python ints (object arrays), which never wrap."""
+def hadamard_bound(squares: Iterable[int], k: int) -> int:
+    """H >= |det M| for every square M of at most k integer columns with
+    these squared norms: the product of the k largest norms, rounded up, by
+    Hadamard's inequality (a zero column makes det M = 0, so each counts 1)."""
+    top = sorted((max(1, s) for s in squares), reverse=True)[:k]
+    return 1 + isqrt(prod(top) - 1)
+
+
+def _matmul(a, b, bound: Optional[int] = None) -> np.ndarray:
+    """a @ b exactly, for integer arrays (or lists, see ``_ints``): in int64
+    when ``bound`` < 2^62 covers every partial sum (by default measured,
+    inner length * max|a| * max|b|), else in Python ints (object arrays)."""
     a, b = _ints(a), _ints(b)
-    ma, mb = _absmax(a), _absmax(b)
-    a, b = _fit(max(a.shape[-1] * ma * mb, ma, mb), a, b)
+    if bound is None:
+        ma, mb = _absmax(a), _absmax(b)
+        bound = max(a.shape[-1] * ma * mb, ma, mb)
+    a, b = _fit(bound, a, b)
     return a @ b
 
 
-def _pivot(rows, d, col, r):
+def _pivot(rows, d, col, r, bound: Optional[int] = None):
     """Integer-preserving pivot of an integer tableau (k x n) on row r,
     where col is its entering column through its rows.  With p = col_r,
     each other row becomes (|p| row_i - sgn(p) col_i row_r) / d, whose
     division must be exact, and row r becomes sgn(p) row_r; returns the
     new tableau and the new d = |p| > 0.  A stack of tableaux (S x k x n,
     with d and r arrays of one entry per tableau) pivots each on its own
-    row, all at once.  In int64 while 2 max|col| max|rows| and max d stay
-    below 2^62 (``_fit``), else in Python ints."""
+    row, all at once.  In int64 while ``bound`` (by default measured,
+    2 max|col| max|rows| and d) is below 2^62 (``_fit``), else in Python ints."""
     rows, col = _ints(rows), _ints(col)
-    at = r if rows.ndim == 2 else (np.arange(len(rows)), r)  # the pivot rows
-    p, d = np.asarray(col[at]), np.asarray(d)
-    mc = _absmax(col)
-    rows, col, p, d = _fit(max(2 * mc * _absmax(rows), mc, _absmax(d)), rows, col, p, d)
-    # ufuncs on 0-d object arrays return Python ints, so keep arrays
-    q, sign, prow, d = np.asarray(np.abs(p)), np.asarray(np.sign(p)), rows[at], d[..., None, None]
-    num = q[..., None, None] * rows - (sign[..., None] * col)[..., None] * prow[..., None, :]
+    if bound is None:
+        mc = _absmax(col)
+        bound = max(2 * mc * _absmax(rows), mc, _absmax(np.asarray(d)))
+    if rows.ndim == 2:  # one tableau: d, r and the pivot entry are ints
+        rows, col = _fit(bound, rows, col)
+        at, p = r, int(col[r])
+        q, srow = abs(p), rows[r] if p > 0 else -rows[r]
+        num = q * rows - np.multiply.outer(col, srow)
+    else:
+        at = (np.arange(len(rows)), r)  # the pivot rows
+        rows, col, p, d = _fit(bound, rows, col, col[at], np.asarray(d))
+        q, srow, d = np.abs(p), np.sign(p)[:, None] * rows[at], d[:, None, None]
+        num = q[:, None, None] * rows - col[:, :, None] * srow[:, None, :]
     out = num // d
-    if (num - out * d).any():
+    if np.count_nonzero(num - out * d):
         raise InexactDivision("pivot update left a remainder")
-    out[at] = sign[..., None] * prow
-    return out, q.tolist() if q.ndim == 0 else q
+    out[at] = srow
+    return out, q
 
 
 def _eliminate(tableaux, ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,14 +212,13 @@ def _eliminate(tableaux, ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _least_ratio(num: np.ndarray, den: np.ndarray, order) -> int:
     """The index in ``order`` whose num/den is least (den > 0 there), the
-    first in ``order`` on a tie.  For L the lcm of those dens, the ints
-    num * (L / den) order the ratios exactly, in int64 while L max|num|
-    stays below 2^62 (``_fit``)."""
-    order = np.asarray(order)
-    a, b = num[order], den[order]
-    L = lcm(*b.tolist())
-    a, b = _fit(max(L * _absmax(a), L), a, b)
-    return int(order[np.argmin(a * (L // b))])
+    first in ``order`` on a tie, by cross-multiplying Python ints, which
+    never wrap: a/b < a'/b' exactly when a b' < a' b."""
+    best = None
+    for i, a, b in zip(order, num[order].tolist(), den[order].tolist()):
+        if best is None or a * least[1] < least[0] * b:
+            best, least = i, (a, b)
+    return int(best)
 
 
 class OptimalBasis(NamedTuple):
@@ -239,8 +264,7 @@ class MoleculeLP:
         work = work[0].tolist()
         pivots = [r for r in pivot_rows[0].tolist() if r >= 0]
         work = [work[r] for r in pivots] + [row for i, row in enumerate(work) if i not in pivots]
-        self.m = len(pivots)
-        self.ncols = 2 * J
+        self.m, self.ncols = len(pivots), 2 * J
         # the reduced rows are a positive multiple of the reduced row echelon
         # form, which leaves every pivot choice, and phase one's, unchanged
         self._op = _ints([row[J:] for row in work])
@@ -248,23 +272,40 @@ class MoleculeLP:
         self._cols = [row + [-x for x in row] for row in cols]  # signed columns, m x 2J
         self._cost_den = lcm(*(c.denominator for c in self.costs))
         self._cost = _scaled(self.costs, self._cost_den) * 2  # scaled c
+        self._costs = _ints(self._cost)
+        # squared column norms of [A | I] under both cost rows (module docstring);
+        # +-a_j count once, as no nonzero minor holds both
+        norms = [sum(x * x for x in col) + c * c for col, c in zip(zip(*cols), self._cost)]
+        self._squares = sorted(norms + [2] * self.m, reverse=True)[: self.m + 1]
         self.pivots = 0
         self.bases: list[OptimalBasis] = []
         self._basis: Optional[list[int]] = None
-        # the warm tableau d * B^-1 [A | I | v] under its cost row, that is
-        # [N A | N | N v ; R | -c_B N | -c_B N v], and d = |det B|, from phase one
-        self._T, self._det = np.zeros((0, 0), dtype=np.int64), 1
+        # the warm tableau [N A | N | N v ; R | -c_B N | -c_B N v] and d = |det B|,
+        # from phase one, pivoted under ``_bound`` (``_prepare``)
+        self._T, self._det, self._bound = np.zeros((0, 0), dtype=np.int64), 1, 0
 
-    def _reduce(self, targets: Sequence[Vec]) -> tuple[np.ndarray, list[int]]:
-        """The integer right-hand sides of the scaled reduced system, one
-        column per target (an m x T matrix), and each target's common
-        denominator; raises if a target leaves the span."""
-        dens = [lcm(*(x.denominator for x in t)) for t in targets]
-        scaled = _ints([_scaled(t, den) for t, den in zip(targets, dens)]).T
+    def _reduce(self, targets) -> tuple[np.ndarray, list[int]]:
+        """The integer right-hand sides of the scaled reduced system, a
+        column per target, and each target's common denominator (1 for the
+        rows of an integer array); raises if a target leaves the span."""
+        if isinstance(targets, np.ndarray):
+            scaled, dens = targets.T, [1] * len(targets)
+        else:
+            dens = [lcm(*(x.denominator for x in t)) for t in targets]
+            scaled = _ints([_scaled(t, den) for t, den in zip(targets, dens)]).T
         image = _matmul(self._op, scaled)
         if image[self.m :].any():
             raise InfeasibleLP("target outside molecule span")
         return image[: self.m], dens
+
+    def _prepare(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """The reduced targets (m x T) and their max|v|, fitted to the bound
+        max(2 H^2, m H max(|v|, |c|)) of the module docstring, which is kept
+        in ``_bound`` for the solve's pivots and products."""
+        m, most = self.m, _absmax(rhs)
+        H = hadamard_bound([*self._squares, m * most * most], m + 1)  # |v|^2 <= m max|v|^2
+        self._bound = max(2 * H * H, m * H * max(most, *self._cost))
+        return _fit(self._bound, rhs)[0], most
 
     # -- simplex core ----------------------------------------------------
 
@@ -283,13 +324,12 @@ class MoleculeLP:
         ]
         art = [-sum(col) for col in zip(*rows)]  # c - c_B T at the artificial basis
         art[n : n + m] = [0] * m
-        T = _ints(rows + [art, self._cost + [0] * (m + 1)])
-        det = 1
-        basis = list(range(n, n + m))
+        T = np.array(rows + [art, self._cost + [0] * (m + 1)], dtype=rhs.dtype)
+        det, basis = 1, list(range(n, n + m))
 
         def pivot(r: int, e: int) -> None:
             nonlocal T, det
-            T, det = _pivot(T, det, T[:, e], r)
+            T, det = _pivot(T, det, T[:, e], r, self._bound)
             basis[r] = e
 
         def run(z: int, limit: int) -> None:
@@ -326,9 +366,9 @@ class MoleculeLP:
 
     def solve_full(self, target: Vec, reduced: Optional[tuple[np.ndarray, int]] = None) -> Fraction:
         """The program's value at one target.  ``reduced`` is the target's
-        column of ``_reduce`` and its denominator, when the caller has them
-        already.  Warm-starts from the previous basis (dual feasibility is
-        independent of the target).
+        column of ``_prepare`` and its denominator, when the caller has them
+        already (``solve_many``).  Warm-starts from the previous basis
+        (dual feasibility is independent of the target).
 
         Each dual-simplex pivot is one ``_pivot`` of the warm tableau, whose
         last column is set to N v and -c_B N v for the target v: the pivot
@@ -336,22 +376,19 @@ class MoleculeLP:
         x_B = N v / d come out updated together."""
         if reduced is None:
             image, [den] = self._reduce([target])
-            reduced = image[:, 0], den
+            reduced = self._prepare(image)[0][:, 0], den
         rhs, den = reduced
         m, n = self.m, self.ncols
         if self._basis is None:
             self._phase_one(rhs)
         else:
             T = self._T[:, :-1]
-            self._T = np.concatenate([T, _matmul(T[:, n:], rhs)[:, None]], axis=1)
+            self._T = np.concatenate([T, _matmul(T[:, n:], rhs, self._bound)[:, None]], axis=1)
         basis = self._basis
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10_000:
-                raise InfeasibleLP("dual simplex failed to terminate")
+        for _ in range(10_000):
             T, det = self._T, self._det
-            negative = np.flatnonzero(T[:m, -1] < 0).tolist()  # x_B * d * den < 0
+            xb = T[:m, -1].tolist()
+            negative = [i for i, x in enumerate(xb) if x < 0]  # x_B * d * den < 0
             if not negative:
                 break
             row_leave = min(negative, key=basis.__getitem__)
@@ -360,15 +397,16 @@ class MoleculeLP:
             arow = T[row_leave, :n]
             free = arow < 0
             free[basis] = False
-            candidates = np.flatnonzero(free)
+            candidates = free.nonzero()[0]
             if not candidates.size:
                 raise InfeasibleLP("dual unbounded: target infeasible")
             enter = _least_ratio(T[m, :n], -arow, candidates)
-            self._T, self._det = _pivot(T, det, T[:, enter], row_leave)
+            self._T, self._det = _pivot(T, det, T[:, enter], row_leave, self._bound)
             basis[row_leave] = enter
             self.pivots += 1
-
-        return self._value(basis, det, T[:m, -1].tolist(), den)
+        else:
+            raise InfeasibleLP("dual simplex failed to terminate")
+        return self._value(basis, det, xb, den)
 
     def _value(self, columns: Sequence[int], det: int, xb: list[int], den: int) -> Fraction:
         """c_B x_B on the basis of these columns and d = det, from
@@ -403,42 +441,41 @@ class MoleculeLP:
             return None
         return self._certificate(basis, xb.tolist(), den)
 
-    def solve_many(self, targets: Sequence[Vec]) -> list[tuple[Fraction, int]]:
-        """(value, index into ``bases``) for each target, from the cache of
-        optimal bases (module docstring).  The targets are reduced once
-        into an integer m x T matrix r.  Each cached basis, old ones first,
-        covers every uncovered target with N r >= 0 at value
-        c_B N r / (d * den * cost_den), in one exact product (``_matmul``);
-        then the first target still uncovered is solved warm by
-        ``solve_full`` from its reduced column, its final basis is
-        cached, and the loop repeats.
+    def solve_many(self, targets) -> tuple[list[int], list[int], list[int]]:
+        """(nums, dens, index): target t's value is nums[t] / dens[t], on
+        cached basis index[t] (module docstring).  ``targets`` is an integer
+        array, a target per row, or a sequence of rational vectors, reduced
+        once into columns r.  Each cached basis, old ones first, covers every
+        uncovered target with N r >= 0, at c_B N r over d * den * cost_den,
+        in one product; then the first target still uncovered is solved warm
+        by ``solve_full``, and its final basis is cached and covers it.
         Raises ``InfeasibleLP`` if any target leaves the molecule span."""
-        out: list = [None] * len(targets)
-        if not targets:
-            return out
+        if not len(targets):
+            return [], [], []
         rhs, dens = self._reduce(targets)
-        uncovered = np.arange(len(targets))
-        tested = 0
+        R, most = self._prepare(rhs)
+        m, start = self.m, len(self.bases)
+        # a basis cached before: |N r| <= m max|N| max|r|, and c_B N r m max|c| times that
+        per_n = m * most * max(1, m * max(self._cost))
+        outside = [per_n * _absmax(b.adj) for b in self.bases]
+        nums, index = np.zeros(len(dens), dtype=object), np.zeros(len(dens), dtype=np.intp)
+        uncovered, tested = np.arange(len(dens)), 0
         while True:
             for k in range(tested, len(self.bases)):
-                basis = self.bases[k]
-                x = _matmul(basis.adj, rhs[:, uncovered])
-                ok = (x >= 0).all(axis=0)
-                if ok.any():
-                    cost_b = [[self._cost[j] for j in basis.columns]]
-                    nums = _matmul(cost_b, x[:, ok])[0]
-                    for t, num in zip(uncovered[ok].tolist(), nums.tolist()):
-                        out[t] = (Fraction(num, basis.det * dens[t] * self._cost_den), k)
-                    uncovered = uncovered[~ok]
+                basis, bound = self.bases[k], self._bound if k >= start else outside[k]
+                N, c, r = _fit(bound, basis.adj, self._costs[list(basis.columns)], R[:, uncovered])
+                x = N @ r
+                covered = (x >= 0).all(axis=0)
+                nums[uncovered[covered]], index[uncovered[covered]] = c @ x[:, covered], k
+                uncovered = uncovered[~covered]
             tested = len(self.bases)
             if not uncovered.size:
-                return out
+                dets, index = [b.det for b in self.bases], index.tolist()
+                return nums.tolist(), [dets[k] * den * self._cost_den for k, den in zip(index, dens)], index
             first = int(uncovered[0])
-            value = self.solve_full(targets[first], (rhs[:, first], dens[first]))
-            N = np.ascontiguousarray(self._T[: self.m, self.ncols : -1])
+            self.solve_full(targets[first], (R[:, first], dens[first]))
+            N = np.ascontiguousarray(self._T[:m, self.ncols : -1])
             self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))
-            out[first] = (value, tested)
-            uncovered = uncovered[1:]
 
 
 class Certifier:

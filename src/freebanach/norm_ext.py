@@ -89,10 +89,11 @@ n - 1 - k has digit r - 1 - d where k has d: its row is -(row k).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .lp import MoleculeLP, _absmax, _fit
+from .lp import MoleculeLP, _absmax, _fit, _ints
 from .relax import RelaxError
 from .terms import UNIT_ID
 
@@ -130,17 +131,18 @@ def molecule_table(universe, prev, basis_pos: dict[int, int], dim: int, shift: i
     return out
 
 
-def sign_class(v: IntVec) -> IntVec:
-    """The member of {v, -v} whose first nonzero entry is positive (v != 0)."""
-    first = next(x for x in v if x != 0)
-    return v if first > 0 else tuple(-x for x in v)
+def sign_class(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D integer array, each negated where its first nonzero
+    entry is negative: row by row the member of {v, -v} whose first nonzero
+    entry is positive (a zero row stays)."""
+    first = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
+    return np.where((first < 0)[:, None], -a, a)
 
 
 def _dedupe_sign(molecules: dict[IntVec, Fraction]) -> dict[IntVec, Fraction]:
     """Keep one representative per +-pair (the solver supplies both signs)."""
     out: dict[IntVec, Fraction] = {}
-    for d, cost in molecules.items():
-        canon = sign_class(d)
+    for canon, cost in zip(map(tuple, sign_class(_ints(list(molecules))).tolist()), molecules.values()):
         cur = out.get(canon)
         if cur is None or cost < cur:
             out[canon] = cost
@@ -175,26 +177,27 @@ def _line_norm(universe, stage, prev):
 
 def _gauge_table(universe, stage, prev):
     """The molecule program's table for a stage after 2, as ``norm_extend``
-    returns it, and the program: one value per class, the centre 0."""
-    from .stages import fraction_ints
-
+    returns it, and the program: one value per class, over the lcm of the
+    program's denominators, the centre 0."""
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     shift = scalar_shift(stage)
     molecules = molecule_table(universe, prev, basis_pos, len(basis_pos), shift)
     canon = _dedupe_sign(molecules)
     lp = MoleculeLP(list(canon.keys()), list(canon.values()))
 
-    vecs = list(map(tuple, stage.coordinates(shift).tolist()))
-    last = len(vecs) - 1
-    gauge = [value for value, _ in lp.solve_many([sign_class(v) for v in vecs[: last // 2]])]
-    for k, (m, v) in enumerate(zip(stage.members, vecs)):
+    coords = stage.coordinates(shift)
+    last = len(coords) - 1
+    nums, dens, _ = lp.solve_many(sign_class(coords[: last // 2]))
+    for k, m in enumerate(stage.members):
         if m in prev.member_set and 2 * k != last:
-            g = gauge[min(k, last - k)]
+            v, c = tuple(coords[k].tolist()), min(k, last - k)
+            g = Fraction(nums[c], dens[c])
             if molecules.get(v) != g:
                 raise NormExtensionError(
                     f"prev member {m}: molecule gauge {g} differs from its metric value {molecules.get(v)}"
                 )
-    ints, scale = fraction_ints(gauge)
+    scale = lcm(*set(dens))
+    ints = [n * (scale // d) for n, d in zip(nums, dens)]
     return (ints + [0] + ints[::-1], scale), lp
 
 

@@ -273,9 +273,11 @@ def certificate_mismatches(universe, n: int, members) -> int:
     (``Certifier``) and at the member's table value.  A member -v would take
     the negated solution and dual of v, and negating target, solution and
     dual together changes none of the checked identities, so it is checked
-    on its class v.  Vectors and molecules are the int tuples of
-    ``norm_extend``, scaled by 2^k, which leaves every value unchanged
-    and scales the duals by 2^-k (``norm_ext`` docstring)."""
+    on its class v.  As in ``norm_extend``, member k's class is
+    {k, last - k}, its row of ``Stage.coordinates(k)`` made positive in
+    its first nonzero entry (``sign_class``), and the molecules are int
+    tuples; all are scaled by 2^k, which leaves every value unchanged and
+    scales the duals by 2^-k (``norm_ext`` docstring)."""
     stage = universe.stage(n)
     basis_pos = {b: i for i, b in enumerate(stage.basis)}
     dim, shift = len(stage.basis), scalar_shift(stage)
@@ -283,23 +285,22 @@ def certificate_mismatches(universe, n: int, members) -> int:
     mols, costs = list(canon.keys()), list(canon.values())
     lp = MoleculeLP(mols, costs)
     check = Certifier(mols, costs)
-    index: dict = {}
-    vector = universe.store.vector_ints
-    class_of = {
-        m: index.setdefault(sign_class(vector(m, basis_pos, dim, shift)), len(index)) for m in members
-    }
-    order = list(index)
-    certs = []
+    # member k's +- class is {k, last - k}, whose rows are negatives (norm_ext docstring)
+    cell, last = {m: k for k, m in enumerate(stage.members)}, len(stage.members) - 1
+    class_of = {m: min(cell[m], last - cell[m]) for m in members}
+    order = list(dict.fromkeys(class_of.values()))
+    rows = sign_class(stage.coordinates(shift)[order])
+    certs = {}
     feasible: dict[int, bool] = {}
-    for cls, (_, k) in zip(order, lp.solve_many(order)):
-        cert = lp.certificate(k, cls)  # None where B^-1 v has a negative entry
+    for c, target, k in zip(order, rows.tolist(), lp.solve_many(rows)[2]):
+        cert = lp.certificate(k, target)  # None where B^-1 v has a negative entry
         if cert is not None and k not in feasible:
             feasible[k] = check.dual_feasible(cert[2])
-        certs.append(cert if cert is not None and feasible[k] else None)
+        certs[c] = target, cert if cert is not None and feasible[k] else None
     bad = 0
-    for m, i in class_of.items():
-        cert = certs[i]
-        if cert is None or not check.certifies(order[i], stage.table[m], cert[1], cert[2]):
+    for m, c in class_of.items():
+        target, cert = certs[c]
+        if cert is None or not check.certifies(target, stage.table[m], cert[1], cert[2]):
             bad += 1
     return bad
 

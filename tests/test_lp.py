@@ -17,11 +17,19 @@ from freebanach.lp import (
     _pivot,
     basic_solution_oracle,
     basic_solution_values,
+    hadamard_bound,
 )
 from freebanach.oracles import check_lp_oracle, random_lp_instances
 
 STAGE1_MOLECULES = [(F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
 STAGE1_COSTS = [F(1), F(1), F(2)]
+
+
+def values_of(lp, targets):
+    """``lp.solve_many(targets)`` as (value, basis index) per target, each
+    value the Fraction of its integer numerator and denominator."""
+    nums, dens, index = lp.solve_many(targets)
+    return [(F(n, d), k) for n, d, k in zip(nums, dens, index)]
 
 
 def test_stage1_molecule_values():
@@ -37,7 +45,7 @@ def test_certificates():
     lp = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
     check = Certifier(STAGE1_MOLECULES, STAGE1_COSTS)
     targets = [(F(1), F(0)), (F(3, 2), F(-1, 2)), (F(-2), F(1))]
-    for target, (v, k) in zip(targets, lp.solve_many(targets)):
+    for target, (v, k) in zip(targets, values_of(lp, targets)):
         value, beta, dual = lp.certificate(k, target)
         assert value == v
         assert check.dual_feasible(dual) and check.certifies(target, value, beta, dual)
@@ -152,9 +160,9 @@ def test_solve_matches_oracle_property(program):
         want = basic_solution_oracle(mols, costs, t)
         if want is None:
             with pytest.raises(InfeasibleLP):
-                lp.solve_many([t])
+                values_of(lp, [t])
             continue
-        [(v, k)] = lp.solve_many([t])
+        [(v, k)] = values_of(lp, [t])
         value, beta, dual = lp.certificate(k, t)
         assert value == v == want == lp.solve_full(t)
         assert check.dual_feasible(dual) and check.certifies(t, value, beta, dual)
@@ -170,7 +178,7 @@ def test_solve_many_matches_solve_and_oracle_property(program):
     want = basic_solution_values(mols, costs, targets)
     feasible = [t for t, w in zip(targets, want) if w is not None]
     single, batch, check = MoleculeLP(mols, costs), MoleculeLP(mols, costs), Certifier(mols, costs)
-    solved = batch.solve_many(feasible)
+    solved = values_of(batch, feasible)
     assert [v for v, _ in solved] == [w for w in want if w is not None]
     assert [v for v, _ in solved] == [single.solve_full(t) for t in feasible]
     for t, (v, k) in zip(feasible, solved):
@@ -178,12 +186,12 @@ def test_solve_many_matches_solve_and_oracle_property(program):
         assert value == v
         assert check.dual_feasible(dual) and check.certifies(t, value, beta, dual)
     bases, pivots = len(batch.bases), batch.pivots
-    assert batch.solve_many(feasible) == solved
+    assert values_of(batch, feasible) == solved
     assert (len(batch.bases), batch.pivots) == (bases, pivots)
     for t, w in zip(targets, want):
         if w is None:
             with pytest.raises(InfeasibleLP):
-                batch.solve_many([*feasible, t])
+                values_of(batch, [*feasible, t])
 
 
 @given(molecule_programs(), st.integers(0, 4))
@@ -202,8 +210,8 @@ def test_scaling_molecules_and_targets_by_a_power_of_two_property(program, k):
     want = basic_solution_values(mols, costs, targets)
     assert basic_solution_values([up(m) for m in mols], costs, [up(t) for t in targets]) == want
     feasible = [t for t, w in zip(targets, want) if w is not None]
-    plain = MoleculeLP(mols, costs).solve_many(feasible)
-    scaled = MoleculeLP([up(m) for m in mols], costs).solve_many([up(t) for t in feasible])
+    plain = values_of(MoleculeLP(mols, costs), feasible)
+    scaled = values_of(MoleculeLP([up(m) for m in mols], costs), [up(t) for t in feasible])
     assert [v for v, _ in plain] == [v for v, _ in scaled] == [w for w in want if w is not None]
 
 
@@ -213,14 +221,77 @@ def test_forged_basis_never_values_a_target_it_does_not_cover():
     its cache, the basis values v, and -v is solved for its own optimum."""
     v, neg = (F(1), F(0)), (F(-1), F(0))
     donor = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
-    [(value, k)] = donor.solve_many([v])
+    [(value, k)] = values_of(donor, [v])
     lp = MoleculeLP(STAGE1_MOLECULES, STAGE1_COSTS)
     lp.bases.append(donor.bases[k])
     assert lp.certificate(0, neg) is None  # B^-1(-v) has a negative entry
-    (got_v, basis_v), (got_neg, basis_neg) = lp.solve_many([v, neg])
+    (got_v, basis_v), (got_neg, basis_neg) = values_of(lp, [v, neg])
     assert (got_v, basis_v) == (value, 0) == (1, 0)
     assert got_neg == basic_solution_oracle(STAGE1_MOLECULES, STAGE1_COSTS, neg) == 1
     assert basis_neg == 1 == len(lp.bases) - 1
+
+
+@given(molecule_programs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_hadamard_bound_covers_every_pivot_property(program):
+    """Every tableau entry and d that ``solve_many`` pivots is at most H,
+    and every pivot numerator |p| T_i - sgn(p) col_i T_r at most 2 H^2,
+    for H the Hadamard bound of the reduced system's columns under both
+    cost rows and the batch's longest reduced target (lp docstring); and
+    the solve ran under a bound that covers H."""
+    mols, costs, targets = program
+    feasible = [t for t, w in zip(targets, basic_solution_values(mols, costs, targets)) if w is not None]
+    lp = MoleculeLP(mols, costs)
+    m, J = lp.m, lp.ncols // 2
+    rhs = lp._reduce(feasible)[0].tolist() if feasible else [[]] * m
+    squares = [sum(x * x for x in col) + c * c for col, c in zip(zip(*lp._cols), lp._cost[:J])]
+    # a tableau holds one target column at a time: the longest bounds them all
+    squares += [2] * m + [max((sum(x * x for x in col) for col in zip(*rhs)), default=0)]
+    H = hadamard_bound(squares, m + 1)
+    seen = []
+    honest = lp_module._pivot
+
+    def spy(rows, d, col, r, bound=None):
+        T, col = np.asarray(rows, dtype=object), np.asarray(col, dtype=object)
+        p = col[r]
+        num = abs(p) * T - (1 if p > 0 else -1) * np.multiply.outer(col, T[r])
+        seen.append((max(abs(x) for x in [d, *T.flat]), max(abs(x) for x in num.flat)))
+        return honest(rows, d, col, r, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_pivot", spy)
+        lp.solve_many(feasible)
+    assert len(seen) >= lp.pivots
+    assert all(entry <= H and num <= 2 * H * H for entry, num in seen)
+    assert not feasible or lp._bound >= 2 * H * H  # the solve ran under a bound that covers H
+
+
+def test_object_path_matches_int64_path():
+    """Molecules and targets scaled by 2^64 leave every value unchanged
+    (norm_ext docstring) but put the program past the int64 bound, so it
+    runs on object arrays; the plain one runs on int64 exactly where its
+    proven bound is below 2^62.  Both end on the same bases after the same
+    pivots, with the same values and basis indices.  The rank-4 instances'
+    reduced systems have entries in the hundreds, and their Hadamard bound
+    passes 2^62, so only some plain programs run on int64."""
+    def up(v):
+        return tuple(x * 2**64 for x in v)
+
+    on_int64 = 0
+    for mols, costs, targets in random_lp_instances(60, seed=3):
+        want = basic_solution_values(mols, costs, targets)
+        feasible = [t for t, w in zip(targets, want) if w is not None]
+        plain, scaled = MoleculeLP(mols, costs), MoleculeLP([up(mol) for mol in mols], costs)
+        got = values_of(plain, feasible)
+        assert values_of(scaled, [up(t) for t in feasible]) == got
+        assert [v for v, _ in got] == [w for w in want if w is not None]
+        assert [b.columns for b in scaled.bases] == [b.columns for b in plain.bases]
+        assert scaled.pivots == plain.pivots
+        int64 = plain._bound < 2**62
+        assert all(b.adj.dtype == (np.int64 if int64 else object) for b in plain.bases)
+        assert all(b.adj.dtype == object for b in scaled.bases)
+        on_int64 += int64 and bool(plain.bases)
+    assert on_int64 >= 40  # 42 of the 60
 
 
 def test_matmul_falls_back_to_python_ints():
@@ -243,8 +314,8 @@ def test_solve_many_python_int_path_matches_oracle(monkeypatch, case):
     products = []
     honest = lp_module._matmul
 
-    def spy(a, b):
-        out = honest(a, b)
+    def spy(a, b, bound=None):
+        out = honest(a, b, bound)
         products.append(out.dtype)
         return out
 
@@ -257,7 +328,7 @@ def test_solve_many_python_int_path_matches_oracle(monkeypatch, case):
         costs = [F(1), F(3, 2**70), F(2)]
         targets = [(F(3), F(1)), (F(-3), F(5, 2)), (F(1), F(0))]
     want = basic_solution_values(mols, costs, targets)
-    got = MoleculeLP(mols, costs).solve_many(targets)
+    got = values_of(MoleculeLP(mols, costs), targets)
     assert object in products
     assert [v for v, _ in got] == want
     assert want == [MoleculeLP(mols, costs).solve_full(t) for t in targets]
@@ -275,8 +346,8 @@ def test_warm_pivots_past_the_int64_bound_run_on_python_ints(monkeypatch):
     dtypes = []
     honest = lp_module._pivot
 
-    def spy(rows, d, col, r):
-        out, q = honest(rows, d, col, r)
+    def spy(rows, d, col, r, bound=None):
+        out, q = honest(rows, d, col, r, bound)
         dtypes.append(out.dtype)
         return out, q
 
@@ -284,7 +355,7 @@ def test_warm_pivots_past_the_int64_bound_run_on_python_ints(monkeypatch):
     lp = MoleculeLP(mols, costs)
     first = lp.solve_full(targets[0])
     dtypes.clear()
-    got = [first] + [v for v, _ in lp.solve_many(targets[1:])]
+    got = [first] + [v for v, _ in values_of(lp, targets[1:])]
     assert lp.pivots > 0 and object in dtypes
     assert got == basic_solution_values(mols, costs, targets)
 

@@ -5,9 +5,11 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from freebanach import UNIT_ID, Config, Universe, metric_ext, norm_ext
+from freebanach import lp as lp_module
 from freebanach.lp import MoleculeLP, basic_solution_oracle
 from freebanach.norm_ext import NormExtensionError, norm_extend
 from freebanach.oracles import certificate_mismatches, norm_decomposition_oracle
@@ -102,6 +104,21 @@ def test_stage4_certificates_all(desk_universe):
     primal/dual certificate of the molecule program."""
     members = [m for m in desk_universe.stage(4).members if m != UNIT_ID]
     assert certificate_mismatches(desk_universe, 4, members) == 0
+
+
+def test_desk_stage4_program_runs_in_int64_under_one_bound(desk_universe, monkeypatch):
+    """Desk stage 4's molecule program takes its Hadamard bound once, in
+    its one ``solve_many``, and that bound keeps the whole solve in int64:
+    the warm tableau and all 367 cached bases, after 1350 pivots."""
+    u = desk_universe
+    taken = []
+    monkeypatch.setattr(lp_module, "hadamard_bound",
+                        lambda squares, k, f=lp_module.hadamard_bound: taken.append(f(squares, k)) or taken[-1])
+    (ints, scale), lp = norm_ext._gauge_table(u, u.stage(4), u.stage(3))
+    assert len(taken) == 1 and lp._bound < 2**62
+    assert (len(lp.bases), lp.pivots) == (367, 1350)
+    assert lp._T.dtype == np.int64 and all(b.adj.dtype == np.int64 for b in lp.bases)
+    assert [F(n, scale) for n in ints] == [u.stage(4).table[m] for m in u.stage(4).members]
 
 
 def test_certificate_mismatch_detected(exact_universe):
@@ -274,8 +291,8 @@ def _program_values(u):
     lp = MoleculeLP(list(canon), list(canon.values()))
     members = [m for m in stage.members if m != UNIT_ID]
     vecs = [u.store.vector_ints(m, basis_pos, len(basis_pos), shift) for m in members]
-    values = lp.solve_many([norm_ext.sign_class(v) for v in vecs])
-    return {m: value for m, (value, _) in zip(members, values)}
+    nums, dens, _ = lp.solve_many(norm_ext.sign_class(np.array(vecs, dtype=object)))
+    return {m: F(n, d) for m, n, d in zip(members, nums, dens)}
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk", "exact-cap2"])
