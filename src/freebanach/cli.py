@@ -201,12 +201,12 @@ def _build(cfg: Config) -> Universe:
 def _certify(universe) -> list:
     """The rank-0 dominance section of each word stage from stage 3
     (``verify.check_rank0_dominance``), which ``build``, ``dist`` and
-    ``norm`` run on their fresh build before they export or answer: a table
-    closed over the members space at ambient_expansion >= 2 is the
-    construction's only where it passes.  A failing section is a
-    construction error (exit 2), as is a delta_0 space over
-    ``pair_cell_budget``; either way nothing is exported.  ``verify`` runs
-    the same section in its biinvariance suite."""
+    ``norm`` run on their fresh build before they export or answer: at
+    ambient_expansion >= 2 a word stage's table is the construction's only
+    where it passes.  A failing section is a construction error (exit 2),
+    as is a delta_0 space over ``pair_cell_budget``; either way nothing is
+    exported.  ``verify`` runs the same section in its biinvariance
+    suite."""
     reports = []
     for stage in universe.stages:
         if stage.kind == "word" and stage.index >= 3:

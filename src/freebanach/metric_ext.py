@@ -7,26 +7,26 @@ word stage.  Stage 1 has a closed form instead: rho(x^a, x^b) = |a - b|
 The metric is the greatest function below the auxiliary function delta
 closed under simultaneous inversion, product splitting, the two convex
 inequalities and the triangle inequality: one pair-composition closure
-over the ambient word space or, when that exceeds ``pair_cell_budget``,
-the stage's own words (``rho_extend``).  delta seeds rule (a) alone, the
-previous norm of a - b on pairs of previous-stage elements whose
-difference lies there; the rules value every other pair, and the final
-table is checked to be finite, symmetric and positive off the diagonal.
+over the stage's own words, the members space (``rho_extend``).  delta
+seeds rule (a) alone, the previous norm of a - b on pairs of
+previous-stage elements whose difference lies there; the rules value
+every other pair, and the final table is checked to be finite, symmetric
+and positive off the diagonal.
 
 The construction's rank-0 clause delta_0, the least sum of previous norms
 of differences over aligned factorizations into previous-stage elements
-(``delta_rank0_closure``), moves no greatest fixpoint on an ambient space.
-Each derivation of its closure is one of the rho closure: the atoms are
-rule-(a) seeds, which delta keeps, or diagonal generators at cost 0; each
-off-diagonal atom is a member pair, so a rho generator whose cost is
-at most its seed; both closures compose on both sides; and its word space
-lies inside the ambient one (fewer letters, the same length bound).  So
-rho <= delta_0 already.  At ambient_expansion 1 the members space is the
-ambient space.  In the members space at expansion >= 2 (the rank preset)
-the table f is certified instead (``verify.check_rank0_dominance``, which
-``cli._certify`` runs before a command exports or answers): the fixpoint
-g with the clause lies below f, and f <= delta_0 wherever delta_0 has a
-value makes f closed and below all of g's seeds, so f = g.
+(``delta_rank0_closure``), is not seeded.  At ambient_expansion 1 it moves
+no greatest fixpoint.  Each derivation of its closure is one of the rho
+closure: the atoms are rule-(a) seeds, which delta keeps, or diagonal
+generators at cost 0; each off-diagonal atom is a member pair, so a rho
+generator whose cost is at most its seed; both closures compose on both
+sides; and its word space lies inside the members one (fewer letters,
+the same length bound, 1 * word_cap).  So rho <= delta_0 already.  At
+expansion >= 2 every members table f is certified instead
+(``verify.check_rank0_dominance``, which ``cli._certify`` runs before a
+command exports or answers): the fixpoint g with the clause lies below
+f, and f <= delta_0 wherever delta_0 has a value makes f closed and below
+all of g's seeds, so f = g.
 
 No pair holding a positive-rank member needs a clause: each f closed
 under those rules and below delta lies below every clause such a pair
@@ -61,24 +61,16 @@ class MetricExtensionError(RelaxError):
     pass
 
 
-def _closure_len(store, members, lengths, cfg, what: str) -> tuple[list, int]:
-    """The signed letters of the members' words (first-occurrence order)
-    and the first of ``lengths`` whose words' pairs fit
-    ``pair_cell_budget``.  Sizes are counted, no word is built, and a typed
-    error refuses the closure when no length fits."""
+def _closure_space(store, members, max_len: int, cfg, what: str) -> WordSpace:
+    """The words of length <= ``max_len`` over the signed letters of the
+    members' words (first-occurrence order).  Their number is counted
+    before any word is built, and a typed error refuses a space whose
+    pairs exceed ``pair_cell_budget``."""
     alphabet = list(dict.fromkeys(letter for m in members for letter in store.word_of(m)))
-    for max_len in lengths:
-        size = count_words(alphabet, max_len)
-        if size**2 <= cfg.pair_cell_budget:
-            return alphabet, max_len
-    raise MetricExtensionError(f"{what} space {size}^2 exceeds pair_cell_budget")
-
-
-def rho_space_len(universe, stage, cfg) -> tuple[list, int]:
-    """``rho_extend``'s closure space as ``_closure_len``: the ambient
-    length when its pairs fit ``pair_cell_budget``, else the word cap."""
-    lengths = [cfg.ambient_expansion * stage.word_cap, stage.word_cap]
-    return _closure_len(universe.store, stage.members, lengths, cfg, f"stage-{stage.index} metric members")
+    size = count_words(alphabet, max_len)
+    if size**2 > cfg.pair_cell_budget:
+        raise MetricExtensionError(f"{what} space {size}^2 exceeds pair_cell_budget")
+    return WordSpace(alphabet, max_len)
 
 
 def delta_rank0_closure(universe, stage, prev, cfg):
@@ -94,8 +86,7 @@ def delta_rank0_closure(universe, stage, prev, cfg):
     words' product lines are built.
     """
     store = universe.store
-    lengths = [cfg.ambient_expansion * stage.word_cap]
-    space = WordSpace(*_closure_len(store, prev.members, lengths, cfg, "rank-0 closure"))
+    space = _closure_space(store, prev.members, cfg.ambient_expansion * stage.word_cap, cfg, "rank-0 closure")
     engine = PairComposition(space)
     # every prev member's word lies in the space: its length is at most the stage's cap
     atoms = {m: space.idx(store.word_of(m)) for m in prev.members}
@@ -181,14 +172,11 @@ def rho_extend(universe, stage, prev, cfg):
     ``(ints, scale)``: its values ``ints / scale`` on the member pairs
     i < j, a list in ``Stage.cells`` order; the diagonal is zero.
 
-    One closure computes it: ``_rho_closure`` over the word space W of the
-    words of length <= L over the stage's letters.  W is the ambient space
-    (L = ambient_expansion * word_cap) when its |W|^2 cells fit
-    ``pair_cell_budget``, and otherwise the members space (L = word_cap),
-    whose words are exactly the stage's members in member order: the
-    stage enumerates its members by the same ``WordSpace``.  The budget
-    picks the space, not the rules; ``stage.notes["rho_mode"]`` names it.
-    The stage's enumeration refuses a members space over the budget too.
+    One closure computes it: ``_rho_closure`` over the members space W,
+    the words of length <= word_cap over the stage's letters, which are
+    exactly the stage's members in member order: the stage enumerates its
+    members by the same ``WordSpace``, and refuses a space whose pairs
+    exceed ``pair_cell_budget``.
 
     The system on W seeds delta on member pairs (both orders) and 0 on the
     diagonal.  Its rules are composition D(uw, vz) <= D(u, v) + D(w, z) for
@@ -200,41 +188,25 @@ def rho_extend(universe, stage, prev, cfg):
     Every family is invariant under transposing the cells, so the greatest
     fixpoint is symmetric and is read off either order.
 
-    (i) With L = word_cap the cells are the member pairs, and the system
-    is, rule for rule, the metric's rules written over member pairs alone.
-    Product splitting rho(uv, st) <= rho(u, s) + rho(v, t), over members
-    whose products uv and st are members, is the right block of the
-    generator (v, t) at the source (u, s); when v = t its second term is
-    the diagonal generator (v, v) at cost 0, and when u = s its first term
-    is the source (u, u), seeded 0.  A left block is a splitting instance
-    with the factors' roles swapped.  Inversion is the mirror (every
-    member's inverse is a member), and the convex instances, the triangle
-    instances and the delta seeds are the same.  So both have the same
-    closed functions below delta, and the same greatest one.
-
-    (ii) With L >= 2 word_cap the triangle family is implied.  Let a, b, m
-    be members with a != m != b (otherwise the instance is trivial, as
-    D(m, m) = 0).  The left block of the diagonal generator (m^-1, m^-1) at
-    the source (m, b) gives D(e, m^-1 b) <= D(m, b), because m^-1 b has
-    length <= 2 word_cap <= L; the left block of the generator (a, m) at the
-    source (e, m^-1 b) then gives D(a, b) <= D(a, m) + D(e, m^-1 b) <=
-    D(a, m) + D(m, b).  So every function closed under the other families is
-    closed under the triangle family, and every greatest fixpoint is the
-    one without it.
-
-    As ambient_expansion is an integer, L is word_cap or at least
-    2 word_cap.  At expansion 1 the ambient space is the members space, so
-    the budget cannot change a value there (it builds or refuses that
-    space), and at expansion >= 2 the triangle family changes none (ii).
+    The cells are the member pairs, and the system is, rule for rule, the
+    metric's rules written over member pairs alone.  Product splitting
+    rho(uv, st) <= rho(u, s) + rho(v, t), over members whose products uv
+    and st are members, is the right block of the generator (v, t) at the
+    source (u, s); when v = t its second term is the diagonal generator
+    (v, v) at cost 0, and when u = s its first term is the source (u, u),
+    seeded 0.  A left block is a splitting instance with the factors' roles
+    swapped.  Inversion is the mirror (every member's inverse is a member),
+    and the convex instances, the triangle instances and the delta seeds
+    are the same.  So both have the same closed functions below delta, and
+    the same greatest one.
     """
     if stage.index == 1:
         return _base_case_table(universe, stage, cfg)
 
-    alphabet, max_len = rho_space_len(universe, stage, cfg)
-    table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), WordSpace(alphabet, max_len))
+    space = _closure_space(universe.store, stage.members, stage.word_cap, cfg, f"stage-{stage.index} metric members")
+    table, sweeps, entries = _rho_closure(universe, stage, delta_bounds(universe, prev), space)
     stage.notes["rho_sweeps"] = sweeps
     stage.notes["rho_entries"] = entries
-    stage.notes["rho_mode"] = "ambient" if max_len == cfg.ambient_expansion * stage.word_cap else "members"
     return table
 
 

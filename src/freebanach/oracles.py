@@ -145,19 +145,23 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
     Dijkstra from the empty pair over aligned prefix products kept within
     the ambient length: appending a member pair (a, b) costs delta(a, b),
     0 when a = b, so settled distances are exactly the factorization
-    minima.  Costs are Python ints at the lcm of delta's denominators, and
-    each distinct prefix word memoizes its in-bound extensions by the
-    distinct factor words, so ``reduce_concat`` runs once per (prefix,
-    factor) rather than once per node and step.  The heap key (cost,
-    depth, node) fixes the settle order, and with it the reported depth.
+    minima.  Costs are Python ints at the lcm of delta's denominators.
+    Each distinct prefix word is interned to an int, which memoizes its
+    in-bound extensions by the distinct factor words, so ``reduce_concat``
+    runs once per (prefix, factor) rather than once per node and step; a
+    node is the int ``u << 32 | v`` of its two prefix words, and the heap
+    key is (cost, depth, node).  depth is written only when a distance
+    falls strictly, so tie-breaks among equal (cost, depth) keys cannot
+    change it: every step that could write a node's depth comes from a
+    node of lower key, and steps from equal keys write equal depths.
     The search stops once every node the table reads, both orders of
     each pair of distinct member words, is settled, or when the heap is
     empty.  That is exact: the run so far is a prefix of the full run, and
-    as every cost is >= 0 a settled node's distance is final, so its depth,
-    written only when its distance falls, is final too.  Pure dict/heap/int
-    code: no word space, product table or scaled arrays shared with the
-    production closure.  Returns the table, in ``Fraction``, plus the
-    largest factor count used on any optimal path.
+    as every cost is >= 0 a settled node's distance is final, so its depth
+    is final too.  Pure dict/heap/int code: no word space, product table
+    or scaled arrays shared with the production closure.  Returns the
+    table, in ``Fraction``, plus the largest factor count used on any
+    optimal path.
 
     delta is ``delta_bounds``, the rule-(a) seeds, which leave positive-rank
     members to the closure's rules, so this is an oracle only for stages
@@ -185,28 +189,32 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
     cost: list[list[int | None]] = [[None] * len(factors) for _ in factors]
     for (i, j), v in raw.items():
         cost[i][j] = v.numerator * (scale // v.denominator)
-    words = list(factors)
-    extensions: dict[Letters, list[tuple[int, Letters]]] = {}
+    words: list[Letters] = []  # prefix words by id
+    word_id: dict[Letters, int] = {}
+    extensions: list[list[tuple[int, int]] | None] = []
 
-    def extend(u: Letters) -> list[tuple[int, Letters]]:
-        ext = extensions.get(u)
+    def intern(w: Letters) -> int:
+        if w not in word_id:
+            word_id[w] = len(words)
+            words.append(w)
+            extensions.append(None)
+        return word_id[w]
+
+    def extend(u: int) -> list[tuple[int, int]]:
+        ext = extensions[u]
         if ext is None:
             ext = extensions[u] = [
-                (i, w) for i, w in enumerate(reduce_concat(u, f) for f in words) if len(w) <= amb_len
+                (i, intern(w)) for i, w in enumerate(reduce_concat(words[u], f) for f in factors) if len(w) <= amb_len
             ]
         return ext
 
     # the nodes the table reads: both orders of every pair of distinct members
-    wanted = {
-        key
-        for i, wa in enumerate(member_words)
-        for wb in member_words[i + 1 :]
-        for key in ((wa, wb), (wb, wa))
-    }
-    start = ((), ())
-    dist: dict[tuple[Letters, Letters], int] = {start: 0}
-    depth: dict[tuple[Letters, Letters], int] = {start: 0}
-    heap: list = [(0, 0, start)]
+    start = intern(()) << 32 | intern(())
+    ids = [intern(w) for w in member_words]
+    wanted = {key for i, u in enumerate(ids) for v in ids[i + 1 :] for key in (u << 32 | v, v << 32 | u)}
+    dist: dict[int, int] = {start: 0}
+    depth: dict[int, int] = {start: 0}
+    heap: list[tuple[int, int, int]] = [(0, 0, start)]
     settled = set()
     while heap and wanted:
         d, k, node = heapq.heappop(heap)
@@ -214,16 +222,15 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
             continue
         settled.add(node)
         wanted.discard(node)
-        u, v = node
-        right = extend(v)
-        for i, nu in extend(u):
-            row = cost[i]
+        right = extend(node & 0xFFFFFFFF)
+        for i, nu in extend(node >> 32):
+            row, base = cost[i], nu << 32
             for j, nv in right:
                 c = row[j]
                 if c is None:
                     continue
                 nd = d + c
-                key = (nu, nv)
+                key = base | nv
                 cur = dist.get(key)
                 if cur is None or nd < cur:
                     dist[key] = nd
@@ -231,11 +238,9 @@ def rho_decomposition_oracle(universe, stage, prev, cfg):
                     heapq.heappush(heap, (nd, k + 1, key))
     out: dict[tuple[int, int], Fraction] = {}
     max_depth = 0
-    for i, (a, wa) in enumerate(zip(stage.members, member_words)):
-        for b, wb in zip(stage.members[i + 1 :], member_words[i + 1 :]):
-            candidates = [
-                (dist[k], depth[k]) for k in ((wa, wb), (wb, wa)) if k in dist
-            ]
+    for i, (a, u) in enumerate(zip(stage.members, ids)):
+        for b, v in zip(stage.members[i + 1 :], ids[i + 1 :]):
+            candidates = [(dist[k], depth[k]) for k in (u << 32 | v, v << 32 | u) if k in dist]
             if candidates:
                 val, dep = min(candidates)
                 out[pair_key(a, b)] = Fraction(val, scale)

@@ -84,17 +84,18 @@ class Config:
     """Desk-scale parameters; the last entry of a per-stage list repeats.
 
     The production tables realize the unbounded decomposition minima by
-    relaxation to a fixpoint.  ``ambient_expansion`` bounds the partial
-    products the metric minimizations may pass through (words of length up
-    to ``ambient_expansion`` times the stage's word cap).  The budgets bound
-    stage sizes (``member_budget``) and the pair space of every metric-side
+    relaxation to a fixpoint.  The metric closes over each word stage's
+    own words (``metric_ext.rho_extend``).  ``ambient_expansion`` is read
+    only by the rank-0 clause's closure (``metric_ext.delta_rank0_closure``,
+    which ``verify.check_rank0_dominance`` runs, vacuous at expansion 1)
+    and the factorization oracle: it bounds their partial products to
+    words of length up to ``ambient_expansion`` times the stage's word
+    cap.  The budgets bound stage sizes (``member_budget``) and the pair
+    space of the metric's members space and of the rank-0 clause's
     closure (``pair_cell_budget``); a budget is never truncated silently:
     exceeding one is an error.  Verification has no budget: every section
     is exhaustive.  ``seed`` draws the random instances of
-    ``oracles.run_all_oracles`` and nothing else.  For the metric closure
-    ``pair_cell_budget`` picks the word space, not a second engine: the
-    ambient words when their pairs fit, else the stage's own words, under
-    the rules ``metric_ext.rho_extend`` lists.
+    ``oracles.run_all_oracles`` and nothing else.
     """
 
     stage_count: int = 4

@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .lp import _absmax, _fit
-from .metric_ext import delta_general, delta_rank0_closure, rho_space_len
+from .metric_ext import delta_general, delta_rank0_closure
 from .stages import NotBuiltError, off_grid_cells
 from .terms import UNIT_ID, pair_key
 from .universal import check_morphism_bound, check_operation_preservation
@@ -504,20 +504,17 @@ def check_rank0_dominance(universe, stage) -> VerificationReport:
     rank-0 clause, has a value: ``delta_general`` of the rank-0 closure, a
     plain {(a, b): Fraction} dict keyed a < b, like a word stage's ``table``.
     That certifies the table as the fixpoint with the clause seeded
-    (``metric_ext`` docstring) where no proof covers it.  The case is
-    ``rho_extend``'s own space rule, counted from the config and the
-    stage's letters, so an imported stage runs it too.  In the members
-    space at ambient_expansion >= 2 every cell is checked, with the
-    closure's sweeps and entries in the meta; a delta_0 space over
-    ``pair_cell_budget`` raises ``MetricExtensionError``.  Elsewhere (the
-    ambient space, or expansion 1) the section is vacuous and names the
-    proof."""
+    (``metric_ext`` docstring).  The case is read off the config alone, so
+    an imported stage runs it too.  At ambient_expansion >= 2 every cell
+    is checked, with the closure's sweeps and entries in the meta; a
+    delta_0 space over ``pair_cell_budget`` raises
+    ``MetricExtensionError``.  At expansion 1 the section is vacuous and
+    names the proof."""
     cfg = universe.cfg
     report = VerificationReport(suite=f"rank-0 dominance stage {stage.index}")
-    if rho_space_len(universe, stage, cfg)[1] == cfg.ambient_expansion * stage.word_cap:
+    if cfg.ambient_expansion == 1:
         report.vacuous = True
-        report.meta["proof"] = "metric_ext docstring: " + (
-            "ambient space" if cfg.ambient_expansion > 1 else "expansion 1")
+        report.meta["proof"] = "metric_ext docstring: expansion 1"
         return report
     rank0, sweeps, entries = delta_rank0_closure(universe, stage, universe.stage(stage.index - 1), cfg)
     report.meta.update(delta_sweeps=sweeps, delta_entries=entries)

@@ -730,6 +730,19 @@ def test_build_certifies_rank_before_it_exports(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS["rank"]
 
 
+def test_desk_certifies_its_members_table(monkeypatch, capsys):
+    """Desk's rho_3 closes over its members space, so ``verify`` prints a
+    non-vacuous rank-0 line, and ``norm`` still answers once ``_certify``
+    has passed the same certificate on its build."""
+    certified = []
+    monkeypatch.setattr(cli, "_certify", lambda u, certify=cli._certify: certified.extend(certify(u)))
+    assert main(["verify", "--preset", "desk", "--suite", "biinvariance"]) == EXIT_OK
+    assert "\n[pass] rank-0 dominance stage 3: 36/36\n" in capsys.readouterr().out
+    assert main(["norm", "x", "--preset", "desk"]) == EXIT_OK
+    assert capsys.readouterr().out == "1 (stage 2)\n"
+    assert [r.summary_line() for r in certified] == ["[pass] rank-0 dominance stage 3: 36/36"]
+
+
 @pytest.mark.parametrize("stage_count, k", [(2, -70), (2, 70), (3, -40)],
                          ids=["2-stage-2^-70", "2-stage-2^70", "3-stage-2^-40"])
 def test_towers_past_int64(stage_count, k, tmp_path, fit_spy, capsys):

@@ -154,13 +154,27 @@ def test_delta_has_no_positive_rank_clause(rank_universe):
 
 
 def test_rank_rho_at_expansion_one(rank_universe):
-    """At ambient expansion 1 the closure runs on the ambient space with
-    the rank stage's positive-rank members in it, and gives the preset's
-    rho_3 (which closes over the members space)."""
+    """At ambient expansion 1, where the members space is delta_0's ambient
+    space, rank's rho_3 is the preset's (expansion 2), and the same closure
+    ran to it: the members space does not read the expansion."""
     u = Universe(dataclasses.replace(Config.rank(), ambient_expansion=1)).build()
-    assert u.stage(3).notes["rho_mode"] == "ambient"
-    assert rank_universe.stage(3).notes["rho_mode"] == "members"
     assert u.stage(3).table == rank_universe.stage(3).table
+    assert u.stage(3).notes == rank_universe.stage(3).notes
+
+
+def test_desk_rho_equals_its_ambient_closure(desk_universe):
+    """Closing desk's rho_3 over its 15 members loses no value: the same
+    system closed over the ambient space, the 197 words of length <=
+    ambient_expansion * word_cap, gives the stored table cell for cell, in
+    4 sweeps composing 2 273 606 candidate cells (the members closure takes
+    2 and 5 412)."""
+    u, s3 = desk_universe, desk_universe.stage(3)
+    space = metric_ext._closure_space(u.store, s3.members, u.cfg.ambient_expansion * s3.word_cap, u.cfg, "ambient")
+    assert len(space) == 197
+    table, sweeps, entries = metric_ext._rho_closure(u, s3, metric_ext.delta_bounds(u, u.stage(2)), space)
+    ambient = s3.with_ints(*table)
+    assert ambient.scale == s3.scale and (ambient.ints == s3.ints).all()
+    assert (sweeps, entries) == (4, 2_273_606)
 
 
 def test_delta_cap2_upper_bound():
@@ -266,9 +280,9 @@ def test_rho_oracle_drains_its_heap_past_an_unreachable_pair(desk_universe, monk
 def test_product_lines_match_reduce_concat(monkeypatch):
     """The step-table product lines equal the per-pair rule (the index of
     ``reduce_concat`` of the two words, or -1) for every word of the
-    closure spaces: desk's ambient and rank's stage-3 spaces, rank's
+    closure spaces: desk's and rank's stage-3 members spaces, rank's
     delta_0 space and item 21's (3-stage desk at word caps (1, 2),
-    expansion 1)."""
+    expansion 1; the same 197 words as desk's stage-3 ambient space)."""
     spaces = []
 
     class Recorded(WordSpace):
@@ -282,7 +296,7 @@ def test_product_lines_match_reduce_concat(monkeypatch):
     delta_rank0_closure(rank, rank.stage(3), rank.stage(2), rank.cfg)
     cfg = dataclasses.replace(Config.desk(stage_count=3), word_caps=(1, 2), ambient_expansion=1)
     Universe(cfg).build()
-    assert [len(s) for s in spaces] == [197, 47, 599, 197]
+    assert [len(s) for s in spaces] == [15, 47, 599, 197]
     for space in spaces:
         words, index = space.words, space.index
         for w, word in enumerate(words):
@@ -302,14 +316,11 @@ def test_closure_sweep_counts(desk_universe, rank_universe):
     costs read from the snapshot taken at a sweep's start), so their sweep
     counts are fixed:
     ``bench`` shows ``rho_sweeps``, and the rank dominance report's meta
-    ``delta_sweeps`` (desk at the default budget runs no rank-0 closure;
-    ``test_rank0_dominance_certifies_desk_in_its_members_space`` pins one
-    that does)."""
+    ``delta_sweeps`` (desk's is pinned by
+    ``test_rank0_dominance_certifies_desk_in_its_members_space``)."""
     assert _dominance(rank_universe).meta["delta_sweeps"] == 5
-    desk3 = desk_universe.stage(3).notes
-    assert (desk3["rho_mode"], desk3["rho_sweeps"]) == ("ambient", 4)
-    rank3 = rank_universe.stage(3).notes
-    assert (rank3["rho_mode"], rank3["rho_sweeps"]) == ("members", 3)
+    assert desk_universe.stage(3).notes["rho_sweeps"] == 2
+    assert rank_universe.stage(3).notes["rho_sweeps"] == 3
 
 
 def test_closure_entry_counts(desk_universe, rank_universe):
@@ -319,11 +330,11 @@ def test_closure_entry_counts(desk_universe, rank_universe):
     Costs are read from the sweep's snapshot, so a cost lowered in a sweep
     is applied from the next one, and how blocks are grouped or chunked
     moves no count.  Without the semi-naive cut (every finite-cost
-    generator against its finite lines in every sweep) they come to
-    11 347 450 and 93 398 on rank, 2 722 840 for desk's rho."""
+    generator against its finite lines in every sweep) rank's come to
+    11 347 450 and 93 398."""
     assert _dominance(rank_universe).meta["delta_entries"] == 7_505_606
     assert rank_universe.stage(3).notes["rho_entries"] == 56_972
-    assert desk_universe.stage(3).notes["rho_entries"] == 2_273_606
+    assert desk_universe.stage(3).notes["rho_entries"] == 5_412
 
 
 def test_rank0_dominance_certifies_rank_and_catches_a_raised_entry(rank_universe):
@@ -353,23 +364,12 @@ def test_rank0_dominance_runs_on_an_imported_export(rank_universe, tmp_path):
     assert report.ok and report.attempted == _dominance(rank_universe).attempted == 276
 
 
-def test_rank0_dominance_vacuous_where_proved(desk_universe):
-    """Desk stage 3 closes over its ambient space: the section attempts
-    nothing and names the proof."""
-    report = _dominance(desk_universe)
-    assert report.ok and report.vacuous and report.attempted == 0
-    assert report.meta == {"proof": "metric_ext docstring: ambient space"}
-
-
-def test_rank0_dominance_certifies_desk_in_its_members_space():
-    """At pair_cell_budget 38000 desk stage 3 closes over its members
-    space, so the certificate runs: all 36 delta_0 cells pass.  Its closure
-    keeps the sweep semantics, so its counts are fixed: 5 sweeps composing
+def test_rank0_dominance_certifies_desk_in_its_members_space(desk_universe):
+    """Desk stage 3 closes over its members space, so the certificate runs
+    at the default budget: all 36 delta_0 cells pass.  Its closure keeps
+    the sweep semantics, so its counts are fixed: 5 sweeps composing
     107 006 candidate cells (178 346 without the semi-naive cut)."""
-    cfg = dataclasses.replace(Config.desk(stage_count=3), pair_cell_budget=38000)
-    u = Universe(cfg).build()
-    assert u.stage(3).notes["rho_mode"] == "members"
-    report = _dominance(u)
+    report = _dominance(desk_universe)
     assert report.ok and not report.vacuous and report.attempted == 36
     assert report.meta == {"delta_sweeps": 5, "delta_entries": 107_006}
 
@@ -410,7 +410,6 @@ def test_word_cap_two_builds_at_the_default_expansion(desk_cap2_universes):
     splitting on all 3319^2 instances of stage 3's 3319 in-stage products."""
     default, expansion_one = desk_cap2_universes
     assert len(default.stage(3).members) == 197
-    assert default.stage(3).notes["rho_mode"] == "members"
     assert default.stage(3).table == expansion_one.stage(3).table
     suite = check_suites(expansion_one)
     assert suite.ok, suite.render()
@@ -448,17 +447,16 @@ def test_rank_word_cap_two_exits_2(tmp_path, capsys):
 
 
 def test_rho_at_expansion_one_ignores_the_budget(tmp_path, capsys):
-    """At ambient expansion 1 the ambient word space is the stage's own
-    words, so the budget changes no value: it builds that one space or
-    refuses the stage.  Desk stage 3 has 15 words; a budget of 15^2 builds
-    the default budget's rho_3, which satisfies the triangle inequality,
-    and one cell less is exit 2, naming pair_cell_budget.  Before the
-    triangle family, the ambient closure gave 4 on 15 pairs where the
-    members system gave 2, and failed the triangle section."""
+    """The budget changes no value: it builds the members space or
+    refuses the stage.  Desk stage 3 has 15 words; at ambient expansion 1
+    a budget of 15^2 builds the default budget's rho_3, which satisfies
+    the triangle inequality and whose rank-0 section is vacuous by the
+    proof, and one cell less is exit 2, naming pair_cell_budget.  Before
+    the triangle family, the closure at expansion 1 gave 4 on 15 pairs
+    where the members system gave 2, and failed the triangle section."""
     cfg = dataclasses.replace(Config.desk(stage_count=3), ambient_expansion=1)
     default = Universe(cfg).build()
     fitted = Universe(dataclasses.replace(cfg, pair_cell_budget=15**2)).build()
-    assert fitted.stage(3).notes["rho_mode"] == "ambient"
     assert fitted.stage(3).table == default.stage(3).table
     tri, _, dominance = check_biinvariance(fitted, fitted.stage(3)).reports
     assert tri.ok and tri.attempted == 15**3

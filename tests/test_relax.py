@@ -625,7 +625,7 @@ def test_one_row_chunks_keep_rank_closures(rank_universe, monkeypatch):
     rebuilt = Universe(u.cfg).build()
     assert not calls
     assert rebuilt.stage(3).table == u.stage(3).table
-    notes = ("rho_mode", "rho_sweeps", "rho_entries")
+    notes = ("rho_sweeps", "rho_entries")
     assert [rebuilt.stage(3).notes[k] for k in notes] == [u.stage(3).notes[k] for k in notes]
     assert delta_rank0_closure(rebuilt, rebuilt.stage(3), rebuilt.stage(2), u.cfg) == want_delta
 
