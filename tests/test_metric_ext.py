@@ -374,6 +374,17 @@ def test_rank0_dominance_certifies_desk_in_its_members_space(desk_universe):
     assert report.meta == {"delta_sweeps": 5, "delta_entries": 107_006}
 
 
+def test_rank0_dominance_vacuous_where_proved():
+    """At ambient expansion 1 the members space is delta_0's own space, so
+    the section attempts nothing and names the proof, on desk and on rank
+    alike: the case is read off the config, not off the stage."""
+    for preset in (Config.desk(stage_count=3), Config.rank()):
+        u = Universe(dataclasses.replace(preset, ambient_expansion=1)).build()
+        report = _dominance(u)
+        assert report.ok and report.vacuous and report.attempted == 0
+        assert report.meta == {"proof": "metric_ext docstring: expansion 1"}
+
+
 def test_cli_refuses_a_table_the_certificate_fails(rank_universe, tmp_path, monkeypatch, capsys):
     """``build``, ``dist`` and ``norm`` certify their fresh build: a rank
     stage-3 entry raised above delta_0 is a construction error (exit 2),
