@@ -16,16 +16,17 @@ Two realizations share those semantics:
                              D(P.Q) <= D(P) + D(Q) used by the metric
                              extension (rho, and the rank-0 delta_0
                              its verification certifies against), over
-                             scaled integers and block-sparse: the
-                             generator words that share a z-set compose
-                             together, per side in dense blocks of the
-                             word pairs whose products stay in the word
-                             space, each cell at its own generator's cost
-                             and written by a minimum per target, cut to
-                             the sources that can still lower a target
-                             (see the class); plus the inverse mirror,
-                             explicit convex instances and a triangle pass
-                             over a registered member set.
+                             scaled integers and block-sparse: every
+                             generator composes in one block per side, the
+                             generator words against the generator z's
+                             over the word pairs whose products stay in
+                             the word space, a mask of the registered
+                             (w, z) picking the cells, each cell at its own
+                             generator's cost and written by a minimum per
+                             target, cut to the sources that can still
+                             lower a target (see the class); plus the
+                             inverse mirror, explicit convex instances and
+                             a triangle pass over a registered member set.
 
 ``relax_fixpoint`` is semi-naive too (Bancilhon & Ramakrishnan, SIGMOD
 1986): each sweep sets f_k = min(f_(k-1), R(f_(k-1))) over the rules R,
@@ -41,8 +42,8 @@ docstring proves it), and builds ``Fraction``s only for its answer.
 round's snapshot in a fixed order, so results are independent of rule
 order and bit-identical across runs.  It reads its generator costs from
 that snapshot too, so a sweep depends on the snapshot alone: how the
-generators are ordered, grouped or chunked changes no table, sweep count
-or candidate count.  It runs at the common denominator of its seeds and
+generators are ordered or chunked changes no table, sweep count or
+candidate count.  It runs at the common denominator of its seeds and
 convex coefficients, and retries at four times the scale, up to six
 attempts, while a value is not exact there.
 
@@ -399,26 +400,27 @@ class PairComposition:
     cell list, which is complete for derivations whose left-to-right
     partial products stay inside the space.
 
-    Blocks.  Each word's (source, target) map per side is read once off its
-    product lines; a line that is not injective is no free group's product
-    and is refused (RelaxError).  Once per ``solve`` the generator words
-    are grouped by their z-set.  A group's block on one side puts its words'
-    sources (rows, in word order) against its z's sources (columns, in z
-    order), and the cell of source (u, v), word w and z is the candidate
-    before[u, v] + D(w, z).  u.w = u'.w' and v.z = v'.z' can hold across
-    words and z's, so a block is written by ``np.minimum.at``, which keeps
-    the least candidate of each target whatever the order: it is exact as
-    per-generator blocks were.  A group is composed in chunks of
-    consecutive words:
+    Blocks.  Each word's (source, target) map per side is read once per
+    ``solve`` off its product lines; a line that is not injective is no
+    free group's product and is refused (RelaxError).  Every generator
+    composes in one block per side: it puts the sources of the k generator
+    words w (rows, in first-generator order) against those of the m
+    generator z's (columns, z ascending), and the cell of source (u, v),
+    word w and z is the candidate before[u, v] + D(w, z).  A k x m mask of
+    the registered (w, z) picks the cells: a (w, z) that is no generator
+    composes nothing, whatever its cost.  u.w = u'.w' and v.z = v'.z' can
+    hold across words and z's, so the block is written by
+    ``np.minimum.at``, which keeps the least candidate of each target
+    whatever the order: it is exact as per-generator blocks were.  The
+    block is composed in chunks of consecutive words:
     - several words whose rows fit a chunk: one 2-D block over the columns
-      of the z's those words pick, its costs the group's k x m cost table
-      spread over the rows and columns (``np.repeat``).  A cell whose
-      (w, z) is not picked (the other kind's, or at a +inf cost) adds 0 and
-      is lifted to +inf by ``np.maximum``, so it is no candidate, and a
-      +inf cost never meets a +inf source (their sum would wrap int64).
-    - one word (each word alone in its group, and each word whose rows
-      alone fill a chunk): only the columns of its picked z's,
-      concatenated, at one cost per column, in chunks of whole rows.
+      of the z's those words pick, its costs the k x m cost table spread
+      over the rows and columns (``np.repeat``).  A cell whose (w, z) is
+      not picked (no generator, the other kind's, or at a +inf cost) adds
+      0 and is lifted to +inf by ``np.maximum``, so it is no candidate, and
+      a +inf cost never meets a +inf source (their sum would wrap int64).
+    - one word, where no later word's rows fit its chunk: only the columns
+      of its picked z's, at one cost per column, in chunks of whole rows.
     A chunk holds at most min(4 n^2, ``_CHUNK_CELLS``) cells, or one row of
     one word when a row is longer; a row holds at most n cells per z, so
     at most n^2.  So each of a chunk's 8-byte temporaries (source index,
@@ -448,15 +450,15 @@ class PairComposition:
     negative) rather than reading a finite value as +inf.
 
     Sweeps.  Each sweep reads sources and generator costs D(w, z) alike from
-    the snapshot ``before`` taken at its start, composes every group, then
+    the snapshot ``before`` taken at its start, composes the block, then
     applies the inverse mirror, the triangle family and the convex
     instances.  A generator composes only the rows of src_w and the columns
     of src_z that hold a source able to lower a target (semi-naive
     evaluation: Bancilhon & Ramakrishnan, SIGMOD 1986): when its cost equals
     its cost at the previous sweep's snapshot, the lines that changed over
     the previous sweep; otherwise (its first application, or after its cost
-    dropped) the finite lines.  So a group has at most two kinds per side,
-    and the cut maps are worked out once per sweep and kind.  Skipping the
+    dropped) the finite lines.  So the mask's finite cells split into two
+    kinds, and the block is composed once per kind and side.  Skipping the
     rest is exact.  A skipped candidate before[u, v] + g either has a +inf
     source, which lies above every target (_INT_INF + g < 2^63), or has a
     source unchanged since the previous snapshot at the cost g it had
@@ -494,47 +496,42 @@ class PairComposition:
     def add_triangle(self, words: Iterable[int]) -> None:
         self.triangle = np.fromiter(words, dtype=np.intp)
 
-    def _groups(self, maps) -> tuple[list, list]:
-        """The generator words grouped by their z-set, once per ``solve``:
-        a word alone in its group as (w, its z's), a group of several words
-        as (its words, its z's, their maps per side as ``_group_maps``).
-        Words keep their first-generator order, and a group's z's ascend."""
-        zsets: dict[int, dict[int, None]] = {}
-        for w, z in self.generators:
-            zsets.setdefault(w, {})[z] = None
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for w, zs in zsets.items():
-            groups.setdefault(tuple(sorted(zs)), []).append(w)
-        lone = [(ws[0], list(zs)) for zs, ws in groups.items() if len(ws) == 1]
-        shared = [(np.array(ws), np.array(zs), _group_maps(maps, ws, zs)) for zs, ws in groups.items() if len(ws) > 1]
-        return lone, shared
-
-    def _maps(self) -> tuple[dict, dict]:
-        """Per word of a generator, its right and left (source, target)
-        maps, read once off its product lines."""
-        right: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        left: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for w in dict.fromkeys(word for gen in self.generators for word in gen):
-            right_line, left_line = self.space.product_lines(w)
-            right[w] = _shift_map(right_line, w, "right")
-            left[w] = _shift_map(left_line, w, "left")
-        return right, left
+    def _block(self) -> tuple:
+        """The one block, once per ``solve``: the k generator words in
+        first-generator order and the m generator z's ascending, as index
+        arrays; per side, the (source, target) maps read once off each
+        word's product lines, the words' concatenated in word order and
+        the z's in z order, each source with its word's or z's position
+        (row sources, row targets, row words, column sources, column
+        targets, column z's); and the k x m mask of the registered (w, z)."""
+        gens = np.array(self.generators, dtype=np.intp).reshape(-1, 2)
+        words = list(dict.fromkeys(gens[:, 0].tolist()))
+        zs = sorted(set(gens[:, 1].tolist()))
+        maps: dict[int, tuple] = {}
+        for w in dict.fromkeys(words + zs):
+            right, left = self.space.product_lines(w)
+            maps[w] = _shift_map(right, w, "right"), _shift_map(left, w, "left")
+        at = np.zeros((2, self.n), dtype=np.intp)  # each word's position among the words, and among the z's
+        at[0, words], at[1, zs] = np.arange(len(words)), np.arange(len(zs))
+        mask = np.zeros((len(words), len(zs)), dtype=bool)
+        mask[at[0, gens[:, 0]], at[1, gens[:, 1]]] = True
+        sides = [_concat([maps[w][s] for w in words]) + _concat([maps[z][s] for z in zs]) for s in (0, 1)] if words else []
+        return np.array(words, dtype=np.intp), np.array(zs, dtype=np.intp), sides, mask
 
     def solve(self, sweep_cap: int = 200) -> tuple[ClosureTable, int]:
         """The closure table and its sweep count; ``entries`` is then the
         number of candidate cells composed over all sweeps."""
         coeff_denoms = [c.denominator for _, terms in self.fraction_rules for c, _ in terms]
         scale = lcm(common_denominator(self.seeds.values()), *coeff_denoms)
-        maps = self._maps()
-        groups = self._groups(maps)
+        block = self._block()
         for attempt in range(6):
             try:
-                return self._solve_scaled(scale, sweep_cap, maps, groups)
+                return self._solve_scaled(scale, sweep_cap, block)
             except ScaleInexactError:
                 scale *= 4
         raise ScaleInexactError("could not find a workable common denominator")
 
-    def _solve_scaled(self, scale: int, sweep_cap: int, maps, groups) -> tuple[ClosureTable, int]:
+    def _solve_scaled(self, scale: int, sweep_cap: int, block) -> tuple[ClosureTable, int]:
         n, tri = self.n, self.triangle
         D = np.full((n, n), _INT_INF, dtype=np.int64)
         for (u, v), val in self.seeds.items():
@@ -547,11 +544,8 @@ class PairComposition:
 
         flat = D.reshape(-1)
         limit = min(4 * n * n, _CHUNK_CELLS)
-        lone, shared = groups
-        lone_rows, lone_cols = [w for w, _ in lone], list(dict.fromkeys(z for _, zs in lone for z in zs))
-        # each generator's cost at the previous sweep's snapshot
-        lone_last = [[_INT_INF] * len(zs) for _, zs in lone]
-        shared_last = [np.full((ws.size, zs.size), _INT_INF) for ws, zs, _ in shared]
+        ws, zs, sides, mask = block
+        last = np.full(mask.shape, _INT_INF)  # each (w, z)'s cost at the previous sweep's snapshot
         buf = np.empty((tri.size, tri.size), dtype=np.int64)  # the triangle pass's candidates
         changed = None  # the rows and columns of the cells the last sweep changed
         entries = sweeps = 0
@@ -562,37 +556,16 @@ class PairComposition:
             before = D.copy()
             before_flat = before.reshape(-1)
             # per kind (True: a cost unchanged since the previous snapshot)
-            # the lines its sources are cut to, and the lone words' maps cut
-            # to them, built when a word first needs them this sweep
+            # the lines its sources are cut to, and the (w, z) it picks
             lines = {True: changed, False: _lines(before < _INT_INF)}
-            cut: dict[bool, list] = {}
-            for i, (w, zs) in enumerate(lone):
-                costs = before[w, zs].tolist()
-                # the finite-cost z's and their costs, split by kind
-                split: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
-                for z, g, g_last in zip(zs, costs, lone_last[i]):
-                    if g < _INT_INF:
-                        picked, picked_costs = split[g == g_last]
-                        picked.append(z)
-                        picked_costs.append(g)
-                lone_last[i] = costs
-                for same, (picked, picked_costs) in split.items():
-                    if not picked:
-                        continue
-                    sides = cut.get(same)
-                    if sides is None:
-                        sides = cut[same] = _cut_maps(maps, *lines[same], lone_rows, lone_cols)
-                    for rows, cols in sides:
-                        entries += _compose(before_flat, flat, rows[w], *_columns([cols[z] for z in picked], picked_costs), limit)
-            for i, (ws, zs, sides) in enumerate(shared):
-                costs = before[ws[:, None], zs]
-                finite = costs < _INT_INF
-                same = finite & (costs == shared_last[i])
-                shared_last[i] = costs
-                for kind, picked in ((True, same), (False, finite & ~same)):
-                    if picked.any():
-                        for side in sides:
-                            entries += _compose_group(before_flat, flat, side, *lines[kind], costs, picked, limit)
+            costs = before[ws[:, None], zs]
+            finite = mask & (costs < _INT_INF)
+            same = finite & (costs == last)
+            last = costs
+            for kind, picked in ((True, same), (False, finite & ~same)):
+                if picked.any():
+                    for side in sides:
+                        entries += _compose_group(before_flat, flat, side, *lines[kind], costs, picked, limit)
             if self.inv is not None:
                 np.minimum(D, D[self.inv][:, self.inv], out=D)
             if tri.size:
@@ -624,41 +597,28 @@ def _triangle_pass(D: np.ndarray, tri: np.ndarray, buf: np.ndarray) -> None:
     D[block] = M
 
 
-def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_map, cost, limit: int) -> int:
-    """One word's block on one side: flat[tgt] = min(flat[tgt], before[src]
-    + cost) over its row map against a column map, at one cost or a cost
-    per column, in chunks of whole rows (the class); returns the block cells
-    composed."""
+def _compose(before: np.ndarray, flat: np.ndarray, row_map, col_map, cost: np.ndarray, limit: int) -> None:
+    """One word's picked columns on one side: flat[tgt] = min(flat[tgt],
+    before[src] + cost) over its row map against a column map, at a cost
+    per column, in chunks of whole rows (the class)."""
     (src_w, tgt_w), (src_z, tgt_z) = row_map, col_map
-    if not (src_w.size and src_z.size):
-        return 0
+    if not src_z.size:  # its picked z's have no column left after the cut
+        return
     step = max(1, limit // src_z.size)
     for r in range(0, src_w.size, step):
         block = before.take(src_w[r : r + step] + src_z)
         block += cost  # +inf sources stay above every target: _INT_INF + g < 2^63
         np.minimum.at(flat, (tgt_w[r : r + step] + tgt_z).reshape(-1), block.reshape(-1))
         del block  # before the next chunk's temporaries
-    return src_w.size * src_z.size
-
-
-def _columns(col_maps: list, costs: list[int]) -> tuple[tuple[np.ndarray, np.ndarray], object]:
-    """A lone word's picked z's as one column map and its cost: one z's map
-    and cost as they are (most words of an ambient space have one z), or
-    the maps concatenated with a cost per column."""
-    if len(col_maps) == 1:
-        return col_maps[0], costs[0]
-    src = np.concatenate([src for src, _ in col_maps])
-    tgt = np.concatenate([tgt for _, tgt in col_maps])
-    return (src, tgt), np.repeat(costs, [src.size for src, _ in col_maps])
 
 
 def _compose_group(before: np.ndarray, flat: np.ndarray, side, rows: np.ndarray, cols: np.ndarray,
                    costs: np.ndarray, picked: np.ndarray, limit: int) -> int:
-    """One kind of a word group's blocks on one side: flat[tgt] =
-    min(flat[tgt], before[src] + costs[w, z]) for every picked (w, z), over
-    w's sources in a marked row against z's sources in a marked column, in
-    chunks of consecutive words (the class); returns the candidate cells of
-    the picked (w, z)."""
+    """One kind of the block on one side: flat[tgt] = min(flat[tgt],
+    before[src] + costs[w, z]) for every picked (w, z), over w's sources in
+    a marked row against z's sources in a marked column, in chunks of
+    consecutive words (the class); returns the candidate cells of the
+    picked (w, z)."""
     r_src, r_tgt, r_word, c_src, c_tgt, c_z = side
     keep = rows[r_src] & picked.any(axis=1)[r_word]
     r_src, r_tgt, r_word = r_src[keep], r_tgt[keep], r_word[keep]
@@ -710,39 +670,10 @@ def _lines(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells.any(axis=1), cells.any(axis=0)
 
 
-def _group_maps(maps, words: list[int], zs: tuple[int, ...]) -> list[tuple]:
-    """Per side, a word group's row maps concatenated in word order, and its
-    column maps in z order, each source with its word's or z's position:
-    (row sources, row targets, row words, column sources, column targets,
-    column z's)."""
-    return [_concat([side[w] for w in words]) + _concat([side[z] for z in zs]) for side in maps]
-
-
 def _concat(maps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(source, target) maps concatenated, with each source's map position."""
     return (np.concatenate([src for src, _ in maps]), np.concatenate([tgt for _, tgt in maps]),
             np.repeat(np.arange(len(maps)), [src.size for src, _ in maps]))
-
-
-def _cut_maps(maps, rows: np.ndarray, cols: np.ndarray, row_words, col_words) -> list[tuple[dict, dict]]:
-    """Per side, each of ``row_words``' maps cut to the sources in a marked
-    row, as flat row offsets in a column vector, and each of ``col_words``'
-    to those in a marked column, as column indices: a block's flat cells
-    are then one broadcast sum."""
-    n = cols.size
-    sides = []
-    for side in maps:
-        by_row, by_col = {}, {}
-        for w in row_words:
-            src, tgt = side[w]
-            keep = rows[src]
-            by_row[w] = (src[keep][:, None] * n, tgt[keep][:, None] * n)
-        for z in col_words:
-            src, tgt = side[z]
-            keep = cols[src]
-            by_col[z] = (src[keep], tgt[keep])
-        sides.append((by_row, by_col))
-    return sides
 
 
 # ---------------------------------------------------------------------------

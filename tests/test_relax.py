@@ -311,8 +311,9 @@ def pair_systems(draw):
 @st.composite
 def shared_pair_systems(draw):
     """``pair_systems`` plus every generator (w, z) of a few words w and a
-    few z's, so that words share a z-set and compose in one block, often
-    with some of their (w, z) at +inf."""
+    few z's, so that the block holds a dense run of registered (w, z)
+    that several-word chunks compose together, often with some of them at
+    +inf."""
     space, seeds, generators, inverse, convex, triangle = draw(pair_systems())
     word = st.integers(0, len(space) - 1)
     ws = draw(st.lists(word, min_size=2, max_size=4, unique=True))
@@ -378,7 +379,7 @@ def test_pair_composition_matches_relax_fixpoint(system):
 @given(shared_pair_systems())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_shared_z_sets_match_relax_fixpoint(system):
-    """Words that share a z-set compose in one block per chunk, side and
+    """A dense run of registered (w, z) composes in one chunk per side and
     kind, each cell at its own (w, z)'s cost: the closure is still the
     explicit-rule fixpoint, or both fail."""
     _assert_matches_relax_fixpoint(system)
@@ -471,7 +472,8 @@ def test_source_skipping_keeps_every_sweep(system):
 @given(shared_pair_systems())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_source_skipping_keeps_every_sweep_on_shared_z_sets(system):
-    """The same as the unrestricted loop where words share a z-set."""
+    """The same as the unrestricted loop on a dense run of registered
+    (w, z)."""
     _assert_keeps_every_sweep(system)
 
 
@@ -588,46 +590,100 @@ def _assert_chunks_change_nothing(system, cells):
         assert _solved(_pair_engine(*system)) == want
 
 
-@given(pair_systems())
+@pytest.mark.parametrize("cells", [1, 5, 40])
+@given(system=pair_systems())
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_one_row_chunks_change_no_closure(system):
-    """With the chunk bound cut to one cell, every chunk is one row of one
-    word: the tables, sweep counts and entries equal the default's, or
-    both runs fail alike."""
-    _assert_chunks_change_nothing(system, 1)
+def test_chunk_bounds_change_no_closure(cells, system):
+    """Words that mostly have z-sets of their own, at chunk bounds that cut
+    the block into one-row chunks (1), chunks of a few words or rows (5)
+    and chunks of many words (40), where a chunk's unpicked (w, z) include
+    pairs that are no generator: the tables, sweep counts and entries equal
+    the default's, or both runs fail alike."""
+    _assert_chunks_change_nothing(system, cells)
 
 
 @pytest.mark.parametrize("cells", [1, 5, 40])
 @given(system=shared_pair_systems())
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_chunk_bounds_change_no_shared_closure(cells, system):
-    """Words that share a z-set, at chunk bounds that cut their blocks into
-    one-row chunks (1), chunks of a few words or rows (5) and chunks of
-    many words (40): the tables, sweep counts and entries do not move."""
+    """A dense run of registered (w, z), at chunk bounds that cut the block
+    into one-row chunks (1), chunks of a few words or rows (5) and chunks
+    of many words (40): the tables, sweep counts and entries do not
+    move."""
     _assert_chunks_change_nothing(system, cells)
 
 
+@given(system=pair_systems(), data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_generator_order_changes_no_closure(system, data):
+    """The block's words run in first-generator order, so registering the
+    generators reversed or shuffled reorders its rows and chunks: the
+    tables, sweep counts and entries equal those of the drawn order, or
+    every run fails alike."""
+    space, seeds, generators, *rest = system
+    orders = [generators[::-1], data.draw(st.permutations(generators))]
+    try:
+        want = _solved(_pair_engine(*system))
+    except RelaxError as err:
+        for order in orders:
+            with pytest.raises(type(err)):
+                _solved(_pair_engine(space, seeds, order, *rest))
+        return
+    for order in orders:
+        assert _solved(_pair_engine(space, seeds, order, *rest)) == want
+
+
+def test_a_finite_pair_that_is_no_generator_composes_nothing(monkeypatch):
+    """Words e, x, X, y, Y.  The generators (e, x) and (x, y) give e and x
+    different z-sets, {x} and {y}, yet their rows share one chunk of the
+    block, whose (e, y) and (x, x) are no generators.  (x, x) is seeded
+    0: composed, it would carry (X, e) = 1 to (e, x) = 1 and on to (e, y).
+    It composes nothing, so (e, x) keeps its seed 2, (X, e) reaches (X, x)
+    = 1 + 2 and (e, y) = 1 + 3 through the generators only, and the table
+    and sweep count are the explicit rules' and the unrestricted loop's."""
+    space = WordSpace([(1, 1), (1, -1), (2, 1), (2, -1)], 1)
+    e, x, X, y = (space.idx(w) for w in ((), ((1, 1),), ((1, -1),), ((2, 1),)))
+    seeds = [((e, x), F(2)), ((x, y), F(3)), ((x, x), F(0)), ((X, e), F(1))]
+    system = (space, seeds, [(e, x), (x, y)], False, [])
+    spread = relax._spread
+    words = []  # the words of each several-word chunk composed, by count
+    monkeypatch.setattr(relax, "_spread", lambda *args: words.append(args[1].size) or spread(*args))
+    engine = _pair_engine(*system)
+    table, sweeps = engine.solve()
+    assert 2 in words
+    assert (table.get((e, x)), table.get((X, x)), table.get((e, y))) == (F(2), F(3), F(4))
+    ref = relax_fixpoint(_explicit_pair_system(*system))
+    for cell in np.ndindex(len(space), len(space)):
+        assert table.get(cell) == ref.values.get(cell), cell
+    assert sweeps == _unrestricted_solve(engine, 200)[1]
+
+
 def test_one_row_chunks_keep_rank_closures(rank_universe, monkeypatch):
-    """Rank's stage-3 rho (members space: one group of 47 words sharing a
-    z-set) and its delta_0 certificate closure, rebuilt with one-row
-    chunks: the same tables, sweeps and entries as at the default chunk
-    bound.  The engine reads the bound when it solves: at the default, rho
-    composes chunks of several words, and at one cell it composes none."""
+    """Rank's stage-3 rho (members space: 47 words, every member each
+    one's z) and its delta_0 certificate closure (25 words, mostly with
+    z-sets of their own), rebuilt with one-row chunks: the same tables,
+    sweeps and entries as at the default chunk bound.  The engine reads
+    the bound when it solves: at the default, rho and delta_0 each compose
+    chunks of several words, and at one cell neither composes any, so each
+    equality compares two different chunkings."""
     u = rank_universe
-    want_delta = delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)
     spread = relax._spread
     calls = []
     monkeypatch.setattr(relax, "_spread", lambda *args: calls.append(1) or spread(*args))
+    want_delta = delta_rank0_closure(u, u.stage(3), u.stage(2), u.cfg)
+    assert calls
+    calls.clear()
     Universe(u.cfg).build()
     assert calls
     calls.clear()
     monkeypatch.setattr(relax, "_CHUNK_CELLS", 1)
     rebuilt = Universe(u.cfg).build()
+    got_delta = delta_rank0_closure(rebuilt, rebuilt.stage(3), rebuilt.stage(2), u.cfg)
     assert not calls
     assert rebuilt.stage(3).table == u.stage(3).table
     notes = ("rho_sweeps", "rho_entries")
     assert [rebuilt.stage(3).notes[k] for k in notes] == [u.stage(3).notes[k] for k in notes]
-    assert delta_rank0_closure(rebuilt, rebuilt.stage(3), rebuilt.stage(2), u.cfg) == want_delta
+    assert got_delta == want_delta
 
 
 def test_an_inexact_value_retries_at_a_larger_scale(monkeypatch):
