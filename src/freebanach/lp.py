@@ -59,10 +59,13 @@ once is optimal for every target v with B^-1 v >= 0, being primal and dual
 feasible there, at value c_B B^-1 v.  A program's optimal value is unique,
 so every covering basis gives a target the value a warm solve would.  Each
 cached basis is tested against all uncovered targets in one exact integer
-matrix product; the first target left uncovered is solved warm, and the
-basis it ends on is new (an old one would have covered it).  The desk
-tower's 4-stage build resolves 3280 +- classes with 367 warm solves and
-1350 pivots (``pivots``).
+matrix product.  The uncovered target nearest the newest basis is solved
+warm next: the fewest negative entries of N r (none are counted before
+the first basis), then the most nonzero entries of r, then the first in
+input order.  The basis it ends on is new (an old one would have covered
+it), and it covers its target, so the loop ends; values do not depend on
+the order.  The desk tower's 4-stage build resolves 3280 +- classes with
+266 warm solves and 779 pivots (``pivots``).
 
 ``certificate`` reads a target's solution and dual off a cached basis, and
 ``Certifier`` checks them against the original molecules in integers,
@@ -447,8 +450,9 @@ class MoleculeLP:
         array, a target per row, or a sequence of rational vectors, reduced
         once into columns r.  Each cached basis, old ones first, covers every
         uncovered target with N r >= 0, at c_B N r over d * den * cost_den,
-        in one product; then the first target still uncovered is solved warm
-        by ``solve_full``, and its final basis is cached and covers it.
+        in one product; then the uncovered target nearest the newest basis
+        (module docstring) is solved warm by ``solve_full``, and its final
+        basis is cached and covers it.
         Raises ``InfeasibleLP`` if any target leaves the molecule span."""
         if not len(targets):
             return [], [], []
@@ -460,19 +464,22 @@ class MoleculeLP:
         outside = [per_n * _absmax(b.adj) for b in self.bases]
         nums, index = np.zeros(len(dens), dtype=object), np.zeros(len(dens), dtype=np.intp)
         uncovered, tested = np.arange(len(dens)), 0
+        negatives, support = np.zeros(len(dens), dtype=np.intp), np.count_nonzero(R, axis=0)
         while True:
             for k in range(tested, len(self.bases)):
                 basis, bound = self.bases[k], self._bound if k >= start else outside[k]
                 N, c, r = _fit(bound, basis.adj, self._costs[list(basis.columns)], R[:, uncovered])
                 x = N @ r
-                covered = (x >= 0).all(axis=0)
+                negatives = np.count_nonzero(x < 0, axis=0)
+                covered = negatives == 0
                 nums[uncovered[covered]], index[uncovered[covered]] = c @ x[:, covered], k
-                uncovered = uncovered[~covered]
+                uncovered, negatives = uncovered[~covered], negatives[~covered]
             tested = len(self.bases)
             if not uncovered.size:
                 dets, index = [b.det for b in self.bases], index.tolist()
                 return nums.tolist(), [dets[k] * den * self._cost_den for k, den in zip(index, dens)], index
-            first = int(uncovered[0])
+            # least (negatives on the newest basis, -support, position): support <= m, first on a tie
+            first = int(uncovered[np.argmin(negatives * (m + 1) - support[uncovered])])
             self.solve_full(targets[first], (R[:, first], dens[first]))
             N = np.ascontiguousarray(self._T[:m, self.ncols : -1])
             self.bases.append(OptimalBasis(tuple(self._basis), self._det, N))

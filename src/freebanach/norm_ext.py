@@ -209,14 +209,15 @@ def norm_extend(universe, stage, prev, cfg):
     Stage 2 has it in closed form (``_line_norm``).  On a later stage all
     classes, {k, n - 1 - k} for member k, go to one
     ``MoleculeLP.solve_many`` call in member order, which solves warm only
-    the classes its cached optimal bases do not cover; ``gamma_lp_calls``
-    counts those solves (0 on stage 2).  On a prev member the gauge must
-    equal the member's prev-metric value, on stage 2 its distance to e and
-    later the molecule cost of its own vector: otherwise the norm would not
-    extend the metric, and ``NormExtensionError`` is raised.  Without an
-    inverse-convex instance the norm is gamma (module docstring); a stage
-    with one would need at least 5^24 members and is refused with
-    ``NormExtensionError`` before anything is solved.
+    the classes its cached optimal bases do not cover, nearest the newest
+    basis first; ``gamma_lp_calls`` counts those solves (0 on stage 2).  On
+    a prev member the gauge must equal the member's prev-metric value, on
+    stage 2 its distance to e and later the molecule cost of its own vector:
+    otherwise the norm would not extend the metric, and
+    ``NormExtensionError`` is raised.  Without an inverse-convex instance
+    the norm is gamma (module docstring); a stage with one would need at
+    least 5^24 members and is refused with ``NormExtensionError`` before
+    anything is solved.
     """
     instances = universe.store.convex_instances(stage, inverse=True)
     if instances:

@@ -215,6 +215,27 @@ def test_scaling_molecules_and_targets_by_a_power_of_two_property(program, k):
     assert [v for v, _ in plain] == [v for v, _ in scaled] == [w for w in want if w is not None]
 
 
+@given(molecule_programs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_solve_many_values_do_not_depend_on_target_order_property(program, seed):
+    """Which target ``solve_many`` solves next depends on the input order
+    only through ties, and every covering basis gives a target the
+    program's one optimal value: on a shuffled batch (the feasible targets
+    and their negations) each target gets its value in the unshuffled
+    batch, and its cached basis certifies it.  The solve counts may differ."""
+    mols, costs, targets = program
+    feasible = [t for t, w in zip(targets, basic_solution_values(mols, costs, targets)) if w is not None]
+    batch = feasible + [tuple(-x for x in t) for t in feasible]
+    order = list(range(len(batch)))
+    random.Random(seed).shuffle(order)
+    plain, shuffled, check = MoleculeLP(mols, costs), MoleculeLP(mols, costs), Certifier(mols, costs)
+    values = [v for v, _ in values_of(plain, batch)]
+    for i, (v, k) in zip(order, values_of(shuffled, [batch[i] for i in order])):
+        value, beta, dual = shuffled.certificate(k, batch[i])
+        assert value == v == values[i]
+        assert check.dual_feasible(dual) and check.certifies(batch[i], value, beta, dual)
+
+
 def test_forged_basis_never_values_a_target_it_does_not_cover():
     """A cached basis optimal for v has B^-1(-v) = -B^-1 v with a negative
     entry, and c_B B^-1(-v) = -gamma(v) < 0.  Handed to a fresh solver as

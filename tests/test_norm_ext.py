@@ -109,16 +109,37 @@ def test_stage4_certificates_all(desk_universe):
 def test_desk_stage4_program_runs_in_int64_under_one_bound(desk_universe, monkeypatch):
     """Desk stage 4's molecule program takes its Hadamard bound once, in
     its one ``solve_many``, and that bound keeps the whole solve in int64:
-    the warm tableau and all 367 cached bases, after 1350 pivots."""
+    the warm tableau and all 266 cached bases, after 779 pivots."""
     u = desk_universe
     taken = []
     monkeypatch.setattr(lp_module, "hadamard_bound",
                         lambda squares, k, f=lp_module.hadamard_bound: taken.append(f(squares, k)) or taken[-1])
     (ints, scale), lp = norm_ext._gauge_table(u, u.stage(4), u.stage(3))
     assert len(taken) == 1 and lp._bound < 2**62
-    assert (len(lp.bases), lp.pivots) == (367, 1350)
+    assert (len(lp.bases), lp.pivots) == (266, 779)
     assert lp._T.dtype == np.int64 and all(b.adj.dtype == np.int64 for b in lp.bases)
     assert [F(n, scale) for n in ints] == [u.stage(4).table[m] for m in u.stage(4).members]
+
+
+def test_desk_stage4_solve_order_is_deterministic_and_bases_distinct(desk_universe):
+    """Two fresh programs on desk stage 4's batch pick the same targets to
+    solve warm, so they end on the same bases, pivots and covering index;
+    and no two cached bases hold one column set, since a solved target was
+    covered by no basis cached before it."""
+    u = desk_universe
+    s4 = u.stage(4)
+    _, lp = norm_ext._gauge_table(u, s4, u.stage(3))
+    coords = s4.coordinates(norm_ext.scalar_shift(s4))
+    batch = norm_ext.sign_class(coords[: (len(coords) - 1) // 2])
+    runs = []
+    for _ in range(2):
+        fresh = MoleculeLP(lp.molecules, lp.costs)
+        index = fresh.solve_many(batch)[2]
+        runs.append(([b.columns for b in fresh.bases], fresh.pivots, index))
+    assert runs[0] == runs[1]
+    columns, pivots, _ = runs[0]
+    assert (columns, pivots) == ([b.columns for b in lp.bases], lp.pivots)
+    assert len({frozenset(c) for c in columns}) == len(columns) == 266
 
 
 def test_certificate_mismatch_detected(exact_universe):
@@ -174,14 +195,14 @@ def test_gamma_lp_pivot_counts(exact_universe, rank_universe, desk_universe):
 
     assert pivots(exact_universe) == 0
     assert pivots(rank_universe) == 0
-    assert pivots(desk_universe) == 1350
+    assert pivots(desk_universe) == 779
 
     def lp_calls(u):
         return [s.notes["gamma_lp_calls"] for s in u.stages if "gamma_lp_calls" in s.notes]
 
     assert lp_calls(exact_universe) == [0]
     assert lp_calls(rank_universe) == [0]
-    assert lp_calls(desk_universe) == [0, 367]
+    assert lp_calls(desk_universe) == [0, 266]
 
 
 @pytest.mark.parametrize("preset", ["exact", "rank", "desk"])
